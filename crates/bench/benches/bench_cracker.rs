@@ -1,11 +1,18 @@
 //! The bench-trajectory artifact: cracking throughput (MKey/s) per
-//! algorithm per thread count per [`Backend`] — scalar, the 8/16-lane
-//! autovectorized widths, the explicit-SIMD kernels (when the host's
-//! CPU reports an ISA), the auto-tuned winner, and the simulated-GPU
-//! kernel backend — all driven through the one `Dispatcher` core via
-//! `crack_parallel_backend`. The JSON artifact (schema 4) records the
-//! detected CPU features and selected ISA so committed numbers carry
-//! their hardware context, plus the adaptive-vs-static skewed-fleet
+//! algorithm per thread count per [`Backend`] — scalar, the lanes8 /
+//! lanes16 CPU backends (which run the detected explicit-SIMD kernel,
+//! else the portable cores at that width), the explicit-SIMD kernels
+//! (when the host's CPU reports an ISA), the auto-tuned winner, and the
+//! simulated-GPU kernel backend — all driven through the one
+//! `Dispatcher` core via `crack_parallel_backend`. The JSON artifact
+//! (schema 5) records the detected CPU features and selected ISA, and
+//! per row the ISA the backend's kernel actually ran on, so committed
+//! numbers carry their hardware context; `default_vs_best` is, per
+//! algorithm, the rate of the default backend (`cpu_backend(Lanes::L8)`)
+//! over the fastest explicit-SIMD backend (`--min-default-vs-best`
+//! gates it, so the default can never again silently run the slow
+//! portable cores on a CPU that has better). It also carries the
+//! adaptive-vs-static skewed-fleet
 //! scenario (`--min-adaptive-ratio` gates its efficiency ratio): a
 //! deliberately misweighted two-backend fleet under the iterated-MD5
 //! KDF where the closed-loop retune (live rate estimates, drift-check
@@ -48,9 +55,10 @@ use std::time::Instant;
 
 use eks_cluster::SimKernelBackend;
 use eks_cracker::batch::Lanes;
+use eks_bench::pop_or_steal;
 use eks_cracker::{
-    cpu_backend, crack_parallel_backend, crack_parallel_backend_observed, AutoBackend,
-    ParallelConfig, SimdBackend, TargetSet,
+    cpu_backend, crack_parallel_backend_observed, AutoBackend, ParallelConfig, SimdBackend,
+    TargetSet,
 };
 use eks_telemetry::Telemetry;
 use eks_engine::{
@@ -65,6 +73,12 @@ use eks_keyspace::{Charset, Interval, KeySpace, Order};
 const KEYS: u64 = 300_000;
 /// Timed sweeps per configuration; the best is reported.
 const BEST_OF: usize = 3;
+/// Rounds and keys per sweep of a [`paired`] comparison (the
+/// `default_vs_best` and telemetry-overhead gates): [`KEYS`] is 2 ms of
+/// AVX-512 MD5, too short to hold a quotient of two sweeps within a few
+/// percent.
+const PAIRED_ROUNDS: usize = 9;
+const PAIRED_KEYS: u64 = 8 * KEYS;
 const ALGOS: [HashAlgo; 3] = [HashAlgo::Md5, HashAlgo::Sha1, HashAlgo::Ntlm];
 const THREADS: [usize; 2] = [1, 2];
 
@@ -100,42 +114,95 @@ fn host_kinds() -> Vec<BackendKind> {
     BackendKind::ALL.into_iter().filter(|k| k.is_available()).collect()
 }
 
-/// Best-of-N full-sweep throughput for one configuration.
-fn measure(algo: HashAlgo, threads: usize, kind: BackendKind) -> f64 {
+/// Throughput of one full sweep of `keys` keys on one backend, through
+/// the observed entry point (a disabled handle makes it the plain one).
+fn sweep(
+    algo: HashAlgo,
+    threads: usize,
+    backend: &dyn Backend,
+    keys: u64,
+    telemetry: &Telemetry,
+) -> f64 {
     let space =
         KeySpace::new(Charset::lowercase(), 1, 8, Order::FirstCharFastest).expect("space");
     let impossible = TargetSet::new(algo, &[vec![0u8; algo.digest_len()]]);
-    let backend = backend_for(kind);
     let config =
         ParallelConfig { threads, first_hit_only: false, ..ParallelConfig::for_threads(threads) };
-    let mut best = 0.0f64;
+    let report = crack_parallel_backend_observed(
+        &space,
+        &impossible,
+        Interval::new(0, u128::from(keys)),
+        backend,
+        config,
+        telemetry,
+        |_| {},
+    );
+    assert!(report.hits.is_empty(), "impossible target must not hit");
+    report.mkeys_per_s
+}
+
+/// Best-of-N full-sweep throughput for one configuration.
+fn measure(algo: HashAlgo, threads: usize, backend: &dyn Backend) -> f64 {
+    let off = Telemetry::disabled();
     // One extra untimed sweep warms caches and thread pools.
-    for i in 0..=BEST_OF {
-        let report = crack_parallel_backend(
-            &space,
-            &impossible,
-            Interval::new(0, KEYS as u128),
-            backend.as_ref(),
-            config,
-        );
-        assert!(report.hits.is_empty(), "impossible target must not hit");
-        if i > 0 {
-            best = best.max(report.mkeys_per_s);
+    sweep(algo, threads, backend, KEYS, &off);
+    (0..BEST_OF).map(|_| sweep(algo, threads, backend, KEYS, &off)).fold(0.0f64, f64::max)
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Compare two nearly-equal rates on a host whose speed drifts in phases
+/// that outlast a sweep: `a` and `b` run back to back [`PAIRED_ROUNDS`]
+/// times (after one untimed round) and each round yields one quotient,
+/// so a slow phase stretches both sides of it. Returns the medians of
+/// `a`, of `b` and of `a / b`.
+fn paired(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64, f64) {
+    let (mut rates_a, mut rates_b, mut quotients) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..=PAIRED_ROUNDS {
+        let (rate_a, rate_b) = (a(), b());
+        if round > 0 {
+            rates_a.push(rate_a);
+            rates_b.push(rate_b);
+            quotients.push(rate_a / rate_b);
         }
     }
-    best
+    (median(rates_a), median(rates_b), median(quotients))
+}
+
+/// Rate of the default CPU backend over the fastest explicit-SIMD
+/// backend at one thread, or `None` on a host without an explicit ISA.
+fn default_vs_best(algo: HashAlgo) -> Option<f64> {
+    let explicit: Vec<SimdBackend> =
+        SimdIsa::ALL.into_iter().filter_map(|isa| SimdBackend::new(isa).ok()).collect();
+    if explicit.is_empty() {
+        return None;
+    }
+    let default = cpu_backend(Lanes::L8);
+    let off = Telemetry::disabled();
+    let (_, _, quotient) = paired(
+        || sweep(algo, 1, default.as_ref(), PAIRED_KEYS, &off),
+        || {
+            explicit
+                .iter()
+                .map(|backend| sweep(algo, 1, backend, PAIRED_KEYS, &off))
+                .fold(0.0f64, f64::max)
+        },
+    );
+    Some(quotient)
 }
 
 struct Row {
     algo: &'static str,
     threads: usize,
     backend: &'static str,
+    /// The ISA the backend's kernel ran on (`None` for simulated GPUs).
+    isa: Option<String>,
     mkeys: f64,
 }
 
-/// Virtual cost of one steal (lock the largest victim, halve it,
-/// install the half) — a generous bound for an uncontended mutex pair.
-const STEAL_NS: u64 = 2_000;
 /// Timed sweeps per scaling configuration.
 const SCALING_BEST_OF: usize = 2;
 /// Workers simulated for the scaling rows.
@@ -167,7 +234,7 @@ fn virtual_throughput(algo: HashAlgo, kind: BackendKind, workers: usize) -> f64 
         while let Some(w) =
             (0..workers).filter(|&w| !done[w]).min_by_key(|&w| clock[w])
         {
-            match deques.pop(w, policy) {
+            match pop_or_steal(&deques, w, policy, &mut clock[w]) {
                 Some(chunk) => {
                     let t0 = Instant::now();
                     let out =
@@ -175,12 +242,7 @@ fn virtual_throughput(algo: HashAlgo, kind: BackendKind, workers: usize) -> f64 
                     clock[w] += t0.elapsed().as_nanos() as u64;
                     assert!(out.hits.is_empty(), "impossible target must not hit");
                 }
-                None => {
-                    clock[w] += STEAL_NS;
-                    if deques.steal_into(w).is_none() {
-                        done[w] = true;
-                    }
-                }
+                None => done[w] = true,
             }
         }
         let makespan_ns = clock.iter().copied().max().unwrap_or(0).max(1);
@@ -299,7 +361,12 @@ fn skewed_fleet_arm(adaptive: bool) -> FleetArm {
         let mut chunks = 0u64;
         let mut rescatters = 0u64;
         while let Some(w) = (0..workers).filter(|&w| !done[w]).min_by_key(|&w| clock[w]) {
-            match deques.pop(w, policy) {
+            let chunk = if adaptive {
+                pop_or_steal(&deques, w, policy, &mut clock[w])
+            } else {
+                deques.pop(w, policy)
+            };
+            match chunk {
                 Some(chunk) => {
                     let t0 = Instant::now();
                     let out = backends[w]
@@ -321,16 +388,7 @@ fn skewed_fleet_arm(adaptive: bool) -> FleetArm {
                         }
                     }
                 }
-                None => {
-                    if adaptive {
-                        clock[w] += STEAL_NS;
-                        if deques.steal_into(w).is_none() {
-                            done[w] = true;
-                        }
-                    } else {
-                        done[w] = true;
-                    }
-                }
+                None => done[w] = true,
             }
         }
         let makespan_ns = clock.iter().copied().max().unwrap_or(0).max(1);
@@ -348,45 +406,6 @@ fn skewed_fleet_arm(adaptive: bool) -> FleetArm {
     result
 }
 
-/// Timed sweeps per telemetry-overhead arm; more than the wall-clock
-/// rows because the gate compares two nearly-equal numbers.
-const OVERHEAD_BEST_OF: usize = 5;
-
-/// Best-of-N batched MD5 single-thread throughput with telemetry either
-/// off (the null handle) or on (a live registry plus trace sink) — the
-/// same impossible-target sweep as [`measure`], driven through the
-/// observed entry point so the chunk-granularity instrumentation is on
-/// the measured path.
-fn telemetry_throughput(enabled: bool) -> f64 {
-    let space =
-        KeySpace::new(Charset::lowercase(), 1, 8, Order::FirstCharFastest).expect("space");
-    let algo = HashAlgo::Md5;
-    let impossible = TargetSet::new(algo, &[vec![0u8; algo.digest_len()]]);
-    let backend = backend_for(BackendKind::Lanes8);
-    let config = ParallelConfig { first_hit_only: false, ..ParallelConfig::for_threads(1) };
-    let mut best = 0.0f64;
-    // One extra untimed sweep warms caches, as in `measure`.
-    for i in 0..=OVERHEAD_BEST_OF {
-        // A fresh handle per sweep so the trace ring and counters never
-        // accumulate across iterations.
-        let telemetry = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
-        let report = crack_parallel_backend_observed(
-            &space,
-            &impossible,
-            Interval::new(0, KEYS as u128),
-            backend.as_ref(),
-            config,
-            &telemetry,
-            |_| {},
-        );
-        assert!(report.hits.is_empty(), "impossible target must not hit");
-        if i > 0 {
-            best = best.max(report.mkeys_per_s);
-        }
-    }
-    best
-}
-
 struct ScalingRow {
     algo: &'static str,
     backend: &'static str,
@@ -401,6 +420,7 @@ fn main() {
     let mut min_md5_speedup = 1.0f64;
     let mut min_scaling = 0.0f64;
     let mut min_adaptive_ratio = 0.0f64;
+    let mut min_default_vs_best = 0.0f64;
     let mut max_telemetry_overhead_pct = f64::INFINITY;
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -425,6 +445,12 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--min-adaptive-ratio takes a number");
+            }
+            "--min-default-vs-best" => {
+                min_default_vs_best = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--min-default-vs-best takes a number");
             }
             "--max-telemetry-overhead-pct" => {
                 max_telemetry_overhead_pct = args
@@ -452,19 +478,22 @@ fn main() {
     }
 
     let mut rows: Vec<Row> = Vec::new();
-    println!("{:<6} {:>7} {:>8} {:>10}", "algo", "threads", "backend", "MKey/s");
+    println!("{:<6} {:>7} {:>8} {:>8} {:>10}", "algo", "threads", "backend", "isa", "MKey/s");
     for algo in ALGOS {
         for threads in THREADS {
             for kind in host_kinds() {
-                let mkeys = measure(algo, threads, kind);
+                let backend = backend_for(kind);
+                let mkeys = measure(algo, threads, backend.as_ref());
+                let isa = backend.isa(algo);
                 println!(
-                    "{:<6} {:>7} {:>8} {:>10.3}",
+                    "{:<6} {:>7} {:>8} {:>8} {:>10.3}",
                     algo_name(algo),
                     threads,
                     kind.name(),
+                    isa.as_deref().unwrap_or("-"),
                     mkeys
                 );
-                rows.push(Row { algo: algo_name(algo), threads, backend: kind.name(), mkeys });
+                rows.push(Row { algo: algo_name(algo), threads, backend: kind.name(), isa, mkeys });
             }
         }
     }
@@ -527,6 +556,36 @@ fn main() {
         }
     }
 
+    // The default-path gate: what `eks crack` runs when nobody picks a
+    // backend must keep up with the fastest explicit kernel the CPU has.
+    let mut default_vs_best_body = String::new();
+    for algo in ALGOS {
+        let name = algo_name(algo);
+        let ratio = default_vs_best(algo);
+        match ratio {
+            Some(ratio) => {
+                println!(
+                    "{name}: default (lanes8) / best explicit backend = {ratio:.3} (floor {min_default_vs_best:.2})"
+                );
+                if ratio < min_default_vs_best {
+                    eprintln!(
+                        "GATE FAILED: {name} default backend runs at {ratio:.2} of the best explicit backend (floor {min_default_vs_best:.2})"
+                    );
+                    failed = true;
+                }
+            }
+            None => println!(
+                "{name}: default_vs_best skipped — no explicit-SIMD ISA detected, the default is the portable path"
+            ),
+        }
+        let _ = write!(
+            default_vs_best_body,
+            "{}\"{name}\": {}",
+            if default_vs_best_body.is_empty() { "" } else { ", " },
+            ratio.map_or("null".to_string(), |r| format!("{r:.3}"))
+        );
+    }
+
     // The scaling gate: the steal scheduler's virtual 2-worker scaling
     // on md5/lanes8 must clear `--min-scaling`.
     let md5_lanes8_scaling = scaling_rows
@@ -576,9 +635,14 @@ fn main() {
     // The telemetry gate: chunk-granularity instrumentation on the
     // batched MD5 hot path must cost at most
     // `--max-telemetry-overhead-pct` of throughput vs the null handle.
-    let t_off = telemetry_throughput(false);
-    let t_on = telemetry_throughput(true);
-    let telemetry_overhead_pct = (t_off / t_on - 1.0) * 100.0;
+    // off = the null handle; on = a live registry plus trace sink,
+    // fresh per sweep so the trace ring and counters never accumulate.
+    let lanes8 = backend_for(BackendKind::Lanes8);
+    let (t_off, t_on, off_over_on) = paired(
+        || sweep(HashAlgo::Md5, 1, lanes8.as_ref(), PAIRED_KEYS, &Telemetry::disabled()),
+        || sweep(HashAlgo::Md5, 1, lanes8.as_ref(), PAIRED_KEYS, &Telemetry::enabled()),
+    );
+    let telemetry_overhead_pct = (off_over_on - 1.0) * 100.0;
     let _ = write!(gates, ", \"md5_lanes8_telemetry_overhead_pct\": {telemetry_overhead_pct:.3}");
     println!(
         "md5/lanes8: telemetry on {t_on:.3} vs off {t_off:.3} MKey/s → {telemetry_overhead_pct:.1}% overhead (cap {max_telemetry_overhead_pct:.1}%)"
@@ -595,11 +659,12 @@ fn main() {
         for r in &rows {
             let _ = write!(
                 body,
-                "{}    {{\"algo\": \"{}\", \"threads\": {}, \"backend\": \"{}\", \"mkeys_per_s\": {:.3}}}",
+                "{}    {{\"algo\": \"{}\", \"threads\": {}, \"backend\": \"{}\", \"isa\": {}, \"mkeys_per_s\": {:.3}}}",
                 if body.is_empty() { "" } else { ",\n" },
                 r.algo,
                 r.threads,
                 r.backend,
+                r.isa.as_ref().map_or("null".to_string(), |isa| format!("\"{isa}\"")),
                 r.mkeys
             );
         }
@@ -630,7 +695,7 @@ fn main() {
             static_arm.efficiency, adaptive_arm.efficiency, adaptive_arm.rescatters
         );
         let json = format!(
-            "{{\n  \"bench\": \"cracker_backends_vs_scalar\",\n  \"schema\": 4,\n  \"keys_per_sweep\": {KEYS},\n  \"best_of\": {BEST_OF},\n  \"min_md5_speedup\": {min_md5_speedup},\n  \"min_scaling\": {min_scaling},\n  \"min_adaptive_ratio\": {min_adaptive_ratio},\n  \"cpu_features\": {{{features_body}}},\n  \"simd_isa\": {isa_body},\n  \"results\": [\n{body}\n  ],\n  \"scaling\": [\n{scaling_body}\n  ],\n  \"adaptive\": {adaptive_body},\n  \"gates\": {{{gates}}}\n}}\n"
+            "{{\n  \"bench\": \"cracker_backends_vs_scalar\",\n  \"schema\": 5,\n  \"keys_per_sweep\": {KEYS},\n  \"best_of\": {BEST_OF},\n  \"min_md5_speedup\": {min_md5_speedup},\n  \"min_scaling\": {min_scaling},\n  \"min_adaptive_ratio\": {min_adaptive_ratio},\n  \"min_default_vs_best\": {min_default_vs_best},\n  \"cpu_features\": {{{features_body}}},\n  \"simd_isa\": {isa_body},\n  \"results\": [\n{body}\n  ],\n  \"scaling\": [\n{scaling_body}\n  ],\n  \"adaptive\": {adaptive_body},\n  \"default_vs_best\": {{{default_vs_best_body}}},\n  \"gates\": {{{gates}}}\n}}\n"
         );
         std::fs::write(&path, json).expect("write json artifact");
         println!("wrote {path}");

@@ -23,6 +23,7 @@ use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
+use eks_bench::pop_or_steal;
 use eks_cracker::{cpu_backend, Lanes, TargetSet};
 use eks_engine::{eta_drift_pct, Backend, ChunkPolicy, IntervalDeques, RateBook, ScanMode};
 use eks_hashes::HashAlgo;
@@ -45,8 +46,6 @@ const CHUNK_MIN: u128 = 1 << 9;
 const MIN_STATIC_IDLE_PCT: f64 = 30.0;
 /// The adaptive arm must recover to at most this much idle.
 const MAX_ADAPTIVE_IDLE_PCT: f64 = 15.0;
-/// Virtual cost charged per steal attempt.
-const STEAL_NS: u64 = 2_000;
 
 /// Worker 1's handicapped backend: scans each chunk [`SLOW_FACTOR`]
 /// times, reports it once.
@@ -103,7 +102,12 @@ fn run_arm(adaptive: bool) -> (f64, u128) {
     let mut tested: u128 = 0;
     let mut chunks = 0u64;
     while let Some(w) = (0..workers).filter(|&w| !done[w]).min_by_key(|&w| clock[w]) {
-        match deques.pop(w, policy) {
+        let chunk = if adaptive {
+            pop_or_steal(&deques, w, policy, &mut clock[w])
+        } else {
+            deques.pop(w, policy)
+        };
+        match chunk {
             Some(chunk) => {
                 let t0 = Instant::now();
                 let out =
@@ -124,16 +128,7 @@ fn run_arm(adaptive: bool) -> (f64, u128) {
                     }
                 }
             }
-            None => {
-                if adaptive {
-                    clock[w] += STEAL_NS;
-                    if deques.steal_into(w).is_none() {
-                        done[w] = true;
-                    }
-                } else {
-                    done[w] = true;
-                }
-            }
+            None => done[w] = true,
         }
     }
     let makespan = clock.iter().copied().max().unwrap_or(0).max(1);

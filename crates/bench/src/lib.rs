@@ -63,6 +63,30 @@ pub const TABLE9: [Table9Row; 2] = [
 pub mod harness;
 pub mod workload;
 
+/// Virtual cost of one steal (lock the largest victim, halve it,
+/// install the half) — a generous bound for an uncontended mutex pair.
+pub const STEAL_NS: u64 = 2_000;
+
+/// One turn of a worker in a virtual-core schedule (the drivers that
+/// advance per-worker virtual clocks over real-timed chunk scans): pop
+/// the next chunk of `worker`'s deque, or — drained — charge
+/// [`STEAL_NS`] to its clock, steal, and pop what was stolen in the same
+/// turn, as the real worker loop does. Were the victim to move between
+/// the steal and the pop, two workers with near-equal clocks could hand
+/// the last key back and forth forever. `None` means the queue is
+/// drained and the worker is done.
+pub fn pop_or_steal(
+    deques: &eks_engine::IntervalDeques,
+    worker: usize,
+    policy: eks_engine::ChunkPolicy,
+    clock: &mut u64,
+) -> Option<eks_keyspace::Interval> {
+    deques.pop(worker, policy).or_else(|| {
+        *clock += STEAL_NS;
+        deques.steal_into(worker).and_then(|_| deques.pop(worker, policy))
+    })
+}
+
 /// Print a table header line.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");

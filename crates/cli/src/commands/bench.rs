@@ -40,7 +40,7 @@ pub(super) fn cmd_bench(args: &Args) -> Result<(), String> {
     );
     match isa {
         Some(isa) => println!("selected isa: {isa}"),
-        None => println!("selected isa: none (autovectorized fallback)"),
+        None => println!("selected isa: none (portable-lane fallback)"),
     }
 
     // Every CPU backend the host can run; the simulated GPUs have their

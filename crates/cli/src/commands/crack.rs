@@ -70,7 +70,7 @@ fn parse_backend(args: &Args, telemetry: &Telemetry) -> Result<Option<Box<dyn Ba
                 }
                 None => SimdBackend::best().ok_or_else(|| {
                     "no explicit-SIMD ISA detected on this CPU; \
-                     use --backend auto for the autovectorized fallback"
+                     use --backend auto for the portable-lane fallback"
                         .to_string()
                 })?,
             };

@@ -58,7 +58,8 @@ fn print_help() {
     println!("  crack    --algo md5|sha1|ntlm --digest HEX [--charset lower|upper|digits|alpha|alnum|print]");
     println!("           [--min N] [--max N] [--threads N] [--all] [--salt-prefix S] [--salt-suffix S]");
     println!("           [--mask \"?u?l?l?d?d\"] [--words w1,w2,... [--suffix-digits N]]");
-    println!("           [--batch] [--lanes scalar|8|16]   lane-batched hashing (default: 8 lanes;");
+    println!("           [--batch] [--lanes scalar|8|16]   lane-batched hashing: the widest explicit-SIMD");
+    println!("           kernel the CPU has, else 8 (default) or 16 portable lanes;");
     println!("           mask/hybrid/salted searches always use the scalar path)");
     println!("           [--backend scalar|lanes8|lanes16|simd|auto|simgpu [--device 660]]");
     println!("           pick the engine backend explicitly: simd runs the explicit");

@@ -176,20 +176,30 @@ mod tests {
         let space =
             KeySpace::new(Charset::lowercase(), 1, 8, Order::FirstCharFastest).unwrap();
         let targets = TargetSet::new(HashAlgo::Md5, &[vec![0u8; 16]]);
+        // Best of three per sample: a sweep is tens of milliseconds on the
+        // detected SIMD kernel, short enough for one descheduled worker
+        // or a slow phase of the host to double it.
         let mut measure = |n: u64| {
-            let r = crack_parallel(
-                &space,
-                &targets,
-                Interval::new(0, n as u128),
-                ParallelConfig {
-                    threads: 2,
-                    chunk: 1 << 12,
-                    first_hit_only: false,
-                    ..Default::default()
-                },
-            );
-            r.elapsed_s
+            (0..3)
+                .map(|_| {
+                    crack_parallel(
+                        &space,
+                        &targets,
+                        Interval::new(0, n as u128),
+                        ParallelConfig {
+                            threads: 2,
+                            chunk: 1 << 12,
+                            first_hit_only: false,
+                            ..Default::default()
+                        },
+                    )
+                    .elapsed_s
+                })
+                .fold(f64::INFINITY, f64::min)
         };
+        // Untimed warm-up: the first sweeps of a process run cold code on
+        // a core still ramping up, and would tilt the fit.
+        measure(400_000);
         let m = calibrate(&[50_000, 100_000, 200_000, 400_000], &mut measure)
             .expect("fit");
         assert!(m.rate > 1e5, "rate {} should be at least 0.1 MKey/s", m.rate);

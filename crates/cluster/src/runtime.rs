@@ -6,8 +6,8 @@
 //! the tuned throughput ratios (`N_j = N_max · X_j / X_max`) at every
 //! level — and yields one [`eks_engine::Backend`] leaf per device thread:
 //! a [`SimKernelBackend`] per simulated GPU, an [`AutoBackend`] per CPU
-//! worker thread (the tuned winner among autovectorized lanes and the
-//! explicit-SIMD kernels). Execution then runs every leaf through one
+//! worker thread (the tuned winner among the explicit-SIMD kernels, or
+//! among the portable lane widths where the CPU has none). Execution then runs every leaf through one
 //! [`Dispatcher`], which owns the shared stop flag (the paper's periodic
 //! stop-condition check), the hit merge, and the per-device accounting.
 
@@ -252,8 +252,8 @@ fn plan_node(
             // A CPU worker fans its share out over its own threads; all
             // of them are credited to the one device-level worker. Each
             // thread runs the auto-tuned backend, so the leaf picks the
-            // fastest implementation (autovectorized lanes or an
-            // explicit-SIMD kernel) per algorithm — the paper's §V
+            // fastest implementation (an explicit-SIMD kernel, else a
+            // portable lane width) per algorithm — the paper's §V
             // per-architecture specialization applied at scatter time.
             let cpu = &node.cpus[i - n_devices];
             let backend = AutoBackend::new(telemetry.clone());

@@ -2,16 +2,19 @@
 //!
 //! * [`ScalarBackend`] — the one-candidate-at-a-time reference path
 //!   ([`crate::engine::crack_interval`]);
-//! * [`LaneBackend`] — the autovectorized lane-batched path
-//!   ([`crate::batch::crack_interval_batched`]), the CPU stand-in for a
-//!   warp of GPU threads;
-//! * [`SimdBackend`] — the explicit AVX2/AVX-512/NEON kernels
-//!   ([`crate::batch::crack_interval_simd`]), built only when runtime
-//!   detection proves the ISA;
+//! * [`LaneBackend`] — the lane-batched path, the CPU stand-in for a
+//!   warp of GPU threads and the default of every CPU worker. It
+//!   resolves its kernel once, at construction: the widest explicit ISA
+//!   the CPU has ([`crate::batch::crack_interval_simd`]), else the
+//!   portable cores at the requested width
+//!   ([`crate::batch::crack_interval_batched`]);
+//! * [`SimdBackend`] — the explicit AVX2/AVX-512/NEON kernels of one
+//!   named ISA, built only when runtime detection proves it;
 //! * [`AutoBackend`] — the paper's tuning step as a backend: times every
-//!   candidate implementation per algorithm once and dispatches each
-//!   scan to the winner (widths are *not* monotonic — lanes16 loses to
-//!   lanes8 on MD5 here — so the choice is per-algorithm, not global).
+//!   distinct kernel the CPU can run, per algorithm, once, and dispatches
+//!   each scan to the winner (the widest ISA is not always the fastest —
+//!   AVX-512 down-clocks some hosts — and the portable widths are not
+//!   monotonic either, so the choice is per-algorithm, not global).
 //!
 //! `tuned_rate` is a *measured* throughput (the paper's tuning step run
 //! on the host): a short timed sweep per `(implementation, algo)`,
@@ -27,10 +30,7 @@ use eks_hashes::{HashAlgo, SimdHasher, SimdIsa};
 use eks_keyspace::{Charset, Interval, KeySpace, Order};
 use eks_telemetry::Telemetry;
 
-use crate::batch::{
-    crack_interval_batched, crack_interval_batched_observed, crack_interval_simd,
-    crack_interval_simd_observed, Lanes,
-};
+use crate::batch::{crack_interval_batched_observed, crack_interval_simd_observed, Lanes};
 use crate::engine::crack_interval;
 use crate::target::TargetSet;
 
@@ -55,7 +55,7 @@ impl Backend for ScalarBackend {
     }
 
     fn tuned_rate(&self, algo: HashAlgo) -> f64 {
-        measured_rate(TuneKey::Lanes(Lanes::Scalar), algo)
+        measured_rate(Kernel::Portable(Lanes::Scalar), algo)
     }
 
     fn isa(&self, _algo: HashAlgo) -> Option<String> {
@@ -63,26 +63,116 @@ impl Backend for ScalarBackend {
     }
 }
 
-/// The lane-batched SIMD backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// One batched kernel a CPU backend can run: the unit the tuning cache
+/// and [`AutoBackend`]'s race are keyed by, so two backends that run the
+/// same code are never timed twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// The portable cores at a lane width (or the scalar engine).
+    Portable(Lanes),
+    /// The explicit kernels of a detected ISA.
+    Simd(SimdHasher),
+}
+
+impl Kernel {
+    /// What a CPU worker asked for `lanes` runs: the widest explicit ISA
+    /// the CPU has, else the portable cores at that width. Scalar stays
+    /// scalar — it is the reference.
+    fn detect(lanes: Lanes) -> Self {
+        match (lanes, SimdHasher::best()) {
+            (Lanes::L8 | Lanes::L16, Some(hasher)) => Kernel::Simd(hasher),
+            _ => Kernel::Portable(lanes),
+        }
+    }
+
+    fn tune_key(self) -> TuneKey {
+        match self {
+            Kernel::Portable(lanes) => TuneKey::Lanes(lanes),
+            Kernel::Simd(hasher) => TuneKey::Simd(hasher.isa()),
+        }
+    }
+
+    /// `lanes8`, `simd-avx512`, …: the CLI's name of the backend that
+    /// runs exactly this kernel.
+    fn name(self) -> String {
+        match self {
+            Kernel::Portable(Lanes::Scalar) => "scalar".into(),
+            Kernel::Portable(lanes) => format!("lanes{}", lanes.width()),
+            Kernel::Simd(hasher) => format!("simd-{}", hasher.isa()),
+        }
+    }
+
+    /// The instruction set the kernel's hash cores are compiled for.
+    fn isa(self) -> &'static str {
+        match self {
+            Kernel::Portable(Lanes::Scalar) => "scalar",
+            Kernel::Portable(_) => "autovec",
+            Kernel::Simd(hasher) => hasher.isa().name(),
+        }
+    }
+
+    fn scan(
+        self,
+        space: &KeySpace,
+        targets: &TargetSet,
+        interval: Interval,
+        stop: &AtomicBool,
+        mode: ScanMode,
+        telemetry: &Telemetry,
+    ) -> ScanReport {
+        let first_hit_only = mode.first_hit_only();
+        match self {
+            Kernel::Portable(lanes) => crack_interval_batched_observed(
+                space,
+                targets,
+                interval,
+                stop,
+                first_hit_only,
+                lanes,
+                telemetry,
+            ),
+            Kernel::Simd(hasher) => crack_interval_simd_observed(
+                space,
+                targets,
+                interval,
+                stop,
+                first_hit_only,
+                hasher,
+                telemetry,
+            ),
+        }
+    }
+}
+
+/// The lane-batched backend. [`Lanes::L8`]/[`Lanes::L16`] name the
+/// width of the *portable* cores; on a CPU with an explicit ISA the
+/// backend runs that ISA's kernels instead, whatever width was asked for
+/// (in a baseline build the portable cores compile to scalar code, 4–10×
+/// slower per key). Which it is is decided once, at construction, by
+/// runtime detection — there is nothing to configure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneBackend {
-    /// Lane width of the batched test path.
+    /// Lane width of the portable test path.
     pub lanes: Lanes,
+    kernel: Kernel,
 }
 
 impl LaneBackend {
     /// A backend with the given lane width.
     pub fn new(lanes: Lanes) -> Self {
-        Self { lanes }
+        Self { lanes, kernel: Kernel::detect(lanes) }
+    }
+}
+
+impl Default for LaneBackend {
+    fn default() -> Self {
+        Self::new(Lanes::default())
     }
 }
 
 impl Backend for LaneBackend {
     fn name(&self) -> String {
-        match self.lanes {
-            Lanes::Scalar => "scalar".into(),
-            lanes => format!("lanes{}", lanes.width()),
-        }
+        Kernel::Portable(self.lanes).name()
     }
 
     fn scan(
@@ -93,30 +183,15 @@ impl Backend for LaneBackend {
         stop: &AtomicBool,
         mode: ScanMode,
     ) -> ScanReport {
-        crack_interval_batched(
-            space,
-            targets,
-            interval,
-            stop,
-            mode.first_hit_only(),
-            self.lanes,
-        )
+        self.kernel.scan(space, targets, interval, stop, mode, &Telemetry::disabled())
     }
 
     fn tuned_rate(&self, algo: HashAlgo) -> f64 {
-        measured_rate(TuneKey::Lanes(self.lanes), algo)
+        measured_rate(self.kernel, algo)
     }
 
     fn isa(&self, _algo: HashAlgo) -> Option<String> {
-        Some(lanes_isa(self.lanes).into())
-    }
-}
-
-/// The ISA label of an autovectorized lane width.
-fn lanes_isa(lanes: Lanes) -> &'static str {
-    match lanes {
-        Lanes::Scalar => "scalar",
-        _ => "autovec",
+        Some(self.kernel.isa().into())
     }
 }
 
@@ -129,24 +204,24 @@ pub fn cpu_backend(lanes: Lanes) -> Box<dyn Backend> {
 }
 
 /// A [`LaneBackend`] with batch-path telemetry attached: identical
-/// scans and tuned rate, plus sampled batch-fill/hash timing and
+/// kernel, scans and tuned rate, plus sampled batch-fill/hash timing and
 /// prefilter hit/miss counters flowing into the shared registry.
 #[derive(Debug, Clone)]
 pub struct ObservedLaneBackend {
-    lanes: Lanes,
+    inner: LaneBackend,
     telemetry: Telemetry,
 }
 
 impl ObservedLaneBackend {
     /// An observed backend for a lane width.
     pub fn new(lanes: Lanes, telemetry: Telemetry) -> Self {
-        Self { lanes, telemetry }
+        Self { inner: LaneBackend::new(lanes), telemetry }
     }
 }
 
 impl Backend for ObservedLaneBackend {
     fn name(&self) -> String {
-        LaneBackend::new(self.lanes).name()
+        self.inner.name()
     }
 
     fn scan(
@@ -157,23 +232,15 @@ impl Backend for ObservedLaneBackend {
         stop: &AtomicBool,
         mode: ScanMode,
     ) -> ScanReport {
-        crack_interval_batched_observed(
-            space,
-            targets,
-            interval,
-            stop,
-            mode.first_hit_only(),
-            self.lanes,
-            &self.telemetry,
-        )
+        self.inner.kernel.scan(space, targets, interval, stop, mode, &self.telemetry)
     }
 
     fn tuned_rate(&self, algo: HashAlgo) -> f64 {
-        measured_rate(TuneKey::Lanes(self.lanes), algo)
+        self.inner.tuned_rate(algo)
     }
 
-    fn isa(&self, _algo: HashAlgo) -> Option<String> {
-        Some(lanes_isa(self.lanes).into())
+    fn isa(&self, algo: HashAlgo) -> Option<String> {
+        self.inner.isa(algo)
     }
 }
 
@@ -183,7 +250,8 @@ pub fn cpu_backend_observed(lanes: Lanes, telemetry: Telemetry) -> Box<dyn Backe
 }
 
 /// The explicit-SIMD backend: a [`SimdHasher`] (whose construction
-/// proved the ISA at runtime) driving [`crack_interval_simd_observed`].
+/// proved the ISA at runtime) driving
+/// [`crate::batch::crack_interval_simd_observed`].
 #[derive(Debug, Clone)]
 pub struct SimdBackend {
     hasher: SimdHasher,
@@ -244,7 +312,7 @@ impl SimdBackend {
 
 impl Backend for SimdBackend {
     fn name(&self) -> String {
-        format!("simd-{}", self.hasher.isa())
+        Kernel::Simd(self.hasher).name()
     }
 
     fn scan(
@@ -255,19 +323,11 @@ impl Backend for SimdBackend {
         stop: &AtomicBool,
         mode: ScanMode,
     ) -> ScanReport {
-        crack_interval_simd_observed(
-            space,
-            targets,
-            interval,
-            stop,
-            mode.first_hit_only(),
-            self.hasher,
-            &self.telemetry,
-        )
+        Kernel::Simd(self.hasher).scan(space, targets, interval, stop, mode, &self.telemetry)
     }
 
     fn tuned_rate(&self, algo: HashAlgo) -> f64 {
-        measured_rate(TuneKey::Simd(self.hasher.isa()), algo)
+        measured_rate(Kernel::Simd(self.hasher), algo)
     }
 
     fn isa(&self, _algo: HashAlgo) -> Option<String> {
@@ -275,44 +335,21 @@ impl Backend for SimdBackend {
     }
 }
 
-/// One candidate implementation of the auto-tuned backend.
-#[derive(Debug, Clone, Copy)]
-enum AutoChoice {
-    /// An autovectorized lane width.
-    Lanes(Lanes),
-    /// An explicit-SIMD implementation.
-    Simd(SimdHasher),
-}
-
-impl AutoChoice {
-    fn tune_key(self) -> TuneKey {
-        match self {
-            AutoChoice::Lanes(lanes) => TuneKey::Lanes(lanes),
-            AutoChoice::Simd(hasher) => TuneKey::Simd(hasher.isa()),
-        }
-    }
-
-    fn name(self) -> String {
-        match self {
-            AutoChoice::Lanes(lanes) => format!("lanes{}", lanes.width()),
-            AutoChoice::Simd(hasher) => format!("simd-{}", hasher.isa()),
-        }
-    }
-}
-
 /// The auto-tuned backend: the paper's "tune, then run" rule applied to
 /// backend selection. For each algorithm the first scan (or tuned-rate
-/// query) times every candidate — the autovectorized widths plus every
-/// explicit ISA the CPU supports — and the winner handles all subsequent
-/// scans of that algorithm.
+/// query) times every distinct kernel the CPU can run — each explicit ISA
+/// it supports, or the two portable widths when it supports none — and
+/// the winner handles all subsequent scans of that algorithm.
 ///
 /// Selection is deliberately per-algorithm: measured rates are not
-/// monotonic in width (on the reference host, MD5 runs faster at lanes8
-/// than lanes16 because the 16-wide autovectorized MD5 spills registers)
-/// and the explicit kernels shift the ranking again per algorithm.
+/// monotonic in width. AVX2 against AVX-512 is a real choice on hosts
+/// that down-clock under 512-bit code, and between the portable widths
+/// (scalar code in a baseline build, where 16 lanes of MD5 state no
+/// longer fit the registers) lanes8 beats lanes16 on MD5 but not on
+/// SHA-1.
 pub struct AutoBackend {
     telemetry: Telemetry,
-    choices: Mutex<HashMap<HashAlgo, AutoChoice>>,
+    choices: Mutex<HashMap<HashAlgo, Kernel>>,
 }
 
 impl AutoBackend {
@@ -325,22 +362,24 @@ impl AutoBackend {
         }
     }
 
-    /// Every implementation the running CPU can try.
-    fn candidates() -> Vec<AutoChoice> {
-        let mut c = vec![
-            AutoChoice::Lanes(Lanes::L8),
-            AutoChoice::Lanes(Lanes::L16),
-        ];
-        for isa in SimdIsa::ALL {
-            if let Some(hasher) = SimdHasher::new(isa) {
-                c.push(AutoChoice::Simd(hasher));
-            }
+    /// Every distinct kernel the running CPU can try. The portable
+    /// widths race only where no explicit ISA exists: everywhere else
+    /// `lanes8`/`lanes16` already run the widest explicit kernel.
+    fn candidates() -> Vec<Kernel> {
+        let explicit: Vec<Kernel> = SimdIsa::ALL
+            .into_iter()
+            .filter_map(SimdHasher::new)
+            .map(Kernel::Simd)
+            .collect();
+        if explicit.is_empty() {
+            vec![Kernel::Portable(Lanes::L8), Kernel::Portable(Lanes::L16)]
+        } else {
+            explicit
         }
-        c
     }
 
     /// The tuned winner for `algo`, racing the candidates on first use.
-    fn choice(&self, algo: HashAlgo) -> AutoChoice {
+    fn choice(&self, algo: HashAlgo) -> Kernel {
         if let Some(choice) = self.choices.lock().expect("auto choices").get(&algo) {
             return *choice;
         }
@@ -348,7 +387,7 @@ impl AutoBackend {
         // concurrent tuners of different algorithms shouldn't serialize.
         let winner = Self::candidates()
             .into_iter()
-            .map(|c| (c, measured_rate(c.tune_key(), algo)))
+            .map(|c| (c, measured_rate(c, algo)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(c, _)| c)
             .expect("candidate list is never empty");
@@ -380,38 +419,16 @@ impl Backend for AutoBackend {
         stop: &AtomicBool,
         mode: ScanMode,
     ) -> ScanReport {
-        let first_hit_only = mode.first_hit_only();
-        match self.choice(targets.algo()) {
-            AutoChoice::Lanes(lanes) => crack_interval_batched_observed(
-                space,
-                targets,
-                interval,
-                stop,
-                first_hit_only,
-                lanes,
-                &self.telemetry,
-            ),
-            AutoChoice::Simd(hasher) => crack_interval_simd_observed(
-                space,
-                targets,
-                interval,
-                stop,
-                first_hit_only,
-                hasher,
-                &self.telemetry,
-            ),
-        }
+        self.choice(targets.algo())
+            .scan(space, targets, interval, stop, mode, &self.telemetry)
     }
 
     fn tuned_rate(&self, algo: HashAlgo) -> f64 {
-        measured_rate(self.choice(algo).tune_key(), algo)
+        measured_rate(self.choice(algo), algo)
     }
 
     fn isa(&self, algo: HashAlgo) -> Option<String> {
-        Some(match self.choice(algo) {
-            AutoChoice::Lanes(lanes) => lanes_isa(lanes).into(),
-            AutoChoice::Simd(hasher) => hasher.isa().name().to_string(),
-        })
+        Some(self.choice(algo).isa().into())
     }
 }
 
@@ -419,21 +436,22 @@ impl Backend for AutoBackend {
 /// small enough to stay well under a second even on the scalar path.
 const TUNE_KEYS: u128 = 96_000;
 
-/// A cacheable identity of one tunable implementation.
+/// The hashable identity of a [`Kernel`] in the tuning cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum TuneKey {
-    /// The scalar or autovectorized path at a lane width.
+    /// The scalar or portable path at a lane width.
     Lanes(Lanes),
-    /// An explicit-SIMD ISA (the hasher is re-derived when sweeping).
+    /// An explicit-SIMD ISA.
     Simd(SimdIsa),
 }
 
-/// Measured single-thread throughput (MKey/s) of one implementation on
-/// one algorithm, cached per process.
-fn measured_rate(key: TuneKey, algo: HashAlgo) -> f64 {
+/// Measured single-thread throughput (MKey/s) of one kernel on one
+/// algorithm, cached per process.
+fn measured_rate(kernel: Kernel, algo: HashAlgo) -> f64 {
     static CACHE: OnceLock<Mutex<HashMap<(TuneKey, HashAlgo), f64>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(rate) = cache.lock().expect("tune cache").get(&(key, algo)) {
+    let key = (kernel.tune_key(), algo);
+    if let Some(rate) = cache.lock().expect("tune cache").get(&key) {
         return *rate;
     }
     // Compute OUTSIDE the lock so concurrent tuners of different keys
@@ -446,21 +464,16 @@ fn measured_rate(key: TuneKey, algo: HashAlgo) -> f64 {
     let stop = AtomicBool::new(false);
     let interval = Interval::new(0, TUNE_KEYS);
     let t0 = Instant::now();
-    let out = match key {
-        TuneKey::Lanes(lanes) => {
-            crack_interval_batched(&space, &impossible, interval, &stop, false, lanes)
-        }
-        TuneKey::Simd(isa) => {
-            let hasher = SimdHasher::new(isa).expect("tuning requires an available ISA");
-            crack_interval_simd(&space, &impossible, interval, &stop, false, hasher)
-        }
-    };
+    let out = kernel.scan(
+        &space,
+        &impossible,
+        interval,
+        &stop,
+        ScanMode::Exhaustive,
+        &Telemetry::disabled(),
+    );
     let rate = out.tested as f64 / t0.elapsed().as_secs_f64().max(1e-9) / 1e6;
-    *cache
-        .lock()
-        .expect("tune cache")
-        .entry((key, algo))
-        .or_insert(rate)
+    *cache.lock().expect("tune cache").entry(key).or_insert(rate)
 }
 
 #[cfg(test)]
@@ -500,14 +513,21 @@ mod tests {
     }
 
     #[test]
-    fn isa_labels_name_the_implementation_class() {
+    fn isa_labels_name_the_kernel_that_runs() {
         let md5 = HashAlgo::Md5;
+        // What detection says the lane backends run on this host.
+        let dispatched = SimdIsa::detect().map_or("autovec", SimdIsa::name);
         assert_eq!(ScalarBackend.isa(md5).as_deref(), Some("scalar"));
-        assert_eq!(LaneBackend::new(Lanes::L8).isa(md5).as_deref(), Some("autovec"));
         assert_eq!(LaneBackend::new(Lanes::Scalar).isa(md5).as_deref(), Some("scalar"));
+        for lanes in [Lanes::L8, Lanes::L16] {
+            assert_eq!(LaneBackend::new(lanes).isa(md5).as_deref(), Some(dispatched));
+            let observed = ObservedLaneBackend::new(lanes, Telemetry::disabled());
+            assert_eq!(observed.isa(md5).as_deref(), Some(dispatched));
+            assert_eq!(cpu_backend(lanes).isa(md5).as_deref(), Some(dispatched));
+        }
         if let Some(b) = SimdBackend::best() {
             // `Backend::isa` is shadowed by the inherent `SimdBackend::isa`.
-            assert_eq!(Backend::isa(&b, md5).as_deref(), Some(b.isa().name()));
+            assert_eq!(Backend::isa(&b, md5).as_deref(), Some(dispatched));
         }
         let auto = AutoBackend::new(Telemetry::disabled());
         let label = Backend::isa(&auto, md5).expect("auto always has a winner");
@@ -515,6 +535,48 @@ mod tests {
             ["autovec", "avx2", "avx512", "neon"].contains(&label.as_str()),
             "{label}"
         );
+    }
+
+    #[test]
+    fn lane_backends_dispatch_to_the_widest_detected_kernel() {
+        for lanes in [Lanes::L8, Lanes::L16] {
+            let want = match SimdHasher::best() {
+                Some(hasher) => Kernel::Simd(hasher),
+                None => Kernel::Portable(lanes),
+            };
+            assert_eq!(LaneBackend::new(lanes).kernel, want, "{lanes}");
+        }
+        assert_eq!(LaneBackend::new(Lanes::Scalar).kernel, Kernel::Portable(Lanes::Scalar));
+        assert_eq!(LaneBackend::default(), LaneBackend::new(Lanes::L8));
+    }
+
+    #[test]
+    fn backends_running_the_same_kernel_share_one_tuning_sweep() {
+        // lanes8, lanes16 and simd-<best> are one kernel on a host with an
+        // explicit ISA: the cache must hand all three the same measurement.
+        let Some(simd) = SimdBackend::best() else {
+            eprintln!("skipped: no explicit-SIMD ISA on this host");
+            return;
+        };
+        let rate = simd.tuned_rate(HashAlgo::Sha1);
+        for lanes in [Lanes::L8, Lanes::L16] {
+            assert_eq!(LaneBackend::new(lanes).tuned_rate(HashAlgo::Sha1), rate, "{lanes}");
+        }
+    }
+
+    #[test]
+    fn auto_races_explicit_kernels_only_where_one_exists() {
+        let candidates = AutoBackend::candidates();
+        let explicit = SimdIsa::ALL.into_iter().filter(|i| i.is_available()).count();
+        if explicit == 0 {
+            assert_eq!(
+                candidates,
+                [Kernel::Portable(Lanes::L8), Kernel::Portable(Lanes::L16)]
+            );
+        } else {
+            assert_eq!(candidates.len(), explicit);
+            assert!(candidates.iter().all(|k| matches!(k, Kernel::Simd(_))));
+        }
     }
 
     #[test]

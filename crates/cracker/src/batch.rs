@@ -5,10 +5,23 @@
 //! (generate, hash, compare — with a heap-allocated digest per test), this
 //! module tests `L` candidates in lockstep, exactly as `L` threads of a
 //! warp would: a [`BlockBatch`] writes `L` consecutive candidates'
-//! pre-padded blocks in place (no allocation), a structure-of-arrays
-//! compression core from `eks-hashes::lanes` hashes all lanes together
-//! (autovectorized), and the [`TargetSet`] prefilter reduces the common
+//! pre-padded blocks in place (no allocation), a [`LaneHasher`] hashes
+//! all lanes together, and the [`TargetSet`] prefilter reduces the common
 //! miss to one `u32` compare per lane.
+//!
+//! Two families of lane hashers drive the same loop. The explicit cores
+//! of `eks-hashes::simd` ([`crack_interval_simd`]) are compiled per ISA
+//! and picked by runtime detection; they are what every CPU backend runs
+//! where the CPU has one (`crate::backend`). The portable
+//! structure-of-arrays cores of `eks-hashes::lanes`
+//! ([`crack_interval_batched`], `L` = 8 or 16) are plain Rust that the
+//! compiler may vectorise for the *build's* target: with
+//! `-C target-cpu=native` it does, in the baseline x86-64 build it emits
+//! scalar code (a whole scan costs 55–60 ns/key for single-target MD5
+//! and 60–105 for SHA-1, against 6 and 14–22 on AVX-512). They stay as
+//! the fallback for CPUs without an explicit ISA, as a tuning candidate
+//! there, and as the second implementation the equivalence tests compare
+//! against.
 //!
 //! The MD5 step-reversal optimization (Section V-B) composes with
 //! batching: when a batch's candidates share every block word except
@@ -35,15 +48,20 @@ use crate::engine::{crack_interval, CrackOutcome};
 use crate::engine::POLL_CHUNK;
 use crate::target::TargetSet;
 
-/// Lane width of the batched test path.
+/// Lane width of the *portable* batched test path — how many candidates
+/// [`crack_interval_batched`] tests in lockstep. It says nothing about
+/// registers: whether a width vectorises is up to the compiler and the
+/// build's target features, and a CPU backend built for a width runs the
+/// detected explicit-SIMD kernel (16 or 32 keys per batch) instead when
+/// there is one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Lanes {
     /// The scalar reference path: one candidate at a time.
     Scalar,
-    /// 8 lanes — one AVX2 register of `u32`s per state word.
+    /// 8 candidates per batch.
     #[default]
     L8,
-    /// 16 lanes — two AVX2 registers (or one AVX-512 register) per word.
+    /// 16 candidates per batch.
     L16,
 }
 
@@ -129,7 +147,10 @@ impl BatchInstruments {
     }
 }
 
-/// Like [`crack_interval`] but testing `lanes` candidates in lockstep.
+/// Like [`crack_interval`] but testing `lanes` candidates in lockstep on
+/// the portable cores — always, whatever the CPU offers: this is the
+/// fallback the backends dispatch to and the reference the explicit
+/// kernels are compared against.
 /// Produces the same hits as the scalar engine over the same interval;
 /// `tested` counts whole batches, so a first-hit stop may report up to
 /// `L - 1` more candidates than the scalar path (the other lanes really
@@ -183,7 +204,7 @@ pub fn crack_interval_batched_observed(
 
 /// Like [`crack_interval_batched`] but running the explicit-SIMD kernels
 /// of a detected ISA (AVX2 = 16 keys per batch, AVX-512F = 32, NEON = 8)
-/// instead of the autovectorized lanes. The [`SimdHasher`] is the proof
+/// instead of the portable lanes. The [`SimdHasher`] is the proof
 /// of availability: it can only be built by runtime feature detection.
 pub fn crack_interval_simd(
     space: &KeySpace,
@@ -465,9 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn w0_fast_fill_sweep_matches_scalar_on_autovec_lanes() {
-        // Same single-target setup on the autovectorized path: the fast
-        // fill is independent of the hasher, so L8/L16 take it too.
+    fn w0_fast_fill_sweep_matches_scalar_on_portable_lanes() {
+        // Same single-target setup on the portable path: the fast fill
+        // is independent of the hasher, so L8/L16 take it too.
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"mnop"]);
         let stop = AtomicBool::new(false);
@@ -568,9 +589,18 @@ mod tests {
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"b"]); // identifier 1
         let stop = AtomicBool::new(false);
-        let out = crack_interval_batched(&s, &t, s.interval(), &stop, true, Lanes::L8);
-        assert_eq!(out.hits.len(), 1);
-        assert!(out.tested <= 8, "stopped within the first batch");
+        for lanes in [Lanes::L8, Lanes::L16] {
+            let out = crack_interval_batched(&s, &t, s.interval(), &stop, true, lanes);
+            assert_eq!(out.hits.len(), 1);
+            assert_eq!(out.tested, lanes.width() as u128, "{lanes}: stopped within the first batch");
+        }
+        // The explicit kernels stop within *their* first batch, which is
+        // wider than either portable width on AVX (16 or 32 keys).
+        if let Some(hasher) = SimdHasher::best() {
+            let out = crack_interval_simd(&s, &t, s.interval(), &stop, true, hasher);
+            assert_eq!(out.hits.len(), 1);
+            assert_eq!(out.tested, hasher.batch_width() as u128, "{hasher:?}");
+        }
     }
 
     #[test]

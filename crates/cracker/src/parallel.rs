@@ -31,7 +31,9 @@ pub struct ParallelConfig {
     pub chunk: u64,
     /// Stop the whole search at the first hit.
     pub first_hit_only: bool,
-    /// Lane width of the per-thread test path (batched by default).
+    /// Lane width of the per-thread test path (batched by default; the
+    /// detected explicit-SIMD kernel replaces the portable lanes where
+    /// the CPU has one, see [`crate::backend::LaneBackend`]).
     pub lanes: Lanes,
     /// Scheduling policy across threads (adaptive stealing by default).
     pub sched: SchedPolicy,

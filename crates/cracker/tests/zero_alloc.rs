@@ -11,36 +11,37 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicBool;
 
 use eks_cracker::batch::{crack_interval_batched, Lanes};
-use eks_cracker::TargetSet;
+use eks_cracker::{cpu_backend, TargetSet};
+use eks_engine::ScanMode;
 use eks_hashes::HashAlgo;
 use eks_keyspace::{Charset, Interval, KeySpace, Order};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    // Count only while the measuring thread says so: libtest's own
-    // channel machinery allocates concurrently on other threads and must
-    // not pollute the measurement. `const` init so the TLS access itself
-    // never allocates.
+    // Count only while the measuring thread says so, and only that
+    // thread's allocations: libtest's own channel machinery and the other
+    // tests of this file (the scalar control allocates by design) run
+    // concurrently on other threads and must not pollute the measurement.
+    // `const` init so the TLS access itself never allocates.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn counting_here() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
+fn count_if_measuring() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 struct CountingAlloc;
 
 // SAFETY: pure pass-through to the system allocator; the counter is a
-// relaxed atomic increment with no other side effects.
+// thread-local increment with no other side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_here() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_measuring();
         unsafe { System.alloc(layout) }
     }
 
@@ -49,9 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_here() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_measuring();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -60,11 +59,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]
@@ -85,6 +84,31 @@ fn steady_state_batch_loop_does_not_allocate() {
             assert!(out.hits.is_empty());
         });
         assert_eq!(allocs, 0, "lanes {lanes}: {allocs} heap allocations in 32k candidates");
+    }
+}
+
+#[test]
+fn dispatched_default_backend_does_not_allocate() {
+    // What `eks crack`, the job fleet and the cluster's CPU leaves run:
+    // `cpu_backend` resolves to the widest explicit kernel the CPU has
+    // (32 keys per batch on AVX-512), else to the portable path above.
+    // 32_000 is a multiple of every batch width, so no scalar tail.
+    let space =
+        KeySpace::new(Charset::lowercase(), 1, 8, Order::FirstCharFastest).expect("space");
+    let stop = AtomicBool::new(false);
+    let interval = Interval::new(0, 32_000);
+    for algo in [HashAlgo::Md5, HashAlgo::Sha1, HashAlgo::Ntlm] {
+        let impossible = TargetSet::new(algo, &[vec![0u8; algo.digest_len()]]);
+        for lanes in [Lanes::L8, Lanes::L16] {
+            let backend = cpu_backend(lanes);
+            let allocs = allocs_during(|| {
+                let out = backend.scan(&space, &impossible, interval, &stop, ScanMode::Exhaustive);
+                assert_eq!(out.tested, 32_000);
+                assert!(out.hits.is_empty());
+            });
+            let isa = backend.isa(algo).unwrap_or_default();
+            assert_eq!(allocs, 0, "{algo:?} lanes {lanes} [{isa}]: {allocs} heap allocations");
+        }
     }
 }
 

@@ -86,8 +86,11 @@ pub trait Backend: Sync {
     fn tuned_rate(&self, algo: HashAlgo) -> f64;
 
     /// The instruction set the backend's kernels for `algo` run on:
-    /// `avx2`/`avx512`/`neon` for explicit-SIMD paths, `autovec` for
-    /// compiler-vectorized lanes, `scalar` for the reference path.
+    /// `avx2`/`avx512`/`neon` when explicit-SIMD kernels run (also
+    /// behind `lanes8`/`lanes16` on a CPU that has them), `autovec` for
+    /// the portable lane cores (vectorised only as far as the build's
+    /// target features let the compiler), `scalar` for the reference
+    /// path.
     /// `None` when the notion does not apply (simulated GPU devices
     /// already carry their model in the backend name).
     fn isa(&self, algo: HashAlgo) -> Option<String> {
@@ -101,9 +104,10 @@ pub trait Backend: Sync {
 pub enum BackendKind {
     /// One candidate at a time, heap-allocated digest per test.
     Scalar,
-    /// 8 candidates in lockstep (one AVX2 register per state word).
+    /// The lane-batched CPU backend: the widest explicit-SIMD kernel the
+    /// CPU has, else 8 candidates in lockstep on the portable cores.
     Lanes8,
-    /// 16 candidates in lockstep.
+    /// As [`BackendKind::Lanes8`], with 16 portable lanes as the fallback.
     Lanes16,
     /// Explicit AVX2/AVX-512/NEON kernels behind runtime CPU-feature
     /// detection (widest available ISA unless the CLI forces one).
@@ -152,8 +156,9 @@ impl BackendKind {
     }
 
     /// True when the kind can run on this host: `simd` needs a detected
-    /// ISA; everything else always works (`auto` falls back to the
-    /// autovectorized lanes when no explicit kernel is available).
+    /// ISA; everything else always works (`auto` and the lane backends
+    /// fall back to the portable lanes when no explicit kernel is
+    /// available).
     pub fn is_available(self) -> bool {
         match self {
             BackendKind::Simd => eks_hashes::SimdIsa::detect().is_some(),

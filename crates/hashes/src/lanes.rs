@@ -12,6 +12,17 @@
 //! `L = 16` two (or one AVX-512 register), mirroring how 32 CUDA lanes
 //! fill a warp.
 //!
+//! That holds only as far as the *build's* target features reach. With
+//! `-C target-cpu=native` on an AVX host these loops do vectorise; in the
+//! baseline x86-64 build (SSE2, eight 128-bit registers) the compiler
+//! keeps them scalar — measured with every lane's output consumed:
+//! 65–76 ns/key for the 49-step MD5, 84–143 for SHA-1 `a75`, scalar
+//! speed, against 4.4 and 15.6 for the AVX-512 cores of [`crate::simd`].
+//! So these cores are the *portable* path: the fallback on CPUs without
+//! an explicit ISA and the second implementation the equivalence tests
+//! compare against; the cracker's backends pick [`crate::simd`] by
+//! runtime detection wherever they can.
+//!
 //! The round structure is fully unrolled in groups of four (MD5/MD4) or
 //! five (SHA-1) steps so the state "rotation" is a compile-time renaming
 //! of the lane arrays rather than a per-step shuffle, and so the round

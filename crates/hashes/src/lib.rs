@@ -21,7 +21,8 @@
 //!
 //! Batched (multi-candidate) hashing comes in two layers mirroring the
 //! paper's Section V per-architecture kernels: [`lanes`] holds portable
-//! structure-of-arrays cores the compiler autovectorizes, and [`simd`]
+//! structure-of-arrays cores the compiler may autovectorize (it does
+//! under `-C target-cpu=native`, not in a baseline build), and [`simd`]
 //! holds explicit AVX2/AVX-512/NEON kernels behind runtime CPU-feature
 //! detection, both driven through the [`LaneHasher`] trait.
 

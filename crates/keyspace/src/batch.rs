@@ -12,6 +12,14 @@
 //! candidate and performs **no heap allocation** — the key buffer is
 //! inline, the template and the batch output live on the caller's stack.
 //!
+//! Between two carries of the fastest digit even that is more than `next`
+//! needs: the candidates of a *run* differ in one byte that steps through
+//! the charset, so when that byte lives in `w[0]` the writer emits the
+//! whole run from registers (`base | symbol[d + j] << shift`) and touches
+//! the key, the charset's reverse table and the template once per run —
+//! at the carry — instead of once per candidate. That is what makes
+//! `K_next` vanish next to `K_C` (Section III) on a host core too.
+//!
 //! The writer also tracks a *suffix epoch*: a counter bumped whenever any
 //! block word other than `w[0]` changes. Batches whose epoch is stable
 //! satisfy the precondition of the reversed-MD5 search (all candidates
@@ -99,6 +107,21 @@ pub struct BlockBatch<'a> {
     next_id: u128,
     remaining: u128,
     epoch: u64,
+    /// The fastest digit, when its block byte lives in `w[0]`.
+    run: Option<Run>,
+}
+
+/// Where the fastest-varying key digit sits: what the writer needs to
+/// emit the candidates up to that digit's next carry without going
+/// through the key.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Key position of the digit.
+    pos: usize,
+    /// Bit offset of its byte inside `w[0]`.
+    shift: u32,
+    /// The digit's current value (index into the charset).
+    digit: usize,
 }
 
 impl<'a> BlockBatch<'a> {
@@ -113,10 +136,12 @@ impl<'a> BlockBatch<'a> {
             next_id: clamped.start,
             remaining: clamped.len,
             epoch: 0,
+            run: None,
         };
         if b.remaining > 0 {
             space.key_at_into(b.next_id, &mut b.key);
             b.format_full();
+            b.sync_run();
         }
         b
     }
@@ -165,24 +190,10 @@ impl<'a> BlockBatch<'a> {
             "fill of {L} lanes with only {} candidates remaining",
             self.remaining
         );
-        let start_id = self.next_id;
-        let epoch0 = self.epoch;
-        for (l, block) in out.iter_mut().enumerate() {
-            *block = self.template;
-            if l + 1 < L {
-                self.advance_template();
-            }
-        }
-        // Uniformity covers the L-1 advances *between* the batch's lanes;
-        // the advance positioning the writer for the next batch may bump
-        // the epoch without invalidating this batch.
-        let uniform_suffix = self.epoch == epoch0;
-        self.next_id += L as u128;
-        self.remaining -= L as u128;
-        if self.remaining > 0 {
-            self.advance_template();
-        }
-        BatchInfo { start_id, epoch: epoch0, uniform_suffix }
+        self.emit::<L>(|l, template, w0| {
+            out[l] = *template;
+            out[l][0] = w0;
+        })
     }
 
     /// Write the next `L` candidates' **first block words** into `out`
@@ -207,25 +218,91 @@ impl<'a> BlockBatch<'a> {
             "fill_w0s of {L} lanes with only {} candidates remaining",
             self.remaining
         );
+        let template0 = self.template;
+        let info = self.emit::<L>(|l, _, w0| out[l] = w0);
+        (info, template0)
+    }
+
+    /// Hand the next `L` candidates to `put(lane, template, w0)` — the
+    /// lane's block is `template` with word 0 replaced by `w0` — and
+    /// advance past them.
+    #[inline]
+    fn emit<const L: usize>(&mut self, mut put: impl FnMut(usize, &[u32; 16], u32)) -> BatchInfo {
         let start_id = self.next_id;
         let epoch0 = self.epoch;
-        let template0 = self.template;
-        for (l, w0) in out.iter_mut().enumerate() {
-            *w0 = self.template[0];
-            if l + 1 < L {
-                self.advance_template();
+        let symbols = self.space.charset().symbols();
+        let mut l = 0;
+        loop {
+            // Lanes up to the fastest digit's next carry differ in one
+            // byte of `w[0]`: emit them from registers, then move the key
+            // and template to the last of them in one step.
+            let emitted = match self.run {
+                Some(run) => {
+                    let base = self.template[0] & !(0xff << run.shift);
+                    let ahead = &symbols[run.digit..symbols.len().min(run.digit + L - l)];
+                    for (j, &symbol) in ahead.iter().enumerate() {
+                        put(l + j, &self.template, base | u32::from(symbol) << run.shift);
+                    }
+                    self.move_in_run(run, ahead.len() - 1);
+                    ahead.len()
+                }
+                None => {
+                    put(l, &self.template, self.template[0]);
+                    1
+                }
+            };
+            l += emitted;
+            if l == L {
+                break;
             }
+            self.advance_template();
         }
-        // Same convention as `fill`: uniformity covers the L-1 advances
-        // between lanes; the positioning advance below may bump the epoch
-        // without invalidating this batch.
+        // Uniformity covers the L-1 advances *between* the batch's lanes;
+        // the advance positioning the writer for the next batch may bump
+        // the epoch without invalidating this batch.
         let uniform_suffix = self.epoch == epoch0;
         self.next_id += L as u128;
         self.remaining -= L as u128;
         if self.remaining > 0 {
-            self.advance_template();
+            match self.run {
+                Some(run) if run.digit + 1 < symbols.len() => self.move_in_run(run, 1),
+                _ => self.advance_template(),
+            }
         }
-        (BatchInfo { start_id, epoch: epoch0, uniform_suffix }, template0)
+        BatchInfo { start_id, epoch: epoch0, uniform_suffix }
+    }
+
+    /// Move `steps` candidates forward inside `run` (no carry): only the
+    /// fastest digit's byte changes, in the key and in `w[0]`.
+    #[inline]
+    fn move_in_run(&mut self, run: Run, steps: usize) {
+        let digit = run.digit + steps;
+        let symbol = self.space.charset().symbol(digit);
+        self.key.set_byte(run.pos, symbol);
+        self.template[0] =
+            (self.template[0] & !(0xff << run.shift)) | u32::from(symbol) << run.shift;
+        self.run = Some(Run { digit, ..run });
+    }
+
+    /// Locate the fastest digit after the key moved by anything other
+    /// than [`Self::move_in_run`]. `None` when its byte is not in `w[0]`
+    /// (long last-char-fastest keys) or there is no digit (the empty
+    /// key): every candidate then goes through [`Self::advance_template`],
+    /// which is also what keeps the suffix epoch right there.
+    fn sync_run(&mut self) {
+        let pos = match (self.space.order(), self.key.len()) {
+            (_, 0) => None,
+            (Order::FirstCharFastest, _) => Some(0),
+            (Order::LastCharFastest, len) => Some(len - 1),
+        };
+        self.run = pos.and_then(|pos| {
+            let (word, shift) = self.layout.key_byte_slot(pos);
+            if word != 0 {
+                return None;
+            }
+            let digit = self.space.charset().index_of(self.key.as_bytes()[pos])?;
+            Some(Run { pos, shift, digit })
+        });
     }
 
     /// Advance the key once and mirror the byte delta into the template.
@@ -236,6 +313,7 @@ impl<'a> BlockBatch<'a> {
             // (once per charset^len candidates) — reformat from scratch.
             self.format_full();
             self.epoch += 1;
+            self.sync_run();
             return;
         }
         let len = self.key.len();
@@ -251,6 +329,7 @@ impl<'a> BlockBatch<'a> {
         if touched_suffix {
             self.epoch += 1;
         }
+        self.sync_run();
     }
 
     /// Overwrite the block byte(s) of key byte `pos`; returns true when a

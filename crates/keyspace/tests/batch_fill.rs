@@ -1,0 +1,229 @@
+//! Seeded property: [`BlockBatch`]'s run-based `fill` / `fill_w0s` are
+//! indistinguishable from generating every candidate on its own.
+//!
+//! The writer emits the candidates between two carries of the fastest
+//! digit from registers and touches the key only at the carry; the
+//! reference below knows nothing of runs: it advances a [`Key`] with
+//! [`advance_tracked`] once per candidate, pads it from scratch, and bumps
+//! the suffix epoch whenever a block word other than `w[0]` differs from
+//! the previous candidate's. Blocks, batch metadata and every observable
+//! of the writer (`key`, `template`, `epoch`, `next_id`, `remaining`) must
+//! agree after every batch.
+//!
+//! The root package runs this file too (`tests/batch_fill.rs` includes
+//! it), so the tier-1 `cargo test -q` covers it.
+
+// Indexing below is over fixed-size arrays at offsets bounded by the
+// 20-byte key cap; the workspace `clippy::indexing_slicing` escalation
+// guards product code, not this reference padder.
+#![allow(clippy::indexing_slicing)]
+
+use eks_core::prop::{forall, Rng};
+use eks_keyspace::{
+    advance_tracked, BatchInfo, BlockBatch, BlockLayout, Charset, Interval, Key, KeySpace, Order,
+};
+
+const ORDERS: [Order; 2] = [Order::FirstCharFastest, Order::LastCharFastest];
+const LAYOUTS: [BlockLayout; 3] =
+    [BlockLayout::Md5Le, BlockLayout::ShaBe, BlockLayout::NtlmUtf16Le];
+const CHARSET_SIZES: [usize; 5] = [1, 2, 3, 26, 95];
+
+/// `n` distinct printable symbols in a scrambled order, so that a fill
+/// that stepped the byte instead of the digit would be caught.
+fn charset(n: usize) -> Charset {
+    let symbols: Vec<u8> = (0..n).map(|i| b' ' + (i * 37 % 95) as u8).collect();
+    Charset::from_bytes(&symbols).expect("37 is coprime to 95: symbols are distinct")
+}
+
+/// Pad `key` into its single 64-byte block from scratch.
+fn reference_block(layout: BlockLayout, key: &Key) -> [u32; 16] {
+    let mut bytes = [0u8; 64];
+    let mut len = 0;
+    for &b in key.as_bytes() {
+        bytes[len] = b;
+        len += if layout == BlockLayout::NtlmUtf16Le { 2 } else { 1 };
+    }
+    bytes[len] = 0x80;
+    let bits = (len as u64) * 8;
+    let big_endian = layout == BlockLayout::ShaBe;
+    let length = if big_endian { bits.to_be_bytes() } else { bits.to_le_bytes() };
+    bytes[56..].copy_from_slice(&length);
+    let mut block = [0u32; 16];
+    for (word, chunk) in block.iter_mut().zip(bytes.chunks_exact(4)) {
+        let chunk: [u8; 4] = chunk.try_into().expect("chunks of 4");
+        *word = if big_endian { u32::from_be_bytes(chunk) } else { u32::from_le_bytes(chunk) };
+    }
+    block
+}
+
+/// One candidate at a time: the behaviour `BlockBatch` must reproduce.
+struct Reference<'a> {
+    space: &'a KeySpace,
+    layout: BlockLayout,
+    key: Key,
+    block: [u32; 16],
+    next_id: u128,
+    remaining: u128,
+    epoch: u64,
+}
+
+impl<'a> Reference<'a> {
+    fn new(space: &'a KeySpace, layout: BlockLayout, interval: Interval) -> Self {
+        let key = space.key_at(interval.start);
+        Self {
+            space,
+            layout,
+            block: reference_block(layout, &key),
+            key,
+            next_id: interval.start,
+            remaining: interval.len,
+            epoch: 0,
+        }
+    }
+
+    fn step(&mut self) {
+        advance_tracked(&mut self.key, self.space.charset(), self.space.order());
+        let block = reference_block(self.layout, &self.key);
+        if block[1..] != self.block[1..] {
+            self.epoch += 1;
+        }
+        self.block = block;
+    }
+
+    fn fill<const L: usize>(&mut self) -> ([[u32; 16]; L], BatchInfo) {
+        let mut blocks = [[0u32; 16]; L];
+        let (start_id, epoch) = (self.next_id, self.epoch);
+        for (l, block) in blocks.iter_mut().enumerate() {
+            *block = self.block;
+            if l + 1 < L {
+                self.step();
+            }
+        }
+        let uniform_suffix = self.epoch == epoch;
+        self.next_id += L as u128;
+        self.remaining -= L as u128;
+        if self.remaining > 0 {
+            self.step();
+        }
+        (blocks, BatchInfo { start_id, epoch, uniform_suffix })
+    }
+}
+
+/// Sweep `interval` in batches of `L`, drawing `fill` or `fill_w0s` per
+/// batch, and compare everything observable with the reference.
+fn check_sweep<const L: usize>(
+    space: &KeySpace,
+    layout: BlockLayout,
+    interval: Interval,
+    rng: &mut Rng,
+) {
+    let mut writer = BlockBatch::new(space, layout, interval);
+    let mut reference = Reference::new(space, layout, interval);
+    let case = format!(
+        "{:?} {layout:?} |charset| {} lengths {}..={} {interval:?} L={L}",
+        space.order(),
+        space.charset().len(),
+        space.min_len(),
+        space.max_len(),
+    );
+    assert_eq!(writer.template(), &reference.block, "first block, {case}");
+    while writer.remaining() >= L as u128 {
+        let (want_blocks, want_info) = reference.fill::<L>();
+        if rng.below(2) == 0 {
+            let mut blocks = [[0u32; 16]; L];
+            let info = writer.fill(&mut blocks);
+            assert_eq!(info, want_info, "fill info, {case}");
+            assert_eq!(blocks, want_blocks, "fill blocks at id {}, {case}", info.start_id);
+        } else {
+            let mut w0s = [0u32; L];
+            let (info, template0) = writer.fill_w0s(&mut w0s);
+            assert_eq!(info, want_info, "fill_w0s info, {case}");
+            assert_eq!(template0, want_blocks[0], "fill_w0s first block, {case}");
+            for (l, (w0, want)) in w0s.iter().zip(&want_blocks).enumerate() {
+                assert_eq!(*w0, want[0], "fill_w0s lane {l} at id {}, {case}", info.start_id);
+            }
+        }
+        assert_eq!(writer.epoch(), reference.epoch, "epoch, {case}");
+        assert_eq!(writer.key(), &reference.key, "key, {case}");
+        assert_eq!(writer.template(), &reference.block, "template, {case}");
+        assert_eq!(writer.next_id(), reference.next_id, "next_id, {case}");
+        assert_eq!(writer.remaining(), reference.remaining, "remaining, {case}");
+    }
+}
+
+/// A start identifier that puts a carry chain, a growth step or the
+/// `w[0]` rollover a few candidates ahead: a key whose `k` fastest digits
+/// are the last symbol, minus a short run-up — so the sweep begins
+/// mid-run and crosses the boundary inside a batch.
+fn start_before_a_carry(space: &KeySpace, rng: &mut Rng, run_up: u64) -> u128 {
+    let cs = space.charset();
+    let len = rng.range(u64::from(space.min_len().max(1)), u64::from(space.max_len())) as usize;
+    let k = rng.range(1, len as u64) as usize;
+    let bytes: Vec<u8> = (0..len)
+        .map(|pos| {
+            let fast_rank = match space.order() {
+                Order::FirstCharFastest => pos,
+                Order::LastCharFastest => len - 1 - pos,
+            };
+            if fast_rank < k { cs.last() } else { cs.symbol(rng.index(cs.len())) }
+        })
+        .collect();
+    let id = space.id_of(&Key::from_bytes(&bytes)).expect("key built from the space's charset");
+    id.saturating_sub(u128::from(rng.below(run_up)))
+}
+
+#[test]
+fn run_based_fill_equals_the_per_key_reference() {
+    for order in ORDERS {
+        for layout in LAYOUTS {
+            for n in CHARSET_SIZES {
+                forall("run-based fill equals per-key reference", 24, |rng| {
+                    // Lengths from "fastest digit always in w[0]" up past
+                    // the point where, last-char-fastest, it no longer is
+                    // (5 bytes, 3 under UTF-16); small charsets reach
+                    // several growth steps within a few batches.
+                    let min = rng.range(0, 4) as u32;
+                    let max = match n {
+                        1 => 20,
+                        _ => min.max(1) + rng.range(1, 4) as u32,
+                    };
+                    let space = KeySpace::new(charset(n), min, max, order).expect("fits u128");
+                    let width = [8u64, 16, 32][rng.index(3)];
+                    let start = if rng.below(3) == 0 {
+                        rng.range_u128(0, space.size() - 1)
+                    } else {
+                        start_before_a_carry(&space, rng, 2 * width)
+                    };
+                    // Up to a dozen batches and a ragged tail, clamped to
+                    // the space by the writer itself.
+                    let len = rng.range_u128(1, 12 * u128::from(width) + 5);
+                    let interval = Interval::new(start, len).intersect(&space.interval());
+                    match width {
+                        8 => check_sweep::<8>(&space, layout, interval, rng),
+                        16 => check_sweep::<16>(&space, layout, interval, rng),
+                        _ => check_sweep::<32>(&space, layout, interval, rng),
+                    }
+                });
+            }
+        }
+    }
+}
+
+/// Last-char-fastest keys longer than `w[0]` holds: the fastest digit's
+/// byte is in a suffix word, so every step must bump the epoch and no
+/// batch is uniform — the run path has to step aside, not emit from a
+/// stale `w[0]`.
+#[test]
+fn fastest_digit_outside_w0_bumps_the_epoch_every_step() {
+    for layout in LAYOUTS {
+        let space =
+            KeySpace::new(charset(26), 6, 6, Order::LastCharFastest).expect("fits u128");
+        let mut writer = BlockBatch::new(&space, layout, Interval::new(1_000, 64));
+        let mut blocks = [[0u32; 16]; 16];
+        let info = writer.fill(&mut blocks);
+        assert!(!info.uniform_suffix, "{layout:?}");
+        assert_eq!(writer.epoch(), 16, "{layout:?}: 15 steps between lanes + 1 to reposition");
+        let mut rng = Rng::new(7);
+        check_sweep::<16>(&space, layout, Interval::new(1_000, 200), &mut rng);
+    }
+}

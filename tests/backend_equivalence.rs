@@ -1,8 +1,9 @@
 //! Cross-backend equivalence: every [`eks::engine::Backend`] — scalar,
-//! 8- and 16-lane autovectorized, explicit-SIMD (when the host ISA
-//! allows), auto-tuned, and the simulated-GPU kernel backend — must
-//! produce identical hit sets when driven through the same
-//! [`eks::engine::Dispatcher`]. The paper's point is that one dispatch
+//! the lane backends (which run the detected explicit-SIMD kernel, else
+//! the portable 8/16-lane cores), the portable cores themselves, the
+//! explicit-SIMD backend (when the host ISA allows), auto-tuned, and the
+//! simulated-GPU kernel backend — must produce identical hit sets when
+//! driven through the same [`eks::engine::Dispatcher`]. The paper's point is that one dispatch
 //! pattern covers heterogeneous devices; these properties pin the part
 //! correctness depends on: the *result* of a scan is a function of the
 //! interval, not of which device scanned it.
@@ -12,16 +13,42 @@
 // escalation guards new code, not these proven accesses.
 #![allow(clippy::indexing_slicing)]
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use eks::cluster::SimKernelBackend;
 use eks::core::prop::{forall, Rng};
 use eks::cracker::batch::Lanes;
-use eks::cracker::{cpu_backend, AutoBackend, SimdBackend, TargetSet};
-use eks::engine::{Backend, Dispatcher, ScanMode};
+use eks::cracker::{cpu_backend, crack_interval_batched, AutoBackend, SimdBackend, TargetSet};
+use eks::engine::{Backend, Dispatcher, ScanMode, ScanReport};
 use eks::gpusim::device::Device;
 use eks::hashes::HashAlgo;
-use eks::keyspace::{Charset, Interval, Key, KeySpace};
+use eks::keyspace::{Charset, Interval, Key, KeySpace, Order};
+
+/// The portable lane cores as a backend of their own. On a host with an
+/// explicit ISA `cpu_backend(L8/L16)` dispatches past them, so they join
+/// the matrix through the free function, which never dispatches.
+struct PortableLanes(Lanes);
+
+impl Backend for PortableLanes {
+    fn name(&self) -> String {
+        format!("portable{}", self.0.width())
+    }
+
+    fn scan(
+        &self,
+        space: &KeySpace,
+        targets: &TargetSet,
+        interval: Interval,
+        stop: &AtomicBool,
+        mode: ScanMode,
+    ) -> ScanReport {
+        crack_interval_batched(space, targets, interval, stop, mode.first_hit_only(), self.0)
+    }
+
+    fn tuned_rate(&self, _algo: HashAlgo) -> f64 {
+        1.0
+    }
+}
 
 /// Every backend kind under test, freshly built. The explicit-SIMD
 /// backend joins the list only on hosts whose CPU exposes a supported
@@ -32,6 +59,8 @@ fn all_backends() -> Vec<Box<dyn Backend>> {
         cpu_backend(Lanes::Scalar),
         cpu_backend(Lanes::L8),
         cpu_backend(Lanes::L16),
+        Box::new(PortableLanes(Lanes::L8)),
+        Box::new(PortableLanes(Lanes::L16)),
         Box::new(SimKernelBackend::new(Device::geforce_gtx_660())),
         Box::new(AutoBackend::new(eks::telemetry::Telemetry::disabled())),
     ];
@@ -49,7 +78,7 @@ fn random_space(rng: &mut Rng) -> KeySpace {
     };
     let min = rng.range(1, 2) as u32;
     let max = rng.range(min as u64, 4) as u32;
-    KeySpace::new(charset, min, max, eks::keyspace::Order::FirstCharFastest).unwrap()
+    KeySpace::new(charset, min, max, Order::FirstCharFastest).unwrap()
 }
 
 /// Plant `n` target keys drawn from `space` and return their digests.
@@ -198,4 +227,40 @@ fn mid_interval_cancellation_reports_a_subset() {
         let r = d.finish();
         assert_eq!(r.tested, report.tested, "accounting matches the scan report");
     });
+}
+
+/// The dispatch itself: on a host with an explicit ISA the lane backends
+/// must *be* the explicit backend — same hits, same `tested` (which
+/// counts whole batches of the kernel that ran, so it tells a 32-key
+/// AVX-512 batch from an 8-key portable one) — in both scan modes, for
+/// every algorithm and enumeration order.
+#[test]
+fn dispatched_lane_backends_equal_the_best_explicit_backend() {
+    let Some(simd) = SimdBackend::best() else {
+        eprintln!("skipped: no explicit-SIMD ISA on this host");
+        return;
+    };
+    let stop = AtomicBool::new(false);
+    for order in [Order::FirstCharFastest, Order::LastCharFastest] {
+        let space = KeySpace::new(Charset::lowercase(), 1, 3, order).unwrap();
+        for algo in [HashAlgo::Md5, HashAlgo::Sha1, HashAlgo::Ntlm] {
+            let digests: Vec<Vec<u8>> =
+                [b"q".as_slice(), b"dog", b"zz"].iter().map(|w| algo.hash(w)).collect();
+            let targets = TargetSet::new(algo, &digests);
+            // Off a batch boundary at both ends, so the scalar tail runs too.
+            let interval = Interval::new(3, space.size() - 5);
+            for mode in [ScanMode::Exhaustive, ScanMode::FirstHit] {
+                let want = simd.scan(&space, &targets, interval, &stop, mode);
+                assert!(!want.hits.is_empty(), "{algo:?} {order:?}: planted keys are in range");
+                for lanes in [Lanes::L8, Lanes::L16] {
+                    let backend = cpu_backend(lanes);
+                    let got = backend.scan(&space, &targets, interval, &stop, mode);
+                    let case = format!("{} vs {} {algo:?} {order:?} {mode:?}", backend.name(), simd.name());
+                    assert_eq!(got.hits, want.hits, "{case}");
+                    assert_eq!(got.tested, want.tested, "{case}");
+                    assert_eq!(backend.isa(algo).as_deref(), Some(simd.isa().name()), "{case}");
+                }
+            }
+        }
+    }
 }
