@@ -5,13 +5,18 @@
 //! (when the host's CPU reports an ISA), the auto-tuned winner, and the
 //! simulated-GPU kernel backend — all driven through the one
 //! `Dispatcher` core via `crack_parallel_backend`. The JSON artifact
-//! (schema 5) records the detected CPU features and selected ISA, and
+//! (schema 6) records the detected CPU features and selected ISA, and
 //! per row the ISA the backend's kernel actually ran on, so committed
 //! numbers carry their hardware context; `default_vs_best` is, per
 //! algorithm, the rate of the default backend (`cpu_backend(Lanes::L8)`)
 //! over the fastest explicit-SIMD backend (`--min-default-vs-best`
 //! gates it, so the default can never again silently run the slow
-//! portable cores on a CPU that has better). It also carries the
+//! portable cores on a CPU that has better). The `structured` object
+//! holds the mask / hybrid searches of `crack_space_parallel` on one
+//! thread — the scalar oracle (`Lanes::Scalar`) against the kernel the
+//! default `Lanes` dispatches to, with its ISA — and
+//! `--min-structured-speedup` gates the mask NTLM row where the CPU has
+//! an explicit ISA. It also carries the
 //! adaptive-vs-static skewed-fleet
 //! scenario (`--min-adaptive-ratio` gates its efficiency ratio): a
 //! deliberately misweighted two-backend fleet under the iterated-MD5
@@ -57,8 +62,8 @@ use eks_cluster::SimKernelBackend;
 use eks_cracker::batch::Lanes;
 use eks_bench::pop_or_steal;
 use eks_cracker::{
-    cpu_backend, crack_parallel_backend_observed, AutoBackend, ParallelConfig, SimdBackend,
-    TargetSet,
+    cpu_backend, crack_parallel_backend_observed, crack_space_parallel, space_kernel, AutoBackend,
+    ParallelConfig, SimdBackend, TargetSet,
 };
 use eks_telemetry::Telemetry;
 use eks_engine::{
@@ -66,7 +71,7 @@ use eks_engine::{
 };
 use eks_gpusim::device::Device;
 use eks_hashes::{cpu_features, HashAlgo, SimdIsa};
-use eks_keyspace::{Charset, Interval, KeySpace, Order};
+use eks_keyspace::{BlockSpace, Charset, HybridSpace, Interval, KeySpace, MaskSpace, Order};
 
 /// Keys per timed sweep — small enough for CI, large enough to swamp
 /// thread startup at the thread counts measured here.
@@ -192,6 +197,58 @@ fn default_vs_best(algo: HashAlgo) -> Option<f64> {
         },
     );
     Some(quotient)
+}
+
+/// The mask of the `structured` rows (and of the end-to-end benchmark's
+/// `crack_mask_ntlm` workload): 175 760 candidates whose stepping byte
+/// sits in `w[0]` under MD5/SHA-1 and in `w[1]` under NTLM.
+const STRUCTURED_MASK: &str = "?u?l?l?d";
+/// Passes over the space per timed batched sweep (the scalar side times
+/// one): a pass of the mask is under 2 ms at kernel speed.
+const STRUCTURED_BATCHED_PASSES: usize = 8;
+
+/// One `structured` row: a whole one-thread `crack_space_parallel`
+/// search with an impossible target, scalar oracle vs dispatched kernel.
+struct StructuredRow {
+    space: String,
+    algo: &'static str,
+    kernel: String,
+    isa: &'static str,
+    scalar_mkeys: f64,
+    batched_mkeys: f64,
+    speedup: f64,
+}
+
+fn structured_row<S: BlockSpace + Sync>(name: &str, space: &S, algo: HashAlgo) -> StructuredRow {
+    let impossible = TargetSet::new(algo, &[vec![0u8; algo.digest_len()]]);
+    // As `eks crack --mask … --all --threads 1` configures the search.
+    let config = |lanes| ParallelConfig {
+        threads: 1,
+        chunk: 1 << 12,
+        first_hit_only: false,
+        lanes,
+        ..ParallelConfig::default()
+    };
+    let rate = |lanes, passes: usize| {
+        let t0 = Instant::now();
+        let tested: u128 =
+            (0..passes).map(|_| crack_space_parallel(space, &impossible, config(lanes)).tested).sum();
+        tested as f64 / t0.elapsed().as_secs_f64() / 1e6
+    };
+    let (batched_mkeys, scalar_mkeys, speedup) = paired(
+        || rate(Lanes::default(), STRUCTURED_BATCHED_PASSES),
+        || rate(Lanes::Scalar, 1),
+    );
+    let (kernel, isa) = space_kernel(Lanes::default(), algo);
+    StructuredRow {
+        space: name.to_string(),
+        algo: algo_name(algo),
+        kernel,
+        isa,
+        scalar_mkeys,
+        batched_mkeys,
+        speedup,
+    }
 }
 
 struct Row {
@@ -421,6 +478,7 @@ fn main() {
     let mut min_scaling = 0.0f64;
     let mut min_adaptive_ratio = 0.0f64;
     let mut min_default_vs_best = 0.0f64;
+    let mut min_structured_speedup = 0.0f64;
     let mut max_telemetry_overhead_pct = f64::INFINITY;
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -451,6 +509,12 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--min-default-vs-best takes a number");
+            }
+            "--min-structured-speedup" => {
+                min_structured_speedup = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--min-structured-speedup takes a number");
             }
             "--max-telemetry-overhead-pct" => {
                 max_telemetry_overhead_pct = args
@@ -586,6 +650,49 @@ fn main() {
         );
     }
 
+    // Structured keyspaces: the same kernels behind a mask's or a hybrid
+    // dictionary's block writer, against the one-key-at-a-time oracle.
+    let mask = MaskSpace::parse(STRUCTURED_MASK).expect("static mask");
+    let words: Vec<Vec<u8>> = (0..200).map(|i| format!("word{i}").into_bytes()).collect();
+    let word_refs: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
+    let hybrid = HybridSpace::with_digit_suffixes(&word_refs, 3).expect("words + 3 digits fit a key");
+    let mask_name = format!("mask {STRUCTURED_MASK}");
+    let mut structured_rows: Vec<StructuredRow> =
+        ALGOS.iter().map(|&algo| structured_row(&mask_name, &mask, algo)).collect();
+    structured_rows.push(structured_row("hybrid 200 words x 0..=3 digits", &hybrid, HashAlgo::Ntlm));
+    println!(
+        "{:<32} {:<6} {:>12} {:>8} {:>10} {:>10} {:>8}",
+        "structured space", "algo", "kernel", "isa", "scalar", "batched", "speedup"
+    );
+    for r in &structured_rows {
+        println!(
+            "{:<32} {:<6} {:>12} {:>8} {:>10.3} {:>10.3} {:>7.2}x",
+            r.space, r.algo, r.kernel, r.isa, r.scalar_mkeys, r.batched_mkeys, r.speedup
+        );
+    }
+    let mask_ntlm = structured_rows
+        .iter()
+        .find(|r| r.space == mask_name && r.algo == "ntlm")
+        .expect("measured above");
+    let _ = write!(gates, ", \"mask_ntlm_structured_speedup\": {:.3}", mask_ntlm.speedup);
+    if BackendKind::Simd.is_available() {
+        println!(
+            "{mask_name}/ntlm: batched {:.2}x scalar (floor {min_structured_speedup:.2}x)",
+            mask_ntlm.speedup
+        );
+        if mask_ntlm.speedup < min_structured_speedup {
+            eprintln!(
+                "GATE FAILED: {mask_name}/ntlm batched search is {:.2}x the scalar oracle, below the {min_structured_speedup:.2}x floor",
+                mask_ntlm.speedup
+            );
+            failed = true;
+        }
+    } else {
+        println!(
+            "{mask_name}/ntlm: structured-speedup gate skipped — no explicit-SIMD ISA detected, the batched path is the portable cores"
+        );
+    }
+
     // The scaling gate: the steal scheduler's virtual 2-worker scaling
     // on md5/lanes8 must clear `--min-scaling`.
     let md5_lanes8_scaling = scaling_rows
@@ -688,6 +795,21 @@ fn main() {
             .join(", ");
         let isa_body =
             SimdIsa::detect().map_or("null".to_string(), |isa| format!("\"{isa}\""));
+        let mut structured_body = String::new();
+        for r in &structured_rows {
+            let _ = write!(
+                structured_body,
+                "{}    {{\"space\": \"{}\", \"algo\": \"{}\", \"kernel\": \"{}\", \"isa\": \"{}\", \"scalar_mkeys_per_s\": {:.3}, \"batched_mkeys_per_s\": {:.3}, \"speedup\": {:.3}}}",
+                if structured_body.is_empty() { "" } else { ",\n" },
+                r.space,
+                r.algo,
+                r.kernel,
+                r.isa,
+                r.scalar_mkeys,
+                r.batched_mkeys,
+                r.speedup
+            );
+        }
         let adaptive_body = format!(
             "{{\"algo\": \"md5x{ADAPTIVE_ITERS}\", \"workers\": 2, \"backends\": [\"lanes8\", \"lanes8-slow{ADAPTIVE_SLOW_FACTOR}\"], \
              \"static_efficiency\": {:.3}, \"adaptive_efficiency\": {:.3}, \
@@ -695,7 +817,7 @@ fn main() {
             static_arm.efficiency, adaptive_arm.efficiency, adaptive_arm.rescatters
         );
         let json = format!(
-            "{{\n  \"bench\": \"cracker_backends_vs_scalar\",\n  \"schema\": 5,\n  \"keys_per_sweep\": {KEYS},\n  \"best_of\": {BEST_OF},\n  \"min_md5_speedup\": {min_md5_speedup},\n  \"min_scaling\": {min_scaling},\n  \"min_adaptive_ratio\": {min_adaptive_ratio},\n  \"min_default_vs_best\": {min_default_vs_best},\n  \"cpu_features\": {{{features_body}}},\n  \"simd_isa\": {isa_body},\n  \"results\": [\n{body}\n  ],\n  \"scaling\": [\n{scaling_body}\n  ],\n  \"adaptive\": {adaptive_body},\n  \"default_vs_best\": {{{default_vs_best_body}}},\n  \"gates\": {{{gates}}}\n}}\n"
+            "{{\n  \"bench\": \"cracker_backends_vs_scalar\",\n  \"schema\": 6,\n  \"keys_per_sweep\": {KEYS},\n  \"best_of\": {BEST_OF},\n  \"min_md5_speedup\": {min_md5_speedup},\n  \"min_scaling\": {min_scaling},\n  \"min_adaptive_ratio\": {min_adaptive_ratio},\n  \"min_default_vs_best\": {min_default_vs_best},\n  \"min_structured_speedup\": {min_structured_speedup},\n  \"cpu_features\": {{{features_body}}},\n  \"simd_isa\": {isa_body},\n  \"results\": [\n{body}\n  ],\n  \"scaling\": [\n{scaling_body}\n  ],\n  \"adaptive\": {adaptive_body},\n  \"structured\": {{\"threads\": 1, \"chunk\": 4096, \"paired_rounds\": {PAIRED_ROUNDS}, \"rows\": [\n{structured_body}\n  ]}},\n  \"default_vs_best\": {{{default_vs_best_body}}},\n  \"gates\": {{{gates}}}\n}}\n"
         );
         std::fs::write(&path, json).expect("write json artifact");
         println!("wrote {path}");

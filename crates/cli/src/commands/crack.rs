@@ -3,8 +3,9 @@
 use crate::args::Args;
 use eks_cluster::SimKernelBackend;
 use eks_cracker::{
-    cpu_backend, crack_parallel_backend_observed, crack_parallel_observed, render_worker_stats,
-    AutoBackend, HashTarget, Lanes, ParallelConfig, SimdBackend, TargetSet,
+    cpu_backend, crack_parallel_backend_observed, crack_parallel_observed, crack_space_parallel,
+    render_worker_stats, space_kernel, AutoBackend, HashTarget, Lanes, ParallelConfig,
+    SimdBackend, TargetSet,
 };
 use eks_engine::{Backend, BackendKind, ProgressEvent, SchedPolicy};
 use eks_gpusim::device::DeviceCatalog;
@@ -141,20 +142,32 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
         return Err("--retune applies only to plain charset searches".into());
     }
 
+    // Mask and hybrid attacks run the shared-cursor search over the
+    // space's own block writer, on the kernel `--lanes` selects.
+    let structured_config = |default_chunk| ParallelConfig {
+        threads,
+        chunk: chunk.unwrap_or(default_chunk),
+        first_hit_only: !args.has("all"),
+        lanes,
+        ..ParallelConfig::default()
+    };
+    // `simd-avx512`, `lanes8 [autovec]`, `scalar`: what will run.
+    let kernel = || {
+        let (name, isa) = space_kernel(lanes, algo);
+        if name.ends_with(isa) { name } else { format!("{name} [{isa}]") }
+    };
+
     // Mask attack: --mask "?u?l?l?d?d".
     if let Some(mask) = args.get("mask") {
         let space = eks_keyspace::MaskSpace::parse(mask).map_err(|e| e.to_string())?;
-        log.info(format!("mask {mask}: {} candidates, {threads} threads", space.size()));
+        log.info(format!(
+            "mask {mask}: {} candidates, {threads} threads, kernel {}",
+            space.size(),
+            kernel()
+        ));
         let targets = TargetSet::new(algo, &[digest]);
-        let config = ParallelConfig {
-            threads,
-            chunk: chunk.unwrap_or(1 << 12),
-            first_hit_only: !args.has("all"),
-            ..ParallelConfig::default()
-        };
-        let report = eks_cracker::crack_space_parallel(&space, &targets, config);
-        write_artifacts(args, &telemetry, &log)?;
-        return finish_report(report);
+        let report = crack_space_parallel(&space, &targets, structured_config(1 << 12));
+        return finish_structured(args, &telemetry, &log, report);
     }
 
     // Hybrid attack: --words w1,w2,... [--suffix-digits N].
@@ -164,20 +177,14 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
         let space = eks_keyspace::HybridSpace::with_digit_suffixes(&list, digits)
             .map_err(|e| format!("{e:?}"))?;
         log.info(format!(
-            "hybrid: {} words x digit suffixes 0..={digits} = {} candidates",
+            "hybrid: {} words x digit suffixes 0..={digits} = {} candidates, kernel {}",
             space.word_count(),
-            space.size()
+            space.size(),
+            kernel()
         ));
         let targets = TargetSet::new(algo, &[digest]);
-        let config = ParallelConfig {
-            threads,
-            chunk: chunk.unwrap_or(256),
-            first_hit_only: !args.has("all"),
-            ..ParallelConfig::default()
-        };
-        let report = eks_cracker::crack_space_parallel(&space, &targets, config);
-        write_artifacts(args, &telemetry, &log)?;
-        return finish_report(report);
+        let report = crack_space_parallel(&space, &targets, structured_config(256));
+        return finish_structured(args, &telemetry, &log, report);
     }
 
     let charset = parse_charset(args)?;
@@ -292,6 +299,20 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
         print!("{}", render_worker_stats(&report.stats));
     }
     write_artifacts(args, &telemetry, &log)?;
+    finish_report(report)
+}
+
+/// The tail of a mask / hybrid search: `--stats`, artifacts, the report.
+fn finish_structured(
+    args: &Args,
+    telemetry: &Telemetry,
+    log: &super::Logger,
+    report: eks_cracker::ParallelReport,
+) -> Result<(), String> {
+    if args.has("stats") {
+        print!("{}", render_worker_stats(&report.stats));
+    }
+    write_artifacts(args, telemetry, log)?;
     finish_report(report)
 }
 

@@ -59,8 +59,9 @@ fn print_help() {
     println!("           [--min N] [--max N] [--threads N] [--all] [--salt-prefix S] [--salt-suffix S]");
     println!("           [--mask \"?u?l?l?d?d\"] [--words w1,w2,... [--suffix-digits N]]");
     println!("           [--batch] [--lanes scalar|8|16]   lane-batched hashing: the widest explicit-SIMD");
-    println!("           kernel the CPU has, else 8 (default) or 16 portable lanes;");
-    println!("           mask/hybrid/salted searches always use the scalar path)");
+    println!("           kernel the CPU has, else 8 (default) or 16 portable lanes — for");
+    println!("           --mask/--words too (the log line names the kernel; --stats works);");
+    println!("           salted searches hash one key at a time");
     println!("           [--backend scalar|lanes8|lanes16|simd|auto|simgpu [--device 660]]");
     println!("           pick the engine backend explicitly: simd runs the explicit");
     println!("           AVX2/AVX-512/NEON kernels on the widest ISA the CPU reports");

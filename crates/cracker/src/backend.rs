@@ -27,10 +27,12 @@ use std::time::Instant;
 
 use eks_engine::{Backend, ScanMode, ScanReport};
 use eks_hashes::{HashAlgo, SimdHasher, SimdIsa};
-use eks_keyspace::{Charset, Interval, KeySpace, Order};
+use eks_keyspace::{BlockSpace, Charset, Interval, KeySpace, Order};
 use eks_telemetry::Telemetry;
 
-use crate::batch::{crack_interval_batched_observed, crack_interval_simd_observed, Lanes};
+use crate::batch::{
+    crack_interval_batched_observed, crack_interval_simd_observed, needs_scalar_fallback, Lanes,
+};
 use crate::engine::crack_interval;
 use crate::target::TargetSet;
 
@@ -67,7 +69,7 @@ impl Backend for ScalarBackend {
 /// and [`AutoBackend`]'s race are keyed by, so two backends that run the
 /// same code are never timed twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
+pub(crate) enum Kernel {
     /// The portable cores at a lane width (or the scalar engine).
     Portable(Lanes),
     /// The explicit kernels of a detected ISA.
@@ -78,10 +80,20 @@ impl Kernel {
     /// What a CPU worker asked for `lanes` runs: the widest explicit ISA
     /// the CPU has, else the portable cores at that width. Scalar stays
     /// scalar — it is the reference.
-    fn detect(lanes: Lanes) -> Self {
+    pub(crate) fn detect(lanes: Lanes) -> Self {
         match (lanes, SimdHasher::best()) {
             (Lanes::L8 | Lanes::L16, Some(hasher)) => Kernel::Simd(hasher),
             _ => Kernel::Portable(lanes),
+        }
+    }
+
+    /// [`Kernel::detect`] for a search whose algorithm is known up
+    /// front: one the lane kernels cannot run is the scalar engine's.
+    pub(crate) fn detect_for(lanes: Lanes, algo: HashAlgo) -> Self {
+        if needs_scalar_fallback(algo) {
+            Kernel::Portable(Lanes::Scalar)
+        } else {
+            Kernel::detect(lanes)
         }
     }
 
@@ -94,7 +106,7 @@ impl Kernel {
 
     /// `lanes8`, `simd-avx512`, …: the CLI's name of the backend that
     /// runs exactly this kernel.
-    fn name(self) -> String {
+    pub(crate) fn name(self) -> String {
         match self {
             Kernel::Portable(Lanes::Scalar) => "scalar".into(),
             Kernel::Portable(lanes) => format!("lanes{}", lanes.width()),
@@ -103,7 +115,7 @@ impl Kernel {
     }
 
     /// The instruction set the kernel's hash cores are compiled for.
-    fn isa(self) -> &'static str {
+    pub(crate) fn isa(self) -> &'static str {
         match self {
             Kernel::Portable(Lanes::Scalar) => "scalar",
             Kernel::Portable(_) => "autovec",
@@ -111,9 +123,9 @@ impl Kernel {
         }
     }
 
-    fn scan(
+    pub(crate) fn scan<S: BlockSpace>(
         self,
-        space: &KeySpace,
+        space: &S,
         targets: &TargetSet,
         interval: Interval,
         stop: &AtomicBool,

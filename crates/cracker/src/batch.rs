@@ -1,19 +1,25 @@
 //! Lane-batched interval scanning: the CPU mirror of the paper's
 //! one-thread-per-candidate GPU kernels.
 //!
-//! Where [`crate::engine::crack_interval`] tests one candidate at a time
+//! Where the scalar engines ([`crate::engine::crack_interval`],
+//! [`crate::generic::crack_space_interval`]) test one candidate at a time
 //! (generate, hash, compare — with a heap-allocated digest per test), this
 //! module tests `L` candidates in lockstep, exactly as `L` threads of a
-//! warp would: a [`BlockBatch`] writes `L` consecutive candidates'
+//! warp would: the space's block writer puts `L` consecutive candidates'
 //! pre-padded blocks in place (no allocation), a [`LaneHasher`] hashes
 //! all lanes together, and the [`TargetSet`] prefilter reduces the common
 //! miss to one `u32` compare per lane.
 //!
-//! Two families of lane hashers drive the same loop. The explicit cores
+//! That loop exists once (`crack_lanes`) and is generic in two
+//! directions. *Where the blocks come from* is the space's business
+//! ([`BlockSpace::blocks`]): `BlockBatch` for a `KeySpace`, the run-based
+//! `MaskBlocks` for a mask, the advance-and-re-pad `KeyBlocks` for a
+//! hybrid dictionary — Section III's "only `f` and `next` change". *What
+//! hashes them* is one of two families of lane hashers. The explicit cores
 //! of `eks-hashes::simd` ([`crack_interval_simd`]) are compiled per ISA
-//! and picked by runtime detection; they are what every CPU backend runs
-//! where the CPU has one (`crate::backend`). The portable
-//! structure-of-arrays cores of `eks-hashes::lanes`
+//! and picked by runtime detection; they are what every CPU backend and
+//! `crack_space_parallel` run where the CPU has one (`crate::backend`).
+//! The portable structure-of-arrays cores of `eks-hashes::lanes`
 //! ([`crack_interval_batched`], `L` = 8 or 16) are plain Rust that the
 //! compiler may vectorise for the *build's* target: with
 //! `-C target-cpu=native` it does, in the baseline x86-64 build it emits
@@ -25,13 +31,18 @@
 //!
 //! The MD5 step-reversal optimization (Section V-B) composes with
 //! batching: when a batch's candidates share every block word except
-//! `w[0]` — reported by [`BatchInfo::uniform_suffix`] — and a single MD5
-//! target is sought, the 49-step reversed path runs instead of the full
-//! 64 steps, with the reversed reference memoized per suffix epoch.
+//! `w[0]` — reported by [`BatchInfo::uniform_suffix`], by every writer —
+//! and a single MD5 target is sought, the 49-step reversed path runs
+//! instead of the full 64 steps, with the reversed reference memoized per
+//! suffix epoch. Writing *only* `w[0]` per candidate on top of that
+//! ([`BlockSource::try_fill_w0s`]) is a capability `BlockBatch` alone
+//! offers.
 //!
 //! The scalar engine remains the correctness oracle: tails shorter than
-//! `L` fall back to it, and the property tests assert batched and scalar
-//! sweeps produce identical hits.
+//! `L` and algorithms with no lockstep formulation (`Md5Iter`) fall back
+//! to it, and the property tests assert batched and scalar sweeps produce
+//! identical hits. (No [`Key`] is long enough for its message to leave
+//! the single block the kernels hash.)
 //!
 //! [`BatchInfo::uniform_suffix`]: eks_keyspace::BatchInfo
 
@@ -40,12 +51,13 @@ use std::time::Instant;
 
 use eks_engine::PollCursor;
 use eks_hashes::{sha1, AutoVec, HashAlgo, LaneHasher, Md5PrefixSearch, SimdHasher};
-use eks_keyspace::{BlockBatch, BlockLayout, Interval, Key, KeySpace, Order};
+use eks_keyspace::{BlockLayout, BlockSource, BlockSpace, Interval, Key};
 use eks_telemetry::{names, Counter, Histogram, Telemetry};
 
-use crate::engine::{crack_interval, CrackOutcome};
+use crate::engine::CrackOutcome;
 #[cfg(test)]
 use crate::engine::POLL_CHUNK;
+use crate::generic::crack_space_interval;
 use crate::target::TargetSet;
 
 /// Lane width of the *portable* batched test path — how many candidates
@@ -115,8 +127,19 @@ pub fn layout_for(algo: HashAlgo) -> BlockLayout {
 /// which has no lockstep formulation, so the batched entry points drop
 /// to the scalar cracker (which hashes through [`TargetSet::matches`]
 /// and is therefore correct for every algorithm).
-fn needs_scalar_fallback(algo: HashAlgo) -> bool {
+pub(crate) fn needs_scalar_fallback(algo: HashAlgo) -> bool {
     algo.base() != algo
+}
+
+/// The scalar oracle over `interval`.
+fn crack_scalar<S: BlockSpace>(
+    space: &S,
+    targets: &TargetSet,
+    interval: Interval,
+    stop: &AtomicBool,
+    first_hit_only: bool,
+) -> CrackOutcome {
+    crack_space_interval(space, targets, interval.start, interval.len, stop, first_hit_only)
 }
 
 /// Every `SAMPLE_MASK + 1`-th batch gets its fill and hash phases wall-
@@ -147,16 +170,17 @@ impl BatchInstruments {
     }
 }
 
-/// Like [`crack_interval`] but testing `lanes` candidates in lockstep on
-/// the portable cores — always, whatever the CPU offers: this is the
-/// fallback the backends dispatch to and the reference the explicit
-/// kernels are compared against.
+/// Like [`crack_space_interval`] (for a `KeySpace`, like
+/// [`crate::engine::crack_interval`]) but testing `lanes` candidates in
+/// lockstep on the portable cores — always, whatever the CPU offers: this
+/// is the fallback the backends dispatch to and the reference the
+/// explicit kernels are compared against.
 /// Produces the same hits as the scalar engine over the same interval;
 /// `tested` counts whole batches, so a first-hit stop may report up to
 /// `L - 1` more candidates than the scalar path (the other lanes really
 /// were tested — in lockstep).
-pub fn crack_interval_batched(
-    space: &KeySpace,
+pub fn crack_interval_batched<S: BlockSpace>(
+    space: &S,
     targets: &TargetSet,
     interval: Interval,
     stop: &AtomicBool,
@@ -178,8 +202,8 @@ pub fn crack_interval_batched(
 /// batch-fill vs. lane-hash wall time and `TargetSet` prefilter
 /// hit/miss counters (flushed once per scan, never per key). A disabled
 /// handle makes this identical to the unobserved path.
-pub fn crack_interval_batched_observed(
-    space: &KeySpace,
+pub fn crack_interval_batched_observed<S: BlockSpace>(
+    space: &S,
     targets: &TargetSet,
     interval: Interval,
     stop: &AtomicBool,
@@ -188,16 +212,16 @@ pub fn crack_interval_batched_observed(
     telemetry: &Telemetry,
 ) -> CrackOutcome {
     if needs_scalar_fallback(targets.algo()) {
-        return crack_interval(space, targets, interval, stop, first_hit_only);
+        return crack_scalar(space, targets, interval, stop, first_hit_only);
     }
     let instruments = BatchInstruments::new(telemetry);
     match lanes {
-        Lanes::Scalar => crack_interval(space, targets, interval, stop, first_hit_only),
+        Lanes::Scalar => crack_scalar(space, targets, interval, stop, first_hit_only),
         Lanes::L8 => {
-            crack_lanes::<8, _>(space, targets, interval, stop, first_hit_only, &instruments, AutoVec)
+            crack_lanes::<8, _, _>(space, targets, interval, stop, first_hit_only, &instruments, AutoVec)
         }
         Lanes::L16 => {
-            crack_lanes::<16, _>(space, targets, interval, stop, first_hit_only, &instruments, AutoVec)
+            crack_lanes::<16, _, _>(space, targets, interval, stop, first_hit_only, &instruments, AutoVec)
         }
     }
 }
@@ -206,8 +230,8 @@ pub fn crack_interval_batched_observed(
 /// of a detected ISA (AVX2 = 16 keys per batch, AVX-512F = 32, NEON = 8)
 /// instead of the portable lanes. The [`SimdHasher`] is the proof
 /// of availability: it can only be built by runtime feature detection.
-pub fn crack_interval_simd(
-    space: &KeySpace,
+pub fn crack_interval_simd<S: BlockSpace>(
+    space: &S,
     targets: &TargetSet,
     interval: Interval,
     stop: &AtomicBool,
@@ -227,8 +251,8 @@ pub fn crack_interval_simd(
 
 /// [`crack_interval_simd`] with the same batch-path telemetry as
 /// [`crack_interval_batched_observed`].
-pub fn crack_interval_simd_observed(
-    space: &KeySpace,
+pub fn crack_interval_simd_observed<S: BlockSpace>(
+    space: &S,
     targets: &TargetSet,
     interval: Interval,
     stop: &AtomicBool,
@@ -237,27 +261,31 @@ pub fn crack_interval_simd_observed(
     telemetry: &Telemetry,
 ) -> CrackOutcome {
     if needs_scalar_fallback(targets.algo()) {
-        return crack_interval(space, targets, interval, stop, first_hit_only);
+        return crack_scalar(space, targets, interval, stop, first_hit_only);
     }
     let instruments = BatchInstruments::new(telemetry);
     match hasher {
         #[cfg(target_arch = "x86_64")]
         SimdHasher::Avx2(h) => {
-            crack_lanes::<16, _>(space, targets, interval, stop, first_hit_only, &instruments, h)
+            crack_lanes::<16, _, _>(space, targets, interval, stop, first_hit_only, &instruments, h)
         }
         #[cfg(target_arch = "x86_64")]
         SimdHasher::Avx512(h) => {
-            crack_lanes::<32, _>(space, targets, interval, stop, first_hit_only, &instruments, h)
+            crack_lanes::<32, _, _>(space, targets, interval, stop, first_hit_only, &instruments, h)
         }
         #[cfg(target_arch = "aarch64")]
         SimdHasher::Neon(h) => {
-            crack_lanes::<8, _>(space, targets, interval, stop, first_hit_only, &instruments, h)
+            crack_lanes::<8, _, _>(space, targets, interval, stop, first_hit_only, &instruments, h)
         }
     }
 }
 
-fn crack_lanes<const L: usize, H: LaneHasher<L>>(
-    space: &KeySpace,
+/// The one lane loop: fill `L` blocks from the space's writer, hash them
+/// in lockstep, prefilter, confirm. Everything that differs between a
+/// brute-force range, a mask and a hybrid dictionary is behind
+/// [`BlockSpace::blocks`].
+fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
+    space: &S,
     targets: &TargetSet,
     interval: Interval,
     stop: &AtomicBool,
@@ -265,9 +293,11 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>>(
     instruments: &BatchInstruments,
     hasher: H,
 ) -> CrackOutcome {
-    let clamped = interval.intersect(&space.interval());
     let algo = targets.algo();
-    let mut writer = BlockBatch::new(space, layout_for(algo), clamped);
+    let layout = layout_for(algo);
+    // The writer clamps the interval to the space.
+    let mut writer = space.blocks(layout, interval);
+    let clamped = Interval::new(writer.next_id(), writer.remaining());
     let mut blocks = [[0u32; 16]; L];
     let mut hits: Vec<(u128, Key, usize)> = Vec::new();
     let mut tested: u128 = 0;
@@ -283,13 +313,13 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>>(
             .try_into()
             .expect("MD5 digests are 16 bytes")
     });
-    // The w0-only fast fill: a single-target MD5 search in first-char-
-    // fastest order varies only the leading key bytes, so the steady
-    // state writes one word per candidate instead of sixteen and the
-    // reversed kernel reads the shared suffix from the epoch template.
-    // (Under last-char-fastest nearly every batch would need the full-
-    // block reconstruction below, so the plain fill is kept there.)
-    let w0_fast = single_md5.is_some() && space.order() == Order::FirstCharFastest;
+    // The w0-only fast fill: where a single-target MD5 search varies
+    // only the leading key bytes (the writer knows — today `BlockBatch`
+    // in first-char-fastest order), the steady state writes one word per
+    // candidate instead of sixteen and the reversed kernel reads the
+    // shared suffix from the epoch template. Cleared for good the first
+    // time the writer declines.
+    let mut w0_fast = single_md5.is_some();
     let mut w0s = [0u32; L];
     let mut reversed: Option<(u64, Md5PrefixSearch)> = None;
     let mut batch_index: u64 = 0;
@@ -304,11 +334,14 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>>(
             let sample = instruments.enabled && batch_index & SAMPLE_MASK == 0;
             batch_index += 1;
             let t_fill = sample.then(Instant::now);
-            let (info, template0) = if w0_fast {
-                writer.fill_w0s(&mut w0s)
-            } else {
-                let info = writer.fill(&mut blocks);
-                (info, blocks[0])
+            let w0_filled = if w0_fast { writer.try_fill_w0s(&mut w0s) } else { None };
+            let (info, template0) = match w0_filled {
+                Some(filled) => filled,
+                None => {
+                    w0_fast = false;
+                    let info = writer.fill(&mut blocks);
+                    (info, blocks[0])
+                }
             };
             if let Some(t0) = t_fill {
                 instruments.fill_ns.observe(t0.elapsed().as_nanos() as u64);
@@ -344,9 +377,7 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>>(
                     // A suffix word moved mid-batch under the w0-only
                     // fill (once per w[0] rollover): reconstruct the full
                     // blocks for these identifiers and hash forward.
-                    let mut rebuild =
-                        BlockBatch::new(space, layout_for(algo), Interval::new(info.start_id, L as u128));
-                    rebuild.fill(&mut blocks);
+                    space.blocks(layout, Interval::new(info.start_id, L as u128)).fill(&mut blocks);
                 }
                 match algo {
                     HashAlgo::Md5 | HashAlgo::Ntlm => {
@@ -389,7 +420,7 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>>(
             for (l, hit) in lane_hit.iter().enumerate() {
                 if let Some(t) = *hit {
                     let id = info.start_id + l as u128;
-                    hits.push((id, space.key_at(id), t));
+                    hits.push((id, space.generate(id), t));
                     if first_hit_only {
                         found_first = true;
                         break 'outer;
@@ -408,7 +439,7 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>>(
     let mut cancelled = cursor.cancelled();
     if !cancelled && !found_first && writer.remaining() > 0 {
         let tail = Interval::new(writer.next_id(), writer.remaining());
-        let out = crack_interval(space, targets, tail, stop, first_hit_only);
+        let out = crack_scalar(space, targets, tail, stop, first_hit_only);
         hits.extend(out.hits);
         tested += out.tested;
         cancelled = out.cancelled;
@@ -423,7 +454,8 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eks_keyspace::{Charset, Order};
+    use crate::engine::crack_interval;
+    use eks_keyspace::{Charset, KeySpace, Order};
 
     fn space(order: Order) -> KeySpace {
         KeySpace::new(Charset::lowercase(), 1, 4, order).unwrap()

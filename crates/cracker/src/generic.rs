@@ -1,15 +1,36 @@
-//! Generic engines over any [`SolutionSpace`] whose candidates are keys —
-//! the pattern's promise made concrete: brute-force ranges, masks and
-//! hybrid dictionaries all crack through the same machinery because each
-//! is a bijection from `0..size` onto its candidates.
+//! Engines over any space whose candidates are keys — the pattern's
+//! promise made concrete: brute-force ranges, masks and hybrid
+//! dictionaries all crack through the same machinery because each is a
+//! bijection from `0..size` onto its candidates.
+//!
+//! [`crack_space_parallel`] is what `eks crack --mask/--words` runs: a
+//! shared chunk cursor over the space, each chunk scanned by the kernel
+//! [`cpu_backend`](crate::cpu_backend) would pick for the same
+//! `config.lanes` — the widest explicit-SIMD ISA the CPU has, else the
+//! portable lanes — through the one lane loop of [`crate::batch`], fed by
+//! the space's own block writer ([`BlockSpace::blocks`]: run-based for
+//! masks, advance-and-re-pad for hybrids). Only `f` and `next` differ
+//! from a `KeySpace` search; the hash kernel is the same code.
+//!
+//! [`crack_space_interval`] is the scalar oracle of that path, as
+//! [`crate::engine::crack_interval`] is for `KeySpace`: one candidate at
+//! a time through [`TargetSet::matches`]. It scans tails shorter than a
+//! batch, everything under `Lanes::Scalar`, algorithms with no lockstep
+//! formulation (`Md5Iter`), and it is the reference the equivalence
+//! tests hold the batched path to.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use eks_core::SolutionSpace;
-use eks_keyspace::Key;
-use std::sync::Mutex;
+use eks_engine::{ScanMode, WorkerStats};
+use eks_hashes::HashAlgo;
+use eks_keyspace::{BlockSpace, Interval, Key};
+use eks_telemetry::Telemetry;
 
+use crate::backend::Kernel;
+use crate::batch::Lanes;
 use crate::parallel::{ParallelConfig, ParallelReport};
 use crate::target::TargetSet;
 
@@ -64,19 +85,52 @@ where
     crate::engine::CrackOutcome { hits, tested, cancelled }
 }
 
-/// Parallel search over any key-producing space (chunked shared cursor,
-/// like [`crate::parallel::crack_parallel`] but generic).
+/// The kernel [`crack_space_parallel`] runs for `lanes` and `algo`, as
+/// `(name, isa)`: `("simd-avx512", "avx512")`, `("lanes8", "autovec")`,
+/// `("scalar", "scalar")`. Resolved exactly as the search resolves it, so
+/// a caller can say what will run before it does.
+pub fn space_kernel(lanes: Lanes, algo: HashAlgo) -> (String, &'static str) {
+    let kernel = Kernel::detect_for(lanes, algo);
+    (kernel.name(), kernel.isa())
+}
+
+/// One worker's cancellation state in [`crack_space_parallel`].
+struct Slot {
+    /// The chunk the worker last took off the cursor.
+    chunk: AtomicU64,
+    /// Raised once a hit is known in a chunk below the worker's.
+    stop: AtomicBool,
+}
+
+/// Parallel search over any key-producing space: a chunked shared cursor
+/// like [`SchedPolicy::Queue`](eks_engine::SchedPolicy), each chunk
+/// scanned by the batched kernel `config.lanes` selects (see the module
+/// doc). `config.sched` and `config.retune` belong to the `Dispatcher`
+/// and are not consulted.
+///
+/// A first-hit search returns exactly one hit, the lowest matching
+/// identifier, whatever the thread timing: a hit in chunk *n* stops only
+/// the workers inside chunks above *n*, the ones below finish, and no
+/// chunk above the lowest hit chunk is started. `stats` has one row per
+/// worker (`steals`/`splits` stay 0 on a shared cursor).
+///
+/// # Panics
+/// Panics when `config.threads == 0`, `config.chunk == 0` or the space is
+/// not finite.
 pub fn crack_space_parallel<S>(
     space: &S,
     targets: &TargetSet,
     config: ParallelConfig,
 ) -> ParallelReport
 where
-    S: SolutionSpace<Solution = Key> + Sync,
+    S: BlockSpace + Sync,
 {
     assert!(config.threads >= 1 && config.chunk >= 1);
     let size = SolutionSpace::size(space).expect("finite space");
     let start_t = Instant::now();
+    let kernel = Kernel::detect_for(config.lanes, targets.algo());
+    let mode = ScanMode::from_first_hit(config.first_hit_only);
+    let telemetry = Telemetry::disabled();
     let cursor = AtomicU64::new(0);
     // Same cursor-width guard as `crack_parallel`: widen the effective
     // chunk so the chunk count always fits the u64 cursor.
@@ -85,46 +139,81 @@ where
         .div_ceil(chunk)
         .try_into()
         .expect("size/ceil(size/u64::MAX) chunks always fit a u64");
-    let stop = AtomicBool::new(false);
+    let lowest_hit_chunk = AtomicU64::new(u64::MAX);
+    let slots: Vec<Slot> = (0..config.threads)
+        .map(|_| Slot { chunk: AtomicU64::new(0), stop: AtomicBool::new(false) })
+        .collect();
     let hits: Mutex<Vec<(u128, Key, usize)>> = Mutex::new(Vec::new());
-    let tested = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for _ in 0..config.threads {
-            scope.spawn(|| loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let n = cursor.fetch_add(1, Ordering::Relaxed);
-                if n >= total_chunks {
-                    break;
-                }
-                let lo = (n as u128) * chunk;
-                let len = chunk.min(size - lo);
-                let out =
-                    crack_space_interval(space, targets, lo, len, &stop, config.first_hit_only);
-                tested.fetch_add(out.tested as u64, Ordering::Relaxed);
-                if !out.hits.is_empty() {
-                    hits.lock().expect("hits lock").extend(out.hits);
-                    if config.first_hit_only {
-                        stop.store(true, Ordering::Relaxed);
-                        break;
+    let work = |index: usize, me: &Slot| {
+        let mut stats = WorkerStats::new(format!("{}#{index}", kernel.name()));
+        let mut idle_since = Instant::now();
+        loop {
+            let n = cursor.fetch_add(1, Ordering::Relaxed);
+            if n >= total_chunks {
+                break;
+            }
+            // SeqCst pairs this store/load with the hitter's
+            // `fetch_min`/load below: either the hitter sees this chunk
+            // and raises our flag, or we see its hit and stop here.
+            me.chunk.store(n, Ordering::SeqCst);
+            if n > lowest_hit_chunk.load(Ordering::SeqCst) {
+                break;
+            }
+            let lo = (n as u128) * chunk;
+            let interval = Interval::new(lo, chunk.min(size - lo));
+            let busy_since = Instant::now();
+            let out = kernel.scan(space, targets, interval, &me.stop, mode, &telemetry);
+            let done = Instant::now();
+            stats.idle_ns += (busy_since - idle_since).as_nanos() as u64;
+            stats.busy_ns += (done - busy_since).as_nanos() as u64;
+            idle_since = done;
+            stats.tested += out.tested;
+            if out.hits.is_empty() {
+                continue;
+            }
+            hits.lock().expect("no worker panics holding the hits lock").extend(out.hits);
+            if config.first_hit_only {
+                // Every later chunk of this worker lies above `n` too.
+                lowest_hit_chunk.fetch_min(n, Ordering::SeqCst);
+                for other in &slots {
+                    if other.chunk.load(Ordering::SeqCst) > n {
+                        other.stop.store(true, Ordering::Relaxed);
                     }
                 }
-            });
+                break;
+            }
         }
+        stats.idle_ns += idle_since.elapsed().as_nanos() as u64;
+        stats
+    };
+    let stats: Vec<WorkerStats> = std::thread::scope(|scope| {
+        let work = &work;
+        let workers: Vec<_> = slots
+            .iter()
+            .enumerate()
+            .map(|(index, me)| scope.spawn(move || work(index, me)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
 
     let elapsed_s = start_t.elapsed().as_secs_f64().max(1e-9);
-    let mut all = hits.into_inner().expect("hits lock");
+    let mut all = hits.into_inner().expect("no worker panics holding the hits lock");
     all.sort_by_key(|(id, _, _)| *id);
-    let tested = tested.load(Ordering::Relaxed) as u128;
+    if config.first_hit_only {
+        // Hits above the lowest one depend on who was cancelled when.
+        all.truncate(1);
+    }
+    let tested: u128 = stats.iter().map(|w| w.tested).sum();
     ParallelReport {
         hits: all,
         tested,
         elapsed_s,
         mkeys_per_s: tested as f64 / elapsed_s / 1e6,
-        stats: Vec::new(),
+        stats,
     }
 }
 

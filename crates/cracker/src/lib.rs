@@ -33,7 +33,7 @@ pub use batch::{
     crack_interval_simd_observed, layout_for, Lanes,
 };
 pub use engine::{crack_interval, CrackOutcome};
-pub use generic::{crack_space_interval, crack_space_parallel};
+pub use generic::{crack_space_interval, crack_space_parallel, space_kernel};
 pub use mining::{mine, MiningJob, MiningResult};
 pub use parallel::{
     crack_parallel, crack_parallel_backend, crack_parallel_backend_observed,

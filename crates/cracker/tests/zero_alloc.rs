@@ -13,11 +13,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::AtomicBool;
 
-use eks_cracker::batch::{crack_interval_batched, Lanes};
+use eks_cracker::batch::{crack_interval_batched, crack_interval_simd, Lanes};
 use eks_cracker::{cpu_backend, TargetSet};
 use eks_engine::ScanMode;
-use eks_hashes::HashAlgo;
-use eks_keyspace::{Charset, Interval, KeySpace, Order};
+use eks_hashes::{HashAlgo, SimdHasher};
+use eks_keyspace::{Charset, HybridSpace, Interval, KeySpace, MaskSpace, Order};
 
 thread_local! {
     // Count only while the measuring thread says so, and only that
@@ -109,6 +109,45 @@ fn dispatched_default_backend_does_not_allocate() {
             let isa = backend.isa(algo).unwrap_or_default();
             assert_eq!(allocs, 0, "{algo:?} lanes {lanes} [{isa}]: {allocs} heap allocations");
         }
+    }
+}
+
+#[test]
+fn structured_batch_loops_do_not_allocate() {
+    // What each worker of `crack_space_parallel` runs per cursor chunk:
+    // the same lane loop, fed by the mask's run-based writer or by the
+    // advance-and-re-pad writer of a hybrid. A hitless NTLM sweep of
+    // `?u?l?l?d` (the benchmark's mask; 175 760 = 32 * 5 492 + 16 keys)
+    // minus its scalar tail, and a hybrid crossing word boundaries.
+    let mask = MaskSpace::parse("?u?l?l?d").expect("mask");
+    let words: Vec<&[u8]> = vec![b"winter", b"dragon", b"admin", b"x"];
+    let hybrid = HybridSpace::with_digit_suffixes(&words, 3).expect("hybrid");
+    let stop = AtomicBool::new(false);
+    for algo in [HashAlgo::Ntlm, HashAlgo::Md5, HashAlgo::Sha1] {
+        let impossible = TargetSet::new(algo, &[vec![0u8; algo.digest_len()]]);
+        let mask_sweep = Interval::new(0, 175_744);
+        let hybrid_sweep = Interval::new(0, 4_416);
+        for lanes in [Lanes::L8, Lanes::L16] {
+            let allocs = allocs_during(|| {
+                let out = crack_interval_batched(&mask, &impossible, mask_sweep, &stop, false, lanes);
+                assert_eq!(out.tested, mask_sweep.len);
+                let out =
+                    crack_interval_batched(&hybrid, &impossible, hybrid_sweep, &stop, false, lanes);
+                assert_eq!(out.tested, hybrid_sweep.len);
+            });
+            assert_eq!(allocs, 0, "{algo:?} lanes {lanes}: {allocs} heap allocations");
+        }
+        let Some(hasher) = SimdHasher::best() else {
+            eprintln!("skipped the explicit kernels: no explicit-SIMD ISA on this host");
+            continue;
+        };
+        let allocs = allocs_during(|| {
+            let out = crack_interval_simd(&mask, &impossible, mask_sweep, &stop, false, hasher);
+            assert_eq!(out.tested, mask_sweep.len);
+            let out = crack_interval_simd(&hybrid, &impossible, hybrid_sweep, &stop, false, hasher);
+            assert_eq!(out.tested, hybrid_sweep.len);
+        });
+        assert_eq!(allocs, 0, "{algo:?} {hasher:?}: {allocs} heap allocations");
     }
 }
 

@@ -140,14 +140,24 @@ pub fn md4(data: &[u8]) -> [u8; 16] {
 }
 
 /// NTLM: MD4 of the UTF-16LE encoding of the password. ASCII passwords
-/// (the brute-force case) simply interleave zero bytes.
+/// (the brute-force case) simply interleave zero bytes. Heap-free: a
+/// password whose encoding fits one block (≤ 27 bytes — every candidate
+/// key) is expanded on the stack and compressed once; longer input
+/// streams through [`Md4`] a code unit at a time.
 pub fn ntlm(password: &[u8]) -> [u8; 16] {
-    let mut utf16 = Vec::with_capacity(password.len() * 2);
-    for &b in password {
-        utf16.push(b);
-        utf16.push(0);
+    const MAX: usize = MAX_SINGLE_BLOCK_MSG / 2;
+    if password.len() <= MAX {
+        let mut utf16 = [0u8; 2 * MAX];
+        for (unit, &b) in utf16.chunks_exact_mut(2).zip(password) {
+            unit[0] = b;
+        }
+        return md4_single_block(&utf16[..2 * password.len()]);
     }
-    md4(&utf16)
+    let mut h = Md4::new();
+    for &b in password {
+        h.update(&[b, 0]);
+    }
+    h.finalize_fixed()
 }
 
 /// Streaming MD4 hasher.
@@ -257,6 +267,16 @@ mod tests {
         assert_eq!(to_hex(&ntlm(b"password")), "8846f7eaee8fb117ad06bdd830b7586c");
         assert_eq!(to_hex(&ntlm(b"")), "31d6cfe0d16ae931b73c59d7e0c089c0");
         assert_eq!(to_hex(&ntlm(b"admin")), "209c6174da490caeb422f3fa5a7ae634");
+    }
+
+    #[test]
+    fn ntlm_is_md4_of_the_utf16le_encoding_on_both_paths() {
+        // 0..=27 bytes take the single-block stack path, 28..=64 stream.
+        for len in 0..=64usize {
+            let password: Vec<u8> = (0..len).map(|i| b'!' + (i * 7 % 90) as u8).collect();
+            let utf16: Vec<u8> = password.iter().flat_map(|&b| [b, 0]).collect();
+            assert_eq!(ntlm(&password), md4(&utf16), "len={len}");
+        }
     }
 
     #[test]

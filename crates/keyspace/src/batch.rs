@@ -34,6 +34,7 @@
 use crate::encode::{advance_tracked, Order};
 use crate::interval::Interval;
 use crate::key::Key;
+use crate::source::BlockSource;
 use crate::space::KeySpace;
 
 /// How key bytes map into the padded single-block message.
@@ -74,11 +75,41 @@ impl BlockLayout {
 
     /// `(word, shift)` of the block byte holding key byte `pos`.
     #[inline]
-    fn key_byte_slot(self, pos: usize) -> (usize, u32) {
+    pub(crate) fn key_byte_slot(self, pos: usize) -> (usize, u32) {
         match self {
             BlockLayout::NtlmUtf16Le => self.word_shift(pos * 2),
             _ => self.word_shift(pos),
         }
+    }
+
+    /// Pad `key` into its single 16-word block from scratch: key bytes,
+    /// `0x80` terminator, zero fill, length words.
+    ///
+    /// # Panics
+    /// Panics when the message does not fit one block (more than 55
+    /// bytes) — no [`Key`] does, under any layout.
+    pub fn pad(self, key: &[u8]) -> [u32; 16] {
+        let msg_len = self.msg_len(key.len());
+        assert!(msg_len <= 55, "a {msg_len}-byte message does not fit a single block");
+        let mut block = [0u32; 16];
+        for (pos, &byte) in key.iter().enumerate() {
+            let (word, shift) = self.key_byte_slot(pos);
+            block[word] |= u32::from(byte) << shift;
+        }
+        let (word, shift) = self.word_shift(msg_len);
+        block[word] |= 0x80 << shift;
+        let bitlen = (msg_len as u64) * 8;
+        match self {
+            BlockLayout::Md5Le | BlockLayout::NtlmUtf16Le => {
+                block[14] = bitlen as u32;
+                block[15] = (bitlen >> 32) as u32;
+            }
+            BlockLayout::ShaBe => {
+                block[14] = (bitlen >> 32) as u32;
+                block[15] = bitlen as u32;
+            }
+        }
+        block
     }
 }
 
@@ -341,30 +372,35 @@ impl<'a> BlockBatch<'a> {
         word != 0
     }
 
-    /// Format the current key into the template from scratch: key bytes,
-    /// `0x80` terminator, zero fill, length words.
+    /// Format the current key into the template from scratch.
     fn format_full(&mut self) {
-        self.template = [0u32; 16];
-        let len = self.key.len();
-        let raw = *self.key.raw();
-        for (pos, &byte) in raw[..len].iter().enumerate() {
-            self.write_key_byte(pos, byte);
-        }
-        let msg_len = self.layout.msg_len(len);
-        debug_assert!(msg_len <= 55, "key does not fit a single block");
-        let (word, shift) = self.layout.word_shift(msg_len);
-        self.template[word] |= 0x80 << shift;
-        let bitlen = (msg_len as u64) * 8;
-        match self.layout {
-            BlockLayout::Md5Le | BlockLayout::NtlmUtf16Le => {
-                self.template[14] = bitlen as u32;
-                self.template[15] = (bitlen >> 32) as u32;
-            }
-            BlockLayout::ShaBe => {
-                self.template[14] = (bitlen >> 32) as u32;
-                self.template[15] = bitlen as u32;
-            }
-        }
+        self.template = self.layout.pad(self.key.as_bytes());
+    }
+}
+
+impl BlockSource for BlockBatch<'_> {
+    #[inline]
+    fn next_id(&self) -> u128 {
+        self.next_id
+    }
+
+    #[inline]
+    fn remaining(&self) -> u128 {
+        self.remaining
+    }
+
+    #[inline]
+    fn fill<const L: usize>(&mut self, out: &mut [[u32; 16]; L]) -> BatchInfo {
+        BlockBatch::fill(self, out)
+    }
+
+    /// First-char-fastest sweeps vary only the leading key bytes, so one
+    /// word per candidate is the whole steady state. Under
+    /// last-char-fastest nearly every batch would need the full-block
+    /// reconstruction, so the writer declines there.
+    #[inline]
+    fn try_fill_w0s<const L: usize>(&mut self, out: &mut [u32; L]) -> Option<(BatchInfo, [u32; 16])> {
+        (self.space.order() == Order::FirstCharFastest).then(|| self.fill_w0s(out))
     }
 }
 

@@ -34,6 +34,7 @@ pub mod interval;
 pub mod iter;
 pub mod key;
 pub mod mask;
+pub mod source;
 pub mod space;
 
 pub use batch::{BatchInfo, BlockBatch, BlockLayout};
@@ -43,7 +44,8 @@ pub use encode::{advance_tracked, decode, encode, encode_into, AdvanceDelta, Ord
 pub use interval::Interval;
 pub use iter::KeyIter;
 pub use key::{Key, MAX_KEY_LEN};
-pub use mask::{MaskError, MaskSlot, MaskSpace};
+pub use mask::{MaskBlocks, MaskError, MaskSlot, MaskSpace};
+pub use source::{BlockSource, BlockSpace, KeyBlocks};
 pub use space::{KeySpace, KeySpaceError};
 
 /// Number of strings over an `n`-symbol charset with lengths in

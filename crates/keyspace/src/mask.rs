@@ -20,8 +20,11 @@ use std::fmt;
 
 use eks_core::SolutionSpace;
 
+use crate::batch::{BatchInfo, BlockLayout};
 use crate::charset::Charset;
+use crate::interval::Interval;
 use crate::key::{Key, MAX_KEY_LEN};
+use crate::source::{BlockSource, BlockSpace};
 
 /// One position of a mask: a charset or a fixed literal byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,6 +41,14 @@ impl MaskSlot {
         match self {
             MaskSlot::Set(cs) => cs.len() as u128,
             MaskSlot::Literal(_) => 1,
+        }
+    }
+
+    /// The choices at this position, in digit order.
+    fn symbols(&self) -> &[u8] {
+        match self {
+            MaskSlot::Set(cs) => cs.symbols(),
+            MaskSlot::Literal(b) => std::slice::from_ref(b),
         }
     }
 
@@ -226,6 +237,151 @@ impl SolutionSpace for MaskSpace {
 
     fn identify(&self, solution: &Key) -> Option<u128> {
         self.id_of(solution)
+    }
+}
+
+impl BlockSpace for MaskSpace {
+    type Blocks<'a> = MaskBlocks<'a>;
+
+    fn blocks(&self, layout: BlockLayout, interval: Interval) -> MaskBlocks<'_> {
+        MaskBlocks::new(self, layout, interval)
+    }
+}
+
+/// In-place batch writer over an interval of a [`MaskSpace`]: the mask
+/// counterpart of [`BlockBatch`](crate::BlockBatch).
+///
+/// A mask is a fixed-length mixed-radix counter, so the writer keeps one
+/// digit per position next to the current candidate's padded block and
+/// never goes back to bytes: the candidates up to the fastest position's
+/// next carry differ in that position's byte alone, and are emitted as
+/// `base | symbol[d + j] << shift` in whichever block word holds it
+/// (`w[1]` for `?u?l?l?d` under NTLM's UTF-16 layout, `w[0]` under
+/// MD5's). No reverse charset look-up, no `key_at` after the first
+/// candidate, no heap.
+#[derive(Debug, Clone)]
+pub struct MaskBlocks<'a> {
+    slots: &'a [MaskSlot],
+    layout: BlockLayout,
+    /// Digit of every position in the candidate `next_id` maps to.
+    digits: [u8; MAX_KEY_LEN],
+    /// That candidate's padded block.
+    template: [u32; 16],
+    /// The last position with more than one choice — the one that steps
+    /// between carries (literals after it never move); the last position
+    /// when the mask is all literals.
+    fast: usize,
+    next_id: u128,
+    remaining: u128,
+    epoch: u64,
+}
+
+impl<'a> MaskBlocks<'a> {
+    /// Create a writer over `interval` (clamped to the space bounds).
+    pub fn new(space: &'a MaskSpace, layout: BlockLayout, interval: Interval) -> Self {
+        let clamped = interval.intersect(&Interval::new(0, space.size));
+        let slots = space.slots.as_slice();
+        // Mixed-radix decode of the first identifier, as `key_at` does;
+        // an empty interval keeps candidate 0 and never hands it out.
+        let mut digits = [0u8; MAX_KEY_LEN];
+        let mut key = [0u8; MAX_KEY_LEN];
+        let mut rest = if clamped.is_empty() { 0 } else { clamped.start };
+        for (pos, slot) in slots.iter().enumerate().rev() {
+            let card = slot.cardinality();
+            let digit = (rest % card) as usize;
+            digits[pos] = digit as u8;
+            key[pos] = slot.symbols()[digit];
+            rest /= card;
+        }
+        Self {
+            slots,
+            layout,
+            digits,
+            template: layout.pad(&key[..slots.len()]),
+            fast: slots.iter().rposition(|s| s.cardinality() > 1).unwrap_or(slots.len() - 1),
+            next_id: clamped.start,
+            remaining: clamped.len,
+            epoch: 0,
+        }
+    }
+
+    /// Set position `pos` to `digit`, in the digits and in the template;
+    /// the suffix epoch moves when a word other than `w[0]` changes.
+    #[inline]
+    fn set_digit(&mut self, pos: usize, digit: usize) {
+        self.digits[pos] = digit as u8;
+        let (word, shift) = self.layout.key_byte_slot(pos);
+        let symbol = self.slots[pos].symbols()[digit];
+        let updated = (self.template[word] & !(0xff << shift)) | u32::from(symbol) << shift;
+        if word != 0 && updated != self.template[word] {
+            self.epoch += 1;
+        }
+        self.template[word] = updated;
+    }
+
+    /// The counter's `next`: increment the fastest position, carrying
+    /// leftward (wrapping past the last candidate, which callers bound).
+    fn advance(&mut self) {
+        for pos in (0..=self.fast).rev() {
+            let digit = usize::from(self.digits[pos]) + 1;
+            if digit < self.slots[pos].symbols().len() {
+                self.set_digit(pos, digit);
+                return;
+            }
+            self.set_digit(pos, 0);
+        }
+    }
+}
+
+impl BlockSource for MaskBlocks<'_> {
+    #[inline]
+    fn next_id(&self) -> u128 {
+        self.next_id
+    }
+
+    #[inline]
+    fn remaining(&self) -> u128 {
+        self.remaining
+    }
+
+    #[inline]
+    fn fill<const L: usize>(&mut self, out: &mut [[u32; 16]; L]) -> BatchInfo {
+        assert!(
+            self.remaining >= L as u128,
+            "fill of {L} lanes with only {} candidates remaining",
+            self.remaining
+        );
+        let (start_id, epoch) = (self.next_id, self.epoch);
+        let symbols = self.slots[self.fast].symbols();
+        let (word, shift) = self.layout.key_byte_slot(self.fast);
+        let mut l = 0;
+        loop {
+            // The lanes up to the next carry differ in one byte of one
+            // word: emit them from registers, then move the digit and the
+            // template to the last of them in one step.
+            let digit = usize::from(self.digits[self.fast]);
+            let base = self.template[word] & !(0xff << shift);
+            let ahead = &symbols[digit..symbols.len().min(digit + L - l)];
+            for (block, &symbol) in out[l..].iter_mut().zip(ahead) {
+                *block = self.template;
+                block[word] = base | u32::from(symbol) << shift;
+            }
+            self.set_digit(self.fast, digit + ahead.len() - 1);
+            l += ahead.len();
+            if l == L {
+                break;
+            }
+            self.advance();
+        }
+        // As in `BlockBatch`: the advance that positions the writer for
+        // the next batch may move the epoch without invalidating this one.
+        let uniform_suffix = self.epoch == epoch;
+        self.next_id += L as u128;
+        self.remaining -= L as u128;
+        if self.remaining > 0 {
+            self.advance();
+        }
+        BatchInfo { start_id, epoch, uniform_suffix }
     }
 }
 

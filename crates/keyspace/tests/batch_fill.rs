@@ -10,6 +10,11 @@
 //! of the writer (`key`, `template`, `epoch`, `next_id`, `remaining`) must
 //! agree after every batch.
 //!
+//! The structured writers get the same treatment with an even blunter
+//! reference: [`MaskBlocks`] (run-based, any block word) and [`KeyBlocks`]
+//! (advance and re-pad, here over hybrids and masks) must hand out, lane
+//! by lane, the block padded from scratch from `generate(start_id + l)`.
+//!
 //! The root package runs this file too (`tests/batch_fill.rs` includes
 //! it), so the tier-1 `cargo test -q` covers it.
 
@@ -19,8 +24,10 @@
 #![allow(clippy::indexing_slicing)]
 
 use eks_core::prop::{forall, Rng};
+use eks_core::SolutionSpace;
 use eks_keyspace::{
-    advance_tracked, BatchInfo, BlockBatch, BlockLayout, Charset, Interval, Key, KeySpace, Order,
+    advance_tracked, BatchInfo, BlockBatch, BlockLayout, BlockSource, BlockSpace, Charset,
+    HybridSpace, Interval, Key, KeyBlocks, KeySpace, MaskSlot, MaskSpace, Order,
 };
 
 const ORDERS: [Order; 2] = [Order::FirstCharFastest, Order::LastCharFastest];
@@ -226,4 +233,147 @@ fn fastest_digit_outside_w0_bumps_the_epoch_every_step() {
         let mut rng = Rng::new(7);
         check_sweep::<16>(&space, layout, Interval::new(1_000, 200), &mut rng);
     }
+}
+
+/// Sweep `writer` in batches of `L` against blocks padded from scratch
+/// from `generate(id)`: every lane, `start_id`, `uniform_suffix` (true
+/// exactly when the lanes share words 1..16), and the epoch as a version
+/// of those words — it never decreases, and two batches that report the
+/// same one start from the same suffix.
+/// Returns the number of batches checked.
+fn check_structured_sweep<const L: usize, S, W>(
+    space: &S,
+    mut writer: W,
+    layout: BlockLayout,
+    case: &str,
+) -> u32
+where
+    S: SolutionSpace<Solution = Key>,
+    W: BlockSource,
+{
+    let mut batches = 0;
+    let mut last: Option<(u64, [u32; 16])> = None;
+    while writer.remaining() >= L as u128 {
+        let (start, remaining) = (writer.next_id(), writer.remaining());
+        let mut blocks = [[0u32; 16]; L];
+        let info = writer.fill(&mut blocks);
+        assert_eq!(info.start_id, start, "start_id, {case}");
+        for (l, block) in blocks.iter().enumerate() {
+            let id = start + l as u128;
+            let want = reference_block(layout, &space.generate(id));
+            assert_eq!(*block, want, "lane {l} (id {id}), {case}");
+        }
+        let uniform = blocks.iter().all(|b| b[1..] == blocks[0][1..]);
+        assert_eq!(info.uniform_suffix, uniform, "uniform_suffix at id {start}, {case}");
+        if let Some((epoch, first)) = last {
+            assert!(info.epoch >= epoch, "epoch went backwards at id {start}, {case}");
+            if info.epoch == epoch {
+                assert_eq!(blocks[0][1..], first[1..], "same epoch, other suffix at id {start}, {case}");
+            }
+        }
+        last = Some((info.epoch, blocks[0]));
+        assert_eq!(writer.next_id(), start + L as u128, "next_id, {case}");
+        assert_eq!(writer.remaining(), remaining - L as u128, "remaining, {case}");
+        batches += 1;
+    }
+    batches
+}
+
+/// Check the space's own writer and the generic one over one drawn
+/// interval; returns the number of batches the interval held.
+fn check_structured<S: BlockSpace>(space: &S, layout: BlockLayout, rng: &mut Rng, name: &str) -> u32 {
+    let size = space.size().expect("finite");
+    let width = [8u64, 16, 32][rng.index(3)];
+    // Start a short run-up before a multiple of a small power of ten or
+    // of 26 (where the test spaces carry), or anywhere.
+    let start = match rng.below(3) {
+        0 => rng.range_u128(0, size - 1),
+        _ => {
+            let period = [10u128, 26, 100, 111, 676, 1000][rng.index(6)];
+            let carry = rng.range_u128(0, size / period) * period;
+            carry.saturating_sub(u128::from(rng.below(2 * width))).min(size - 1)
+        }
+    };
+    let len = rng.range_u128(1, 12 * u128::from(width) + 5);
+    let interval = Interval::new(start, len.min(size - start));
+    let case = format!("{name} {layout:?} {interval:?} L={width}");
+    let writer = space.blocks(layout, interval);
+    // The writer of last resort must agree on every space, too.
+    let generic = KeyBlocks::new(space, layout, interval);
+    match width {
+        8 => {
+            check_structured_sweep::<8, _, _>(space, generic, layout, &case);
+            check_structured_sweep::<8, _, _>(space, writer, layout, &case)
+        }
+        16 => {
+            check_structured_sweep::<16, _, _>(space, generic, layout, &case);
+            check_structured_sweep::<16, _, _>(space, writer, layout, &case)
+        }
+        _ => {
+            check_structured_sweep::<32, _, _>(space, generic, layout, &case);
+            check_structured_sweep::<32, _, _>(space, writer, layout, &case)
+        }
+    }
+}
+
+/// A mask of `len` positions: literals, one-symbol sets and sets of 2, 3,
+/// 10 or 26 scrambled symbols, so the stepping position — the last one
+/// with a choice — lands in every block word a 20-byte key reaches, with
+/// literals after it or not.
+fn random_mask(rng: &mut Rng, len: usize) -> MaskSpace {
+    let slots = (0..len)
+        .map(|_| match rng.below(6) {
+            0 => MaskSlot::Literal(b'!' + rng.below(90) as u8),
+            k => MaskSlot::Set(charset([1, 2, 3, 10, 26][k as usize - 1])),
+        })
+        .collect();
+    MaskSpace::from_slots(slots).expect("26^20 fits u128")
+}
+
+#[test]
+fn mask_writer_equals_the_per_key_reference() {
+    let mut batches = 0;
+    for layout in LAYOUTS {
+        for len in 1..=20 {
+            forall("mask blocks equal per-key reference", 12, |rng| {
+                let mask = random_mask(rng, len);
+                let name = format!("mask of {len} ({} keys)", mask.size());
+                batches += check_structured(&mask, layout, rng, &name);
+            });
+        }
+    }
+    assert!(batches > 2_000, "only {batches} batches: the drawn intervals are too short to test much");
+}
+
+#[test]
+fn advance_and_repad_writer_equals_the_per_key_reference() {
+    let mut batches = 0;
+    for layout in LAYOUTS {
+        forall("hybrid blocks equal per-key reference", 48, |rng| {
+            // Words of different lengths (one repeated), so a batch that
+            // spans a word boundary changes length mid-batch.
+            let mut words: Vec<Vec<u8>> = (0..rng.range(1, 40))
+                .map(|_| {
+                    let len = rng.range(1, 12) as usize;
+                    rng.vec(len, |r| b'a' + r.below(26) as u8)
+                })
+                .collect();
+            words.push(words[0].clone());
+            let refs: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
+            let space = match rng.below(3) {
+                0 => HybridSpace::dictionary_only(&refs),
+                1 => HybridSpace::with_digit_suffixes(&refs, rng.range(1, 3) as u32),
+                _ => {
+                    let order = ORDERS[rng.index(2)];
+                    let min = rng.range(0, 2) as u32;
+                    let suffix = KeySpace::new(charset(3), min, min + rng.range(0, 3) as u32, order);
+                    HybridSpace::new(&refs, suffix.expect("fits u128"))
+                }
+            }
+            .expect("words + suffix fit a key");
+            let name = format!("hybrid of {} keys", space.size());
+            batches += check_structured(&space, layout, rng, &name);
+        });
+    }
+    assert!(batches > 300, "only {batches} batches: the drawn intervals are too short to test much");
 }
