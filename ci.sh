@@ -12,8 +12,9 @@ cargo test -q --workspace
 
 # Second pass with native codegen: the explicit-SIMD kernels are chosen
 # by *runtime* detection either way, but -C target-cpu=native changes
-# what the portable lane cores compile to (they only vectorise there) —
-# the fallback and the reference of the equivalence tests must stay
+# what the portable `[u32; L]` instantiation of the cores compiles to (it
+# only vectorises there) — the fallback, which the `AutoVec` property
+# tests and the equivalence tests exercise on every host, must stay
 # correct under both codegens. A separate target dir keeps the two flag
 # sets from invalidating each other's incremental caches.
 echo "==> cargo test -q --workspace (RUSTFLAGS=-C target-cpu=native)"
@@ -47,7 +48,7 @@ TELEMETRY_DIR="$(mktemp -d)"
 ./target/release/eks report --metrics "$TELEMETRY_DIR/m.prom" --trace "$TELEMETRY_DIR/t.jsonl" > /dev/null
 rm -rf "$TELEMETRY_DIR"
 
-echo "==> eks bench --json (schema-3 host-tuning report: cpu_features + per-backend tuned rates)"
+echo "==> eks bench --json (schema-3 host-tuning report: cpu_features + per-backend tuned rates + the detected kernel per algorithm)"
 BENCH_DIR="$(mktemp -d)"
 ./target/release/eks bench --json "$BENCH_DIR/host.json" > /dev/null
 for field in '"schema": 3' '"cpu_features"' '"simd_isa"' '"auto_choices"'; do
@@ -63,12 +64,14 @@ rm -rf "$BENCH_DIR"
 # still clear the old 3x bar. The adaptive floor asks the closed-loop
 # retune to recover at least 1.3x the static arm's parallel efficiency on
 # the stale-weights skewed fleet (the true figure for a 4x handicap is
-# ~1.58x). The default-vs-best floor keeps `cpu_backend(Lanes::L8)` — what
+# ~1.58x). The default-vs-best floor keeps `CpuBackend::default()` — what
 # `eks crack`, the job fleet and the cluster's CPU leaves run — within 10%
-# of the fastest explicit-SIMD backend, so the default can never silently
-# fall back to the portable cores (scalar code in a baseline build, ~0.15
-# on this host) on a CPU that has better; the bench prints why it skips
-# the gate where no explicit ISA is detected. The structured floor holds
+# of the fastest forced-ISA backend: detection picks the widest ISA without
+# racing, so this is the tripwire for a host where widest is not fastest
+# (remedy: `--isa`), and for a default that silently falls back to the
+# portable lanes (scalar code in a baseline build, ~0.15 on this host) on a
+# CPU that has better; the bench prints why it skips the gate where no
+# explicit ISA is detected. The structured floor holds
 # the mask search of `crack_space_parallel` (`?u?l?l?d`, NTLM, one thread)
 # to 4x its scalar oracle where the CPU has an explicit ISA (measured
 # ~9-10x: the oracle itself got ~2x faster when `ntlm()` left the heap);
@@ -76,7 +79,7 @@ rm -rf "$BENCH_DIR"
 # never silently fall back to hashing one key at a time.
 echo "==> bench_cracker --json BENCH_cracker.json (fails if batched < scalar, MD5 < 8x, 2-worker scaling < 1.6x, adaptive/static efficiency < 1.3x, default < 0.9x best explicit, mask NTLM batched < 4x scalar, or telemetry overhead > 5%)"
 cargo bench -q -p eks-bench --bench bench_cracker -- --json "$PWD/BENCH_cracker.json" --min-md5-speedup 8.0 --min-scaling 1.6 --min-adaptive-ratio 1.3 --min-default-vs-best 0.9 --min-structured-speedup 4.0 --max-telemetry-overhead-pct 5
-for field in '"schema": 6' '"isa"' '"default_vs_best"' '"structured"' '"mask_ntlm_structured_speedup"' '"adaptive"' '"adaptive_efficiency_ratio"' '"rescatters"'; do
+for field in '"schema": 7' '"isa"' '"default_vs_best"' '"structured"' '"mask_ntlm_structured_speedup"' '"adaptive"' '"adaptive_efficiency_ratio"' '"rescatters"'; do
   if ! grep -q "$field" "$PWD/BENCH_cracker.json"; then
     echo "FAIL: BENCH_cracker.json is missing $field" >&2
     exit 1

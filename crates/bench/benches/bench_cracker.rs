@@ -1,17 +1,18 @@
 //! The bench-trajectory artifact: cracking throughput (MKey/s) per
-//! algorithm per thread count per [`Backend`] — scalar, the lanes8 /
-//! lanes16 CPU backends (which run the detected explicit-SIMD kernel,
-//! else the portable cores at that width), the explicit-SIMD kernels
-//! (when the host's CPU reports an ISA), the auto-tuned winner, and the
-//! simulated-GPU kernel backend — all driven through the one
-//! `Dispatcher` core via `crack_parallel_backend`. The JSON artifact
-//! (schema 6) records the detected CPU features and selected ISA, and
-//! per row the ISA the backend's kernel actually ran on, so committed
-//! numbers carry their hardware context; `default_vs_best` is, per
-//! algorithm, the rate of the default backend (`cpu_backend(Lanes::L8)`)
-//! over the fastest explicit-SIMD backend (`--min-default-vs-best`
-//! gates it, so the default can never again silently run the slow
-//! portable cores on a CPU that has better). The `structured` object
+//! algorithm per thread count per [`BackendKind`] — `scalar`, `cpu` (the
+//! detected explicit-SIMD kernel, else the portable cores) and the
+//! simulated-GPU kernel backend — plus an ungated `portable8` /
+//! `portable16` pair (the fallback's rate on a host that never runs it),
+//! all driven through the one `Dispatcher` core via
+//! `crack_parallel_backend`. The JSON artifact (schema 7) records the
+//! detected CPU features and selected ISA, and per row the ISA the
+//! backend's kernel actually ran on, so committed numbers carry their
+//! hardware context; `default_vs_best` is, per algorithm, the rate of
+//! the default backend (`CpuBackend::default()`) over the fastest
+//! forced-ISA backend (`--min-default-vs-best` gates it: the tripwire
+//! for a host where the widest ISA is not the fastest, and for a default
+//! that silently runs the slow portable cores on a CPU that has better).
+//! The `structured` object
 //! holds the mask / hybrid searches of `crack_space_parallel` on one
 //! thread — the scalar oracle (`Lanes::Scalar`) against the kernel the
 //! default `Lanes` dispatches to, with its ISA — and
@@ -62,8 +63,8 @@ use eks_cluster::SimKernelBackend;
 use eks_cracker::batch::Lanes;
 use eks_bench::pop_or_steal;
 use eks_cracker::{
-    cpu_backend, crack_parallel_backend_observed, crack_space_parallel, space_kernel, AutoBackend,
-    ParallelConfig, SimdBackend, TargetSet,
+    cpu_backend, crack_parallel_backend_observed, crack_space_parallel, CpuBackend, Kernel,
+    ParallelConfig, TargetSet,
 };
 use eks_telemetry::Telemetry;
 use eks_engine::{
@@ -103,20 +104,9 @@ fn algo_name(algo: HashAlgo) -> &'static str {
 fn backend_for(kind: BackendKind) -> Box<dyn Backend> {
     match kind {
         BackendKind::Scalar => cpu_backend(Lanes::Scalar),
-        BackendKind::Lanes8 => cpu_backend(Lanes::L8),
-        BackendKind::Lanes16 => cpu_backend(Lanes::L16),
-        BackendKind::Simd => {
-            Box::new(SimdBackend::best().expect("simd rows run only on detected-ISA hosts"))
-        }
-        BackendKind::Auto => Box::new(AutoBackend::new(Telemetry::disabled())),
+        BackendKind::Cpu => Box::new(CpuBackend::default()),
         BackendKind::SimGpu => Box::new(SimKernelBackend::new(Device::geforce_gtx_660())),
     }
-}
-
-/// The kinds this host can run: everything except `simd` on CPUs with no
-/// explicit-SIMD ISA (the skip is reported, not silent).
-fn host_kinds() -> Vec<BackendKind> {
-    BackendKind::ALL.into_iter().filter(|k| k.is_available()).collect()
 }
 
 /// Throughput of one full sweep of `keys` keys on one backend, through
@@ -177,18 +167,18 @@ fn paired(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64, 
     (median(rates_a), median(rates_b), median(quotients))
 }
 
-/// Rate of the default CPU backend over the fastest explicit-SIMD
-/// backend at one thread, or `None` on a host without an explicit ISA.
+/// Rate of the default CPU backend over the fastest forced-ISA backend
+/// at one thread, or `None` on a host without an explicit ISA.
 fn default_vs_best(algo: HashAlgo) -> Option<f64> {
-    let explicit: Vec<SimdBackend> =
-        SimdIsa::ALL.into_iter().filter_map(|isa| SimdBackend::new(isa).ok()).collect();
+    let explicit: Vec<CpuBackend> =
+        SimdIsa::ALL.into_iter().filter_map(|isa| CpuBackend::new(isa).ok()).collect();
     if explicit.is_empty() {
         return None;
     }
-    let default = cpu_backend(Lanes::L8);
+    let default = CpuBackend::default();
     let off = Telemetry::disabled();
     let (_, _, quotient) = paired(
-        || sweep(algo, 1, default.as_ref(), PAIRED_KEYS, &off),
+        || sweep(algo, 1, &default, PAIRED_KEYS, &off),
         || {
             explicit
                 .iter()
@@ -239,12 +229,12 @@ fn structured_row<S: BlockSpace + Sync>(name: &str, space: &S, algo: HashAlgo) -
         || rate(Lanes::default(), STRUCTURED_BATCHED_PASSES),
         || rate(Lanes::Scalar, 1),
     );
-    let (kernel, isa) = space_kernel(Lanes::default(), algo);
+    let kernel = Kernel::detect_for(Lanes::default(), algo);
     StructuredRow {
         space: name.to_string(),
         algo: algo_name(algo),
-        kernel,
-        isa,
+        kernel: kernel.name(),
+        isa: kernel.isa(),
         scalar_mkeys,
         batched_mkeys,
         speedup,
@@ -254,7 +244,7 @@ fn structured_row<S: BlockSpace + Sync>(name: &str, space: &S, algo: HashAlgo) -
 struct Row {
     algo: &'static str,
     threads: usize,
-    backend: &'static str,
+    backend: String,
     /// The ISA the backend's kernel ran on (`None` for simulated GPUs).
     isa: Option<String>,
     mkeys: f64,
@@ -537,27 +527,31 @@ fn main() {
             .join("  "),
         SimdIsa::detect().map_or("none", |isa| isa.name())
     );
-    if !BackendKind::Simd.is_available() {
-        println!("note: no explicit-SIMD ISA detected; simd rows are skipped");
-    }
+    let explicit_isa = SimdIsa::detect().is_some();
 
+    // One row per backend kind, then the portable fallback at both widths
+    // (ungated: on a host with an explicit ISA nothing dispatches to it).
     let mut rows: Vec<Row> = Vec::new();
-    println!("{:<6} {:>7} {:>8} {:>8} {:>10}", "algo", "threads", "backend", "isa", "MKey/s");
+    println!("{:<6} {:>7} {:>10} {:>8} {:>10}", "algo", "threads", "backend", "isa", "MKey/s");
     for algo in ALGOS {
         for threads in THREADS {
-            for kind in host_kinds() {
-                let backend = backend_for(kind);
+            let portable = [Lanes::L8, Lanes::L16].map(CpuBackend::portable);
+            let backends = BackendKind::ALL
+                .into_iter()
+                .map(|kind| (kind.name().to_string(), backend_for(kind)))
+                .chain(portable.into_iter().map(|b| (b.name(), Box::new(b) as Box<dyn Backend>)));
+            for (name, backend) in backends {
                 let mkeys = measure(algo, threads, backend.as_ref());
                 let isa = backend.isa(algo);
                 println!(
-                    "{:<6} {:>7} {:>8} {:>8} {:>10.3}",
+                    "{:<6} {:>7} {:>10} {:>8} {:>10.3}",
                     algo_name(algo),
                     threads,
-                    kind.name(),
+                    name,
                     isa.as_deref().unwrap_or("-"),
                     mkeys
                 );
-                rows.push(Row { algo: algo_name(algo), threads, backend: kind.name(), isa, mkeys });
+                rows.push(Row { algo: algo_name(algo), threads, backend: name, isa, mkeys });
             }
         }
     }
@@ -570,7 +564,7 @@ fn main() {
         "algo", "backend", "workers", "scaling", "efficiency"
     );
     for algo in ALGOS {
-        for kind in host_kinds() {
+        for kind in BackendKind::ALL {
             let vt1 = virtual_throughput(algo, kind, 1);
             let vtn = virtual_throughput(algo, kind, SCALING_WORKERS);
             let scaling = vtn / vt1;
@@ -605,9 +599,8 @@ fn main() {
     let mut failed = false;
     for algo in ALGOS.map(algo_name) {
         let scalar = one_thread(algo, "scalar");
-        let batched = host_kinds()
+        let batched = [BackendKind::Cpu, BackendKind::SimGpu]
             .iter()
-            .filter(|k| !matches!(k, BackendKind::Scalar))
             .map(|k| one_thread(algo, k.name()))
             .fold(0.0f64, f64::max);
         let speedup = batched / scalar;
@@ -629,7 +622,7 @@ fn main() {
         match ratio {
             Some(ratio) => {
                 println!(
-                    "{name}: default (lanes8) / best explicit backend = {ratio:.3} (floor {min_default_vs_best:.2})"
+                    "{name}: default (cpu) / best forced-ISA backend = {ratio:.3} (floor {min_default_vs_best:.2})"
                 );
                 if ratio < min_default_vs_best {
                     eprintln!(
@@ -675,7 +668,7 @@ fn main() {
         .find(|r| r.space == mask_name && r.algo == "ntlm")
         .expect("measured above");
     let _ = write!(gates, ", \"mask_ntlm_structured_speedup\": {:.3}", mask_ntlm.speedup);
-    if BackendKind::Simd.is_available() {
+    if explicit_isa {
         println!(
             "{mask_name}/ntlm: batched {:.2}x scalar (floor {min_structured_speedup:.2}x)",
             mask_ntlm.speedup
@@ -694,19 +687,20 @@ fn main() {
     }
 
     // The scaling gate: the steal scheduler's virtual 2-worker scaling
-    // on md5/lanes8 must clear `--min-scaling`.
+    // on md5/cpu must clear `--min-scaling` (the gate keys keep the
+    // `lanes8` of the name `CpuBackend::default()` reports).
     let md5_lanes8_scaling = scaling_rows
         .iter()
-        .find(|r| r.algo == "md5" && r.backend == "lanes8")
+        .find(|r| r.algo == "md5" && r.backend == "cpu")
         .map(|r| r.scaling)
         .expect("measured above");
     let _ = write!(gates, ", \"md5_lanes8_2w_scaling\": {md5_lanes8_scaling:.3}");
     println!(
-        "md5/lanes8: virtual {SCALING_WORKERS}-worker scaling {md5_lanes8_scaling:.2}x (floor {min_scaling:.2}x)"
+        "md5/cpu: virtual {SCALING_WORKERS}-worker scaling {md5_lanes8_scaling:.2}x (floor {min_scaling:.2}x)"
     );
     if md5_lanes8_scaling < min_scaling {
         eprintln!(
-            "GATE FAILED: md5/lanes8 scaling {md5_lanes8_scaling:.2}x is below the {min_scaling:.2}x floor"
+            "GATE FAILED: md5/cpu scaling {md5_lanes8_scaling:.2}x is below the {min_scaling:.2}x floor"
         );
         failed = true;
     }
@@ -739,20 +733,25 @@ fn main() {
         failed = true;
     }
 
-    // The telemetry gate: chunk-granularity instrumentation on the
-    // batched MD5 hot path must cost at most
+    // The telemetry gate: chunk-granularity instrumentation plus the
+    // sampled batch timing on the batched MD5 hot path must cost at most
     // `--max-telemetry-overhead-pct` of throughput vs the null handle.
     // off = the null handle; on = a live registry plus trace sink,
-    // fresh per sweep so the trace ring and counters never accumulate.
-    let lanes8 = backend_for(BackendKind::Lanes8);
+    // attached to dispatcher and backend as `eks crack --metrics-out`
+    // does, fresh per sweep so the trace ring and counters never
+    // accumulate.
     let (t_off, t_on, off_over_on) = paired(
-        || sweep(HashAlgo::Md5, 1, lanes8.as_ref(), PAIRED_KEYS, &Telemetry::disabled()),
-        || sweep(HashAlgo::Md5, 1, lanes8.as_ref(), PAIRED_KEYS, &Telemetry::enabled()),
+        || sweep(HashAlgo::Md5, 1, &CpuBackend::default(), PAIRED_KEYS, &Telemetry::disabled()),
+        || {
+            let on = Telemetry::enabled();
+            let backend = CpuBackend::default().with_telemetry(on.clone());
+            sweep(HashAlgo::Md5, 1, &backend, PAIRED_KEYS, &on)
+        },
     );
     let telemetry_overhead_pct = (off_over_on - 1.0) * 100.0;
     let _ = write!(gates, ", \"md5_lanes8_telemetry_overhead_pct\": {telemetry_overhead_pct:.3}");
     println!(
-        "md5/lanes8: telemetry on {t_on:.3} vs off {t_off:.3} MKey/s → {telemetry_overhead_pct:.1}% overhead (cap {max_telemetry_overhead_pct:.1}%)"
+        "md5/cpu: telemetry on {t_on:.3} vs off {t_off:.3} MKey/s → {telemetry_overhead_pct:.1}% overhead (cap {max_telemetry_overhead_pct:.1}%)"
     );
     if telemetry_overhead_pct > max_telemetry_overhead_pct {
         eprintln!(
@@ -817,7 +816,7 @@ fn main() {
             static_arm.efficiency, adaptive_arm.efficiency, adaptive_arm.rescatters
         );
         let json = format!(
-            "{{\n  \"bench\": \"cracker_backends_vs_scalar\",\n  \"schema\": 6,\n  \"keys_per_sweep\": {KEYS},\n  \"best_of\": {BEST_OF},\n  \"min_md5_speedup\": {min_md5_speedup},\n  \"min_scaling\": {min_scaling},\n  \"min_adaptive_ratio\": {min_adaptive_ratio},\n  \"min_default_vs_best\": {min_default_vs_best},\n  \"min_structured_speedup\": {min_structured_speedup},\n  \"cpu_features\": {{{features_body}}},\n  \"simd_isa\": {isa_body},\n  \"results\": [\n{body}\n  ],\n  \"scaling\": [\n{scaling_body}\n  ],\n  \"adaptive\": {adaptive_body},\n  \"structured\": {{\"threads\": 1, \"chunk\": 4096, \"paired_rounds\": {PAIRED_ROUNDS}, \"rows\": [\n{structured_body}\n  ]}},\n  \"default_vs_best\": {{{default_vs_best_body}}},\n  \"gates\": {{{gates}}}\n}}\n"
+            "{{\n  \"bench\": \"cracker_backends_vs_scalar\",\n  \"schema\": 7,\n  \"keys_per_sweep\": {KEYS},\n  \"best_of\": {BEST_OF},\n  \"min_md5_speedup\": {min_md5_speedup},\n  \"min_scaling\": {min_scaling},\n  \"min_adaptive_ratio\": {min_adaptive_ratio},\n  \"min_default_vs_best\": {min_default_vs_best},\n  \"min_structured_speedup\": {min_structured_speedup},\n  \"cpu_features\": {{{features_body}}},\n  \"simd_isa\": {isa_body},\n  \"results\": [\n{body}\n  ],\n  \"scaling\": [\n{scaling_body}\n  ],\n  \"adaptive\": {adaptive_body},\n  \"structured\": {{\"threads\": 1, \"chunk\": 4096, \"paired_rounds\": {PAIRED_ROUNDS}, \"rows\": [\n{structured_body}\n  ]}},\n  \"default_vs_best\": {{{default_vs_best_body}}},\n  \"gates\": {{{gates}}}\n}}\n"
         );
         std::fs::write(&path, json).expect("write json artifact");
         println!("wrote {path}");

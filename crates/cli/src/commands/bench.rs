@@ -1,17 +1,17 @@
 //! `eks bench` — the host-tuning report over every CPU backend.
 
 use crate::args::Args;
-use eks_cracker::{cpu_backend, AutoBackend, Lanes, SimdBackend};
-use eks_engine::{Backend, BackendKind};
+use eks_cracker::{cpu_backend, CpuBackend, Kernel, Lanes};
+use eks_engine::Backend;
 use eks_hashes::{HashAlgo, SimdIsa};
-use eks_telemetry::Telemetry;
 
 /// `eks bench [--json FILE]`: the host-tuning report. Runs the tuning
-/// sweep for every CPU backend and algorithm on this machine, prints
+/// sweep for every CPU backend and algorithm on this machine — `scalar`,
+/// `cpu` (what detection picks) and each ISA `--isa` could force — prints
 /// the single-thread rate table plus the detected CPU features and the
 /// selected ISA, and with `--json` writes the schema-3 machine-readable
-/// report (cpu_features, simd_isa, per-(backend, algo) rates, and the
-/// implementation `auto` tuned in per algorithm).
+/// report (cpu_features, simd_isa, per-(backend, algo) rates, and under
+/// `auto_choices` the kernel the `cpu` backend runs per algorithm).
 pub(super) fn cmd_bench(args: &Args) -> Result<(), String> {
     use std::fmt::Write as _;
     const ALGOS: [HashAlgo; 3] = [HashAlgo::Md5, HashAlgo::Sha1, HashAlgo::Ntlm];
@@ -45,43 +45,34 @@ pub(super) fn cmd_bench(args: &Args) -> Result<(), String> {
 
     // Every CPU backend the host can run; the simulated GPUs have their
     // own `tune` table and stay out of the host-tuning report.
-    let kinds: Vec<BackendKind> = BackendKind::ALL
-        .into_iter()
-        .filter(|k| *k != BackendKind::SimGpu && k.is_available())
-        .collect();
-    let auto = AutoBackend::new(Telemetry::disabled());
-    let backend_of = |kind: BackendKind| -> Box<dyn Backend> {
-        match kind {
-            BackendKind::Scalar => cpu_backend(Lanes::Scalar),
-            BackendKind::Lanes8 => cpu_backend(Lanes::L8),
-            BackendKind::Lanes16 => cpu_backend(Lanes::L16),
-            BackendKind::Simd => {
-                Box::new(SimdBackend::best().expect("filtered to available kinds"))
-            }
-            BackendKind::Auto => Box::new(AutoBackend::new(Telemetry::disabled())),
-            BackendKind::SimGpu => unreachable!("simgpu is filtered out above"),
-        }
-    };
+    let mut backends: Vec<(String, Box<dyn Backend>)> = vec![
+        ("scalar".into(), cpu_backend(Lanes::Scalar)),
+        ("cpu".into(), Box::new(CpuBackend::default())),
+    ];
+    for forced in SimdIsa::ALL.into_iter().filter_map(|isa| CpuBackend::new(isa).ok()) {
+        backends.push((forced.name(), Box::new(forced)));
+    }
 
     println!(
         "{:<10} {:>10} {:>10} {:>10}   (tuned MKey/s, single thread)",
         "backend", "md5", "sha1", "ntlm"
     );
-    let mut rates: Vec<(BackendKind, HashAlgo, f64)> = Vec::new();
-    for &kind in &kinds {
-        let backend = backend_of(kind);
-        let mut line = format!("{:<10}", kind.name());
+    let mut rates: Vec<(&str, HashAlgo, f64)> = Vec::new();
+    for (name, backend) in &backends {
+        let mut line = format!("{name:<10}");
         for algo in ALGOS {
             let rate = backend.tuned_rate(algo);
             let _ = write!(line, " {rate:>10.3}");
-            rates.push((kind, algo, rate));
+            rates.push((name, algo, rate));
         }
         println!("{line}");
     }
-    let choices: Vec<(HashAlgo, String)> =
-        ALGOS.into_iter().map(|algo| (algo, auto.choice_name(algo))).collect();
+    let choices: Vec<(HashAlgo, String)> = ALGOS
+        .into_iter()
+        .map(|algo| (algo, Kernel::detect_for(Lanes::default(), algo).name()))
+        .collect();
     println!(
-        "auto tuned in: {}",
+        "cpu backend runs: {}",
         choices
             .iter()
             .map(|(algo, choice)| format!("{}={choice}", algo_key(*algo)))
@@ -100,12 +91,11 @@ pub(super) fn cmd_bench(args: &Args) -> Result<(), String> {
             None => "null".to_string(),
         };
         let mut rates_body = String::new();
-        for (kind, algo, rate) in &rates {
+        for (name, algo, rate) in &rates {
             let _ = write!(
                 rates_body,
-                "{}    {{\"backend\": \"{}\", \"algo\": \"{}\", \"mkeys_per_s\": {rate:.3}}}",
+                "{}    {{\"backend\": \"{name}\", \"algo\": \"{}\", \"mkeys_per_s\": {rate:.3}}}",
                 if rates_body.is_empty() { "" } else { ",\n" },
-                kind.name(),
                 algo_key(*algo)
             );
         }
@@ -146,7 +136,7 @@ mod tests {
         assert!(body.contains("\"avx2\""), "{body}");
         assert!(body.contains("\"simd_isa\""), "{body}");
         assert!(body.contains("\"auto_choices\""), "{body}");
-        assert!(body.contains("\"backend\": \"auto\""), "{body}");
+        assert!(body.contains("\"backend\": \"cpu\""), "{body}");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -3,9 +3,8 @@
 use crate::args::Args;
 use eks_cluster::SimKernelBackend;
 use eks_cracker::{
-    cpu_backend, crack_parallel_backend_observed, crack_parallel_observed, crack_space_parallel,
-    render_worker_stats, space_kernel, AutoBackend, HashTarget, Lanes, ParallelConfig,
-    SimdBackend, TargetSet,
+    cpu_backend, crack_parallel_backend_observed, crack_space_parallel, render_worker_stats,
+    CpuBackend, HashTarget, Kernel, Lanes, ParallelConfig, TargetSet,
 };
 use eks_engine::{Backend, BackendKind, ProgressEvent, SchedPolicy};
 use eks_gpusim::device::DeviceCatalog;
@@ -34,56 +33,58 @@ fn parse_lanes(args: &Args) -> Result<Lanes, String> {
     Ok(lanes)
 }
 
-/// `--backend scalar|lanes8|lanes16|simd|auto|simgpu` names an engine
-/// backend explicitly. It subsumes the older `--lanes`/`--batch` pair,
-/// so combining them is contradictory and rejected; `simgpu` drives the
-/// kernel of the device picked by `--device` (default: the GTX 660);
-/// `simd` runs the explicit AVX2/AVX-512/NEON kernels (widest detected
-/// ISA, or the one forced by `--isa`); `auto` tunes every CPU
-/// implementation per algorithm and runs the winner. An unavailable
-/// forced ISA is a CLI error naming what the CPU actually supports.
-fn parse_backend(args: &Args, telemetry: &Telemetry) -> Result<Option<Box<dyn Backend>>, String> {
-    let Some(s) = args.get("backend") else {
-        if args.has("isa") {
-            return Err("--isa applies only to --backend simd".into());
-        }
-        return Ok(None);
-    };
-    if args.has("lanes") || args.has("batch") {
+/// The engine backend of a plain charset search: `--backend
+/// scalar|cpu|simgpu`, or the `cpu` backend for `--lanes` when none is
+/// named. `cpu` runs the widest explicit-SIMD kernel the CPU has, else
+/// the portable lanes; `--isa avx2|avx512|neon` forces one ISA instead
+/// (an unavailable one is a CLI error naming what the CPU supports);
+/// `simgpu` drives the kernel of the device picked by `--device`
+/// (default: the GTX 660). Older spellings still parse: `lanes8`,
+/// `lanes16`, `auto` = `cpu`; `simd` = `cpu` but an error without an
+/// explicit ISA.
+/// `--backend` subsumes `--lanes`/`--batch`, so combining them is
+/// rejected.
+fn parse_backend(
+    args: &Args,
+    lanes: Lanes,
+    telemetry: &Telemetry,
+) -> Result<Box<dyn Backend>, String> {
+    let spelling = args.get("backend");
+    if spelling.is_some() && (args.has("lanes") || args.has("batch")) {
         return Err("--backend conflicts with --lanes/--batch".into());
     }
-    let kind = BackendKind::parse(s).ok_or(format!(
-        "unsupported --backend {s:?} (scalar, lanes8, lanes16, simd, auto or simgpu)"
-    ))?;
-    if args.has("isa") && kind != BackendKind::Simd {
-        return Err("--isa applies only to --backend simd".into());
+    let kind = match spelling {
+        Some(s) => BackendKind::parse(s)
+            .ok_or(format!("unsupported --backend {s:?} (scalar, cpu or simgpu)"))?,
+        None if lanes == Lanes::Scalar => BackendKind::Scalar,
+        None => BackendKind::Cpu,
+    };
+    if args.has("isa") && kind != BackendKind::Cpu {
+        return Err("--isa applies only to the cpu backend".into());
     }
-    Ok(Some(match kind {
+    Ok(match kind {
         BackendKind::Scalar => cpu_backend(Lanes::Scalar),
-        BackendKind::Lanes8 => cpu_backend(Lanes::L8),
-        BackendKind::Lanes16 => cpu_backend(Lanes::L16),
-        BackendKind::Simd => {
-            let backend = match args.get("isa") {
-                Some(name) => {
+        BackendKind::Cpu => {
+            let backend = match (args.get("isa"), spelling) {
+                (Some(name), _) => {
                     let isa = SimdIsa::parse(name)
                         .ok_or(format!("unsupported --isa {name:?} (avx2, avx512 or neon)"))?;
-                    SimdBackend::new(isa)?
+                    CpuBackend::new(isa)?
                 }
-                None => SimdBackend::best().ok_or_else(|| {
+                (None, Some("simd")) => CpuBackend::best().ok_or(
                     "no explicit-SIMD ISA detected on this CPU; \
-                     use --backend auto for the portable-lane fallback"
-                        .to_string()
-                })?,
+                     use --backend cpu for the portable-lane fallback",
+                )?,
+                (None, _) => CpuBackend::detect(lanes),
             };
             Box::new(backend.with_telemetry(telemetry.clone()))
         }
-        BackendKind::Auto => Box::new(AutoBackend::new(telemetry.clone())),
         BackendKind::SimGpu => {
             let device =
                 DeviceCatalog::find(args.get_or("device", "660")).ok_or("unknown --device")?;
             Box::new(SimKernelBackend::new(device))
         }
-    }))
+    })
 }
 
 /// How often the periodic progress line refreshes (telemetry-clock ns).
@@ -124,7 +125,7 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
     let (telemetry, log) = parse_telemetry(args)?;
     let _metrics_server = spawn_metrics_server(args, &telemetry, None)?;
     arm_flight_recorder(args, &telemetry);
-    let backend = parse_backend(args, &telemetry)?;
+    let backend = parse_backend(args, lanes, &telemetry)?;
     let chunk = parse_chunk(args)?;
     let sched = parse_sched(args, SchedPolicy::Steal)?;
     let retune = parse_retune(args)?;
@@ -132,8 +133,8 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
         || args.get("words").is_some()
         || args.get("salt-prefix").is_some()
         || args.get("salt-suffix").is_some();
-    if backend.is_some() && structured {
-        return Err("--backend applies only to plain charset searches".into());
+    if (args.has("backend") || args.has("isa")) && structured {
+        return Err("--backend/--isa apply only to plain charset searches".into());
     }
     if args.get("sched").is_some() && structured {
         return Err("--sched applies only to plain charset searches".into());
@@ -153,7 +154,8 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
     };
     // `simd-avx512`, `lanes8 [autovec]`, `scalar`: what will run.
     let kernel = || {
-        let (name, isa) = space_kernel(lanes, algo);
+        let kernel = Kernel::detect_for(lanes, algo);
+        let (name, isa) = (kernel.name(), kernel.isa());
         if name.ends_with(isa) { name } else { format!("{name} [{isa}]") }
     };
 
@@ -268,33 +270,24 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
     // per-architecture choice) and its tuned rate, so `eks report` can
     // show them next to the cost-model terms. Guarded on the enabled
     // handle because the tuned rate runs a short timed sweep.
-    if let Some(b) = backend.as_deref() {
-        if telemetry.is_enabled() {
-            let name = b.name();
-            if let Some(isa) = b.isa(algo) {
-                telemetry
-                    .gauge(names::BACKEND_ISA, &[("backend", &name), ("isa", &isa)])
-                    .set(1.0);
-            }
-            telemetry
-                .gauge(names::BACKEND_RATE_MKEYS, &[("backend", &name)])
-                .set(b.tuned_rate(algo));
+    if telemetry.is_enabled() {
+        let name = backend.name();
+        if let Some(isa) = backend.isa(algo) {
+            telemetry.gauge(names::BACKEND_ISA, &[("backend", &name), ("isa", &isa)]).set(1.0);
         }
+        telemetry
+            .gauge(names::BACKEND_RATE_MKEYS, &[("backend", &name)])
+            .set(backend.tuned_rate(algo));
     }
-    let report = match backend {
-        Some(b) => crack_parallel_backend_observed(
-            &space,
-            &targets,
-            space.interval(),
-            b.as_ref(),
-            config,
-            &telemetry,
-            progress,
-        ),
-        None => {
-            crack_parallel_observed(&space, &targets, space.interval(), config, &telemetry, progress)
-        }
-    };
+    let report = crack_parallel_backend_observed(
+        &space,
+        &targets,
+        space.interval(),
+        backend.as_ref(),
+        config,
+        &telemetry,
+        progress,
+    );
     if args.has("stats") {
         print!("{}", render_worker_stats(&report.stats));
     }
@@ -337,7 +330,6 @@ fn finish_report(report: eks_cracker::ParallelReport) -> Result<(), String> {
 mod tests {
     use crate::args::Args;
     use crate::commands::run;
-    use eks_engine::BackendKind;
     use eks_hashes::{to_hex, HashAlgo, SimdIsa};
     use eks_telemetry::{names, parse_prometheus};
 
@@ -373,8 +365,9 @@ mod tests {
     #[test]
     fn crack_backend_flag() {
         let digest = to_hex(&HashAlgo::Md5.hash(b"cab"));
-        let mut backends = vec!["scalar", "lanes8", "lanes16", "auto", "simgpu"];
-        if BackendKind::Simd.is_available() {
+        // The three kinds, then the older spellings of `cpu`.
+        let mut backends = vec!["scalar", "cpu", "simgpu", "lanes8", "lanes16", "auto"];
+        if SimdIsa::detect().is_some() {
             backends.push("simd");
         }
         for backend in backends {
@@ -383,32 +376,45 @@ mod tests {
             ]);
             assert!(run("crack", &a).is_ok(), "--backend {backend}");
         }
+        // `--isa <detected>` forces the cpu backend's kernel, named or not.
+        if let Some(isa) = SimdIsa::detect() {
+            for backend in [&["--backend", "cpu"][..], &["--backend", "simd"], &["--lanes", "16"], &[]] {
+                let mut argv =
+                    vec!["crack", "--digest", &digest, "--max", "3", "--isa", isa.name()];
+                argv.extend_from_slice(backend);
+                assert!(run("crack", &args(&argv)).is_ok(), "--isa {isa} with {backend:?}");
+            }
+        }
         let bad = args(&["crack", "--digest", &digest, "--backend", "cuda"]);
         assert!(run("crack", &bad).is_err(), "unknown backend");
         let bad_isa = args(&[
             "crack", "--digest", &digest, "--backend", "simd", "--isa", "mmx",
         ]);
         assert!(run("crack", &bad_isa).is_err(), "unknown --isa");
-        let stray_isa = args(&["crack", "--digest", &digest, "--isa", "avx2"]);
-        assert!(run("crack", &stray_isa).is_err(), "--isa without --backend simd");
+        for other in [&["--backend", "scalar"][..], &["--backend", "simgpu"], &["--lanes", "scalar"]] {
+            let mut argv = vec!["crack", "--digest", &digest, "--max", "3", "--isa", "avx2"];
+            argv.extend_from_slice(other);
+            let err = run("crack", &args(&argv)).expect_err("--isa needs the cpu backend");
+            assert!(err.contains("--isa"), "{other:?}: {err}");
+        }
         // Forcing an ISA the CPU lacks must be a friendly error, not a
         // panic; at most one of the ISAs can be the detected one.
         for isa in ["avx2", "avx512", "neon"] {
             if SimdIsa::parse(isa).is_some_and(|i| i.is_available()) {
                 continue;
             }
-            let forced = args(&[
-                "crack", "--digest", &digest, "--max", "3", "--backend", "simd", "--isa", isa,
-            ]);
-            assert!(run("crack", &forced).is_err(), "unavailable --isa {isa}");
+            let forced = args(&["crack", "--digest", &digest, "--max", "3", "--isa", isa]);
+            let err = run("crack", &forced).expect_err("unavailable --isa");
+            assert!(err.contains("detected"), "--isa {isa} names the detected set: {err}");
         }
         let conflict =
             args(&["crack", "--digest", &digest, "--backend", "scalar", "--lanes", "8"]);
         assert!(run("crack", &conflict).is_err(), "--backend conflicts with --lanes");
-        let masked = args(&[
-            "crack", "--digest", &digest, "--backend", "scalar", "--mask", "?l?l?l",
-        ]);
-        assert!(run("crack", &masked).is_err(), "--backend is plain-search only");
+        for flag in [["--backend", "scalar"], ["--isa", "avx2"]] {
+            let masked =
+                args(&["crack", "--digest", &digest, flag[0], flag[1], "--mask", "?l?l?l"]);
+            assert!(run("crack", &masked).is_err(), "{} is plain-search only", flag[0]);
+        }
         let nodev =
             args(&["crack", "--digest", &digest, "--backend", "simgpu", "--device", "voodoo2"]);
         assert!(run("crack", &nodev).is_err(), "unknown simgpu device");
@@ -469,29 +475,35 @@ mod tests {
     }
 
     #[test]
-    fn crack_with_auto_backend_records_isa_and_tuned_rate_gauges() {
+    fn crack_records_isa_and_tuned_rate_gauges_with_and_without_a_backend_flag() {
         let dir = std::env::temp_dir();
-        let metrics = dir.join(format!("eks-cli-isa-{}.prom", std::process::id()));
         let digest = to_hex(&HashAlgo::Md5.hash(b"zzz"));
-        let a = args(&[
-            "crack", "--digest", &digest, "--max", "3", "--threads", "2", "--all",
-            "--backend", "auto", "--metrics-out", metrics.to_str().unwrap(),
-        ]);
-        assert!(run("crack", &a).is_ok());
-        let samples = parse_prometheus(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-        assert!(
-            samples.iter().any(|s| s.name == names::BACKEND_ISA
-                && s.label("backend") == Some("auto")
-                && s.value == 1.0),
-            "{samples:?}"
-        );
-        assert!(
-            samples
-                .iter()
-                .any(|s| s.name == names::BACKEND_RATE_MKEYS && s.value > 0.0),
-            "{samples:?}"
-        );
-        std::fs::remove_file(&metrics).ok();
+        let detected = SimdIsa::detect().map_or("autovec", SimdIsa::name);
+        for (tag, backend, isa) in [
+            ("default", &[][..], detected),
+            ("auto", &["--backend", "auto"], detected),
+            ("scalar", &["--lanes", "scalar"], "scalar"),
+        ] {
+            let metrics = dir.join(format!("eks-cli-isa-{tag}-{}.prom", std::process::id()));
+            let mut argv = vec![
+                "crack", "--digest", &digest, "--max", "3", "--threads", "2", "--all",
+                "--metrics-out", metrics.to_str().unwrap(),
+            ];
+            argv.extend_from_slice(backend);
+            assert!(run("crack", &args(&argv)).is_ok(), "{tag}");
+            let samples = parse_prometheus(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+            assert!(
+                samples.iter().any(|s| s.name == names::BACKEND_ISA
+                    && s.label("isa") == Some(isa)
+                    && s.value == 1.0),
+                "{tag}: {samples:?}"
+            );
+            assert!(
+                samples.iter().any(|s| s.name == names::BACKEND_RATE_MKEYS && s.value > 0.0),
+                "{tag}: {samples:?}"
+            );
+            std::fs::remove_file(&metrics).ok();
+        }
     }
 
     #[test]

@@ -16,15 +16,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::args::Args;
-use eks_cracker::{cpu_backend, Lanes};
-use eks_engine::checkpoint::escape_json;
+use eks_cracker::CpuBackend;
 use eks_hashes::{from_hex, HashAlgo};
 use eks_jobs::{
     Fleet, FleetMember, JobId, JobRecord, JobService, JobSpec, JobState, JobStore, ServiceConfig,
 };
 use eks_keyspace::Order;
 use eks_telemetry::parse::{parse_json, Json};
-use eks_telemetry::{names, Telemetry};
+use eks_telemetry::{json_string, names, Telemetry};
 
 use super::{
     parse_algo, parse_charset, parse_telemetry, parse_threads, spawn_metrics_server,
@@ -168,7 +167,7 @@ fn jobs_fn(store: &JobStore) -> eks_telemetry::JobsFn {
     let store = store.clone();
     Arc::new(move || {
         jobs_list_json(&store)
-            .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"{}\"}}", escape_json(&e)))
+            .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":{}}}", json_string(&e)))
     })
 }
 
@@ -179,7 +178,7 @@ fn host_fleet(threads: usize) -> Fleet {
         .map(|i| FleetMember {
             label: format!("host/cpu{i} [lanes8]"),
             weight: 1.0,
-            backend: cpu_backend(Lanes::L8),
+            backend: Box::new(CpuBackend::default()),
         })
         .collect();
     Fleet::new(members)
@@ -320,7 +319,7 @@ fn handle_conn(conn: &mut TcpStream, shared: &Shared) {
         }
         let response = match respond(shared, &line) {
             Ok(body) => body,
-            Err(e) => format!("{{\"error\":\"{}\"}}", escape_json(&e)),
+            Err(e) => format!("{{\"error\":{}}}", json_string(&e)),
         };
         if writeln!(conn, "{response}").is_err() {
             break;

@@ -58,17 +58,15 @@ fn print_help() {
     println!("  crack    --algo md5|sha1|ntlm --digest HEX [--charset lower|upper|digits|alpha|alnum|print]");
     println!("           [--min N] [--max N] [--threads N] [--all] [--salt-prefix S] [--salt-suffix S]");
     println!("           [--mask \"?u?l?l?d?d\"] [--words w1,w2,... [--suffix-digits N]]");
-    println!("           [--batch] [--lanes scalar|8|16]   lane-batched hashing: the widest explicit-SIMD");
-    println!("           kernel the CPU has, else 8 (default) or 16 portable lanes — for");
-    println!("           --mask/--words too (the log line names the kernel; --stats works);");
-    println!("           salted searches hash one key at a time");
-    println!("           [--backend scalar|lanes8|lanes16|simd|auto|simgpu [--device 660]]");
-    println!("           pick the engine backend explicitly: simd runs the explicit");
-    println!("           AVX2/AVX-512/NEON kernels on the widest ISA the CPU reports");
-    println!("           ([--isa avx2|avx512|neon] forces one; unavailable ISAs are a");
-    println!("           friendly error), auto tunes every CPU implementation per");
-    println!("           algorithm and runs the winner, simgpu drives a simulated");
-    println!("           device's kernel");
+    println!("           [--backend scalar|cpu|simgpu [--device 660]] [--isa avx2|avx512|neon]");
+    println!("           the engine backend (default: cpu): cpu hashes a batch of keys in");
+    println!("           lockstep on the widest explicit-SIMD kernel the CPU has, else on 8");
+    println!("           portable lanes; --isa forces one ISA instead (unavailable ISAs are a");
+    println!("           friendly error); simgpu drives a simulated device's kernel.");
+    println!("           --mask/--words run the cpu kernel too (the log line names it;");
+    println!("           --stats works); salted searches hash one key at a time");
+    println!("           older spellings: --backend lanes8|lanes16|simd|auto = cpu,");
+    println!("           --lanes 8|16 / --batch = cpu, --lanes scalar = scalar");
     println!("           [--sched static|queue|steal]   worker scheduling (default: steal —");
     println!("           per-worker interval deques with steal-half rebalancing)");
     println!("           [--chunk N]   chunk size: the fixed pop in queue mode, the guided");
@@ -129,7 +127,7 @@ fn print_help() {
     println!("  bench    [--json FILE]                   tune every CPU backend on this host");
     println!("           and print the per-(backend, algo) rates, the detected CPU");
     println!("           features, and the selected ISA; --json writes the schema-3");
-    println!("           host-tuning report (cpu_features, rates, per-algo auto choice)");
+    println!("           host-tuning report (cpu_features, rates, per-algo cpu kernel)");
     println!("  job      --spool DIR submit|list|status|cancel|pause|resume|run");
     println!("           submit --algo md5|sha1|ntlm --digest HEX [--name S] [--charset ...]");
     println!("           [--min N] [--max N] [--priority N] [--first-hit]   enqueue a job");

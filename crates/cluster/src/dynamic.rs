@@ -610,7 +610,7 @@ mod tests {
     mod search {
         use super::*;
         use crate::simgpu::SimKernelBackend;
-        use eks_cracker::LaneBackend;
+        use eks_cracker::CpuBackend;
         use eks_gpusim::device::Device;
         use eks_hashes::HashAlgo;
         use eks_keyspace::{Charset, KeySpace, Order};
@@ -625,7 +625,7 @@ mod tests {
         }
 
         fn cpu(name: &str) -> (String, Box<dyn Backend>) {
-            (name.to_string(), Box::new(LaneBackend::default()))
+            (name.to_string(), Box::new(CpuBackend::default()))
         }
 
         fn gpu(name: &str) -> (String, Box<dyn Backend>) {

@@ -14,7 +14,7 @@
 //! members, and coverage accounting lives in the job records — a leaver
 //! never takes assigned-but-unscanned keys with it.
 
-use eks_cracker::AutoBackend;
+use eks_cracker::CpuBackend;
 use eks_engine::Backend;
 use eks_hashes::HashAlgo;
 use eks_jobs::{Fleet, FleetMember, JobError, JobId, JobService};
@@ -27,7 +27,7 @@ use crate::tuning::tune_cpu;
 /// Build the shared job fleet from a cluster description: one member
 /// per simulated GPU (label `node/device [simgpu]`) and one per CPU
 /// worker thread (all threads of a worker share the `node/cpu
-/// [auto:choice]` label, so their credits accumulate per device exactly
+/// [auto:kernel]` label, so their credits accumulate per device exactly
 /// as in the single-search runtime). Weights are tuned rates for
 /// `algo`, the fleet's *reference* algorithm — jobs hashing something
 /// else still scan correctly, and stealing absorbs the rate skew.
@@ -54,9 +54,8 @@ fn collect_members(
     }
     for cpu in &node.cpus {
         let rate = tune_cpu(cpu, algo).achieved_mkeys;
-        let backend = AutoBackend::new(telemetry.clone());
-        let choice = backend.choice_name(algo);
-        let label = format!("{}/{} [auto:{}]", node.name, cpu.name, choice);
+        let backend = CpuBackend::default().with_telemetry(telemetry.clone());
+        let label = format!("{}/{} [auto:{}]", node.name, cpu.name, backend.kernel().name());
         if telemetry.is_enabled() {
             telemetry.gauge(names::DEVICE_RATE_MKEYS, &[("device", &label)]).set(rate);
         }
@@ -64,12 +63,12 @@ fn collect_members(
         // an equal slice of the worker's tuned rate; the shared label
         // keeps accounting per device rather than per thread.
         let per_thread = rate / cpu.threads.max(1) as f64;
-        let mut backends: Vec<Box<dyn Backend>> = vec![Box::new(backend)];
-        for _ in 1..cpu.threads {
-            backends.push(Box::new(AutoBackend::new(telemetry.clone())));
-        }
-        for b in backends {
-            out.push(FleetMember { label: label.clone(), weight: per_thread, backend: b });
+        for _ in 0..cpu.threads.max(1) {
+            out.push(FleetMember {
+                label: label.clone(),
+                weight: per_thread,
+                backend: Box::new(backend.clone()),
+            });
         }
     }
     for child in &node.children {

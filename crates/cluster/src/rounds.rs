@@ -9,7 +9,7 @@
 //! path; every identifier is still tested exactly once.
 //!
 //! Workers are [`eks_engine::Backend`] leaves (a [`SimKernelBackend`] per
-//! device, a [`LaneBackend`] per CPU worker) and every scan runs through
+//! device, a [`CpuBackend`] per CPU worker) and every scan runs through
 //! the one [`Dispatcher`] core, which owns the stop flag, the hit merge
 //! and the per-device accounting; this module only keeps the round
 //! bookkeeping the dispatcher does not know about: the [`Checkpoint`] of
@@ -22,7 +22,7 @@
 
 use eks_cracker::resume::Checkpoint;
 use eks_cracker::target::TargetSet;
-use eks_cracker::{LaneBackend, ObservedLaneBackend};
+use eks_cracker::CpuBackend;
 use eks_engine::{
     Backend, DequeLeaf, Dispatcher, IntervalDeques, RateBook, ScanMode, ScanReport, SchedOptions,
     SchedPolicy, WorkerId, WorkerStats,
@@ -101,18 +101,13 @@ fn members(root: &ClusterNode, algo: eks_hashes::HashAlgo, telemetry: &Telemetry
             });
         }
         for cpu in &n.cpus {
-            let lanes = LaneBackend::default();
-            // The observed batch path routes fill/hash timing and
-            // prefilter counters into the shared registry.
-            let backend: Box<dyn Backend> = if telemetry.is_enabled() {
-                Box::new(ObservedLaneBackend::new(lanes.lanes, telemetry.clone()))
-            } else {
-                Box::new(lanes)
-            };
+            // The batch path routes fill/hash timing and prefilter
+            // counters into the shared registry.
+            let backend = CpuBackend::default().with_telemetry(telemetry.clone());
             out.push(Member {
-                label: format!("{}/{} [{}]", n.name, cpu.name, lanes.name()),
+                label: format!("{}/{} [{}]", n.name, cpu.name, backend.name()),
                 weight: tune_cpu(cpu, algo).achieved_mkeys,
-                backend,
+                backend: Box::new(backend),
             });
         }
         stack.extend(n.children.iter());

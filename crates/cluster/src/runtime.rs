@@ -5,11 +5,12 @@
 //! exactly as the paper's scatter step does — every interval is split by
 //! the tuned throughput ratios (`N_j = N_max · X_j / X_max`) at every
 //! level — and yields one [`eks_engine::Backend`] leaf per device thread:
-//! a [`SimKernelBackend`] per simulated GPU, an [`AutoBackend`] per CPU
-//! worker thread (the tuned winner among the explicit-SIMD kernels, or
-//! among the portable lane widths where the CPU has none). Execution then runs every leaf through one
-//! [`Dispatcher`], which owns the shared stop flag (the paper's periodic
-//! stop-condition check), the hit merge, and the per-device accounting.
+//! a [`SimKernelBackend`] per simulated GPU, a [`CpuBackend`] per CPU
+//! worker thread (the widest explicit-SIMD kernel the CPU has, or the
+//! portable lanes where it has none). Execution then runs every leaf
+//! through one [`Dispatcher`], which owns the shared stop flag (the
+//! paper's periodic stop-condition check), the hit merge, and the
+//! per-device accounting.
 
 // Indexing/slicing below is over fixed-size state arrays or lengths
 // established by construction; the workspace `clippy::indexing_slicing`
@@ -20,7 +21,7 @@ use eks_hashes::HashAlgo;
 use eks_keyspace::{Interval, Key, KeySpace};
 
 use eks_cracker::target::TargetSet;
-use eks_cracker::AutoBackend;
+use eks_cracker::CpuBackend;
 use eks_engine::{
     Backend, DequeLeaf, Dispatcher, IntervalDeques, Retune, ScanMode, SchedOptions, SchedPolicy,
     WorkerId, WorkerStats,
@@ -251,14 +252,13 @@ fn plan_node(
         } else if i < n_devices + n_cpus {
             // A CPU worker fans its share out over its own threads; all
             // of them are credited to the one device-level worker. Each
-            // thread runs the auto-tuned backend, so the leaf picks the
-            // fastest implementation (an explicit-SIMD kernel, else a
-            // portable lane width) per algorithm — the paper's §V
+            // thread runs the detected kernel (the widest explicit-SIMD
+            // ISA, else the portable lanes) — the paper's §V
             // per-architecture specialization applied at scatter time.
             let cpu = &node.cpus[i - n_devices];
-            let backend = AutoBackend::new(telemetry.clone());
-            let choice = backend.choice_name(algo);
-            let label = format!("{}/{} [auto:{}]", node.name, cpu.name, choice);
+            let backend = CpuBackend::default().with_telemetry(telemetry.clone());
+            let label =
+                format!("{}/{} [auto:{}]", node.name, cpu.name, backend.kernel().name());
             if telemetry.is_enabled() {
                 telemetry.gauge(names::DEVICE_RATE_MKEYS, &[("device", &label)]).set(weights[i]);
                 if let Some(isa) = backend.isa(algo) {
@@ -268,16 +268,9 @@ fn plan_node(
                 }
             }
             let worker = dispatcher.register(label);
-            let mut subs = part.split_even(cpu.threads).into_iter();
-            // Reuse the tuned backend for the first thread; clones of the
-            // telemetry handle share the registry, and the per-process
-            // tuning cache makes the extra constructions free.
-            if let Some(sub) = subs.next() {
-                leaves.push(Leaf { worker, backend: Box::new(backend), interval: sub });
-            }
-            for sub in subs {
-                let b = AutoBackend::new(telemetry.clone());
-                leaves.push(Leaf { worker, backend: Box::new(b), interval: sub });
+            // Clones share the telemetry registry.
+            for sub in part.split_even(cpu.threads) {
+                leaves.push(Leaf { worker, backend: Box::new(backend.clone()), interval: sub });
             }
         } else {
             plan_node(

@@ -29,8 +29,7 @@ use std::collections::HashSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Mutex, OnceLock};
 
-use eks_cracker::batch::Lanes;
-use eks_cracker::LaneBackend;
+use eks_cracker::CpuBackend;
 use eks_engine::{Backend, ScanMode, ScanReport, TargetSet};
 use eks_gpusim::device::Device;
 use eks_hashes::padding::{pad_md5_block, pad_sha_block};
@@ -53,13 +52,13 @@ const FIDELITY_SAMPLES: u128 = 3;
 #[derive(Debug, Clone)]
 pub struct SimKernelBackend {
     device: Device,
-    bulk: LaneBackend,
+    bulk: CpuBackend,
 }
 
 impl SimKernelBackend {
     /// A backend driving kernels on `device`.
     pub fn new(device: Device) -> Self {
-        Self { device, bulk: LaneBackend::new(Lanes::L16) }
+        Self { device, bulk: CpuBackend::default() }
     }
 
     /// The simulated device.

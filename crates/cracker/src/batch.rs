@@ -10,24 +10,22 @@
 //! all lanes together, and the [`TargetSet`] prefilter reduces the common
 //! miss to one `u32` compare per lane.
 //!
-//! That loop exists once (`crack_lanes`) and is generic in two
-//! directions. *Where the blocks come from* is the space's business
-//! ([`BlockSpace::blocks`]): `BlockBatch` for a `KeySpace`, the run-based
-//! `MaskBlocks` for a mask, the advance-and-re-pad `KeyBlocks` for a
-//! hybrid dictionary — Section III's "only `f` and `next` change". *What
-//! hashes them* is one of two families of lane hashers. The explicit cores
-//! of `eks-hashes::simd` ([`crack_interval_simd`]) are compiled per ISA
-//! and picked by runtime detection; they are what every CPU backend and
-//! `crack_space_parallel` run where the CPU has one (`crate::backend`).
-//! The portable structure-of-arrays cores of `eks-hashes::lanes`
-//! ([`crack_interval_batched`], `L` = 8 or 16) are plain Rust that the
-//! compiler may vectorise for the *build's* target: with
-//! `-C target-cpu=native` it does, in the baseline x86-64 build it emits
-//! scalar code (a whole scan costs 55–60 ns/key for single-target MD5
-//! and 60–105 for SHA-1, against 6 and 14–22 on AVX-512). They stay as
-//! the fallback for CPUs without an explicit ISA, as a tuning candidate
-//! there, and as the second implementation the equivalence tests compare
-//! against.
+//! That loop exists once (`crack_lanes`), behind one entry point
+//! ([`crack_interval_batched`]), and is generic in two directions. *Where
+//! the blocks come from* is the space's business ([`BlockSpace::blocks`]):
+//! `BlockBatch` for a `KeySpace`, the run-based `MaskBlocks` for a mask,
+//! the advance-and-re-pad `KeyBlocks` for a hybrid dictionary —
+//! Section III's "only `f` and `next` change". *What hashes them* is the
+//! [`Kernel`]: one family of compression cores (`eks-hashes::simd`),
+//! instantiated per ISA behind runtime detection — what
+//! [`Kernel::detect`], hence every CPU backend and `crack_space_parallel`,
+//! picks where the CPU has one — or over plain arrays ([`AutoVec`], `L` =
+//! 8 or 16), which the compiler vectorises only as far as the *build's*
+//! target allows: with `-C target-cpu=native` it does, in the baseline
+//! x86-64 build it emits scalar code (a whole scan costs 40–51 ns/key
+//! for single-target MD5 and 118–133 for SHA-1, against 5 and 17 on
+//! AVX-512: BENCH_cracker.json, `portable8`/`portable16` vs `cpu`). The portable instantiation is the fallback for CPUs without
+//! an explicit ISA and a second participant in the equivalence tests.
 //!
 //! The MD5 step-reversal optimization (Section V-B) composes with
 //! batching: when a batch's candidates share every block word except
@@ -61,11 +59,10 @@ use crate::generic::crack_space_interval;
 use crate::target::TargetSet;
 
 /// Lane width of the *portable* batched test path — how many candidates
-/// [`crack_interval_batched`] tests in lockstep. It says nothing about
+/// [`Kernel::Portable`] tests in lockstep. It says nothing about
 /// registers: whether a width vectorises is up to the compiler and the
-/// build's target features, and a CPU backend built for a width runs the
-/// detected explicit-SIMD kernel (16 or 32 keys per batch) instead when
-/// there is one.
+/// build's target features, and [`Kernel::detect`] picks the explicit-SIMD
+/// kernel (16 or 32 keys per batch) instead when the CPU has one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Lanes {
     /// The scalar reference path: one candidate at a time.
@@ -131,17 +128,6 @@ pub(crate) fn needs_scalar_fallback(algo: HashAlgo) -> bool {
     algo.base() != algo
 }
 
-/// The scalar oracle over `interval`.
-fn crack_scalar<S: BlockSpace>(
-    space: &S,
-    targets: &TargetSet,
-    interval: Interval,
-    stop: &AtomicBool,
-    first_hit_only: bool,
-) -> CrackOutcome {
-    crack_space_interval(space, targets, interval.start, interval.len, stop, first_hit_only)
-}
-
 /// Every `SAMPLE_MASK + 1`-th batch gets its fill and hash phases wall-
 /// timed when telemetry is on; all other batches run untimed, so the
 /// instrumented loop stays within the bench's overhead gate.
@@ -170,113 +156,98 @@ impl BatchInstruments {
     }
 }
 
+/// One batched kernel the CPU can run, resolved once (per backend, per
+/// search) and matched on per scan to pick the lane loop's width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Kernel {
+    /// The portable cores at a lane width (or the scalar engine).
+    Portable(Lanes),
+    /// The explicit kernels of a detected ISA. The [`SimdHasher`] is the
+    /// proof of availability: only runtime detection builds one.
+    Simd(SimdHasher),
+}
+
+impl Kernel {
+    /// What a CPU worker asked for `lanes` runs: the widest explicit ISA
+    /// the CPU has, else the portable cores at that width. Scalar stays
+    /// scalar — it is the reference.
+    pub fn detect(lanes: Lanes) -> Self {
+        match (lanes, SimdHasher::best()) {
+            (Lanes::L8 | Lanes::L16, Some(hasher)) => Kernel::Simd(hasher),
+            _ => Kernel::Portable(lanes),
+        }
+    }
+
+    /// [`Kernel::detect`] for a search whose algorithm is known up
+    /// front: one the lane kernels cannot run is the scalar engine's.
+    /// What `crack_space_parallel` resolves, so a caller can say what
+    /// will run before it does.
+    pub fn detect_for(lanes: Lanes, algo: HashAlgo) -> Self {
+        if needs_scalar_fallback(algo) {
+            Kernel::Portable(Lanes::Scalar)
+        } else {
+            Kernel::detect(lanes)
+        }
+    }
+
+    /// `lanes8`, `simd-avx512`, `scalar`: the name of the backend that
+    /// runs exactly this kernel.
+    pub fn name(self) -> String {
+        match self {
+            Kernel::Portable(Lanes::Scalar) => "scalar".into(),
+            Kernel::Portable(lanes) => format!("lanes{}", lanes.width()),
+            Kernel::Simd(hasher) => format!("simd-{}", hasher.isa()),
+        }
+    }
+
+    /// The instruction set the kernel's hash cores are compiled for.
+    pub fn isa(self) -> &'static str {
+        match self {
+            Kernel::Portable(Lanes::Scalar) => "scalar",
+            Kernel::Portable(_) => "autovec",
+            Kernel::Simd(hasher) => hasher.isa().name(),
+        }
+    }
+}
+
 /// Like [`crack_space_interval`] (for a `KeySpace`, like
-/// [`crate::engine::crack_interval`]) but testing `lanes` candidates in
-/// lockstep on the portable cores — always, whatever the CPU offers: this
-/// is the fallback the backends dispatch to and the reference the
-/// explicit kernels are compared against.
+/// [`crate::engine::crack_interval`]) but testing a batch of candidates
+/// in lockstep on `kernel` — exactly that kernel, whatever the CPU
+/// offers; [`Kernel::detect`] is where the choice is made.
+///
 /// Produces the same hits as the scalar engine over the same interval;
 /// `tested` counts whole batches, so a first-hit stop may report up to
 /// `L - 1` more candidates than the scalar path (the other lanes really
-/// were tested — in lockstep).
+/// were tested — in lockstep). An enabled `telemetry` handle adds sampled
+/// batch-fill vs. lane-hash wall time and `TargetSet` prefilter hit/miss
+/// counters (flushed once per scan, never per key).
 pub fn crack_interval_batched<S: BlockSpace>(
     space: &S,
     targets: &TargetSet,
     interval: Interval,
     stop: &AtomicBool,
     first_hit_only: bool,
-    lanes: Lanes,
-) -> CrackOutcome {
-    crack_interval_batched_observed(
-        space,
-        targets,
-        interval,
-        stop,
-        first_hit_only,
-        lanes,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`crack_interval_batched`] with batch-path telemetry: sampled
-/// batch-fill vs. lane-hash wall time and `TargetSet` prefilter
-/// hit/miss counters (flushed once per scan, never per key). A disabled
-/// handle makes this identical to the unobserved path.
-pub fn crack_interval_batched_observed<S: BlockSpace>(
-    space: &S,
-    targets: &TargetSet,
-    interval: Interval,
-    stop: &AtomicBool,
-    first_hit_only: bool,
-    lanes: Lanes,
+    kernel: Kernel,
     telemetry: &Telemetry,
 ) -> CrackOutcome {
-    if needs_scalar_fallback(targets.algo()) {
-        return crack_scalar(space, targets, interval, stop, first_hit_only);
+    if kernel == Kernel::Portable(Lanes::Scalar) || needs_scalar_fallback(targets.algo()) {
+        return crack_space_interval(space, targets, interval.start, interval.len, stop, first_hit_only);
     }
     let instruments = BatchInstruments::new(telemetry);
-    match lanes {
-        Lanes::Scalar => crack_scalar(space, targets, interval, stop, first_hit_only),
-        Lanes::L8 => {
-            crack_lanes::<8, _, _>(space, targets, interval, stop, first_hit_only, &instruments, AutoVec)
-        }
-        Lanes::L16 => {
-            crack_lanes::<16, _, _>(space, targets, interval, stop, first_hit_only, &instruments, AutoVec)
-        }
+    macro_rules! lanes {
+        ($l:literal, $hasher:expr) => {
+            crack_lanes::<$l, _, _>(space, targets, interval, stop, first_hit_only, &instruments, $hasher)
+        };
     }
-}
-
-/// Like [`crack_interval_batched`] but running the explicit-SIMD kernels
-/// of a detected ISA (AVX2 = 16 keys per batch, AVX-512F = 32, NEON = 8)
-/// instead of the portable lanes. The [`SimdHasher`] is the proof
-/// of availability: it can only be built by runtime feature detection.
-pub fn crack_interval_simd<S: BlockSpace>(
-    space: &S,
-    targets: &TargetSet,
-    interval: Interval,
-    stop: &AtomicBool,
-    first_hit_only: bool,
-    hasher: SimdHasher,
-) -> CrackOutcome {
-    crack_interval_simd_observed(
-        space,
-        targets,
-        interval,
-        stop,
-        first_hit_only,
-        hasher,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`crack_interval_simd`] with the same batch-path telemetry as
-/// [`crack_interval_batched_observed`].
-pub fn crack_interval_simd_observed<S: BlockSpace>(
-    space: &S,
-    targets: &TargetSet,
-    interval: Interval,
-    stop: &AtomicBool,
-    first_hit_only: bool,
-    hasher: SimdHasher,
-    telemetry: &Telemetry,
-) -> CrackOutcome {
-    if needs_scalar_fallback(targets.algo()) {
-        return crack_scalar(space, targets, interval, stop, first_hit_only);
-    }
-    let instruments = BatchInstruments::new(telemetry);
-    match hasher {
+    match kernel {
+        Kernel::Portable(Lanes::L16) => lanes!(16, AutoVec),
+        Kernel::Portable(_) => lanes!(8, AutoVec),
         #[cfg(target_arch = "x86_64")]
-        SimdHasher::Avx2(h) => {
-            crack_lanes::<16, _, _>(space, targets, interval, stop, first_hit_only, &instruments, h)
-        }
+        Kernel::Simd(SimdHasher::Avx2(h)) => lanes!(16, h),
         #[cfg(target_arch = "x86_64")]
-        SimdHasher::Avx512(h) => {
-            crack_lanes::<32, _, _>(space, targets, interval, stop, first_hit_only, &instruments, h)
-        }
+        Kernel::Simd(SimdHasher::Avx512(h)) => lanes!(32, h),
         #[cfg(target_arch = "aarch64")]
-        SimdHasher::Neon(h) => {
-            crack_lanes::<8, _, _>(space, targets, interval, stop, first_hit_only, &instruments, h)
-        }
+        Kernel::Simd(SimdHasher::Neon(h)) => lanes!(8, h),
     }
 }
 
@@ -284,6 +255,12 @@ pub fn crack_interval_simd_observed<S: BlockSpace>(
 /// in lockstep, prefilter, confirm. Everything that differs between a
 /// brute-force range, a mask and a hybrid dictionary is behind
 /// [`BlockSpace::blocks`].
+///
+/// Never inlined: each instantiation is called from one arm of
+/// [`crack_interval_batched`], and folded into it they share a frame with
+/// every other width's block buffers — the AVX-512 MD5 loop then measured
+/// 4 % slower end to end (`crack_md5`, 0 of 10 pairs won).
+#[inline(never)]
 fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
     space: &S,
     targets: &TargetSet,
@@ -439,7 +416,8 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
     let mut cancelled = cursor.cancelled();
     if !cancelled && !found_first && writer.remaining() > 0 {
         let tail = Interval::new(writer.next_id(), writer.remaining());
-        let out = crack_scalar(space, targets, tail, stop, first_hit_only);
+        let out =
+            crack_space_interval(space, targets, tail.start, tail.len, stop, first_hit_only);
         hits.extend(out.hits);
         tested += out.tested;
         cancelled = out.cancelled;
@@ -460,6 +438,20 @@ mod tests {
     fn space(order: Order) -> KeySpace {
         KeySpace::new(Charset::lowercase(), 1, 4, order).unwrap()
     }
+
+    /// `crack_interval_batched` on an unobserved kernel.
+    fn batched(
+        s: &KeySpace,
+        t: &TargetSet,
+        interval: Interval,
+        stop: &AtomicBool,
+        first_hit_only: bool,
+        kernel: Kernel,
+    ) -> CrackOutcome {
+        crack_interval_batched(s, t, interval, stop, first_hit_only, kernel, &Telemetry::disabled())
+    }
+
+    const PORTABLE: [Kernel; 2] = [Kernel::Portable(Lanes::L8), Kernel::Portable(Lanes::L16)];
 
     fn targets(algo: HashAlgo, words: &[&[u8]]) -> TargetSet {
         let ds: Vec<Vec<u8>> = words.iter().map(|w| algo.hash_long(w)).collect();
@@ -492,7 +484,7 @@ mod tests {
                 let t = targets(algo, &[b"a", b"zz", b"cat", b"mnop"]);
                 let stop = AtomicBool::new(false);
                 let scalar = crack_interval(&s, &t, s.interval(), &stop, false);
-                let simd = crack_interval_simd(&s, &t, s.interval(), &stop, false, hasher);
+                let simd = batched(&s, &t, s.interval(), &stop, false, Kernel::Simd(hasher));
                 assert_eq!(simd.hits, scalar.hits, "{algo:?} {order:?} {hasher:?}");
                 assert_eq!(simd.tested, scalar.tested, "{algo:?} {order:?} {hasher:?}");
             }
@@ -512,7 +504,7 @@ mod tests {
         let t = targets(HashAlgo::Md5, &[b"dog"]);
         let stop = AtomicBool::new(false);
         let scalar = crack_interval(&s, &t, s.interval(), &stop, false);
-        let simd = crack_interval_simd(&s, &t, s.interval(), &stop, false, hasher);
+        let simd = batched(&s, &t, s.interval(), &stop, false, Kernel::Simd(hasher));
         assert_eq!(simd.hits, scalar.hits);
         assert_eq!(simd.tested, scalar.tested);
     }
@@ -525,10 +517,10 @@ mod tests {
         let t = targets(HashAlgo::Md5, &[b"mnop"]);
         let stop = AtomicBool::new(false);
         let scalar = crack_interval(&s, &t, s.interval(), &stop, false);
-        for lanes in [Lanes::L8, Lanes::L16] {
-            let batched = crack_interval_batched(&s, &t, s.interval(), &stop, false, lanes);
-            assert_eq!(batched.hits, scalar.hits, "{lanes}");
-            assert_eq!(batched.tested, scalar.tested, "{lanes}");
+        for kernel in PORTABLE {
+            let got = batched(&s, &t, s.interval(), &stop, false, kernel);
+            assert_eq!(got.hits, scalar.hits, "{kernel:?}");
+            assert_eq!(got.tested, scalar.tested, "{kernel:?}");
         }
     }
 
@@ -540,10 +532,10 @@ mod tests {
                 let t = targets(algo, &[b"a", b"zz", b"cat", b"mnop"]);
                 let stop = AtomicBool::new(false);
                 let scalar = crack_interval(&s, &t, s.interval(), &stop, false);
-                for lanes in [Lanes::L8, Lanes::L16] {
-                    let batched = crack_interval_batched(&s, &t, s.interval(), &stop, false, lanes);
-                    assert_eq!(batched.hits, scalar.hits, "{algo:?} {order:?} {lanes}");
-                    assert_eq!(batched.tested, scalar.tested, "{algo:?} {order:?} {lanes}");
+                for kernel in PORTABLE {
+                    let got = batched(&s, &t, s.interval(), &stop, false, kernel);
+                    assert_eq!(got.hits, scalar.hits, "{algo:?} {order:?} {kernel:?}");
+                    assert_eq!(got.tested, scalar.tested, "{algo:?} {order:?} {kernel:?}");
                 }
             }
         }
@@ -555,7 +547,7 @@ mod tests {
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"dog"]);
         let stop = AtomicBool::new(false);
-        let out = crack_interval_batched(&s, &t, s.interval(), &stop, true, Lanes::L8);
+        let out = batched(&s, &t, s.interval(), &stop, true, Kernel::Portable(Lanes::L8));
         assert_eq!(out.hits.len(), 1);
         assert_eq!(out.hits[0].1.as_bytes(), b"dog");
     }
@@ -575,8 +567,8 @@ mod tests {
         let t = targets(HashAlgo::Md5, &[b"bacad"]);
         let stop = AtomicBool::new(false);
         let scalar = crack_interval(&s, &t, s.interval(), &stop, false);
-        let batched = crack_interval_batched(&s, &t, s.interval(), &stop, false, Lanes::L16);
-        assert_eq!(batched.hits, scalar.hits);
+        let got = batched(&s, &t, s.interval(), &stop, false, Kernel::Portable(Lanes::L16));
+        assert_eq!(got.hits, scalar.hits);
     }
 
     #[test]
@@ -590,7 +582,7 @@ mod tests {
             &[HashAlgo::Md5.hash_long(tail_key.as_bytes())],
         );
         let stop = AtomicBool::new(false);
-        let out = crack_interval_batched(&s, &t, iv, &stop, false, Lanes::L16);
+        let out = batched(&s, &t, iv, &stop, false, Kernel::Portable(Lanes::L16));
         assert_eq!(out.hits.len(), 1);
         assert_eq!(out.hits[0].0, 27);
         assert_eq!(out.tested, 29);
@@ -601,7 +593,7 @@ mod tests {
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"c"]);
         let stop = AtomicBool::new(false);
-        let out = crack_interval_batched(&s, &t, Interval::new(0, 5), &stop, false, Lanes::L8);
+        let out = batched(&s, &t, Interval::new(0, 5), &stop, false, Kernel::Portable(Lanes::L8));
         assert_eq!(out.hits.len(), 1);
         assert_eq!(out.tested, 5);
     }
@@ -611,7 +603,7 @@ mod tests {
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"dog"]);
         let stop = AtomicBool::new(true);
-        let out = crack_interval_batched(&s, &t, s.interval(), &stop, true, Lanes::L8);
+        let out = batched(&s, &t, s.interval(), &stop, true, Kernel::Portable(Lanes::L8));
         assert!(out.cancelled);
         assert_eq!(out.tested, 0);
     }
@@ -622,14 +614,14 @@ mod tests {
         let t = targets(HashAlgo::Md5, &[b"b"]); // identifier 1
         let stop = AtomicBool::new(false);
         for lanes in [Lanes::L8, Lanes::L16] {
-            let out = crack_interval_batched(&s, &t, s.interval(), &stop, true, lanes);
+            let out = batched(&s, &t, s.interval(), &stop, true, Kernel::Portable(lanes));
             assert_eq!(out.hits.len(), 1);
             assert_eq!(out.tested, lanes.width() as u128, "{lanes}: stopped within the first batch");
         }
         // The explicit kernels stop within *their* first batch, which is
         // wider than either portable width on AVX (16 or 32 keys).
         if let Some(hasher) = SimdHasher::best() {
-            let out = crack_interval_simd(&s, &t, s.interval(), &stop, true, hasher);
+            let out = batched(&s, &t, s.interval(), &stop, true, Kernel::Simd(hasher));
             assert_eq!(out.hits.len(), 1);
             assert_eq!(out.tested, hasher.batch_width() as u128, "{hasher:?}");
         }
@@ -640,7 +632,7 @@ mod tests {
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"dog"]);
         let stop = AtomicBool::new(false);
-        let a = crack_interval_batched(&s, &t, s.interval(), &stop, true, Lanes::Scalar);
+        let a = batched(&s, &t, s.interval(), &stop, true, Kernel::Portable(Lanes::Scalar));
         let b = crack_interval(&s, &t, s.interval(), &stop, true);
         assert_eq!(a, b);
     }

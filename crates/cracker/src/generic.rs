@@ -5,9 +5,10 @@
 //!
 //! [`crack_space_parallel`] is what `eks crack --mask/--words` runs: a
 //! shared chunk cursor over the space, each chunk scanned by the kernel
-//! [`cpu_backend`](crate::cpu_backend) would pick for the same
-//! `config.lanes` — the widest explicit-SIMD ISA the CPU has, else the
-//! portable lanes — through the one lane loop of [`crate::batch`], fed by
+//! [`Kernel::detect_for`] resolves for `config.lanes` — the one
+//! [`cpu_backend`](crate::cpu_backend) would pick: the widest
+//! explicit-SIMD ISA the CPU has, else the portable lanes — through the
+//! one lane loop of [`crate::batch`], fed by
 //! the space's own block writer ([`BlockSpace::blocks`]: run-based for
 //! masks, advance-and-re-pad for hybrids). Only `f` and `next` differ
 //! from a `KeySpace` search; the hash kernel is the same code.
@@ -24,13 +25,11 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use eks_core::SolutionSpace;
-use eks_engine::{ScanMode, WorkerStats};
-use eks_hashes::HashAlgo;
+use eks_engine::WorkerStats;
 use eks_keyspace::{BlockSpace, Interval, Key};
 use eks_telemetry::Telemetry;
 
-use crate::backend::Kernel;
-use crate::batch::Lanes;
+use crate::batch::{crack_interval_batched, Kernel};
 use crate::parallel::{ParallelConfig, ParallelReport};
 use crate::target::TargetSet;
 
@@ -85,15 +84,6 @@ where
     crate::engine::CrackOutcome { hits, tested, cancelled }
 }
 
-/// The kernel [`crack_space_parallel`] runs for `lanes` and `algo`, as
-/// `(name, isa)`: `("simd-avx512", "avx512")`, `("lanes8", "autovec")`,
-/// `("scalar", "scalar")`. Resolved exactly as the search resolves it, so
-/// a caller can say what will run before it does.
-pub fn space_kernel(lanes: Lanes, algo: HashAlgo) -> (String, &'static str) {
-    let kernel = Kernel::detect_for(lanes, algo);
-    (kernel.name(), kernel.isa())
-}
-
 /// One worker's cancellation state in [`crack_space_parallel`].
 struct Slot {
     /// The chunk the worker last took off the cursor.
@@ -129,7 +119,6 @@ where
     let size = SolutionSpace::size(space).expect("finite space");
     let start_t = Instant::now();
     let kernel = Kernel::detect_for(config.lanes, targets.algo());
-    let mode = ScanMode::from_first_hit(config.first_hit_only);
     let telemetry = Telemetry::disabled();
     let cursor = AtomicU64::new(0);
     // Same cursor-width guard as `crack_parallel`: widen the effective
@@ -163,7 +152,15 @@ where
             let lo = (n as u128) * chunk;
             let interval = Interval::new(lo, chunk.min(size - lo));
             let busy_since = Instant::now();
-            let out = kernel.scan(space, targets, interval, &me.stop, mode, &telemetry);
+            let out = crack_interval_batched(
+                space,
+                targets,
+                interval,
+                &me.stop,
+                config.first_hit_only,
+                kernel,
+                &telemetry,
+            );
             let done = Instant::now();
             stats.idle_ns += (busy_since - idle_since).as_nanos() as u64;
             stats.busy_ns += (done - busy_since).as_nanos() as u64;

@@ -24,16 +24,10 @@ pub mod stats;
 pub mod target;
 
 pub use audit::{AuditEntry, AuditFinding, AuditReport, AuditSession};
-pub use backend::{
-    cpu_backend, cpu_backend_observed, AutoBackend, LaneBackend, ObservedLaneBackend,
-    ScalarBackend, SimdBackend,
-};
-pub use batch::{
-    crack_interval_batched, crack_interval_batched_observed, crack_interval_simd,
-    crack_interval_simd_observed, layout_for, Lanes,
-};
+pub use backend::{cpu_backend, AutoBackend, CpuBackend, ScalarBackend, SimdBackend};
+pub use batch::{crack_interval_batched, layout_for, Kernel, Lanes};
 pub use engine::{crack_interval, CrackOutcome};
-pub use generic::{crack_space_interval, crack_space_parallel, space_kernel};
+pub use generic::{crack_space_interval, crack_space_parallel};
 pub use mining::{mine, MiningJob, MiningResult};
 pub use parallel::{
     crack_parallel, crack_parallel_backend, crack_parallel_backend_observed,

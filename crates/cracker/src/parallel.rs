@@ -17,7 +17,7 @@ use eks_engine::{
 use eks_keyspace::{Interval, Key, KeySpace};
 use eks_telemetry::{names, Telemetry};
 
-use crate::backend::{cpu_backend, cpu_backend_observed};
+use crate::backend::{cpu_backend, CpuBackend};
 use crate::batch::Lanes;
 use crate::target::TargetSet;
 
@@ -33,7 +33,7 @@ pub struct ParallelConfig {
     pub first_hit_only: bool,
     /// Lane width of the per-thread test path (batched by default; the
     /// detected explicit-SIMD kernel replaces the portable lanes where
-    /// the CPU has one, see [`crate::backend::LaneBackend`]).
+    /// the CPU has one, see [`CpuBackend::detect`]).
     pub lanes: Lanes,
     /// Scheduling policy across threads (adaptive stealing by default).
     pub sched: SchedPolicy,
@@ -161,7 +161,7 @@ pub fn crack_parallel_observed(
         space,
         targets,
         interval,
-        &*cpu_backend_observed(config.lanes, telemetry.clone()),
+        &CpuBackend::detect(config.lanes).with_telemetry(telemetry.clone()),
         config,
         telemetry,
         progress,

@@ -7,11 +7,12 @@
 use std::sync::atomic::AtomicBool;
 
 use eks_core::prop::{forall, Rng};
-use eks_cracker::batch::{crack_interval_batched, Lanes};
+use eks_cracker::batch::{crack_interval_batched, Kernel, Lanes};
 use eks_cracker::{crack_interval, crack_parallel, ParallelConfig, TargetSet};
 use eks_hashes::padding::{pad_md5_block, pad_sha_block};
 use eks_hashes::HashAlgo;
 use eks_keyspace::{BlockBatch, BlockLayout, Charset, Interval, KeySpace, Order};
+use eks_telemetry::Telemetry;
 
 /// A random charset of 2..=6 distinct printable symbols.
 fn random_charset(rng: &mut Rng) -> Charset {
@@ -103,8 +104,15 @@ fn batched_sweep_finds_exactly_the_scalar_hits() {
         let scalar = crack_interval(&space, &targets, interval, &stop, false);
         for lanes in [Lanes::L8, Lanes::L16] {
             let stop = AtomicBool::new(false);
-            let batched =
-                crack_interval_batched(&space, &targets, interval, &stop, false, lanes);
+            let batched = crack_interval_batched(
+                &space,
+                &targets,
+                interval,
+                &stop,
+                false,
+                Kernel::Portable(lanes),
+                &Telemetry::disabled(),
+            );
             assert_eq!(batched.hits, scalar.hits, "lanes {lanes} ({algo:?})");
             assert_eq!(batched.tested, scalar.tested, "lanes {lanes} ({algo:?})");
         }

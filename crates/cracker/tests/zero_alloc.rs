@@ -13,11 +13,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::AtomicBool;
 
-use eks_cracker::batch::{crack_interval_batched, crack_interval_simd, Lanes};
-use eks_cracker::{cpu_backend, TargetSet};
+use eks_cracker::batch::{crack_interval_batched, Kernel, Lanes};
+use eks_cracker::{cpu_backend, CrackOutcome, TargetSet};
 use eks_engine::ScanMode;
 use eks_hashes::{HashAlgo, SimdHasher};
-use eks_keyspace::{Charset, HybridSpace, Interval, KeySpace, MaskSpace, Order};
+use eks_keyspace::{BlockSpace, Charset, HybridSpace, Interval, KeySpace, MaskSpace, Order};
+use eks_telemetry::Telemetry;
 
 thread_local! {
     // Count only while the measuring thread says so, and only that
@@ -66,20 +67,30 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
+/// An exhaustive, unobserved scan of `interval` on exactly `kernel`.
+fn scan<S: BlockSpace>(
+    space: &S,
+    targets: &TargetSet,
+    interval: Interval,
+    kernel: Kernel,
+) -> CrackOutcome {
+    let stop = AtomicBool::new(false);
+    crack_interval_batched(space, targets, interval, &stop, false, kernel, &Telemetry::disabled())
+}
+
 #[test]
 fn steady_state_batch_loop_does_not_allocate() {
     // No possible hit, so no `key_at` / hit bookkeeping: pure steady state.
     let space =
         KeySpace::new(Charset::lowercase(), 1, 8, Order::FirstCharFastest).expect("space");
     let impossible = TargetSet::new(HashAlgo::Md5, &[vec![0u8; 16]]);
-    let stop = AtomicBool::new(false);
     // 32_000 is a multiple of both lane widths: no scalar tail, which
     // (deliberately) still allocates one digest per candidate.
     let interval = Interval::new(0, 32_000);
 
     for lanes in [Lanes::L8, Lanes::L16] {
         let allocs = allocs_during(|| {
-            let out = crack_interval_batched(&space, &impossible, interval, &stop, false, lanes);
+            let out = scan(&space, &impossible, interval, Kernel::Portable(lanes));
             assert_eq!(out.tested, 32_000);
             assert!(out.hits.is_empty());
         });
@@ -122,17 +133,15 @@ fn structured_batch_loops_do_not_allocate() {
     let mask = MaskSpace::parse("?u?l?l?d").expect("mask");
     let words: Vec<&[u8]> = vec![b"winter", b"dragon", b"admin", b"x"];
     let hybrid = HybridSpace::with_digit_suffixes(&words, 3).expect("hybrid");
-    let stop = AtomicBool::new(false);
     for algo in [HashAlgo::Ntlm, HashAlgo::Md5, HashAlgo::Sha1] {
         let impossible = TargetSet::new(algo, &[vec![0u8; algo.digest_len()]]);
         let mask_sweep = Interval::new(0, 175_744);
         let hybrid_sweep = Interval::new(0, 4_416);
         for lanes in [Lanes::L8, Lanes::L16] {
             let allocs = allocs_during(|| {
-                let out = crack_interval_batched(&mask, &impossible, mask_sweep, &stop, false, lanes);
+                let out = scan(&mask, &impossible, mask_sweep, Kernel::Portable(lanes));
                 assert_eq!(out.tested, mask_sweep.len);
-                let out =
-                    crack_interval_batched(&hybrid, &impossible, hybrid_sweep, &stop, false, lanes);
+                let out = scan(&hybrid, &impossible, hybrid_sweep, Kernel::Portable(lanes));
                 assert_eq!(out.tested, hybrid_sweep.len);
             });
             assert_eq!(allocs, 0, "{algo:?} lanes {lanes}: {allocs} heap allocations");
@@ -142,9 +151,9 @@ fn structured_batch_loops_do_not_allocate() {
             continue;
         };
         let allocs = allocs_during(|| {
-            let out = crack_interval_simd(&mask, &impossible, mask_sweep, &stop, false, hasher);
+            let out = scan(&mask, &impossible, mask_sweep, Kernel::Simd(hasher));
             assert_eq!(out.tested, mask_sweep.len);
-            let out = crack_interval_simd(&hybrid, &impossible, hybrid_sweep, &stop, false, hasher);
+            let out = scan(&hybrid, &impossible, hybrid_sweep, Kernel::Simd(hasher));
             assert_eq!(out.tested, hybrid_sweep.len);
         });
         assert_eq!(allocs, 0, "{algo:?} {hasher:?}: {allocs} heap allocations");
@@ -159,16 +168,8 @@ fn reversed_md5_batch_loop_does_not_allocate() {
     let space =
         KeySpace::new(Charset::lowercase(), 5, 8, Order::FirstCharFastest).expect("space");
     let impossible = TargetSet::new(HashAlgo::Md5, &[vec![0u8; 16]]);
-    let stop = AtomicBool::new(false);
     let allocs = allocs_during(|| {
-        let out = crack_interval_batched(
-            &space,
-            &impossible,
-            Interval::new(0, 32_000),
-            &stop,
-            false,
-            Lanes::L8,
-        );
+        let out = scan(&space, &impossible, Interval::new(0, 32_000), Kernel::Portable(Lanes::L8));
         assert_eq!(out.tested, 32_000);
     });
     assert_eq!(allocs, 0, "reversed path: {allocs} heap allocations in 32k candidates");
@@ -181,16 +182,8 @@ fn scalar_path_allocates_so_the_counter_is_live() {
     let space =
         KeySpace::new(Charset::lowercase(), 1, 8, Order::FirstCharFastest).expect("space");
     let impossible = TargetSet::new(HashAlgo::Md5, &[vec![0u8; 16]]);
-    let stop = AtomicBool::new(false);
     let allocs = allocs_during(|| {
-        crack_interval_batched(
-            &space,
-            &impossible,
-            Interval::new(0, 1_000),
-            &stop,
-            false,
-            Lanes::Scalar,
-        );
+        scan(&space, &impossible, Interval::new(0, 1_000), Kernel::Portable(Lanes::Scalar));
     });
     assert!(allocs >= 1_000, "scalar control only saw {allocs} allocations");
 }

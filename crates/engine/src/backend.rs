@@ -86,11 +86,10 @@ pub trait Backend: Sync {
     fn tuned_rate(&self, algo: HashAlgo) -> f64;
 
     /// The instruction set the backend's kernels for `algo` run on:
-    /// `avx2`/`avx512`/`neon` when explicit-SIMD kernels run (also
-    /// behind `lanes8`/`lanes16` on a CPU that has them), `autovec` for
-    /// the portable lane cores (vectorised only as far as the build's
-    /// target features let the compiler), `scalar` for the reference
-    /// path.
+    /// `avx2`/`avx512`/`neon` when explicit-SIMD kernels run (what the
+    /// CPU backend detects on a CPU that has them), `autovec` for the
+    /// portable lanes (vectorised only as far as the build's target
+    /// features let the compiler), `scalar` for the reference path.
     /// `None` when the notion does not apply (simulated GPU devices
     /// already carry their model in the backend name).
     fn isa(&self, algo: HashAlgo) -> Option<String> {
@@ -105,39 +104,23 @@ pub enum BackendKind {
     /// One candidate at a time, heap-allocated digest per test.
     Scalar,
     /// The lane-batched CPU backend: the widest explicit-SIMD kernel the
-    /// CPU has, else 8 candidates in lockstep on the portable cores.
-    Lanes8,
-    /// As [`BackendKind::Lanes8`], with 16 portable lanes as the fallback.
-    Lanes16,
-    /// Explicit AVX2/AVX-512/NEON kernels behind runtime CPU-feature
-    /// detection (widest available ISA unless the CLI forces one).
-    Simd,
-    /// Tune every CPU implementation per algorithm and run the winner.
-    Auto,
+    /// CPU has (or the ISA the CLI forces), else the portable cores.
+    Cpu,
     /// A simulated GPU device driving an `eks-kernels` kernel.
     SimGpu,
 }
 
 impl BackendKind {
     /// Every kind, in presentation order.
-    pub const ALL: [BackendKind; 6] = [
-        BackendKind::Scalar,
-        BackendKind::Lanes8,
-        BackendKind::Lanes16,
-        BackendKind::Simd,
-        BackendKind::Auto,
-        BackendKind::SimGpu,
-    ];
+    pub const ALL: [BackendKind; 3] = [BackendKind::Scalar, BackendKind::Cpu, BackendKind::SimGpu];
 
-    /// Parse a CLI argument (`scalar`, `lanes8`, `lanes16`, `simd`,
-    /// `auto`, `simgpu`).
+    /// Parse a CLI argument: `scalar`, `cpu`, `simgpu`. `lanes8`,
+    /// `lanes16`, `simd` and `auto` are accepted as older spellings of
+    /// `cpu` (they all resolved to the same detected kernel).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "scalar" => Some(BackendKind::Scalar),
-            "lanes8" => Some(BackendKind::Lanes8),
-            "lanes16" => Some(BackendKind::Lanes16),
-            "simd" => Some(BackendKind::Simd),
-            "auto" => Some(BackendKind::Auto),
+            "cpu" | "lanes8" | "lanes16" | "simd" | "auto" => Some(BackendKind::Cpu),
             "simgpu" => Some(BackendKind::SimGpu),
             _ => None,
         }
@@ -147,22 +130,8 @@ impl BackendKind {
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
-            BackendKind::Lanes8 => "lanes8",
-            BackendKind::Lanes16 => "lanes16",
-            BackendKind::Simd => "simd",
-            BackendKind::Auto => "auto",
+            BackendKind::Cpu => "cpu",
             BackendKind::SimGpu => "simgpu",
-        }
-    }
-
-    /// True when the kind can run on this host: `simd` needs a detected
-    /// ISA; everything else always works (`auto` and the lane backends
-    /// fall back to the portable lanes when no explicit kernel is
-    /// available).
-    pub fn is_available(self) -> bool {
-        match self {
-            BackendKind::Simd => eks_hashes::SimdIsa::detect().is_some(),
-            _ => true,
         }
     }
 }
@@ -190,19 +159,9 @@ mod tests {
         for kind in BackendKind::ALL {
             assert_eq!(BackendKind::parse(kind.name()), Some(kind));
         }
-        assert_eq!(BackendKind::parse("cuda"), None);
-    }
-
-    #[test]
-    fn availability_is_detection_for_simd_and_universal_otherwise() {
-        for kind in BackendKind::ALL {
-            match kind {
-                BackendKind::Simd => assert_eq!(
-                    kind.is_available(),
-                    eks_hashes::SimdIsa::detect().is_some()
-                ),
-                _ => assert!(kind.is_available(), "{kind}"),
-            }
+        for legacy in ["lanes8", "lanes16", "simd", "auto"] {
+            assert_eq!(BackendKind::parse(legacy), Some(BackendKind::Cpu), "{legacy}");
         }
+        assert_eq!(BackendKind::parse("cuda"), None);
     }
 }

@@ -32,6 +32,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use eks_keyspace::Interval;
+use eks_telemetry::json_string;
 use eks_telemetry::parse::{parse_json, Json};
 
 use crate::steal::{IntervalDeques, WorkerStats};
@@ -321,8 +322,8 @@ impl SearchCheckpoint {
             }
             let _ = write!(
                 out,
-                "{{\"label\":\"{}\",\"tested\":\"{}\",\"steals\":\"{}\",\"splits\":\"{}\",\"idle_ns\":\"{}\",\"busy_ns\":\"{}\"}}",
-                escape_json(&w.label),
+                "{{\"label\":{},\"tested\":\"{}\",\"steals\":\"{}\",\"splits\":\"{}\",\"idle_ns\":\"{}\",\"busy_ns\":\"{}\"}}",
+                json_string(&w.label),
                 w.tested,
                 w.steals,
                 w.splits,
@@ -395,25 +396,6 @@ impl SearchCheckpoint {
 /// Append an interval as `{"start":"<dec>","len":"<dec>"}`.
 pub fn push_interval(out: &mut String, iv: &Interval) {
     let _ = write!(out, "{{\"start\":\"{}\",\"len\":\"{}\"}}", iv.start, iv.len);
-}
-
-/// Escape a string for embedding in a JSON document.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Required string member of a JSON object.

@@ -19,12 +19,13 @@
 //!   the result, so mismatches are detected before finishing the state
 //!   comparison.
 //!
-//! Batched (multi-candidate) hashing comes in two layers mirroring the
-//! paper's Section V per-architecture kernels: [`lanes`] holds portable
-//! structure-of-arrays cores the compiler may autovectorize (it does
-//! under `-C target-cpu=native`, not in a baseline build), and [`simd`]
-//! holds explicit AVX2/AVX-512/NEON kernels behind runtime CPU-feature
-//! detection, both driven through the [`LaneHasher`] trait.
+//! Batched (multi-candidate) hashing follows the paper's Section V
+//! per-architecture kernels: one family of compression cores, generic
+//! over a vector leaf, instantiated by [`simd`] as explicit
+//! AVX2/AVX-512/NEON kernels behind runtime CPU-feature detection and by
+//! [`lanes`] over plain arrays as the portable fallback (vectorised only
+//! as far as the build's target features let the compiler), all driven
+//! through the [`LaneHasher`] trait.
 
 pub mod algo;
 pub mod digest;
@@ -40,9 +41,7 @@ pub mod simd;
 
 pub use algo::HashAlgo;
 pub use digest::{from_hex, to_hex, Digest};
-pub use lanes::{
-    md4_lanes, md5_forward49_lanes, md5_lanes, sha1_a75_lanes, sha1_lanes, AutoVec, LaneHasher,
-};
+pub use lanes::{AutoVec, LaneHasher};
 pub use simd::{cpu_features, SimdHasher, SimdIsa};
 pub use md4::{md4, ntlm, Md4};
 pub use md5::{md5, Md5};

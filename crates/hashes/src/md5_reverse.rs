@@ -112,25 +112,6 @@ impl Md5PrefixSearch {
         self.matches_w0(u32::from_le_bytes(first))
     }
 
-    /// Lane-parallel form of [`Md5PrefixSearch::matches_w0`]: test `L`
-    /// candidate first words in lockstep (49 forward steps in
-    /// structure-of-arrays form, then a branchless per-lane comparison
-    /// against the reverted reference). Bit-for-bit equal to calling
-    /// `matches_w0` on each word.
-    #[inline]
-    pub fn matches_w0_lanes<const L: usize>(&self, w0s: &[u32; L]) -> [bool; L] {
-        let states = crate::lanes::md5_forward49_lanes(&self.template, w0s);
-        let r = self.reference;
-        let mut out = [false; L];
-        for l in 0..L {
-            let s = states[l];
-            // `&` instead of `&&`: no per-lane branches, the common
-            // all-miss case is one vectorizable compare-and-reduce.
-            out[l] = (s[0] == r[0]) & (s[1] == r[1]) & (s[2] == r[2]) & (s[3] == r[3]);
-        }
-        out
-    }
-
     /// The reference state after step 48 (for tests and the kernel model).
     pub fn reference(&self) -> [u32; 4] {
         self.reference

@@ -1,13 +1,13 @@
 //! The compression cores, written once against [`Vec32`] and
-//! instantiated per ISA by the `#[target_feature]` shims.
+//! instantiated per ISA by the `#[target_feature]` shims — and over plain
+//! `[u32; L]` arrays by [`crate::AutoVec`], the portable fallback.
 //!
-//! These mirror the autovectorized SoA cores in [`crate::lanes`] — same
-//! round structure, same Section V tricks (49-step reversed MD5, SHA-1
-//! `a75` partial rounds) — but with the vector operations *explicit*, so
-//! the instruction mix is fixed by construction rather than left to the
-//! loop vectorizer. Step counts and round counts are const generics so
-//! every instantiation fully unrolls and the state "rotation" is a
-//! compile-time renaming, exactly like the paper's unrolled kernels.
+//! Every core carries the Section V tricks (49-step reversed MD5, SHA-1
+//! `a75` partial rounds) with the vector operations *explicit*, so on an
+//! ISA leaf the instruction mix is fixed by construction rather than left
+//! to the loop vectorizer. Step counts and round counts are const
+//! generics so every instantiation fully unrolls and the state "rotation"
+//! is a compile-time renaming, exactly like the paper's unrolled kernels.
 //!
 //! The functions here contain no `unsafe`: all intrinsic access lives in
 //! the one-line `Vec32` op impls, and feature-availability proofs live
@@ -80,9 +80,7 @@ fn md5_i<V: Vec32>(a: V, b: V, c: V, d: V, w: V, k: u32, s: u32) -> V {
 }
 
 /// Expand one quad of steps `i..i+4` for the given round function,
-/// keeping the state rotation a compile-time renaming (the lanes-module
-/// structure, with the round function a macro argument instead of four
-/// near-identical helpers).
+/// keeping the state rotation a compile-time renaming.
 macro_rules! md5_quad {
     ($step:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:ident, $i:ident) => {
         $a = $step($a, $b, $c, $d, $m[md5::word_index($i)], MD5_K[$i], MD5_S[$i]);
@@ -128,8 +126,8 @@ fn md5_steps<V: Vec32, const STEPS: usize>(m: &[V; 16]) -> [V; 4] {
     [a, b, c, d]
 }
 
-/// MD5 over `L` pre-padded single-block messages: the explicit-SIMD
-/// equivalent of [`crate::lanes::md5_lanes`].
+/// MD5 over `L` pre-padded single-block messages: the final chained
+/// state per lane, equal to `md5_compress(IV, &blocks[l])`.
 #[inline(always)]
 pub(crate) fn md5_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [[u32; 4]; L] {
     let m = load_blocks::<V, L>(blocks);
@@ -146,8 +144,7 @@ pub(crate) fn md5_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [
 /// sharing `template` in words 1..16 and differing only in `w0s`.
 /// Returns the rotating-form state after step 48 per lane
 /// (`[d, a, b, c]`, comparable with
-/// [`crate::Md5PrefixSearch::reference`]) — the explicit-SIMD equivalent
-/// of [`crate::lanes::md5_forward49_lanes`].
+/// [`crate::Md5PrefixSearch::reference`]).
 #[inline(always)]
 pub(crate) fn md5_forward49<V: Vec32, const L: usize>(
     template: &[u32; 16],
@@ -190,8 +187,8 @@ fn md4_h<V: Vec32>(a: V, b: V, c: V, d: V, w: V, s: u32) -> V {
     a.add(b.xor3(c, d)).add(w).add(V::splat(K3)).rotl(s)
 }
 
-/// MD4 over `L` pre-padded single-block messages: the explicit-SIMD
-/// equivalent of [`crate::lanes::md4_lanes`].
+/// MD4 over `L` pre-padded single-block messages (the NTLM batch core):
+/// equal to `md4_compress(IV, &blocks[l])` on every lane.
 #[inline(always)]
 pub(crate) fn md4_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [[u32; 4]; L] {
     let m = load_blocks::<V, L>(blocks);
@@ -347,8 +344,8 @@ fn sha1_rounds<V: Vec32, const ROUNDS: usize>(m: &[V; 16]) -> [V; 5] {
     [a, b, c, d, e]
 }
 
-/// SHA-1 over `L` pre-padded single-block messages: the explicit-SIMD
-/// equivalent of [`crate::lanes::sha1_lanes`].
+/// SHA-1 over `L` pre-padded single-block messages: equal to
+/// `sha1_compress(IV, &blocks[l])` on every lane.
 #[inline(always)]
 pub(crate) fn sha1_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [[u32; 5]; L] {
     let m = load_blocks::<V, L>(blocks);
@@ -361,8 +358,10 @@ pub(crate) fn sha1_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> 
 }
 
 /// The SHA-1 partial path: 76 rounds per lane, returning each lane's
-/// `a75` — the value [`crate::Sha1PartialSearch`] compares. Explicit-
-/// SIMD equivalent of [`crate::lanes::sha1_a75_lanes`].
+/// `a75` — the value [`crate::Sha1PartialSearch`] compares against
+/// `rotr30(e_target − IV[4])`. A lane that passes must be confirmed with
+/// the full hash; one that fails is rejected four rounds and four
+/// schedule expansions early (the paper's "anticipate the checks" rule).
 #[inline(always)]
 pub(crate) fn sha1_a75<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [u32; L] {
     debug_assert_eq!(L, V::LANES);
@@ -377,9 +376,9 @@ pub(crate) fn sha1_a75<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [u3
 
 #[cfg(test)]
 mod tests {
-    //! The generic cores over scalar (`u32`) and paired-scalar
-    //! (`X2<u32>`) lanes vs. the scalar compression functions: proves
-    //! the *algorithm structure* before any ISA enters the picture.
+    //! The generic cores over one-lane (`[u32; 1]`) and paired
+    //! (`X2<[u32; 1]>`) arrays vs. the scalar compression functions:
+    //! proves the *algorithm structure* before any ISA enters the picture.
 
     use super::*;
     use crate::md4::md4_compress;
@@ -391,14 +390,14 @@ mod tests {
     #[test]
     fn scalar_core_md5_matches_compress() {
         let block = pad_md5_block(b"core-check");
-        let got = md5_blocks::<u32, 1>(&[block]);
+        let got = md5_blocks::<[u32; 1], 1>(&[block]);
         assert_eq!(got[0], md5_compress(MD5_IV, &block));
     }
 
     #[test]
     fn paired_core_md5_matches_compress() {
         let blocks = [pad_md5_block(b"left"), pad_md5_block(b"right")];
-        let got = md5_blocks::<X2<u32>, 2>(&blocks);
+        let got = md5_blocks::<X2<[u32; 1]>, 2>(&blocks);
         for (l, block) in blocks.iter().enumerate() {
             assert_eq!(got[l], md5_compress(MD5_IV, block), "lane {l}");
         }
@@ -407,7 +406,7 @@ mod tests {
     #[test]
     fn paired_core_md4_matches_compress() {
         let blocks = [pad_md5_block(b"ntlm-a"), pad_md5_block(b"ntlm-b")];
-        let got = md4_blocks::<X2<u32>, 2>(&blocks);
+        let got = md4_blocks::<X2<[u32; 1]>, 2>(&blocks);
         for (l, block) in blocks.iter().enumerate() {
             assert_eq!(got[l], md4_compress(md4::IV, block), "lane {l}");
         }
@@ -416,7 +415,7 @@ mod tests {
     #[test]
     fn paired_core_sha1_matches_compress() {
         let blocks = [pad_sha_block(b"sha-a"), pad_sha_block(b"sha-b")];
-        let got = sha1_blocks::<X2<u32>, 2>(&blocks);
+        let got = sha1_blocks::<X2<[u32; 1]>, 2>(&blocks);
         for (l, block) in blocks.iter().enumerate() {
             assert_eq!(got[l], sha1_compress(SHA1_IV, block), "lane {l}");
         }
@@ -426,7 +425,7 @@ mod tests {
     fn paired_core_forward49_matches_scalar_steps() {
         let template = pad_md5_block(b"AAAA-tail");
         let w0s = [0x6162_6364u32, 0x7a79_7877];
-        let got = md5_forward49::<X2<u32>, 2>(&template, &w0s);
+        let got = md5_forward49::<X2<[u32; 1]>, 2>(&template, &w0s);
         for (l, &w0) in w0s.iter().enumerate() {
             let mut w = template;
             w[0] = w0;
@@ -441,7 +440,7 @@ mod tests {
     #[test]
     fn paired_core_a75_matches_scalar_partial() {
         let blocks = [pad_sha_block(b"a75-x"), pad_sha_block(b"a75-y")];
-        let got = sha1_a75::<X2<u32>, 2>(&blocks);
+        let got = sha1_a75::<X2<[u32; 1]>, 2>(&blocks);
         for (l, block) in blocks.iter().enumerate() {
             let sched = expand_schedule(block);
             let mut s = SHA1_IV;

@@ -31,7 +31,7 @@
 // else in this file is safe code.
 #![allow(unsafe_code)]
 
-mod cores;
+pub(crate) mod cores;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 mod vec;
@@ -148,7 +148,7 @@ macro_rules! isa_handle {
     ($(#[$doc:meta])* $name:ident, $isa:expr, $arch:literal, $shims:path, $width:expr) => {
         $(#[$doc])*
         #[cfg(target_arch = $arch)]
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         pub struct $name(());
 
         #[cfg(target_arch = $arch)]
@@ -230,7 +230,7 @@ isa_handle!(
 /// cracker's batched scan loop matches on to pick its lane width. Only
 /// constructible when the ISA is actually available, so consumers never
 /// need a fallback branch *inside* the hot loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdHasher {
     /// AVX2 kernels, 16 keys per call.
     #[cfg(target_arch = "x86_64")]

@@ -30,8 +30,8 @@
 
 /// A vector of `LANES` `u32` values, one candidate key per lane.
 ///
-/// Implementations: `u32` (scalar reference, `LANES = 1`), the per-ISA
-/// register wrappers in `x86`/`neon`, and the [`X2`] pair combinator.
+/// Implementations: `[u32; N]` (portable lanes), the per-ISA register
+/// wrappers in `x86`/`neon`, and the [`X2`] pair combinator.
 pub(crate) trait Vec32: Copy {
     /// Lanes per vector.
     const LANES: usize;
@@ -98,50 +98,53 @@ pub(crate) trait Vec32: Copy {
     }
 }
 
-/// Scalar reference lanes: lets the property tests run the *generic
-/// cores* (not just the autovectorized `lanes` module) against the
-/// scalar compression functions, isolating core bugs from ISA-op bugs.
-impl Vec32 for u32 {
-    const LANES: usize = 1;
+/// Portable lanes: `N` keys in a plain array, each op a loop over the
+/// lanes that LLVM vectorises as far as the *build's* target features
+/// reach (fully under `-C target-cpu=native` on an AVX host; scalar code
+/// in a baseline x86-64 build). Instantiating the generic cores over this
+/// leaf gives the fallback for CPUs without an explicit ISA, the Miri
+/// path, and — at `N = 1` — the scalar form the core tests start from.
+impl<const N: usize> Vec32 for [u32; N] {
+    const LANES: usize = N;
 
     #[inline(always)]
     fn splat(x: u32) -> Self {
-        x
+        [x; N]
     }
 
     #[inline(always)]
     fn load(words: &[u32]) -> Self {
-        words[0]
+        core::array::from_fn(|l| words[l])
     }
 
     #[inline(always)]
     fn store(self, out: &mut [u32]) {
-        out[0] = self;
+        out[..N].copy_from_slice(&self);
     }
 
     #[inline(always)]
     fn add(self, other: Self) -> Self {
-        self.wrapping_add(other)
+        core::array::from_fn(|l| self[l].wrapping_add(other[l]))
     }
 
     #[inline(always)]
     fn xor(self, other: Self) -> Self {
-        self ^ other
+        core::array::from_fn(|l| self[l] ^ other[l])
     }
 
     #[inline(always)]
     fn and(self, other: Self) -> Self {
-        self & other
+        core::array::from_fn(|l| self[l] & other[l])
     }
 
     #[inline(always)]
     fn or(self, other: Self) -> Self {
-        self | other
+        core::array::from_fn(|l| self[l] | other[l])
     }
 
     #[inline(always)]
     fn rotl(self, s: u32) -> Self {
-        self.rotate_left(s)
+        core::array::from_fn(|l| self[l].rotate_left(s))
     }
 }
 
@@ -228,29 +231,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_derived_ops_match_bit_formulas() {
-        let cases = [
+    fn array_derived_ops_match_bit_formulas() {
+        let cases: [(u32, u32, u32); 3] = [
             (0x0000_0000, 0xffff_ffff, 0x1234_5678),
             (0xdead_beef, 0x0f0f_0f0f, 0x8000_0001),
             (0xffff_ffff, 0x0000_0000, 0xcafe_babe),
         ];
         for (a, b, c) in cases {
-            assert_eq!(a.sel(b, c), (a & b) | (!a & c));
-            assert_eq!(a.maj(b, c), (a & b) | (a & c) | (b & c));
-            assert_eq!(a.xor3(b, c), a ^ b ^ c);
-            assert_eq!(a.md5i(b, c), b ^ (a | !c));
+            let (va, vb, vc) = ([a], [b], [c]);
+            assert_eq!(va.sel(vb, vc), [(a & b) | (!a & c)]);
+            assert_eq!(va.maj(vb, vc), [(a & b) | (a & c) | (b & c)]);
+            assert_eq!(va.xor3(vb, vc), [a ^ b ^ c]);
+            assert_eq!(va.md5i(vb, vc), [b ^ (a | !c)]);
         }
     }
 
     #[test]
     fn x2_pairs_are_independent() {
-        let v = X2::<u32>::load(&[7, 11]);
-        let w = X2::<u32>::load(&[1, 2]);
+        let v = X2::<[u32; 1]>::load(&[7, 11]);
+        let w = X2::<[u32; 1]>::load(&[1, 2]);
         let mut out = [0u32; 2];
         v.add(w).store(&mut out);
         assert_eq!(out, [8, 13]);
         v.rotl(4).store(&mut out);
         assert_eq!(out, [7 << 4, 11 << 4]);
-        assert_eq!(X2::<u32>::LANES, 2);
+        assert_eq!(X2::<[u32; 1]>::LANES, 2);
     }
 }

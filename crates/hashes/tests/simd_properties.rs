@@ -1,20 +1,21 @@
-//! Seeded property tests for the explicit-SIMD kernels: on every ISA the
-//! running CPU supports, every lane of every batched algorithm — forward
+//! Seeded property tests for every [`LaneHasher`]: on the portable
+//! `AutoVec` cores at both widths and on every ISA the running CPU
+//! supports, every lane of every batched algorithm — forward
 //! MD5/MD4/SHA-1, the 49-step reversed-MD5 forward half, the 76-round
 //! SHA-1 `a75` partial — must be bit-for-bit equal to its scalar
 //! reference on random single-block messages.
 //!
 //! The checks are written once, generic over [`LaneHasher`], and
-//! instantiated per capability handle (AVX2 = 16 keys, AVX-512 = 32,
-//! NEON = 8). A handle constructor returning `None` — an unsupported
-//! ISA, or any run under Miri, where vendor intrinsics cannot execute —
-//! skips that ISA's instantiation cleanly; the test then proves exactly
-//! the set of kernels the host can run.
+//! instantiated per implementation (`AutoVec` = 8 and 16 keys, AVX2 = 16,
+//! AVX-512 = 32, NEON = 8). A handle constructor returning `None` — an
+//! unsupported ISA, or any run under Miri, where vendor intrinsics cannot
+//! execute — skips that ISA's instantiation cleanly; the test then proves
+//! exactly the set of kernels the host can run.
 
 use eks_core::prop::{forall, Rng};
 use eks_hashes::md5_reverse::FORWARD_STEPS;
 use eks_hashes::padding::{pad_md5_block, pad_sha_block, MAX_SINGLE_BLOCK_MSG};
-use eks_hashes::{md4, md5, sha1, LaneHasher};
+use eks_hashes::{md4, md5, sha1, LaneHasher, Md5PrefixSearch, Sha1PartialSearch};
 
 /// A random message of random length (0..=55 bytes, arbitrary bytes).
 fn random_msg(rng: &mut Rng) -> Vec<u8> {
@@ -22,11 +23,25 @@ fn random_msg(rng: &mut Rng) -> Vec<u8> {
     rng.vec(len, |r| r.u32() as u8)
 }
 
-/// `L` random pre-padded blocks.
-fn random_blocks<const L: usize>(rng: &mut Rng, pad: fn(&[u8]) -> [u32; 16]) -> [[u32; 16]; L] {
+/// `L` random messages and their pre-padded blocks, lane by lane.
+fn random_blocks<const L: usize>(
+    rng: &mut Rng,
+    pad: fn(&[u8]) -> [u32; 16],
+) -> Vec<(Vec<u8>, [u32; 16])> {
+    (0..L)
+        .map(|_| {
+            let msg = random_msg(rng);
+            let block = pad(&msg);
+            (msg, block)
+        })
+        .collect()
+}
+
+/// The lanes' blocks in the array form the hashers take.
+fn blocks_of<const L: usize>(lanes: &[(Vec<u8>, [u32; 16])]) -> [[u32; 16]; L] {
     let mut blocks = [[0u32; 16]; L];
-    for b in blocks.iter_mut() {
-        *b = pad(&random_msg(rng));
+    for (b, (_, block)) in blocks.iter_mut().zip(lanes) {
+        *b = *block;
     }
     blocks
 }
@@ -35,37 +50,58 @@ fn random_blocks<const L: usize>(rng: &mut Rng, pad: fn(&[u8]) -> [u32; 16]) -> 
 /// hasher's native width.
 fn check_hasher<const L: usize, H: LaneHasher<L>>(name: &'static str, hasher: H) {
     forall(name, 48, |rng| {
-        // Forward MD5: each lane equals the scalar compression.
-        let blocks = random_blocks::<L>(rng, pad_md5_block);
-        for (l, state) in hasher.md5_batch(&blocks).iter().enumerate() {
-            let b = blocks.get(l).expect("lane block");
+        // Forward MD5: each lane equals the scalar compression, and its
+        // serialised state the single-block digest of the message.
+        let lanes = random_blocks::<L>(rng, pad_md5_block);
+        for (l, (state, (msg, b))) in hasher.md5_batch(&blocks_of(&lanes)).iter().zip(&lanes).enumerate() {
             assert_eq!(*state, md5::md5_compress(md5::IV, b), "{name} md5 lane {l}");
+            assert_eq!(md5::state_to_digest(*state), md5::md5_single_block(msg), "{name} md5 lane {l}");
         }
 
         // Forward MD4 (the NTLM core).
-        let blocks = random_blocks::<L>(rng, pad_md5_block);
-        for (l, state) in hasher.md4_batch(&blocks).iter().enumerate() {
-            let b = blocks.get(l).expect("lane block");
+        let lanes = random_blocks::<L>(rng, pad_md5_block);
+        for (l, (state, (msg, b))) in hasher.md4_batch(&blocks_of(&lanes)).iter().zip(&lanes).enumerate() {
             assert_eq!(*state, md4::md4_compress(md4::IV, b), "{name} md4 lane {l}");
+            assert_eq!(md5::state_to_digest(*state), md4::md4_single_block(msg), "{name} md4 lane {l}");
+        }
+
+        // NTLM = MD4 over the UTF-16LE expansion; the lane path sees the
+        // expanded bytes as an ordinary single-block message.
+        let passwords: Vec<Vec<u8>> = (0..L)
+            .map(|_| {
+                let len = rng.index(21); // ≤ 20 chars → ≤ 40 expanded bytes
+                rng.vec(len, |r| r.range(0x20, 0x7e) as u8)
+            })
+            .collect();
+        let mut blocks = [[0u32; 16]; L];
+        for (b, p) in blocks.iter_mut().zip(&passwords) {
+            let utf16: Vec<u8> = p.iter().flat_map(|&c| [c, 0]).collect();
+            *b = pad_md5_block(&utf16);
+        }
+        for (l, (state, p)) in hasher.md4_batch(&blocks).iter().zip(&passwords).enumerate() {
+            assert_eq!(md5::state_to_digest(*state), md4::ntlm(p), "{name} ntlm lane {l}");
         }
 
         // Forward SHA-1.
-        let blocks = random_blocks::<L>(rng, pad_sha_block);
-        for (l, state) in hasher.sha1_batch(&blocks).iter().enumerate() {
-            let b = blocks.get(l).expect("lane block");
+        let lanes = random_blocks::<L>(rng, pad_sha_block);
+        for (l, (state, (msg, b))) in hasher.sha1_batch(&blocks_of(&lanes)).iter().zip(&lanes).enumerate() {
             assert_eq!(*state, sha1::sha1_compress(sha1::IV, b), "{name} sha1 lane {l}");
+            assert_eq!(sha1::state_to_digest(*state), sha1::sha1_single_block(msg), "{name} sha1 lane {l}");
         }
 
-        // SHA-1 `a75` partial: 76 scalar rounds, newest register.
-        let blocks = random_blocks::<L>(rng, pad_sha_block);
-        for (l, &a75) in hasher.sha1_a75_batch(&blocks).iter().enumerate() {
-            let b = blocks.get(l).expect("lane block");
+        // SHA-1 `a75` partial: 76 scalar rounds, newest register — which
+        // is also what the search accepts with the lane's own digest as
+        // the target.
+        let lanes = random_blocks::<L>(rng, pad_sha_block);
+        for (l, (&a75, (msg, b))) in hasher.sha1_a75_batch(&blocks_of(&lanes)).iter().zip(&lanes).enumerate() {
             let w = sha1::expand_schedule(b);
             let mut s = sha1::IV;
             for (i, &wi) in w.iter().enumerate().take(76) {
                 s = sha1::round(i, s, wi);
             }
             assert_eq!(a75, s[0], "{name} a75 lane {l}");
+            let search = Sha1PartialSearch::new(&sha1::sha1_single_block(msg));
+            assert_eq!(a75, search.a75_expected(), "{name} a75 lane {l} self-target");
         }
 
         // Reversed-MD5 forward half: lanes share words 1..16, differ only
@@ -78,14 +114,32 @@ fn check_hasher<const L: usize, H: LaneHasher<L>>(name: &'static str, hasher: H)
         for w in w0s.iter_mut() {
             *w = rng.u32();
         }
-        for (l, got) in hasher.md5_forward49_batch(&template, &w0s).iter().enumerate() {
+        for (l, (got, &w0)) in hasher.md5_forward49_batch(&template, &w0s).iter().zip(&w0s).enumerate() {
             let mut w = template;
-            w[0] = *w0s.get(l).expect("lane w0");
+            w[0] = w0;
             let mut s = md5::IV;
             for i in 0..FORWARD_STEPS {
                 s = md5::step(i, s, &w);
             }
             assert_eq!(*got, s, "{name} forward49 lane {l}");
+        }
+
+        // The reversed filter over those states: a real target (some key
+        // of a random length; candidates vary only the leading 4 bytes, as
+        // in first-char-fastest order) planted in a random lane must pass,
+        // and every lane must agree with the scalar `matches_w0`.
+        let key_len = rng.range(4, 12) as usize;
+        let key = rng.vec(key_len, |r| r.range(0x21, 0x7e) as u8);
+        let search = Md5PrefixSearch::from_sample_key(&md5::md5_single_block(&key), &key);
+        let plant = rng.index(L);
+        if let (Some(slot), Some(first)) = (w0s.get_mut(plant), key.first_chunk::<4>()) {
+            *slot = u32::from_le_bytes(*first);
+        }
+        let states = hasher.md5_forward49_batch(search.template(), &w0s);
+        for (l, (state, &w0)) in states.iter().zip(&w0s).enumerate() {
+            let hit = *state == search.reference();
+            assert_eq!(hit, search.matches_w0(w0), "{name} reversed filter lane {l}");
+            assert!(hit || l != plant, "{name}: the planted key's lane must pass the filter");
         }
     });
 }
@@ -117,9 +171,11 @@ fn neon_kernels_equal_scalar_on_supported_hosts() {
     }
 }
 
-/// The autovectorized fallback satisfies the same trait contract, at
-/// both of its supported widths — so `AutoVec` and the explicit handles
-/// are interchangeable wherever a [`LaneHasher`] is expected.
+/// The portable instantiation of the cores satisfies the same trait
+/// contract, at both widths the cracker uses — so `AutoVec` and the
+/// explicit handles are interchangeable wherever a [`LaneHasher`] is
+/// expected. Runs under both ci.sh codegens (baseline and
+/// `-C target-cpu=native`), which compile these loops differently.
 #[test]
 fn autovec_fallback_satisfies_the_same_contract() {
     check_hasher::<8, _>("autovec8_kernels_equal_scalar", eks_hashes::AutoVec);

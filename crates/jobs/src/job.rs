@@ -12,12 +12,13 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use eks_engine::checkpoint::{
-    self, escape_json, push_interval, str_field, u64_field, u128_field, Checkpoint,
+    self, push_interval, str_field, u64_field, u128_field, Checkpoint,
     CheckpointError,
 };
 use eks_engine::{ScanMode, TargetSet};
 use eks_hashes::{from_hex, to_hex, HashAlgo};
 use eks_keyspace::{Charset, Interval, KeySpace, Order};
+use eks_telemetry::json_string;
 use eks_telemetry::parse::{parse_json, Json};
 
 /// Version stamp of the job-record JSON document. Any layout change must
@@ -272,15 +273,15 @@ impl JobRecord {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"schema\":{JOB_SCHEMA_VERSION},\"id\":{},\"name\":\"{}\",\"state\":\"{}\",\
-             \"algo\":\"{}\",\"digest\":\"{}\",\"charset\":\"{}\",\"min_len\":{},\"max_len\":{},\
+            "{{\"schema\":{JOB_SCHEMA_VERSION},\"id\":{},\"name\":{},\"state\":\"{}\",\
+             \"algo\":\"{}\",\"digest\":\"{}\",\"charset\":{},\"min_len\":{},\"max_len\":{},\
              \"order\":\"{}\",\"priority\":{},\"first_hit\":{},",
             self.id.0,
-            escape_json(&self.spec.name),
+            json_string(&self.spec.name),
             self.state.name(),
             algo_key(self.spec.algo),
             to_hex(&self.spec.digest),
-            escape_json(&String::from_utf8_lossy(&self.spec.charset)),
+            json_string(&String::from_utf8_lossy(&self.spec.charset)),
             self.spec.min_len,
             self.spec.max_len,
             match self.spec.order {

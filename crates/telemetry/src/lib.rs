@@ -46,7 +46,7 @@ pub use flight::{
     FlightDump,
 };
 pub use http::{http_get, JobsFn, MetricsServer};
-pub use metrics::{Counter, Gauge, Histogram, MetricSample, Registry, SampleValue};
+pub use metrics::{json_string, Counter, Gauge, Histogram, MetricSample, Registry, SampleValue};
 pub use parse::{parse_json, parse_prometheus, parse_trace_jsonl, Json, PromSample};
 pub use trace::{TraceKind, TraceRecord, TraceSink};
 pub use window::{Window, WindowBook};

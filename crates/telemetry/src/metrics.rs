@@ -488,8 +488,10 @@ fn render_labels(labels: &Labels, le: Option<&str>) -> String {
     }
 }
 
-/// JSON string literal with the escapes our values can need.
-pub(crate) fn json_string(s: &str) -> String {
+/// `s` as a JSON string literal, quotes included: the one escaper behind
+/// every hand-rolled JSON writer above this crate (metrics, traces,
+/// flight dumps, checkpoints, job records, the serve socket).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

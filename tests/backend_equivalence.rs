@@ -1,9 +1,9 @@
 //! Cross-backend equivalence: every [`eks::engine::Backend`] — scalar,
-//! the lane backends (which run the detected explicit-SIMD kernel, else
-//! the portable 8/16-lane cores), the portable cores themselves, the
-//! explicit-SIMD backend (when the host ISA allows), auto-tuned, and the
-//! simulated-GPU kernel backend — must produce identical hit sets when
-//! driven through the same [`eks::engine::Dispatcher`]. The paper's point is that one dispatch
+//! the CPU backend under each of its constructors (the detected kernel
+//! as `lanes8` / `lanes16` / `auto`, the portable 8/16-lane cores, and
+//! every explicit-SIMD ISA the host allows), and the simulated-GPU
+//! kernel backend — must produce identical hit sets when driven through
+//! the same [`eks::engine::Dispatcher`]. The paper's point is that one dispatch
 //! pattern covers heterogeneous devices; these properties pin the part
 //! correctness depends on: the *result* of a scan is a function of the
 //! interval, not of which device scanned it.
@@ -18,53 +18,28 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use eks::cluster::SimKernelBackend;
 use eks::core::prop::{forall, Rng};
 use eks::cracker::batch::Lanes;
-use eks::cracker::{cpu_backend, crack_interval_batched, AutoBackend, SimdBackend, TargetSet};
-use eks::engine::{Backend, Dispatcher, ScanMode, ScanReport};
+use eks::cracker::{cpu_backend, AutoBackend, CpuBackend, TargetSet};
+use eks::engine::{Backend, Dispatcher, ScanMode};
 use eks::gpusim::device::Device;
-use eks::hashes::HashAlgo;
+use eks::hashes::{HashAlgo, SimdIsa};
 use eks::keyspace::{Charset, Interval, Key, KeySpace, Order};
 
-/// The portable lane cores as a backend of their own. On a host with an
-/// explicit ISA `cpu_backend(L8/L16)` dispatches past them, so they join
-/// the matrix through the free function, which never dispatches.
-struct PortableLanes(Lanes);
-
-impl Backend for PortableLanes {
-    fn name(&self) -> String {
-        format!("portable{}", self.0.width())
-    }
-
-    fn scan(
-        &self,
-        space: &KeySpace,
-        targets: &TargetSet,
-        interval: Interval,
-        stop: &AtomicBool,
-        mode: ScanMode,
-    ) -> ScanReport {
-        crack_interval_batched(space, targets, interval, stop, mode.first_hit_only(), self.0)
-    }
-
-    fn tuned_rate(&self, _algo: HashAlgo) -> f64 {
-        1.0
-    }
-}
-
-/// Every backend kind under test, freshly built. The explicit-SIMD
-/// backend joins the list only on hosts whose CPU exposes a supported
-/// ISA (Miri and exotic targets skip it); the auto backend always runs
-/// and exercises whichever implementation its tuner picks here.
+/// Every backend under test, freshly built. On a host with an explicit
+/// ISA `cpu_backend(L8/L16)` dispatches past the portable cores, so they
+/// join the matrix through the constructor that never dispatches; each
+/// explicit ISA joins only where the CPU exposes it (Miri and exotic
+/// targets skip them all).
 fn all_backends() -> Vec<Box<dyn Backend>> {
     let mut backends: Vec<Box<dyn Backend>> = vec![
         cpu_backend(Lanes::Scalar),
         cpu_backend(Lanes::L8),
         cpu_backend(Lanes::L16),
-        Box::new(PortableLanes(Lanes::L8)),
-        Box::new(PortableLanes(Lanes::L16)),
+        Box::new(CpuBackend::portable(Lanes::L8)),
+        Box::new(CpuBackend::portable(Lanes::L16)),
         Box::new(SimKernelBackend::new(Device::geforce_gtx_660())),
         Box::new(AutoBackend::new(eks::telemetry::Telemetry::disabled())),
     ];
-    if let Some(simd) = SimdBackend::best() {
+    for simd in SimdIsa::ALL.into_iter().filter_map(|isa| CpuBackend::new(isa).ok()) {
         backends.push(Box::new(simd));
     }
     backends
@@ -236,7 +211,7 @@ fn mid_interval_cancellation_reports_a_subset() {
 /// every algorithm and enumeration order.
 #[test]
 fn dispatched_lane_backends_equal_the_best_explicit_backend() {
-    let Some(simd) = SimdBackend::best() else {
+    let Some(simd) = CpuBackend::best() else {
         eprintln!("skipped: no explicit-SIMD ISA on this host");
         return;
     };
@@ -258,7 +233,7 @@ fn dispatched_lane_backends_equal_the_best_explicit_backend() {
                     let case = format!("{} vs {} {algo:?} {order:?} {mode:?}", backend.name(), simd.name());
                     assert_eq!(got.hits, want.hits, "{case}");
                     assert_eq!(got.tested, want.tested, "{case}");
-                    assert_eq!(backend.isa(algo).as_deref(), Some(simd.isa().name()), "{case}");
+                    assert_eq!(backend.isa(algo), simd.isa(algo), "{case}");
                 }
             }
         }

@@ -18,7 +18,7 @@ use std::sync::atomic::AtomicBool;
 
 use eks::core::prop::{forall, Rng};
 use eks::core::SolutionSpace;
-use eks::cracker::batch::Lanes;
+use eks::cracker::batch::{Kernel, Lanes};
 use eks::cracker::{
     crack_interval_batched, crack_space_interval, crack_space_parallel, ParallelConfig, TargetSet,
 };
@@ -117,7 +117,15 @@ fn check_space<S: BlockSpace + Sync>(space: &S, rng: &mut Rng, name: &str) {
         let interval = Interval::new(start, rng.range_u128(1, size - start));
         let oracle = crack_space_interval(space, &targets, interval.start, interval.len, &stop, false);
         for lanes in [Lanes::L8, Lanes::L16] {
-            let batched = crack_interval_batched(space, &targets, interval, &stop, false, lanes);
+            let batched = crack_interval_batched(
+                space,
+                &targets,
+                interval,
+                &stop,
+                false,
+                Kernel::Portable(lanes),
+                &eks::telemetry::Telemetry::disabled(),
+            );
             assert_eq!(batched, oracle, "portable {lanes} over {interval:?}, {name} {algo:?}");
         }
     }
