@@ -30,7 +30,7 @@ echo "==> eks verify --deny violations (exhaustive scheduler model check + kerne
 ./target/release/eks verify --deny violations
 # Negative path: every seeded mutant must be flagged with a non-zero
 # exit — a verifier that cannot catch a planted bug proves nothing.
-for mutant in drop-lease double-count merge-highest ignore-cancel \
+for mutant in drop-lease double-count merge-highest ignore-cancel stop-at-any-hit \
               unguarded-store uninit-read divergent-barrier; do
   if ./target/release/eks verify --mutate "$mutant" > /dev/null 2>&1; then
     echo "FAIL: eks verify --mutate $mutant was not flagged" >&2
@@ -38,13 +38,19 @@ for mutant in drop-lease double-count merge-highest ignore-cancel \
   fi
 done
 
-echo "==> telemetry smoke: crack with --metrics-out/--trace-out, then render the report"
+echo "==> telemetry smoke: crack (charset, then --mask) with --metrics-out/--trace-out, then render the report"
 TELEMETRY_DIR="$(mktemp -d)"
 ./target/release/eks crack --algo md5 --digest d077f244def8a70e5ea758bd8352fcd8 --max 3 \
   --metrics-out "$TELEMETRY_DIR/m.prom" --trace-out "$TELEMETRY_DIR/t.jsonl" --quiet
 # `eks report` re-parses both artifacts: it exits non-zero if the
 # Prometheus exposition does not parse or the trace JSONL strays from
 # the documented schema.
+./target/release/eks report --metrics "$TELEMETRY_DIR/m.prom" --trace "$TELEMETRY_DIR/t.jsonl" > /dev/null
+# The same plane for a structured space: a mask search takes the
+# scheduler and telemetry flags of the charset search (one search path).
+./target/release/eks crack --algo ntlm --digest 61fc780628d616af07e0df4f22115af4 --mask '?u?l?l?d' \
+  --threads 2 --sched steal --retune --stats \
+  --metrics-out "$TELEMETRY_DIR/m.prom" --trace-out "$TELEMETRY_DIR/t.jsonl" --quiet > /dev/null
 ./target/release/eks report --metrics "$TELEMETRY_DIR/m.prom" --trace "$TELEMETRY_DIR/t.jsonl" > /dev/null
 rm -rf "$TELEMETRY_DIR"
 

@@ -1,20 +1,27 @@
 //! `eks crack` — the flagship search command — and its flag grammar.
+//!
+//! Every search — charset range, `--mask`, `--words` — builds its space
+//! and falls into one tail ([`Run::search`]): one backend, one
+//! `crack_parallel_backend_observed` call, so `--backend`, `--isa`,
+//! `--sched`, `--retune`, `--progress`, `--stats` and the telemetry flags
+//! mean the same thing whatever is being enumerated. (Salted targets
+//! still take a single-threaded streaming loop of their own.)
 
 use crate::args::Args;
 use eks_cluster::SimKernelBackend;
 use eks_cracker::{
-    cpu_backend, crack_parallel_backend_observed, crack_space_parallel, render_worker_stats,
-    CpuBackend, HashTarget, Kernel, Lanes, ParallelConfig, TargetSet,
+    crack_parallel_backend_observed, render_worker_stats, CpuBackend, HashTarget, Lanes,
+    ParallelConfig, ScalarBackend, TargetSet,
 };
 use eks_engine::{Backend, BackendKind, ProgressEvent, SchedPolicy};
 use eks_gpusim::device::DeviceCatalog;
-use eks_hashes::{from_hex, SimdIsa};
+use eks_hashes::{from_hex, HashAlgo, SimdIsa};
+use eks_keyspace::{BlockSpace, HybridSpace, Interval, KeySpace, MaskSpace, Order};
 use eks_telemetry::{names, Telemetry};
-use eks_keyspace::{KeySpace, Order};
 
 use super::{
     arm_flight_recorder, parse_algo, parse_charset, parse_chunk, parse_retune, parse_sched,
-    parse_telemetry, parse_threads, spawn_metrics_server, write_artifacts,
+    parse_telemetry, parse_threads, spawn_metrics_server, write_artifacts, Logger,
 };
 
 /// `--batch` opts into the lane-batched path explicitly (it is already the
@@ -33,22 +40,23 @@ fn parse_lanes(args: &Args) -> Result<Lanes, String> {
     Ok(lanes)
 }
 
-/// The engine backend of a plain charset search: `--backend
-/// scalar|cpu|simgpu`, or the `cpu` backend for `--lanes` when none is
-/// named. `cpu` runs the widest explicit-SIMD kernel the CPU has, else
-/// the portable lanes; `--isa avx2|avx512|neon` forces one ISA instead
-/// (an unavailable one is a CLI error naming what the CPU supports);
-/// `simgpu` drives the kernel of the device picked by `--device`
-/// (default: the GTX 660). Older spellings still parse: `lanes8`,
-/// `lanes16`, `auto` = `cpu`; `simd` = `cpu` but an error without an
-/// explicit ISA.
+/// The engine backend of a search over `S`: `--backend scalar|cpu|simgpu`,
+/// or the `cpu` backend for `--lanes` when none is named. `cpu` runs the
+/// widest explicit-SIMD kernel the CPU has, else the portable lanes;
+/// `--isa avx2|avx512|neon` forces one ISA instead (an unavailable one is
+/// a CLI error naming what the CPU supports); `simgpu` is whatever the
+/// caller's `simgpu` builds — the simulated kernel of `--device` for a
+/// charset space, a usage error for any other. Older spellings still
+/// parse: `lanes8`, `lanes16`, `auto` = `cpu`; `simd` = `cpu` but an
+/// error without an explicit ISA.
 /// `--backend` subsumes `--lanes`/`--batch`, so combining them is
 /// rejected.
-fn parse_backend(
+fn parse_backend<S: BlockSpace + 'static>(
     args: &Args,
     lanes: Lanes,
     telemetry: &Telemetry,
-) -> Result<Box<dyn Backend>, String> {
+    simgpu: impl FnOnce() -> Result<Box<dyn Backend<S>>, String>,
+) -> Result<Box<dyn Backend<S>>, String> {
     let spelling = args.get("backend");
     if spelling.is_some() && (args.has("lanes") || args.has("batch")) {
         return Err("--backend conflicts with --lanes/--batch".into());
@@ -63,7 +71,7 @@ fn parse_backend(
         return Err("--isa applies only to the cpu backend".into());
     }
     Ok(match kind {
-        BackendKind::Scalar => cpu_backend(Lanes::Scalar),
+        BackendKind::Scalar => Box::new(ScalarBackend),
         BackendKind::Cpu => {
             let backend = match (args.get("isa"), spelling) {
                 (Some(name), _) => {
@@ -79,12 +87,15 @@ fn parse_backend(
             };
             Box::new(backend.with_telemetry(telemetry.clone()))
         }
-        BackendKind::SimGpu => {
-            let device =
-                DeviceCatalog::find(args.get_or("device", "660")).ok_or("unknown --device")?;
-            Box::new(SimKernelBackend::new(device))
-        }
+        BackendKind::SimGpu => simgpu()?,
     })
+}
+
+/// `--backend simgpu` over a mask or a hybrid dictionary.
+fn charset_keys_only<S>() -> Result<Box<dyn Backend<S>>, String> {
+    Err("--backend simgpu searches charset keyspaces only: the simulated kernel \
+         generates charset keys, not --mask/--words candidates"
+        .into())
 }
 
 /// How often the periodic progress line refreshes (telemetry-clock ns).
@@ -106,6 +117,18 @@ fn progress_line(e: &ProgressEvent, total: u128, elapsed_secs: f64) -> String {
     )
 }
 
+/// What every `eks crack` search shares once the flags that do not
+/// depend on the space are parsed.
+struct Run<'a> {
+    args: &'a Args,
+    algo: HashAlgo,
+    digest: Vec<u8>,
+    threads: usize,
+    lanes: Lanes,
+    telemetry: Telemetry,
+    log: Logger,
+}
+
 pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
     let algo = parse_algo(args)?;
     let digest_hex = args
@@ -125,68 +148,22 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
     let (telemetry, log) = parse_telemetry(args)?;
     let _metrics_server = spawn_metrics_server(args, &telemetry, None)?;
     arm_flight_recorder(args, &telemetry);
-    let backend = parse_backend(args, lanes, &telemetry)?;
-    let chunk = parse_chunk(args)?;
-    let sched = parse_sched(args, SchedPolicy::Steal)?;
-    let retune = parse_retune(args)?;
-    let structured = args.get("mask").is_some()
-        || args.get("words").is_some()
-        || args.get("salt-prefix").is_some()
-        || args.get("salt-suffix").is_some();
-    if (args.has("backend") || args.has("isa")) && structured {
-        return Err("--backend/--isa apply only to plain charset searches".into());
-    }
-    if args.get("sched").is_some() && structured {
-        return Err("--sched applies only to plain charset searches".into());
-    }
-    if retune.is_some() && structured {
-        return Err("--retune applies only to plain charset searches".into());
-    }
-
-    // Mask and hybrid attacks run the shared-cursor search over the
-    // space's own block writer, on the kernel `--lanes` selects.
-    let structured_config = |default_chunk| ParallelConfig {
-        threads,
-        chunk: chunk.unwrap_or(default_chunk),
-        first_hit_only: !args.has("all"),
-        lanes,
-        ..ParallelConfig::default()
-    };
-    // `simd-avx512`, `lanes8 [autovec]`, `scalar`: what will run.
-    let kernel = || {
-        let kernel = Kernel::detect_for(lanes, algo);
-        let (name, isa) = (kernel.name(), kernel.isa());
-        if name.ends_with(isa) { name } else { format!("{name} [{isa}]") }
-    };
+    let run = Run { args, algo, digest, threads, lanes, telemetry, log };
 
     // Mask attack: --mask "?u?l?l?d?d".
     if let Some(mask) = args.get("mask") {
-        let space = eks_keyspace::MaskSpace::parse(mask).map_err(|e| e.to_string())?;
-        log.info(format!(
-            "mask {mask}: {} candidates, {threads} threads, kernel {}",
-            space.size(),
-            kernel()
-        ));
-        let targets = TargetSet::new(algo, &[digest]);
-        let report = crack_space_parallel(&space, &targets, structured_config(1 << 12));
-        return finish_structured(args, &telemetry, &log, report);
+        let space = MaskSpace::parse(mask).map_err(|e| e.to_string())?;
+        return run.search(&space, format!("mask {mask}"), charset_keys_only);
     }
 
     // Hybrid attack: --words w1,w2,... [--suffix-digits N].
     if let Some(words) = args.get("words") {
         let list: Vec<&[u8]> = words.split(',').map(|w| w.as_bytes()).collect();
         let digits: u32 = args.get_parse_or("suffix-digits", 2)?;
-        let space = eks_keyspace::HybridSpace::with_digit_suffixes(&list, digits)
-            .map_err(|e| format!("{e:?}"))?;
-        log.info(format!(
-            "hybrid: {} words x digit suffixes 0..={digits} = {} candidates, kernel {}",
-            space.word_count(),
-            space.size(),
-            kernel()
-        ));
-        let targets = TargetSet::new(algo, &[digest]);
-        let report = crack_space_parallel(&space, &targets, structured_config(256));
-        return finish_structured(args, &telemetry, &log, report);
+        let space =
+            HybridSpace::with_digit_suffixes(&list, digits).map_err(|e| format!("{e:?}"))?;
+        let what = format!("hybrid: {} words x digit suffixes 0..={digits}", space.word_count());
+        return run.search(&space, what, charset_keys_only);
     }
 
     let charset = parse_charset(args)?;
@@ -194,18 +171,30 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
     let max: u32 = args.get_parse_or("max", 5)?;
     let space = KeySpace::new(charset, min, max, Order::FirstCharFastest)
         .map_err(|e| e.to_string())?;
-    log.info(format!(
-        "searching {} candidates ({} lengths {min}..={max}) with {threads} threads",
-        space.size(),
-        algo.name()
-    ));
+    if args.get("salt-prefix").is_some() || args.get("salt-suffix").is_some() {
+        return run.stream_salted(&space);
+    }
+    run.search(&space, format!("{} lengths {min}..={max}", algo.name()), || {
+        let device =
+            DeviceCatalog::find(args.get_or("device", "660")).ok_or("unknown --device")?;
+        Ok(Box::new(SimKernelBackend::new(device)))
+    })
+}
 
-    let salted = args.get("salt-prefix").is_some() || args.get("salt-suffix").is_some();
-    if salted {
-        // Salted targets go through the streaming path, one at a time.
+impl Run<'_> {
+    /// Salted targets: the streaming path, one candidate at a time on one
+    /// thread — no backend, no dispatcher, so their flags do not apply.
+    fn stream_salted(&self, space: &KeySpace) -> Result<(), String> {
+        let args = self.args;
+        for flag in ["backend", "isa", "sched", "retune", "retune-interval"] {
+            if args.has(flag) {
+                return Err(format!("--{flag} does not apply to salted targets (streaming path)"));
+            }
+        }
+        self.log.info(format!("searching {} salted candidates", space.size()));
         let prefix = args.get_or("salt-prefix", "").as_bytes().to_vec();
         let suffix = args.get_or("salt-suffix", "").as_bytes().to_vec();
-        let target = HashTarget::salted(algo, &digest, &prefix, &suffix);
+        let target = HashTarget::salted(self.algo, &self.digest, &prefix, &suffix);
         let mut found = None;
         space.iter(space.interval()).for_each_key(|id, key| {
             if target.matches(key) {
@@ -215,115 +204,121 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
                 true
             }
         });
-        return match found {
+        match found {
             Some((id, key)) => {
                 println!("FOUND: \"{key}\" (identifier {id})");
                 Ok(())
             }
             None => Err("not found in this keyspace".into()),
+        }
+    }
+
+    /// The one search tail: backend, scheduler, progress, gauges, the
+    /// dispatcher-driven search over the whole of `space`, `--stats`,
+    /// artifacts, the report. `what` names the space in the header line.
+    fn search<S: BlockSpace + Sync + 'static>(
+        &self,
+        space: &S,
+        what: String,
+        simgpu: impl FnOnce() -> Result<Box<dyn Backend<S>>, String>,
+    ) -> Result<(), String> {
+        let (args, algo, threads) = (self.args, self.algo, self.threads);
+        let (telemetry, log) = (&self.telemetry, &self.log);
+        let backend = parse_backend(args, self.lanes, telemetry, simgpu)?;
+        let mut config = ParallelConfig {
+            first_hit_only: !args.has("all"),
+            lanes: self.lanes,
+            sched: parse_sched(args, SchedPolicy::Steal)?,
+            retune: parse_retune(args)?,
+            ..ParallelConfig::for_threads(threads)
         };
-    }
-
-    let targets = TargetSet::new(algo, &[digest]);
-    let mut config = ParallelConfig {
-        first_hit_only: !args.has("all"),
-        lanes,
-        sched,
-        retune,
-        ..ParallelConfig::for_threads(threads)
-    };
-    if let Some(c) = chunk {
-        config.chunk = c;
-    }
-    // Periodic progress line: throttled to one refresh per
-    // PROGRESS_EVERY_NS on the telemetry clock (an injected ManualClock
-    // therefore controls exactly which refreshes print), derived from
-    // the merged-scan observations the dispatcher already emits (no
-    // extra hot-path work).
-    let total = space.size();
-    let start_ns = telemetry.now_ns();
-    let throttle = eks_telemetry::Throttle::new(start_ns, PROGRESS_EVERY_NS);
-    let want_progress = args.has("progress");
-    // Hidden test hook for the CI flight-recorder gate: panic after the
-    // N-th merged chunk, mid-search, so the armed --flight hook dumps a
-    // black box that `eks postmortem` must replay.
-    let panic_after: Option<u64> = match args.get("panic-after-chunks") {
-        Some(s) => Some(s.parse().map_err(|_| format!("invalid --panic-after-chunks {s:?}"))?),
-        None => None,
-    };
-    let chunks_seen = std::sync::atomic::AtomicU64::new(0);
-    let progress = |e: &ProgressEvent| {
-        if let Some(n) = panic_after {
-            let seen = chunks_seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            assert!(seen < n, "forced panic after {n} chunks (--panic-after-chunks)");
+        if let Some(c) = parse_chunk(args)? {
+            config.chunk = c;
         }
-        if !want_progress {
-            return;
-        }
-        let now_ns = telemetry.now_ns();
-        if !throttle.ready(now_ns) {
-            return;
-        }
-        log.progress(progress_line(e, total, now_ns.saturating_sub(start_ns) as f64 / 1e9));
-    };
-    // Record which kernel specialization the backend selected (the §V
-    // per-architecture choice) and its tuned rate, so `eks report` can
-    // show them next to the cost-model terms. Guarded on the enabled
-    // handle because the tuned rate runs a short timed sweep.
-    if telemetry.is_enabled() {
+        let total = space.size().ok_or("the search space does not fit 128 bits")?;
+        // `simd-avx512`, `lanes8 [avx512]`, `scalar`: what will run.
         let name = backend.name();
-        if let Some(isa) = backend.isa(algo) {
-            telemetry.gauge(names::BACKEND_ISA, &[("backend", &name), ("isa", &isa)]).set(1.0);
-        }
-        telemetry
-            .gauge(names::BACKEND_RATE_MKEYS, &[("backend", &name)])
-            .set(backend.tuned_rate(algo));
-    }
-    let report = crack_parallel_backend_observed(
-        &space,
-        &targets,
-        space.interval(),
-        backend.as_ref(),
-        config,
-        &telemetry,
-        progress,
-    );
-    if args.has("stats") {
-        print!("{}", render_worker_stats(&report.stats));
-    }
-    write_artifacts(args, &telemetry, &log)?;
-    finish_report(report)
-}
-
-/// The tail of a mask / hybrid search: `--stats`, artifacts, the report.
-fn finish_structured(
-    args: &Args,
-    telemetry: &Telemetry,
-    log: &super::Logger,
-    report: eks_cracker::ParallelReport,
-) -> Result<(), String> {
-    if args.has("stats") {
-        print!("{}", render_worker_stats(&report.stats));
-    }
-    write_artifacts(args, telemetry, log)?;
-    finish_report(report)
-}
-
-fn finish_report(report: eks_cracker::ParallelReport) -> Result<(), String> {
-    if report.hits.is_empty() {
-        return Err(format!(
-            "not found; tested {} keys at {:.2} MKey/s",
-            report.tested, report.mkeys_per_s
+        let isa = backend.isa(algo);
+        let kernel = match &isa {
+            Some(isa) if !name.ends_with(isa.as_str()) => format!("{name} [{isa}]"),
+            _ => name.clone(),
+        };
+        log.info(format!(
+            "searching {total} candidates ({what}) with {threads} threads, kernel {kernel}"
         ));
+        let targets = TargetSet::new(algo, std::slice::from_ref(&self.digest));
+        // Periodic progress line: throttled to one refresh per
+        // PROGRESS_EVERY_NS on the telemetry clock (an injected ManualClock
+        // therefore controls exactly which refreshes print), derived from
+        // the merged-scan observations the dispatcher already emits (no
+        // extra hot-path work).
+        let start_ns = telemetry.now_ns();
+        let throttle = eks_telemetry::Throttle::new(start_ns, PROGRESS_EVERY_NS);
+        let want_progress = args.has("progress");
+        // Hidden test hook for the CI flight-recorder gate: panic after the
+        // N-th merged chunk, mid-search, so the armed --flight hook dumps a
+        // black box that `eks postmortem` must replay.
+        let panic_after: Option<u64> = match args.get("panic-after-chunks") {
+            Some(s) => {
+                Some(s.parse().map_err(|_| format!("invalid --panic-after-chunks {s:?}"))?)
+            }
+            None => None,
+        };
+        let chunks_seen = std::sync::atomic::AtomicU64::new(0);
+        let progress = |e: &ProgressEvent| {
+            if let Some(n) = panic_after {
+                let seen = chunks_seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                assert!(seen < n, "forced panic after {n} chunks (--panic-after-chunks)");
+            }
+            if !want_progress {
+                return;
+            }
+            let now_ns = telemetry.now_ns();
+            if !throttle.ready(now_ns) {
+                return;
+            }
+            log.progress(progress_line(e, total, now_ns.saturating_sub(start_ns) as f64 / 1e9));
+        };
+        // Record which kernel specialization the backend selected (the §V
+        // per-architecture choice) and its tuned rate, so `eks report` can
+        // show them next to the cost-model terms. Guarded on the enabled
+        // handle because the tuned rate runs a short timed sweep.
+        if telemetry.is_enabled() {
+            if let Some(isa) = &isa {
+                telemetry.gauge(names::BACKEND_ISA, &[("backend", &name), ("isa", isa)]).set(1.0);
+            }
+            telemetry
+                .gauge(names::BACKEND_RATE_MKEYS, &[("backend", &name)])
+                .set(backend.tuned_rate(algo));
+        }
+        let report = crack_parallel_backend_observed(
+            space,
+            &targets,
+            Interval::new(0, total),
+            backend.as_ref(),
+            config,
+            telemetry,
+            progress,
+        );
+        if args.has("stats") {
+            print!("{}", render_worker_stats(&report.stats));
+        }
+        write_artifacts(args, telemetry, log)?;
+        if report.hits.is_empty() {
+            return Err(format!(
+                "not found; tested {} keys at {:.2} MKey/s",
+                report.tested, report.mkeys_per_s
+            ));
+        }
+        for (id, key, _) in &report.hits {
+            println!("FOUND: \"{key}\" (identifier {id})");
+        }
+        println!(
+            "tested {} keys in {:.3} s ({:.2} MKey/s)",
+            report.tested, report.elapsed_s, report.mkeys_per_s
+        );
+        Ok(())
     }
-    for (id, key, _) in &report.hits {
-        println!("FOUND: \"{key}\" (identifier {id})");
-    }
-    println!(
-        "tested {} keys in {:.3} s ({:.2} MKey/s)",
-        report.tested, report.elapsed_s, report.mkeys_per_s
-    );
-    Ok(())
 }
 
 #[cfg(test)]
@@ -410,11 +405,23 @@ mod tests {
         let conflict =
             args(&["crack", "--digest", &digest, "--backend", "scalar", "--lanes", "8"]);
         assert!(run("crack", &conflict).is_err(), "--backend conflicts with --lanes");
-        for flag in [["--backend", "scalar"], ["--isa", "avx2"]] {
-            let masked =
-                args(&["crack", "--digest", &digest, flag[0], flag[1], "--mask", "?l?l?l"]);
-            assert!(run("crack", &masked).is_err(), "{} is plain-search only", flag[0]);
+        // The same flags drive a mask or a hybrid search: one tail.
+        let detected = SimdIsa::detect().map(SimdIsa::name);
+        let mut flags = vec![vec!["--backend", "scalar"], vec!["--backend", "cpu"], vec!["--stats"]];
+        flags.extend(detected.map(|isa| vec!["--backend", "cpu", "--isa", isa]));
+        for flag in flags {
+            for space in [&["--mask", "?l?l?l"][..], &["--words", "cab,dog", "--suffix-digits", "1"]] {
+                let mut argv = vec!["crack", "--digest", &digest, "--threads", "2"];
+                argv.extend_from_slice(space);
+                argv.extend_from_slice(&flag);
+                assert!(run("crack", &args(&argv)).is_ok(), "{flag:?} with {space:?}");
+            }
         }
+        // ... except the simulated GPU, whose kernel generates charset keys.
+        let masked =
+            args(&["crack", "--digest", &digest, "--backend", "simgpu", "--mask", "?l?l?l"]);
+        let err = run("crack", &masked).expect_err("simgpu cannot enumerate a mask");
+        assert!(err.contains("charset keys"), "{err}");
         let nodev =
             args(&["crack", "--digest", &digest, "--backend", "simgpu", "--device", "voodoo2"]);
         assert!(run("crack", &nodev).is_err(), "unknown simgpu device");
@@ -433,9 +440,12 @@ mod tests {
         assert!(run("crack", &a).is_ok(), "--chunk override with stats table");
         let bad = args(&["crack", "--digest", &digest, "--sched", "fifo"]);
         assert!(run("crack", &bad).is_err(), "unknown policy");
-        let masked =
-            args(&["crack", "--digest", &digest, "--sched", "steal", "--mask", "?l?l?l"]);
-        assert!(run("crack", &masked).is_err(), "--sched is plain-search only");
+        for sched in ["static", "queue", "steal"] {
+            let masked = args(&[
+                "crack", "--digest", &digest, "--threads", "2", "--sched", sched, "--mask", "?l?l?l",
+            ]);
+            assert!(run("crack", &masked).is_ok(), "--sched {sched} with --mask");
+        }
     }
 
     #[test]
@@ -456,9 +466,10 @@ mod tests {
         assert!(err.contains("--retune-interval"), "{err}");
         let bad = args(&["crack", "--digest", &digest, "--retune-interval", "soon"]);
         assert!(run("crack", &bad).is_err(), "non-numeric interval");
-        let masked =
-            args(&["crack", "--digest", &digest, "--retune", "--mask", "?l?l?l"]);
-        assert!(run("crack", &masked).is_err(), "--retune is plain-search only");
+        let masked = args(&[
+            "crack", "--digest", &digest, "--threads", "2", "--all", "--retune", "--mask", "?l?l?l",
+        ]);
+        assert!(run("crack", &masked).is_ok(), "--retune with --mask");
     }
 
     #[test]
@@ -479,10 +490,12 @@ mod tests {
         let dir = std::env::temp_dir();
         let digest = to_hex(&HashAlgo::Md5.hash(b"zzz"));
         let detected = SimdIsa::detect().map_or("autovec", SimdIsa::name);
-        for (tag, backend, isa) in [
-            ("default", &[][..], detected),
-            ("auto", &["--backend", "auto"], detected),
-            ("scalar", &["--lanes", "scalar"], "scalar"),
+        for (tag, backend, isa, keys) in [
+            ("default", &[][..], detected, 18_278.0),
+            ("auto", &["--backend", "auto"], detected, 18_278.0),
+            ("scalar", &["--lanes", "scalar"], "scalar", 18_278.0),
+            // A structured space reports through the same registry.
+            ("mask", &["--mask", "?l?l?l"], detected, 17_576.0),
         ] {
             let metrics = dir.join(format!("eks-cli-isa-{tag}-{}.prom", std::process::id()));
             let mut argv = vec![
@@ -492,6 +505,9 @@ mod tests {
             argv.extend_from_slice(backend);
             assert!(run("crack", &args(&argv)).is_ok(), "{tag}");
             let samples = parse_prometheus(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+            let tested: f64 =
+                samples.iter().filter(|s| s.name == names::KEYS_TESTED).map(|s| s.value).sum();
+            assert_eq!(tested, keys, "{tag}: eks_keys_tested_total covers the space");
             assert!(
                 samples.iter().any(|s| s.name == names::BACKEND_ISA
                     && s.label("isa") == Some(isa)
@@ -526,6 +542,13 @@ mod tests {
             "crack", "--algo", "sha1", "--digest", &digest, "--max", "2", "--salt-prefix", "s-",
         ]);
         assert!(run("crack", &a).is_ok());
+        // The streaming path has no backend or scheduler to configure.
+        let a = args(&[
+            "crack", "--algo", "sha1", "--digest", &digest, "--max", "2", "--salt-prefix", "s-",
+            "--sched", "steal",
+        ]);
+        let err = run("crack", &a).expect_err("--sched with a salt");
+        assert!(err.contains("--sched"), "{err}");
     }
 
     #[test]

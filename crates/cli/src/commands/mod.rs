@@ -63,8 +63,8 @@ fn print_help() {
     println!("           lockstep on the widest explicit-SIMD kernel the CPU has, else on 8");
     println!("           portable lanes; --isa forces one ISA instead (unavailable ISAs are a");
     println!("           friendly error); simgpu drives a simulated device's kernel.");
-    println!("           --mask/--words run the cpu kernel too (the log line names it;");
-    println!("           --stats works); salted searches hash one key at a time");
+    println!("           --mask/--words take every flag here too (one search path; simgpu");
+    println!("           alone is charset-only); salted searches hash one key at a time");
     println!("           older spellings: --backend lanes8|lanes16|simd|auto = cpu,");
     println!("           --lanes 8|16 / --batch = cpu, --lanes scalar = scalar");
     println!("           [--sched static|queue|steal]   worker scheduling (default: steal —");
@@ -95,14 +95,14 @@ fn print_help() {
     println!("  verify   [--workers N] [--intervals N] [--depth N] [--json]");
     println!("           [--deny violations|warnings] [--mutate NAME]");
     println!("           bounded exhaustive model checking of the work-stealing scheduler");
-    println!("           protocol (exactly-once, no-lost-lease, lowest-id merge, the");
+    println!("           protocol (exactly-once, no-lost-lease, lowest-planted-id merge, the");
     println!("           cancellation bound) plus grid-IR soundness passes (bounds,");
     println!("           must-defined, barrier divergence) over every shipped kernel");
     println!("           wrapper; prints per-check state/transition counts and a");
     println!("           counterexample trace on violation (non-zero exit). --mutate runs");
     println!("           a seeded-bug model instead: drop-lease, double-count,");
-    println!("           merge-highest, ignore-cancel, unguarded-store, uninit-read,");
-    println!("           divergent-barrier");
+    println!("           merge-highest, ignore-cancel, stop-at-any-hit, unguarded-store,");
+    println!("           uninit-read, divergent-barrier");
     println!("  devices                                  the paper's GPU catalog (Table VII)");
     println!("  disasm   [--algo md5|sha1] [--cc 3.0] [--tool ours|barswf|cryptohaze]");
     println!("  profile  [--algo md5|sha1|ntlm] [--device 660]   simulated profiler report");

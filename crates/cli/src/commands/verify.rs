@@ -134,12 +134,13 @@ pub(super) fn cmd_verify_mutant(
         "ignore-cancel" => {
             sched(ModelConfig::cancel_bound(workers, keys), Mutation::IgnoreCancelPoll)
         }
+        "stop-at-any-hit" => sched(ModelConfig::first_hit(workers, keys), Mutation::StopAtAnyHit),
         "unguarded-store" => grid(mutant_unguarded_store("mutant/unguarded-store")),
         "uninit-read" => grid(mutant_uninit_read("mutant/uninit-read")),
         "divergent-barrier" => grid(mutant_divergent_barrier("mutant/divergent-barrier")),
         other => Err(format!(
             "unknown --mutate {other:?} (drop-lease, double-count, merge-highest, \
-             ignore-cancel, unguarded-store, uninit-read, divergent-barrier)"
+             ignore-cancel, stop-at-any-hit, unguarded-store, uninit-read, divergent-barrier)"
         )),
     }
 }
@@ -279,6 +280,7 @@ mod tests {
             "double-count",
             "merge-highest",
             "ignore-cancel",
+            "stop-at-any-hit",
             "unguarded-store",
             "uninit-read",
             "divergent-barrier",

@@ -1,8 +1,11 @@
-//! A generic parallel driver over any [`SolutionSpace`] — the fine-grain
-//! half of the pattern without committing to keys or hashes. `eks-cracker`
-//! specializes this shape for password targets; this driver is what other
+//! A generic parallel driver over any [`SolutionSpace`] and any test `C`
+//! — the fine-grain half of the pattern without committing to keys or
+//! hashes. Searches for hash targets run on `eks-engine`'s `Dispatcher`
+//! (whose leaves are hash kernels); this driver is what the other
 //! exhaustive-search instantiations (the paper: "our solution pattern can
-//! be applied to other exhaustive search strategies") build on.
+//! be applied to other exhaustive search strategies") run on — today
+//! `eks-cracker::mining::mine`, a nonce range tested by a SHA-256d
+//! difficulty check.
 //!
 //! Threads pull fixed-size chunks from a shared cursor; each chunk is
 //! scanned with one `generate` and `next` thereafter; a stop flag

@@ -1,10 +1,13 @@
-//! CPU implementations of the engine-layer [`Backend`] trait.
+//! CPU implementations of the engine-layer [`Backend`] trait, each for
+//! every space it can enumerate — so a mask or a hybrid dictionary is
+//! searched by the same backend value as a brute-force range.
 //!
 //! * [`ScalarBackend`] — the one-candidate-at-a-time reference path
-//!   ([`crate::engine::crack_interval`]);
+//!   ([`crate::engine::crack_interval`]), over any space of keys;
 //! * [`CpuBackend`] — the lane-batched path
 //!   ([`crate::batch::crack_interval_batched`]), the CPU stand-in for a
-//!   warp of GPU threads and what every CPU worker runs. Its [`Kernel`]
+//!   warp of GPU threads and what every CPU worker runs, over any
+//!   [`BlockSpace`]. Its [`Kernel`]
 //!   is resolved once, at construction: the widest explicit ISA the CPU
 //!   has, else the portable cores ([`CpuBackend::detect`]); one named ISA
 //!   ([`CpuBackend::new`], the CLI's `--isa`); or the portable cores
@@ -25,10 +28,10 @@ use std::time::Instant;
 
 use eks_engine::{Backend, ScanMode, ScanReport};
 use eks_hashes::{HashAlgo, SimdHasher, SimdIsa};
-use eks_keyspace::{Charset, Interval, KeySpace, Order};
+use eks_keyspace::{BlockSpace, Charset, Interval, Key, KeySpace, Order, SolutionSpace};
 use eks_telemetry::Telemetry;
 
-use crate::batch::{crack_interval_batched, Kernel, Lanes};
+use crate::batch::{crack_interval_batched, needs_scalar_fallback, Kernel, Lanes};
 use crate::engine::crack_interval;
 use crate::target::TargetSet;
 
@@ -36,14 +39,14 @@ use crate::target::TargetSet;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScalarBackend;
 
-impl Backend for ScalarBackend {
+impl<S: SolutionSpace<Solution = Key> + ?Sized> Backend<S> for ScalarBackend {
     fn name(&self) -> String {
         "scalar".into()
     }
 
     fn scan(
         &self,
-        space: &KeySpace,
+        space: &S,
         targets: &TargetSet,
         interval: Interval,
         stop: &AtomicBool,
@@ -140,6 +143,26 @@ impl CpuBackend {
     pub fn kernel(&self) -> Kernel {
         self.kernel
     }
+
+    // Inherent, with the `Backend<S>` impl forwarding: `backend.name()` on
+    // the concrete type would otherwise be ambiguous over `S`.
+
+    /// [`Backend::name`].
+    pub fn name(&self) -> String {
+        self.name.clone()
+    }
+
+    /// [`Backend::tuned_rate`]: measured, cached per `(kernel, algo)`.
+    pub fn tuned_rate(&self, algo: HashAlgo) -> f64 {
+        measured_rate(self.kernel, algo)
+    }
+
+    /// [`Backend::isa`]: the kernel's ISA, or `scalar` for an algorithm
+    /// the lane kernels cannot run (the scan falls back to the oracle).
+    pub fn isa(&self, algo: HashAlgo) -> Option<String> {
+        let isa = if needs_scalar_fallback(algo) { "scalar" } else { self.kernel.isa() };
+        Some(isa.into())
+    }
 }
 
 impl Default for CpuBackend {
@@ -148,14 +171,14 @@ impl Default for CpuBackend {
     }
 }
 
-impl Backend for CpuBackend {
+impl<S: BlockSpace> Backend<S> for CpuBackend {
     fn name(&self) -> String {
-        self.name.clone()
+        self.name()
     }
 
     fn scan(
         &self,
-        space: &KeySpace,
+        space: &S,
         targets: &TargetSet,
         interval: Interval,
         stop: &AtomicBool,
@@ -173,11 +196,11 @@ impl Backend for CpuBackend {
     }
 
     fn tuned_rate(&self, algo: HashAlgo) -> f64 {
-        measured_rate(self.kernel, algo)
+        self.tuned_rate(algo)
     }
 
-    fn isa(&self, _algo: HashAlgo) -> Option<String> {
-        Some(self.kernel.isa().into())
+    fn isa(&self, algo: HashAlgo) -> Option<String> {
+        self.isa(algo)
     }
 }
 
@@ -199,10 +222,8 @@ impl AutoBackend {
 
 /// The CPU backend for a lane width, boxed for heterogeneous dispatch.
 pub fn cpu_backend(lanes: Lanes) -> Box<dyn Backend> {
-    match lanes {
-        Lanes::Scalar => Box::new(ScalarBackend),
-        lanes => Box::new(CpuBackend::detect(lanes)),
-    }
+    // `Lanes::Scalar` detects to the scalar kernel, under the name `scalar`.
+    Box::new(CpuBackend::detect(lanes))
 }
 
 /// Keys swept per tuning measurement — enough to amortize startup,
@@ -282,7 +303,7 @@ mod tests {
 
     #[test]
     fn backend_names_match_the_cli_vocabulary() {
-        assert_eq!(ScalarBackend.name(), "scalar");
+        assert_eq!(Backend::<KeySpace>::name(&ScalarBackend), "scalar");
         assert_eq!(CpuBackend::detect(Lanes::L8).name(), "lanes8");
         assert_eq!(CpuBackend::detect(Lanes::L16).name(), "lanes16");
         assert_eq!(CpuBackend::detect(Lanes::Scalar).name(), "scalar");
@@ -297,7 +318,9 @@ mod tests {
     fn detection_picks_the_widest_kernel_and_labels_name_what_runs() {
         let md5 = HashAlgo::Md5;
         let dispatched = SimdIsa::detect().map_or("autovec", SimdIsa::name);
-        assert_eq!(ScalarBackend.isa(md5).as_deref(), Some("scalar"));
+        assert_eq!(Backend::<KeySpace>::isa(&ScalarBackend, md5).as_deref(), Some("scalar"));
+        let iterated = HashAlgo::Md5Iter { iters: 3 };
+        assert_eq!(CpuBackend::default().isa(iterated).as_deref(), Some("scalar"));
         assert_eq!(CpuBackend::detect(Lanes::Scalar).kernel(), Kernel::Portable(Lanes::Scalar));
         for lanes in [Lanes::L8, Lanes::L16] {
             let want = SimdHasher::best().map_or(Kernel::Portable(lanes), Kernel::Simd);

@@ -1,10 +1,9 @@
 //! Lane-batched interval scanning: the CPU mirror of the paper's
 //! one-thread-per-candidate GPU kernels.
 //!
-//! Where the scalar engines ([`crate::engine::crack_interval`],
-//! [`crate::generic::crack_space_interval`]) test one candidate at a time
-//! (generate, hash, compare — with a heap-allocated digest per test), this
-//! module tests `L` candidates in lockstep, exactly as `L` threads of a
+//! Where the scalar engine ([`crate::engine::crack_interval`]) tests one
+//! candidate at a time (generate, hash, compare — with a heap-allocated
+//! digest per test), this module tests `L` candidates in lockstep, exactly as `L` threads of a
 //! warp would: the space's block writer puts `L` consecutive candidates'
 //! pre-padded blocks in place (no allocation), a [`LaneHasher`] hashes
 //! all lanes together, and the [`TargetSet`] prefilter reduces the common
@@ -18,9 +17,8 @@
 //! Section III's "only `f` and `next` change". *What hashes them* is the
 //! [`Kernel`]: one family of compression cores (`eks-hashes::simd`),
 //! instantiated per ISA behind runtime detection — what
-//! [`Kernel::detect`], hence every CPU backend and `crack_space_parallel`,
-//! picks where the CPU has one — or over plain arrays ([`AutoVec`], `L` =
-//! 8 or 16), which the compiler vectorises only as far as the *build's*
+//! [`Kernel::detect`], hence every CPU backend, picks where the CPU has
+//! one — or over plain arrays ([`AutoVec`], `L` = 8 or 16), which the compiler vectorises only as far as the *build's*
 //! target allows: with `-C target-cpu=native` it does, in the baseline
 //! x86-64 build it emits scalar code (a whole scan costs 40–51 ns/key
 //! for single-target MD5 and 118–133 for SHA-1, against 5 and 17 on
@@ -52,10 +50,9 @@ use eks_hashes::{sha1, AutoVec, HashAlgo, LaneHasher, Md5PrefixSearch, SimdHashe
 use eks_keyspace::{BlockLayout, BlockSource, BlockSpace, Interval, Key};
 use eks_telemetry::{names, Counter, Histogram, Telemetry};
 
-use crate::engine::CrackOutcome;
 #[cfg(test)]
 use crate::engine::POLL_CHUNK;
-use crate::generic::crack_space_interval;
+use crate::engine::{crack_interval, CrackOutcome};
 use crate::target::TargetSet;
 
 /// Lane width of the *portable* batched test path — how many candidates
@@ -179,9 +176,8 @@ impl Kernel {
     }
 
     /// [`Kernel::detect`] for a search whose algorithm is known up
-    /// front: one the lane kernels cannot run is the scalar engine's.
-    /// What `crack_space_parallel` resolves, so a caller can say what
-    /// will run before it does.
+    /// front: one the lane kernels cannot run is the scalar engine's —
+    /// so a caller can say what will run before it does.
     pub fn detect_for(lanes: Lanes, algo: HashAlgo) -> Self {
         if needs_scalar_fallback(algo) {
             Kernel::Portable(Lanes::Scalar)
@@ -210,9 +206,8 @@ impl Kernel {
     }
 }
 
-/// Like [`crack_space_interval`] (for a `KeySpace`, like
-/// [`crate::engine::crack_interval`]) but testing a batch of candidates
-/// in lockstep on `kernel` — exactly that kernel, whatever the CPU
+/// Like [`crack_interval`] but testing a batch of candidates in lockstep
+/// on `kernel` — exactly that kernel, whatever the CPU
 /// offers; [`Kernel::detect`] is where the choice is made.
 ///
 /// Produces the same hits as the scalar engine over the same interval;
@@ -231,7 +226,7 @@ pub fn crack_interval_batched<S: BlockSpace>(
     telemetry: &Telemetry,
 ) -> CrackOutcome {
     if kernel == Kernel::Portable(Lanes::Scalar) || needs_scalar_fallback(targets.algo()) {
-        return crack_space_interval(space, targets, interval.start, interval.len, stop, first_hit_only);
+        return crack_interval(space, targets, interval, stop, first_hit_only);
     }
     let instruments = BatchInstruments::new(telemetry);
     macro_rules! lanes {
@@ -416,8 +411,7 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
     let mut cancelled = cursor.cancelled();
     if !cancelled && !found_first && writer.remaining() > 0 {
         let tail = Interval::new(writer.next_id(), writer.remaining());
-        let out =
-            crack_space_interval(space, targets, tail.start, tail.len, stop, first_hit_only);
+        let out = crack_interval(space, targets, tail, stop, first_hit_only);
         hits.extend(out.hits);
         tested += out.tested;
         cancelled = out.cancelled;
@@ -432,7 +426,6 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::crack_interval;
     use eks_keyspace::{Charset, KeySpace, Order};
 
     fn space(order: Order) -> KeySpace {

@@ -1,17 +1,21 @@
-//! Sequential interval scanning with cooperative cancellation.
+//! The scalar scan: sequential interval scanning with cooperative
+//! cancellation, over any space whose candidates are keys.
 //!
 //! One call = one node's `K_search` (Section III): generate `f(start)`
-//! once, walk the interval with the `next` operator, test every
-//! candidate, and poll a stop flag between fixed-size chunks so a
-//! dispatcher can cancel in-flight work once another node finds the key.
+//! once per poll chunk, walk it with `next`, test every candidate through
+//! [`TargetSet::matches`], and poll a stop flag between chunks — the
+//! chunk/poll/cancel loop itself is `eks-engine`'s [`PollCursor`].
 //!
-//! The chunk/poll/cancel loop itself lives in `eks-engine`
-//! ([`PollCursor`]) — this module supplies only the scalar test body.
+//! [`crack_interval`] is the one scalar scan of the workspace and the
+//! reference every equivalence test compares against: what
+//! [`ScalarBackend`](crate::ScalarBackend) runs, and what the lane loop
+//! of [`crate::batch`] hands tails shorter than a batch, `Lanes::Scalar`
+//! and algorithms with no lockstep formulation (`Md5Iter`).
 
 use std::sync::atomic::AtomicBool;
 
 use eks_engine::PollCursor;
-use eks_keyspace::{Interval, KeySpace};
+use eks_keyspace::{Interval, Key, SolutionSpace};
 
 use crate::target::TargetSet;
 
@@ -25,44 +29,62 @@ pub use eks_engine::POLL_CHUNK;
 /// [`ScanReport`]: eks_engine::ScanReport
 pub use eks_engine::ScanReport as CrackOutcome;
 
-/// Scan `interval` against a target set, stopping early when `stop` is
-/// raised or — if `first_hit_only` — at the first match.
-pub fn crack_interval(
-    space: &KeySpace,
+/// Scan `interval` (clamped to the space) against a target set, stopping
+/// early when `stop` is raised or — if `first_hit_only` — at the first
+/// match.
+pub fn crack_interval<S>(
+    space: &S,
     targets: &TargetSet,
     interval: Interval,
     stop: &AtomicBool,
     first_hit_only: bool,
-) -> CrackOutcome {
-    let clamped = interval.intersect(&space.interval());
-    let mut cursor = PollCursor::new(clamped, stop);
+) -> CrackOutcome
+where
+    S: SolutionSpace<Solution = Key> + ?Sized,
+{
+    let whole = Interval::new(0, space.size().unwrap_or(u128::MAX));
+    let mut cursor = PollCursor::new(interval.intersect(&whole), stop);
     let mut out = CrackOutcome::empty();
     'outer: while let Some(chunk) = cursor.next_chunk() {
-        let mut stop_now = false;
-        space.iter(chunk).for_each_key(|id, key| {
+        let mut key = space.generate(chunk.start);
+        for id in chunk.start..chunk.end() {
             out.tested += 1;
-            if let Some(t) = targets.matches(key) {
+            if let Some(t) = targets.matches(&key) {
                 out.hits.push((id, key.clone(), t));
                 if first_hit_only {
-                    stop_now = true;
-                    return false;
+                    break 'outer;
                 }
             }
-            true
-        });
-        if stop_now {
-            break 'outer;
+            if id + 1 < chunk.end() {
+                space.advance(id, &mut key);
+            }
         }
     }
     out.cancelled = cursor.cancelled();
     out
 }
 
+/// [`crack_interval`] over `[start, start + len)`, the end saturating.
+pub fn crack_space_interval<S>(
+    space: &S,
+    targets: &TargetSet,
+    start: u128,
+    len: u128,
+    stop: &AtomicBool,
+    first_hit_only: bool,
+) -> CrackOutcome
+where
+    S: SolutionSpace<Solution = Key> + ?Sized,
+{
+    let interval = Interval { start, len: len.min(u128::MAX - start) };
+    crack_interval(space, targets, interval, stop, first_hit_only)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use eks_hashes::HashAlgo;
-    use eks_keyspace::{Charset, Order};
+    use eks_keyspace::{Charset, KeySpace, MaskSpace, Order};
 
     fn space() -> KeySpace {
         KeySpace::new(Charset::lowercase(), 1, 4, Order::FirstCharFastest).unwrap()
@@ -151,5 +173,19 @@ mod tests {
         // Interval ending just before the hit.
         let out = crack_interval(&s, &t, Interval::new(0, id), &stop, true);
         assert!(out.hits.is_empty());
+    }
+
+    #[test]
+    fn any_key_producing_space_scans_through_the_same_body() {
+        let mask = MaskSpace::parse("?d?d").unwrap();
+        let t = targets(&[b"57"]);
+        let stop = AtomicBool::new(false);
+        let hit = crack_space_interval(&mask, &t, 50, 10, &stop, true);
+        assert_eq!(hit.hits.len(), 1, "57 is id 57 in a ?d?d mask");
+        assert_eq!(hit.tested, 8, "first-hit stops at the match");
+        let miss = crack_space_interval(&mask, &t, 0, 57, &stop, true);
+        assert!(miss.hits.is_empty());
+        let all = crack_space_interval(&mask, &t, 90, u128::MAX, &stop, false);
+        assert_eq!(all.tested, 10, "clamped to the space, no overflow");
     }
 }

@@ -15,7 +15,6 @@ pub mod audit;
 pub mod backend;
 pub mod batch;
 pub mod engine;
-pub mod generic;
 pub mod mining;
 pub mod parallel;
 pub mod progress;
@@ -26,12 +25,11 @@ pub mod target;
 pub use audit::{AuditEntry, AuditFinding, AuditReport, AuditSession};
 pub use backend::{cpu_backend, AutoBackend, CpuBackend, ScalarBackend, SimdBackend};
 pub use batch::{crack_interval_batched, layout_for, Kernel, Lanes};
-pub use engine::{crack_interval, CrackOutcome};
-pub use generic::{crack_space_interval, crack_space_parallel};
+pub use engine::{crack_interval, crack_space_interval, CrackOutcome};
 pub use mining::{mine, MiningJob, MiningResult};
 pub use parallel::{
     crack_parallel, crack_parallel_backend, crack_parallel_backend_observed,
-    crack_parallel_observed, ParallelConfig, ParallelReport,
+    crack_space_parallel, ParallelConfig, ParallelReport,
 };
 pub use progress::ThroughputMeter;
 pub use resume::Checkpoint;

@@ -5,12 +5,12 @@
 //! producing a hash with a certain number of leading zero bits." The
 //! solution space is the nonce range, `f` appends the nonce to the header
 //! template, and `C` counts leading zero bits of the double-SHA-256 —
-//! the same pattern, a different test function.
+//! the same pattern, a different test function, run by the pattern's
+//! generic driver (`eks_core::parallel_search`) rather than the hash-target
+//! `Dispatcher`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
+use eks_core::{parallel_search, ParallelDriver, SolutionSpace};
 use eks_hashes::sha256::{leading_zero_bits, sha256d};
-use std::sync::Mutex;
 
 /// A mining work item: header template plus difficulty.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,51 +48,44 @@ pub struct MiningResult {
     pub tested: u64,
 }
 
+/// The solution space: identifier `i` is the nonce `i` itself.
+struct Nonces;
+
+impl SolutionSpace for Nonces {
+    type Solution = u32;
+
+    fn size(&self) -> Option<u128> {
+        Some(1 << 32)
+    }
+
+    fn generate(&self, id: u128) -> u32 {
+        id as u32
+    }
+
+    fn advance(&self, _id: u128, nonce: &mut u32) {
+        *nonce = nonce.wrapping_add(1);
+    }
+}
+
 /// Scan `nonce_range` with `threads` workers; returns the first (lowest
-/// found) winning nonce, or `None` when the range is exhausted.
+/// found) winning nonce, or `None` when the range is exhausted. The
+/// search is [`parallel_search`], the pattern's generic driver for a test
+/// function that is not a hash-target set: the space is the nonce range,
+/// the test is [`MiningJob::test`].
 pub fn mine(
     job: &MiningJob,
     nonce_range: std::ops::Range<u64>,
     threads: usize,
 ) -> Option<MiningResult> {
-    assert!(threads >= 1);
-    const CHUNK: u64 = 4096;
-    let cursor = AtomicU64::new(nonce_range.start);
-    let stop = AtomicBool::new(false);
-    let best: Mutex<Option<(u32, [u8; 32])>> = Mutex::new(None);
-    let tested = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let lo = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                if lo >= nonce_range.end {
-                    break;
-                }
-                let hi = (lo + CHUNK).min(nonce_range.end);
-                for n in lo..hi {
-                    tested.fetch_add(1, Ordering::Relaxed);
-                    if let Some(d) = job.test(n as u32) {
-                        let mut b = best.lock().expect("best lock");
-                        // Keep the lowest nonce for determinism.
-                        if b.is_none() || b.as_ref().expect("checked").0 > n as u32 {
-                            *b = Some((n as u32, d));
-                        }
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    let found = best.into_inner().expect("best lock");
-    found.map(|(nonce, digest)| MiningResult {
-        nonce,
-        digest,
-        tested: tested.load(Ordering::Relaxed),
-    })
+    let out = parallel_search(
+        &Nonces,
+        &|_id: u128, nonce: &u32| job.test(*nonce),
+        u128::from(nonce_range.start),
+        u128::from(nonce_range.end.saturating_sub(nonce_range.start)),
+        ParallelDriver { threads, chunk: 4096, first_hit_only: true },
+    );
+    let (id, digest) = out.hits.first()?;
+    Some(MiningResult { nonce: *id as u32, digest: *digest, tested: out.tested as u64 })
 }
 
 #[cfg(test)]

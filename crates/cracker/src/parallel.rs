@@ -1,23 +1,26 @@
 //! Multi-threaded cracking: the fine-grain parallelization of Section III
-//! mapped onto CPU threads.
+//! mapped onto CPU threads, for every space whose candidates are keys.
 //!
-//! Each thread owns a contiguous share of the interval (no shared
-//! cursor in the common case), pops guided-size chunks off its own
-//! deque, and steals the back half of the largest remote deque when it
-//! drains — the engine layer's [`SchedPolicy::Steal`] default. The
-//! legacy shared-queue and purely static splits remain selectable via
-//! [`ParallelConfig::sched`]. A shared stop flag ends the search at the
-//! first hit when only one preimage is wanted.
+//! [`crack_parallel_backend_observed`] is the one search entry point: the
+//! engine layer's [`Dispatcher`] over the space — a brute-force
+//! [`KeySpace`], a mask, a hybrid dictionary — running `config.threads`
+//! workers of one [`Backend`]. Scatter, stealing ([`ParallelConfig::sched`]),
+//! retune, stop condition, merge, stats, telemetry and progress are the
+//! dispatcher's for every space; only `f` and `next` differ, behind the
+//! backend's `scan`. First-hit returns the lowest matching identifier
+//! whenever more than one digest is searched, any occurrence of the one
+//! key otherwise. [`crack_parallel`], [`crack_parallel_backend`] and
+//! [`crack_space_parallel`] are one-line spellings of that entry point.
 
 use std::time::Instant;
 
 use eks_engine::{
     Backend, Dispatcher, ProgressEvent, Retune, ScanMode, SchedOptions, SchedPolicy, WorkerStats,
 };
-use eks_keyspace::{Interval, Key, KeySpace};
+use eks_keyspace::{BlockSpace, Interval, Key, KeySpace, SolutionSpace};
 use eks_telemetry::{names, Telemetry};
 
-use crate::backend::{cpu_backend, CpuBackend};
+use crate::backend::CpuBackend;
 use crate::batch::Lanes;
 use crate::target::TargetSet;
 
@@ -108,28 +111,42 @@ pub fn crack_parallel(
     interval: Interval,
     config: ParallelConfig,
 ) -> ParallelReport {
-    crack_parallel_backend(
-        space,
-        targets,
-        interval,
-        &*cpu_backend(config.lanes),
-        config,
-    )
+    crack_parallel_backend(space, targets, interval, &CpuBackend::detect(config.lanes), config)
 }
 
-/// Like [`crack_parallel`] but over any engine-layer [`Backend`]: the
-/// worker scheduling is the [`Dispatcher`]'s, so this path and the
-/// cluster runtimes share one chunk/poll/cancel/merge implementation.
+/// [`crack_parallel`] over the whole of any space with a block writer
+/// (a mask, a hybrid dictionary).
+///
+/// # Panics
+/// Panics when `config.threads == 0`, `config.chunk == 0` or the space is
+/// not finite.
+pub fn crack_space_parallel<S>(
+    space: &S,
+    targets: &TargetSet,
+    config: ParallelConfig,
+) -> ParallelReport
+where
+    S: BlockSpace + Sync,
+{
+    let whole = Interval::new(0, space.size().expect("finite space"));
+    crack_parallel_backend(space, targets, whole, &CpuBackend::detect(config.lanes), config)
+}
+
+/// Like [`crack_parallel`] but over any engine-layer [`Backend`],
+/// unobserved.
 ///
 /// # Panics
 /// Panics when `config.threads == 0` or `config.chunk == 0`.
-pub fn crack_parallel_backend(
-    space: &KeySpace,
+pub fn crack_parallel_backend<S>(
+    space: &S,
     targets: &TargetSet,
     interval: Interval,
-    backend: &dyn Backend,
+    backend: &dyn Backend<S>,
     config: ParallelConfig,
-) -> ParallelReport {
+) -> ParallelReport
+where
+    S: SolutionSpace + Sync + ?Sized,
+{
     crack_parallel_backend_observed(
         space,
         targets,
@@ -141,47 +158,26 @@ pub fn crack_parallel_backend(
     )
 }
 
-/// [`crack_parallel`] with telemetry and a progress hook: the batch
-/// path reports fill/hash timing and prefilter counters, the dispatcher
-/// reports chunk spans and per-worker accounting, and `progress` fires
-/// after every merged chunk scan. A disabled handle and an empty hook
-/// make this identical to [`crack_parallel`].
+/// The search: `config.threads` workers of `backend` over `interval` of
+/// `space` (clamped to it), scheduled by the [`Dispatcher`] the cluster
+/// runtimes share. An enabled `telemetry` gets chunk spans and per-worker
+/// accounting (attach the same handle to the backend for fill/hash timing
+/// and prefilter counters); `progress` fires after every merged chunk.
 ///
 /// # Panics
 /// Panics when `config.threads == 0` or `config.chunk == 0`.
-pub fn crack_parallel_observed(
-    space: &KeySpace,
+pub fn crack_parallel_backend_observed<S>(
+    space: &S,
     targets: &TargetSet,
     interval: Interval,
+    backend: &dyn Backend<S>,
     config: ParallelConfig,
     telemetry: &Telemetry,
     progress: impl Fn(&ProgressEvent) + Sync,
-) -> ParallelReport {
-    crack_parallel_backend_observed(
-        space,
-        targets,
-        interval,
-        &CpuBackend::detect(config.lanes).with_telemetry(telemetry.clone()),
-        config,
-        telemetry,
-        progress,
-    )
-}
-
-/// The fully-instrumented core both [`crack_parallel_backend`] and
-/// [`crack_parallel_observed`] reduce to.
-///
-/// # Panics
-/// Panics when `config.threads == 0` or `config.chunk == 0`.
-pub fn crack_parallel_backend_observed(
-    space: &KeySpace,
-    targets: &TargetSet,
-    interval: Interval,
-    backend: &dyn Backend,
-    config: ParallelConfig,
-    telemetry: &Telemetry,
-    progress: impl Fn(&ProgressEvent) + Sync,
-) -> ParallelReport {
+) -> ParallelReport
+where
+    S: SolutionSpace + Sync + ?Sized,
+{
     let start = Instant::now();
     let run_span = telemetry
         .span(names::SPAN_RUN)
@@ -279,25 +275,6 @@ mod tests {
         let r1 = crack_parallel(&s, &t, s.interval(), base);
         let r4 = crack_parallel(&s, &t, s.interval(), multi);
         assert_eq!(r1.hits, r4.hits);
-    }
-
-    #[test]
-    fn batched_lanes_find_the_same_hits_as_scalar() {
-        let s = space();
-        let t = targets(&[b"dog", b"pig", b"mnop"]);
-        let base = ParallelConfig {
-            threads: 2,
-            chunk: 1 << 10,
-            first_hit_only: false,
-            lanes: Lanes::Scalar,
-            ..ParallelConfig::for_threads(2)
-        };
-        let scalar = crack_parallel(&s, &t, s.interval(), base);
-        for lanes in [Lanes::L8, Lanes::L16] {
-            let batched = crack_parallel(&s, &t, s.interval(), ParallelConfig { lanes, ..base });
-            assert_eq!(batched.hits, scalar.hits, "{lanes}");
-            assert_eq!(batched.tested, scalar.tested, "{lanes}");
-        }
     }
 
     #[test]

@@ -65,7 +65,13 @@ impl ScanReport {
 /// A leaf executor: scalar CPU, lane-batched CPU, or a simulated GPU
 /// kernel. Implementations must poll `stop` (through
 /// [`crate::PollCursor`]) so a dispatcher can cancel in-flight work.
-pub trait Backend: Sync {
+///
+/// The space `S` is a type parameter, not a second trait: a search
+/// strategy changes the bijection the leaf enumerates (Section III) and
+/// nothing else, so a mask or a hybrid dictionary is `Backend<MaskSpace>`
+/// / `Backend<HybridSpace>` on the same backend type. Plain `Backend`
+/// (and `dyn Backend`) is `Backend<KeySpace>`.
+pub trait Backend<S: ?Sized = KeySpace>: Sync {
     /// Short name for labels and reports (`scalar`, `lanes8`, `simgpu`).
     fn name(&self) -> String;
 
@@ -74,7 +80,7 @@ pub trait Backend: Sync {
     /// it must stop at the next poll boundary once `stop` is raised.
     fn scan(
         &self,
-        space: &KeySpace,
+        space: &S,
         targets: &TargetSet,
         interval: Interval,
         stop: &AtomicBool,

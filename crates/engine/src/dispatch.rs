@@ -17,15 +17,31 @@
 //!   already split the interval by tuned rates (the cluster runtimes)
 //!   runs each pre-assigned slice as a registered worker.
 //!
+//! The space is a type parameter (`Dispatcher<'_, S>`, [`KeySpace`] by
+//! default): the core hands `&S` to [`Backend::scan`] and reads its size
+//! once, to clamp [`Dispatcher::run_workers_opts`]' interval, so a mask
+//! or a hybrid dictionary runs through the same scatter, stop condition,
+//! gather and merge as a brute-force range.
+//!
 //! ## Merge semantics
 //!
 //! Hits are merged under one lock and sorted by identifier at
-//! [`Dispatcher::finish`]; under [`ScanMode::FirstHit`] the report keeps
-//! only the lowest-identifier hit, so the winner is deterministic across
-//! backends given the same set of reported hits. *Which* hits get
-//! reported under first-hit is inherently timing-dependent — therefore
-//! `tested` is exact per worker but the total varies run-to-run once a
-//! first hit cancels the others. In [`ScanMode::Exhaustive`] every
+//! [`Dispatcher::finish`]; [`ScanMode::FirstHit`] keeps one, the **lowest
+//! matching identifier** wherever a lower match can exist:
+//!
+//! * *one digest* — any hit raises the shared stop flag. A second match
+//!   could only be the same key under another identifier (a repeated
+//!   dictionary word) or a hash collision;
+//! * *several digests* — a hit must not cancel workers still below it: it
+//!   lowers a `floor` (lowest hit so far) instead of raising the stop
+//!   flag, [`Dispatcher::scan_as`] drops, untested, any chunk that starts
+//!   above the floor, chunks in flight finish, and the run ends when the
+//!   deques drain — every identifier below the floor has then been
+//!   tested. The shares below the hit are searched to the end, which is
+//!   why the rule is conditional (DESIGN §4d has the measured cost).
+//!
+//! `tested` is exact per worker; under first-hit the total varies with
+//! who was cancelled or dropped when. In [`ScanMode::Exhaustive`] every
 //! identifier is tested exactly once and `tested` is exact.
 //!
 //! ## Cancellation bound
@@ -47,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use eks_keyspace::{Interval, Key, KeySpace};
+use eks_keyspace::{Interval, Key, KeySpace, SolutionSpace};
 use eks_telemetry::{names, Counter, Gauge, Histogram, LivePlane, Telemetry};
 
 use crate::backend::{Backend, ScanMode, ScanReport};
@@ -137,6 +153,9 @@ pub struct DispatchReport {
 
 struct Gathered {
     hits: Vec<(u128, Key, usize)>,
+    /// Lowest hit identifier so far (`u128::MAX` before any); only
+    /// maintained and consulted under the several-digest first-hit rule.
+    floor: u128,
     workers: Vec<WorkerStats>,
     /// Live per-worker `eks_keys_tested_total{worker}` handles, parallel
     /// to `workers`: each chunk's tested count is added as it merges, so
@@ -175,11 +194,11 @@ const CANCEL_UNSET: u64 = u64::MAX;
 /// One executor in a [`Dispatcher::run_deques`] run: deque slot `i`
 /// belongs to leaf `i`. Several leaves may share a [`WorkerId`] (a CPU
 /// device fanning out over threads), so accounting stays per-device.
-pub struct DequeLeaf<'b> {
+pub struct DequeLeaf<'b, S: ?Sized = KeySpace> {
     /// The worker this leaf's scans are credited to.
     pub worker: WorkerId,
     /// The backend that scans this leaf's chunks.
-    pub backend: &'b dyn Backend,
+    pub backend: &'b dyn Backend<S>,
 }
 
 /// The closed-loop retune knobs: when set on [`SchedOptions`], every
@@ -291,10 +310,13 @@ impl RetuneShared {
 }
 
 /// The one dispatch core every execution path runs through.
-pub struct Dispatcher<'a> {
-    space: &'a KeySpace,
+pub struct Dispatcher<'a, S: ?Sized = KeySpace> {
+    space: &'a S,
     targets: &'a TargetSet,
     mode: ScanMode,
+    /// First-hit over several digests: a hit lowers the floor instead of
+    /// raising the stop flag (see the module doc).
+    lowest_wins: bool,
     stop: AtomicBool,
     gathered: Mutex<Gathered>,
     progress: Option<ProgressFn<'a>>,
@@ -303,18 +325,20 @@ pub struct Dispatcher<'a> {
     cancel_ns: AtomicU64,
 }
 
-impl<'a> Dispatcher<'a> {
+impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
     /// A dispatcher for one search over `space` against `targets`.
-    pub fn new(space: &'a KeySpace, targets: &'a TargetSet, mode: ScanMode) -> Self {
+    pub fn new(space: &'a S, targets: &'a TargetSet, mode: ScanMode) -> Self {
         let telemetry = Telemetry::disabled();
         let instruments = DispatchInstruments::new(&telemetry);
         Self {
             space,
             targets,
             mode,
+            lowest_wins: mode.first_hit_only() && targets.len() > 1,
             stop: AtomicBool::new(false),
             gathered: Mutex::new(Gathered {
                 hits: Vec::new(),
+                floor: u128::MAX,
                 workers: Vec::new(),
                 live_tested: Vec::new(),
             }),
@@ -400,20 +424,32 @@ impl<'a> Dispatcher<'a> {
         WorkerId(g.workers.len() - 1)
     }
 
-    /// Scan one interval on `backend`, credited to `worker`: raises the
-    /// stop flag on a first-hit match and merges the scan's hits and
-    /// tested count. Returns the backend's report so tree frontends can
-    /// do their own round bookkeeping.
+    /// True when a hit ends the whole search at once: first-hit with a
+    /// single digest.
+    fn stops_on_hit(&self) -> bool {
+        self.mode.first_hit_only() && !self.lowest_wins
+    }
+
+    /// Scan one interval on `backend`, credited to `worker`, and merge
+    /// the scan's hits and tested count. A first-hit match raises the
+    /// stop flag (one digest) or lowers the floor (several); a chunk that
+    /// starts above the floor comes back unscanned, as an empty report.
+    /// Returns the backend's report for the caller's own bookkeeping.
     pub fn scan_as(
         &self,
         worker: WorkerId,
-        backend: &dyn Backend,
+        backend: &dyn Backend<S>,
         interval: Interval,
     ) -> ScanReport {
+        if self.lowest_wins
+            && interval.start > self.gathered.lock().expect("dispatch lock").floor
+        {
+            return ScanReport::empty();
+        }
         let observed = self.telemetry.is_enabled();
         let scan_start = if observed { self.telemetry.now_ns() } else { 0 };
         let report = backend.scan(self.space, self.targets, interval, &self.stop, self.mode);
-        if self.mode.first_hit_only() && !report.hits.is_empty() {
+        if self.stops_on_hit() && !report.hits.is_empty() {
             self.cancel();
         }
         if observed {
@@ -449,6 +485,12 @@ impl<'a> Dispatcher<'a> {
             // so scrapes and window flushes see it chunk by chunk.
             g.live_tested[worker.0].add(u64::try_from(report.tested).unwrap_or(u64::MAX));
             g.hits.extend(report.hits.iter().cloned());
+            if self.lowest_wins {
+                // A first-hit scan returns at its lowest match.
+                if let Some((id, _, _)) = report.hits.first() {
+                    g.floor = g.floor.min(*id);
+                }
+            }
             ProgressEvent {
                 worker: worker.0,
                 tested: report.tested,
@@ -488,7 +530,7 @@ impl<'a> Dispatcher<'a> {
     /// # Panics
     /// Panics when `leaves` is empty or its length differs from the
     /// number of deque slots.
-    pub fn run_deques(&self, leaves: &[DequeLeaf<'_>], deques: &IntervalDeques, opts: SchedOptions) {
+    pub fn run_deques(&self, leaves: &[DequeLeaf<'_, S>], deques: &IntervalDeques, opts: SchedOptions) {
         assert!(!leaves.is_empty(), "need at least one leaf");
         assert_eq!(leaves.len(), deques.len(), "one deque slot per leaf");
         let retune = opts.retune.map(|r| {
@@ -540,11 +582,11 @@ impl<'a> Dispatcher<'a> {
 
     /// Scan one chunk inside the worker loop: time it, feed the rate
     /// estimator, run the elected drift check. Returns true when the
-    /// worker must exit (stop raised or first hit found).
+    /// worker must exit (stop raised, or a hit that ends the search).
     fn drive_chunk(
         &self,
         slot: usize,
-        leaf: &DequeLeaf<'_>,
+        leaf: &DequeLeaf<'_, S>,
         deques: &IntervalDeques,
         retune: Option<&RetuneShared>,
         chunk: Interval,
@@ -563,15 +605,14 @@ impl<'a> Dispatcher<'a> {
                 }
             }
         }
-        self.stop.load(Ordering::Relaxed)
-            || (self.mode.first_hit_only() && !out.hits.is_empty())
+        self.stop.load(Ordering::Relaxed) || (self.stops_on_hit() && !out.hits.is_empty())
     }
 
     /// One worker's pop/scan/steal loop.
     fn drive_leaf(
         &self,
         slot: usize,
-        leaf: &DequeLeaf<'_>,
+        leaf: &DequeLeaf<'_, S>,
         deques: &IntervalDeques,
         opts: SchedOptions,
         retune: Option<&RetuneShared>,
@@ -674,7 +715,7 @@ impl<'a> Dispatcher<'a> {
     /// Panics when `workers == 0` or `chunk == 0`.
     pub fn run_workers(
         &self,
-        backend: &dyn Backend,
+        backend: &dyn Backend<S>,
         interval: Interval,
         workers: usize,
         chunk: u64,
@@ -693,17 +734,18 @@ impl<'a> Dispatcher<'a> {
     /// Panics when `workers == 0`.
     pub fn run_workers_opts(
         &self,
-        backend: &dyn Backend,
+        backend: &dyn Backend<S>,
         interval: Interval,
         workers: usize,
         opts: SchedOptions,
     ) {
         assert!(workers >= 1, "need at least one worker");
-        let clamped = interval.intersect(&self.space.interval());
+        let whole = Interval::new(0, self.space.size().unwrap_or(u128::MAX));
+        let clamped = interval.intersect(&whole);
         let ids: Vec<WorkerId> = (0..workers)
             .map(|w| self.register(format!("{}#{w}", backend.name())))
             .collect();
-        let leaves: Vec<DequeLeaf<'_>> =
+        let leaves: Vec<DequeLeaf<'_, S>> =
             ids.iter().map(|&worker| DequeLeaf { worker, backend }).collect();
         let deques = IntervalDeques::scatter(clamped, &vec![1.0; workers]);
         self.run_deques(&leaves, &deques, opts);
@@ -717,7 +759,7 @@ impl<'a> Dispatcher<'a> {
     ///
     /// # Panics
     /// Panics when `workers == 0` or `chunk == 0`.
-    pub fn run_queue(&self, backend: &dyn Backend, interval: Interval, workers: usize, chunk: u64) {
+    pub fn run_queue(&self, backend: &dyn Backend<S>, interval: Interval, workers: usize, chunk: u64) {
         self.run_workers(backend, interval, workers, chunk, SchedPolicy::Queue);
     }
 
@@ -932,6 +974,29 @@ mod tests {
         assert_eq!(out.hits.len(), 1);
         assert!(d.stop_flag().load(Ordering::Relaxed), "stop raised on hit");
         assert!(d.any_hits());
+    }
+
+    #[test]
+    fn several_digests_lower_a_floor_instead_of_raising_the_stop() {
+        let s = space();
+        let parts = s.interval().split_even(4);
+        let mid = s.key_at(parts[2].start + 5);
+        let t = targets(&[b"b", mid.as_bytes()]); // identifier 1 and one in part 2
+        let d = Dispatcher::new(&s, &t, ScanMode::FirstHit);
+        let w = d.register("solo");
+        // The higher hit first: it must not end the search...
+        let high = d.scan_as(w, &TestBackend, parts[2]);
+        assert_eq!((high.hits.len(), high.tested), (1, 6));
+        assert!(!d.stop_flag().load(Ordering::Relaxed), "a lower identifier may still match");
+        // ...chunks above it are dropped untested, chunks below it are not.
+        assert_eq!(d.scan_as(w, &TestBackend, parts[3]), ScanReport::empty());
+        let low = d.scan_as(w, &TestBackend, parts[0]);
+        assert_eq!((low.hits.len(), low.tested), (1, 2));
+        assert_eq!(d.scan_as(w, &TestBackend, parts[1]), ScanReport::empty());
+        let r = d.finish();
+        assert_eq!(r.hits.len(), 1);
+        assert_eq!(r.hits[0].1.as_bytes(), b"b", "the lowest matching identifier");
+        assert_eq!(r.tested, 8, "dropped chunks count nothing");
     }
 
     #[test]

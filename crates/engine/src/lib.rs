@@ -12,13 +12,17 @@
 //!   ([`POLL_CHUNK`]);
 //! * [`target`] — the test function `C`: hash targets and target sets;
 //! * [`backend`] — the [`Backend`] trait: a leaf executor that scans an
-//!   interval and reports a tuned throughput for the balancing step;
+//!   interval of a space `S` (a type parameter, `KeySpace` by default —
+//!   a mask or a hybrid dictionary is the same pattern with another
+//!   bijection) and reports a tuned throughput for the balancing step;
 //! * [`steal`] — the adaptive scheduling vocabulary: per-worker interval
 //!   deques with steal-half rebalancing ([`IntervalDeques`]), guided
 //!   chunk sizing ([`ChunkPolicy`]), the `static|queue|steal` policy
 //!   names ([`SchedPolicy`]) and per-worker [`WorkerStats`];
 //! * [`dispatch`] — the [`Dispatcher`]: owns the stop flag, the hit
-//!   merge (lowest identifier wins under first-hit), per-worker
+//!   merge (under first-hit the lowest matching identifier whenever
+//!   several digests are searched, any occurrence of the one key
+//!   otherwise), per-worker
 //!   accounting and progress hooks, with three frontends over the same
 //!   core — deque-scheduled workers ([`Dispatcher::run_deques`] /
 //!   [`Dispatcher::run_workers`]), the classic work queue
@@ -31,8 +35,9 @@
 //!
 //! Backend *implementations* live up-stack: `eks-cracker` provides the
 //! scalar and lane-batched CPU backends, `eks-cluster` the simulated-GPU
-//! kernel backend. This crate only depends on `eks-keyspace` and
-//! `eks-hashes`, so every layer above can plug in.
+//! kernel backend. This crate only depends on `eks-keyspace` (through
+//! which it reaches `SolutionSpace`), `eks-hashes` and `eks-telemetry`,
+//! so every layer above can plug in.
 
 pub mod backend;
 pub mod checkpoint;

@@ -48,6 +48,10 @@ pub use mask::{MaskBlocks, MaskError, MaskSlot, MaskSpace};
 pub use source::{BlockSource, BlockSpace, KeyBlocks};
 pub use space::{KeySpace, KeySpaceError};
 
+/// The trait every space here implements, re-exported so the layers
+/// above reach it without a dependency edge of their own.
+pub use eks_core::SolutionSpace;
+
 /// Number of strings over an `n`-symbol charset with lengths in
 /// `[k0, k]` — Equations (2) and (3) of the paper. Returns `None` on
 /// `u128` overflow or when `k0 > k`.

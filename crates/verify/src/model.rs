@@ -5,9 +5,15 @@
 //! shared state: pop a chunk off your own deque, scan it one poll
 //! quantum at a time, steal the back half of a remote deque when
 //! drained, exit when the stop flag is up or everything is empty, merge
-//! at the end. This module restates those transitions over a cloneable,
-//! hashable [`ModelState`] so the checker in [`crate::checker`] can
-//! enumerate *every* interleaving instead of sampling a few.
+//! at the end. Under first-hit a single-hit configuration (one digest)
+//! raises the stop flag at its hit; a multi-hit one lowers a shared
+//! `floor` (the lowest hit so far) instead, a popped chunk that starts
+//! above the floor is dropped unscanned, and the run ends when the deques
+//! drain — so the merged hit is the lowest *planted* identifier, not
+//! merely the lowest reported. This module restates those transitions
+//! over a cloneable, hashable [`ModelState`] so the checker in
+//! [`crate::checker`] can enumerate *every* interleaving instead of
+//! sampling a few.
 //!
 //! ## Fidelity
 //!
@@ -26,8 +32,8 @@
 //! ## Mutations
 //!
 //! [`Mutation`] seeds deliberate protocol bugs (lost lease, double
-//! count, highest-id merge, ignored cancel poll) used by the
-//! negative-path tests: a checker that does not flag every mutant is
+//! count, highest-id merge, ignored cancel poll, stop at any hit) used by
+//! the negative-path tests: a checker that does not flag every mutant is
 //! vacuous.
 
 use std::fmt;
@@ -50,6 +56,10 @@ pub enum Mutation {
     /// The scan loop never polls the stop flag between quanta, so a
     /// cancelled worker drains its whole popped chunk.
     IgnoreCancelPoll,
+    /// A first-hit search over several hits raises the stop flag at the
+    /// first one reported, as if there were only one: a higher hit
+    /// cancels the worker still below it.
+    StopAtAnyHit,
 }
 
 /// One scheduler configuration to check: the scatter shape, the chunk
@@ -64,7 +74,8 @@ pub struct ModelConfig {
     pub chunk: ChunkPolicy,
     /// Whether drained workers steal (false models `SchedPolicy::Static`).
     pub steal: bool,
-    /// First-hit mode: a reported hit raises the stop flag.
+    /// First-hit mode: with a single planted hit a reported hit raises
+    /// the stop flag; with several it lowers the floor.
     pub first_hit: bool,
     /// Identifiers that test positive (the planted keys).
     pub hits: Vec<u128>,
@@ -113,9 +124,20 @@ impl ModelConfig {
 
     /// A first-hit stealing config with hits planted at both ends, so
     /// different interleavings race to report different keys and the
-    /// lowest-id merge rule actually has work to do.
+    /// floor rule and the lowest-id merge actually have work to do; in
+    /// two-key chunks, so a chunk can be in flight when the floor drops.
     pub fn first_hit(workers: usize, keys: u128) -> Self {
-        ModelConfig { first_hit: true, ..Self::exhaustive(workers, keys) }
+        ModelConfig {
+            first_hit: true,
+            chunk: ChunkPolicy::Fixed(2),
+            ..Self::exhaustive(workers, keys)
+        }
+    }
+
+    /// True when a hit lowers the floor instead of raising the stop flag:
+    /// first-hit with several planted hits (the live `targets.len() > 1`).
+    pub fn floor_rule(&self) -> bool {
+        self.first_hit && self.hits.len() > 1 && self.mutation != Some(Mutation::StopAtAnyHit)
     }
 
     /// The cancellation-bound prober: one big pop per worker (the chunk
@@ -164,7 +186,8 @@ pub enum Action {
         worker: usize,
     },
     /// `worker` finishes the quantum: keys are counted and covered,
-    /// hits reported, and (first-hit mode) the stop flag raised.
+    /// hits reported, and (first-hit mode) the stop flag raised or the
+    /// floor lowered.
     ScanEnd {
         /// The scanning worker.
         worker: usize,
@@ -218,7 +241,7 @@ pub enum Property {
     /// in-flight chunks, scanned and abandoned coverage no longer tiles
     /// the keyspace.
     NoLostLease,
-    /// The merge broke its contract: not the lowest reported identifier
+    /// The merge broke its contract: not the lowest planted identifier
     /// under first-hit, or exhaustive outcomes differ across
     /// interleavings.
     MergeDeterminism,
@@ -274,6 +297,12 @@ pub struct ModelState {
     done: Vec<bool>,
     /// The shared stop flag.
     stop: bool,
+    /// Lowest hit reported so far, under the floor rule only.
+    floor: Option<u128>,
+    /// Per-worker: the chunk in flight passed the floor check `scan_as`
+    /// makes once, before the scan (later quanta poll only `stop`). Only
+    /// ever set under the floor rule, with a chunk remainder in flight.
+    admitted: Vec<bool>,
     /// Per-worker tested-key counters (the live `WorkerStats.keys`
     /// accounting: part of the observable protocol state because the
     /// dispatch report and utilization figures are computed from it).
@@ -371,9 +400,10 @@ impl ModelState {
         }
         let done: String =
             self.done.iter().map(|d| if *d { 'x' } else { '.' }).collect();
-        let stop = match (self.stop, self.stop_at) {
-            (true, Some(k)) => format!(" stop@{k}"),
-            (true, None) => " stop".to_string(),
+        let stop = match (self.stop, self.stop_at, self.floor) {
+            (true, Some(k), _) => format!(" stop@{k}"),
+            (true, None, _) => " stop".to_string(),
+            (false, _, Some(f)) => format!(" floor={f}"),
             _ => String::new(),
         };
         let merged = match &self.merged {
@@ -432,6 +462,8 @@ impl Model {
             scanning: vec![EMPTY; self.cfg.workers],
             done: vec![false; self.cfg.workers],
             stop: false,
+            floor: None,
+            admitted: vec![false; self.cfg.workers],
             tested: vec![0; self.cfg.workers],
             counted: 0,
             stop_at: None,
@@ -544,11 +576,19 @@ impl Model {
             Action::ScanBegin { worker } => {
                 let ignore_cancel =
                     self.cfg.mutation == Some(Mutation::IgnoreCancelPoll);
+                let admitted = n.admitted.get_mut(worker).expect("worker index");
                 let fly = ModelState::get_mut(&mut n.in_flight, worker);
-                if n.stop && !ignore_cancel {
-                    // PollCursor sees the flag: the chunk remainder is
-                    // abandoned, not scanned.
+                // `scan_as` drops a chunk that starts above the floor (an
+                // admitted one only polls the stop flag) — as is the rest
+                // of a chunk whose scan returned at its first match.
+                let dropped = self.cfg.floor_rule()
+                    && !*admitted
+                    && n.floor.is_some_and(|f| fly.start > f);
+                if (n.stop && !ignore_cancel) || dropped {
+                    // PollCursor sees the flag (or the scan never ran):
+                    // the remainder is abandoned, not scanned.
                     let rest = std::mem::replace(fly, EMPTY);
+                    *admitted = false;
                     ModelState::insert_coverage(&mut n.abandoned, rest).map_err(|id| {
                         (
                             Property::ExactlyOnce,
@@ -558,6 +598,9 @@ impl Model {
                 } else {
                     let q = fly.take_front(self.cfg.quantum.max(1));
                     *fly = norm(*fly);
+                    // Cleared with the last quantum so equal protocol
+                    // states stay equal.
+                    *admitted = self.cfg.floor_rule() && !fly.is_empty();
                     *ModelState::get_mut(&mut n.scanning, worker) = norm(q);
                 }
             }
@@ -578,18 +621,28 @@ impl Model {
                         ),
                     )
                 })?;
-                let mut hit_here = false;
+                let mut lowest_here: Option<u128> = None;
                 for &h in &self.cfg.hits {
                     if q.contains(h) {
-                        hit_here = true;
+                        lowest_here = Some(lowest_here.map_or(h, |l| l.min(h)));
                         if let Err(pos) = n.reported.binary_search(&h) {
                             n.reported.insert(pos, h);
                         }
                     }
                 }
-                if self.cfg.first_hit && hit_here && !n.stop {
-                    n.stop = true;
-                    n.stop_at = Some(n.counted);
+                match lowest_here {
+                    Some(h) if self.cfg.floor_rule() => {
+                        // The hit lowers the floor, and the backend
+                        // returned at it: the rest of the chunk, all above
+                        // the floor now, is dropped at the next scan-begin.
+                        n.floor = Some(n.floor.map_or(h, |f| f.min(h)));
+                        *n.admitted.get_mut(worker).expect("worker index") = false;
+                    }
+                    Some(_) if self.cfg.first_hit && !n.stop => {
+                        n.stop = true;
+                        n.stop_at = Some(n.counted);
+                    }
+                    _ => {}
                 }
             }
             Action::Steal { worker, victim } => {
@@ -692,13 +745,15 @@ impl Model {
         // The merge contract.
         if let Some(m) = &s.merged {
             if self.cfg.first_hit {
-                let want: Vec<u128> = s.reported.first().copied().into_iter().collect();
+                // A run ends at its one hit (the stop flag) or with all
+                // below the floor scanned: it owes the lowest *planted* id.
+                let want: Vec<u128> = self.cfg.hits.iter().min().copied().into_iter().collect();
                 if *m != want {
                     return Err((
                         Property::MergeDeterminism,
                         format!(
-                            "first-hit merge kept {m:?}, not the lowest reported of {:?}",
-                            s.reported
+                            "first-hit merge kept {m:?}, not the lowest planted of {:?} (reported {:?})",
+                            self.cfg.hits, s.reported
                         ),
                     ));
                 }
@@ -729,8 +784,9 @@ impl Model {
         Ok(())
     }
 
-    /// Whether `ScanEnd {worker}` would raise the stop flag from `s` —
-    /// the one transition that is dependent with every stop-flag reader.
+    /// Whether `ScanEnd {worker}` would raise the stop flag or lower the
+    /// floor from `s` — the one transition that is dependent with every
+    /// reader of either.
     fn raises_stop(&self, s: &ModelState, worker: usize) -> bool {
         if !self.cfg.first_hit || s.stop {
             return false;
@@ -766,9 +822,10 @@ impl Model {
         if aw == bw || Some(aw) == bv || Some(bw) == av || (av.is_some() && av == bv) {
             return false;
         }
-        // A stop-raising scan end invalidates every other worker's
-        // stop-flag read (pop/steal/exit enabledness, scan-begin's
-        // abandon decision): treat it as globally dependent.
+        // A stop-raising or floor-lowering scan end invalidates every
+        // other worker's read of the flag or the floor (pop/steal/exit
+        // enabledness, scan-begin's abandon decision): treat it as
+        // globally dependent.
         for (x, other) in [(a, b), (b, a)] {
             if let Action::ScanEnd { worker } = x {
                 if self.raises_stop(s, worker) {

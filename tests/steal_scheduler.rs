@@ -378,6 +378,7 @@ fn model_checker_flags_every_seeded_scheduler_bug() {
         (Mutation::DoubleCountSteal, Property::ExactlyOnce, ModelConfig::steal_intervals(2, 4)),
         (Mutation::MergeHighestFirst, Property::MergeDeterminism, ModelConfig::first_hit(2, 8)),
         (Mutation::IgnoreCancelPoll, Property::CancellationBound, ModelConfig::cancel_bound(2, 8)),
+        (Mutation::StopAtAnyHit, Property::MergeDeterminism, ModelConfig::first_hit(2, 8)),
     ];
     for (mutation, property, cfg) in cases {
         let out = check(cfg.with_mutation(mutation), CheckOptions::default());

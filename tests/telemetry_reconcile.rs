@@ -21,11 +21,13 @@ use std::sync::Arc;
 
 use eks::cluster::{run_rounds_observed, ClusterNode, RoundConfig};
 use eks::core::prop::{forall, Rng};
-use eks::cracker::{crack_parallel_observed, ParallelConfig, TargetSet};
+use eks::cracker::{
+    crack_parallel_backend_observed, CpuBackend, ParallelConfig, ParallelReport, TargetSet,
+};
 use eks::engine::SchedPolicy;
 use eks::gpusim::device::Device;
 use eks::hashes::HashAlgo;
-use eks::keyspace::{Charset, KeySpace, Order};
+use eks::keyspace::{BlockSpace, Charset, Interval, KeySpace, MaskSpace, Order};
 use eks::telemetry::{names, parse_prometheus, ManualClock, Telemetry, WindowBook};
 
 /// Sum of every `eks_keys_tested_total` sample (one per worker label),
@@ -44,9 +46,24 @@ fn random_targets(rng: &mut Rng) -> TargetSet {
     TargetSet::new(HashAlgo::Md5, &[HashAlgo::Md5.hash_long(word)])
 }
 
+/// The whole of `space` on the default CPU backend, batch path and
+/// dispatcher reporting into one `telemetry`.
+fn observed<S: BlockSpace + Sync>(
+    space: &S,
+    targets: &TargetSet,
+    config: ParallelConfig,
+    telemetry: &Telemetry,
+) -> ParallelReport {
+    let backend = CpuBackend::default().with_telemetry(telemetry.clone());
+    let whole = Interval::new(0, space.size().expect("finite"));
+    crack_parallel_backend_observed(space, targets, whole, &backend, config, telemetry, |_| {})
+}
+
 #[test]
 fn parallel_steal_metrics_reconcile_exactly() {
     let space = KeySpace::new(Charset::lowercase(), 1, 3, Order::FirstCharFastest).unwrap();
+    // The same plane for a structured space: 17 576 keys, `cat`/`qqq`/`abc` inside.
+    let mask = MaskSpace::parse("?l?l?l").unwrap();
     forall("telemetry-reconcile-steal", 12, |rng| {
         let targets = random_targets(rng);
         let telemetry = Telemetry::with_clock(Arc::new(ManualClock::new()));
@@ -57,8 +74,11 @@ fn parallel_steal_metrics_reconcile_exactly() {
             sched: SchedPolicy::Steal,
             ..ParallelConfig::for_threads(threads)
         };
-        let report =
-            crack_parallel_observed(&space, &targets, space.interval(), config, &telemetry, |_| {});
+        let report = if rng.u64() % 2 == 0 {
+            observed(&space, &targets, config, &telemetry)
+        } else {
+            observed(&mask, &targets, config, &telemetry)
+        };
         let per_worker: u128 = report.stats.iter().map(|w| w.tested).sum();
         assert_eq!(per_worker, report.tested, "stats sum to the report total");
         assert_eq!(
@@ -106,14 +126,7 @@ fn window_deltas_telescope_to_registry_totals_under_steal() {
                 }
                 flushed
             });
-            let report = crack_parallel_observed(
-                &space,
-                &targets,
-                space.interval(),
-                config,
-                &telemetry,
-                |_| {},
-            );
+            let report = observed(&space, &targets, config, &telemetry);
             done.store(true, Ordering::Relaxed);
             (report, flusher.join().expect("flusher thread"))
         });
