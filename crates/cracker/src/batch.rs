@@ -9,6 +9,16 @@
 //! all lanes together, and the [`TargetSet`] prefilter reduces the common
 //! miss to one `u32` compare per lane.
 //!
+//! The batch has one layout from writer to kernel: *word-major*
+//! ([`Rows`] — row `w` is block word `w` of all `L` candidates). That is
+//! what a kernel loads (one vector per message word) and what a writer
+//! can produce cheaply (fifteen of sixteen rows hold one value in every
+//! lane and are left alone while it does not change), so nothing that is
+//! constant across candidates moves per candidate — the host form of the
+//! paper's "`K_next` vanishes next to `K_C`". The kernel's first state
+//! word comes back as a row too; the prefilter reads it into a lane mask
+//! and the rare survivor is confirmed by the oracle's own test.
+//!
 //! That loop exists once (`crack_lanes`), behind one entry point
 //! ([`crack_interval_batched`]), and is generic in two directions. *Where
 //! the blocks come from* is the space's business ([`BlockSpace::blocks`]):
@@ -21,7 +31,7 @@
 //! one — or over plain arrays ([`AutoVec`], `L` = 8 or 16), which the compiler vectorises only as far as the *build's*
 //! target allows: with `-C target-cpu=native` it does, in the baseline
 //! x86-64 build it emits scalar code (a whole scan costs 40–51 ns/key
-//! for single-target MD5 and 118–133 for SHA-1, against 5 and 17 on
+//! for single-target MD5 and 118–133 for SHA-1, against 5 and 12 on
 //! AVX-512: BENCH_cracker.json, `portable8`/`portable16` vs `cpu`). The portable instantiation is the fallback for CPUs without
 //! an explicit ISA and a second participant in the equivalence tests.
 //!
@@ -46,8 +56,8 @@ use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use eks_engine::PollCursor;
-use eks_hashes::{sha1, AutoVec, HashAlgo, LaneHasher, Md5PrefixSearch, SimdHasher};
-use eks_keyspace::{BlockLayout, BlockSource, BlockSpace, Interval, Key};
+use eks_hashes::{AutoVec, HashAlgo, LaneHasher, Md5PrefixSearch, SimdHasher};
+use eks_keyspace::{BlockLayout, BlockSource, BlockSpace, Interval, Key, Rows};
 use eks_telemetry::{names, Counter, Histogram, Telemetry};
 
 #[cfg(test)]
@@ -246,9 +256,10 @@ pub fn crack_interval_batched<S: BlockSpace>(
     }
 }
 
-/// The one lane loop: fill `L` blocks from the space's writer, hash them
-/// in lockstep, prefilter, confirm. Everything that differs between a
-/// brute-force range, a mask and a hybrid dictionary is behind
+/// The one lane loop: fill `L` candidates' blocks from the space's
+/// writer, word-major, hash them in lockstep, prefilter on the first
+/// state word's row, confirm the rare survivor. Everything that differs
+/// between a brute-force range, a mask and a hybrid dictionary is behind
 /// [`BlockSpace::blocks`].
 ///
 /// Never inlined: each instantiation is called from one arm of
@@ -265,12 +276,15 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
     instruments: &BatchInstruments,
     hasher: H,
 ) -> CrackOutcome {
+    const { assert!(L <= 64, "one survivor bit per lane") };
     let algo = targets.algo();
     let layout = layout_for(algo);
     // The writer clamps the interval to the space.
     let mut writer = space.blocks(layout, interval);
     let clamped = Interval::new(writer.next_id(), writer.remaining());
-    let mut blocks = [[0u32; 16]; L];
+    // One buffer for the whole scan: it remembers which rows hold one
+    // value in every lane, so a batch costs the rows that changed.
+    let mut rows = Rows::<L>::new();
     let mut hits: Vec<(u128, Key, usize)> = Vec::new();
     let mut tested: u128 = 0;
     // The shared poll loop, with chunks rounded up to the lane count so
@@ -288,7 +302,7 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
     // The w0-only fast fill: where a single-target MD5 search varies
     // only the leading key bytes (the writer knows — today `BlockBatch`
     // in first-char-fastest order), the steady state writes one word per
-    // candidate instead of sixteen and the reversed kernel reads the
+    // candidate, touches no row at all, and the reversed kernel reads the
     // shared suffix from the epoch template. Cleared for good the first
     // time the writer declines.
     let mut w0_fast = single_md5.is_some();
@@ -307,12 +321,11 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
             batch_index += 1;
             let t_fill = sample.then(Instant::now);
             let w0_filled = if w0_fast { writer.try_fill_w0s(&mut w0s) } else { None };
-            let (info, template0) = match w0_filled {
-                Some(filled) => filled,
+            let (info, w0_template) = match w0_filled {
+                Some((info, template0)) => (info, Some(template0)),
                 None => {
                     w0_fast = false;
-                    let info = writer.fill(&mut blocks);
-                    (info, blocks[0])
+                    (writer.fill_rows(&mut rows), None)
                 }
             };
             if let Some(t0) = t_fill {
@@ -321,27 +334,25 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
             tested += L as u128;
 
             let t_hash = sample.then(Instant::now);
-            let mut lane_hit: [Option<usize>; L] = [None; L];
+            // The lanes the kernel could not reject, one bit each.
+            let mut survivors: u64 = 0;
             if let Some(target) = single_md5.as_ref().filter(|_| info.uniform_suffix) {
                 // The reversed reference depends only on the target and the
                 // suffix words: rebuild it when the suffix epoch moves,
                 // reuse it otherwise (the overwhelmingly common case).
                 if reversed.as_ref().map(|(e, _)| *e) != Some(info.epoch) {
+                    let template0 = w0_template.unwrap_or_else(|| rows.block(0));
                     reversed = Some((info.epoch, Md5PrefixSearch::new(target, template0)));
                 }
                 let (_, search) = reversed.as_ref().expect("just built");
-                if !w0_fast {
-                    for (w0, block) in w0s.iter_mut().zip(&blocks) {
-                        *w0 = block[0];
-                    }
-                }
-                let states = hasher.md5_forward49_batch(search.template(), &w0s);
+                let w0s = if w0_fast { &w0s } else { rows.row(0) };
+                let states = hasher.md5_forward49_batch(search.template(), w0s);
                 let r = search.reference();
-                for (slot, s) in lane_hit.iter_mut().zip(&states) {
+                for (l, s) in states.iter().enumerate() {
                     // `&` instead of `&&`: no per-lane branches in the
                     // common all-miss case.
                     if (s[0] == r[0]) & (s[1] == r[1]) & (s[2] == r[2]) & (s[3] == r[3]) {
-                        *slot = Some(0); // single target: digest index 0
+                        survivors |= 1 << l;
                     }
                 }
             } else {
@@ -349,50 +360,39 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
                     // A suffix word moved mid-batch under the w0-only
                     // fill (once per w[0] rollover): reconstruct the full
                     // blocks for these identifiers and hash forward.
-                    space.blocks(layout, Interval::new(info.start_id, L as u128)).fill(&mut blocks);
+                    space.blocks(layout, Interval::new(info.start_id, L as u128)).fill_rows(&mut rows);
                 }
-                match algo {
-                    HashAlgo::Md5 | HashAlgo::Ntlm => {
-                        let states = if algo == HashAlgo::Md5 {
-                            hasher.md5_batch(&blocks)
-                        } else {
-                            hasher.md4_batch(&blocks)
-                        };
-                        pf_checked += L as u64;
-                        for (slot, state) in lane_hit.iter_mut().zip(&states) {
-                            if targets.prefilter_match(state[0]) {
-                                pf_hits += 1;
-                                // MD4 shares MD5's little-endian serialization.
-                                let digest = eks_hashes::md5::state_to_digest(*state);
-                                *slot = targets.match_digest(&digest);
-                            }
-                        }
-                    }
-                    HashAlgo::Sha1 => {
-                        let a75s = hasher.sha1_a75_batch(&blocks);
-                        pf_checked += L as u64;
-                        for ((slot, &a75), block) in lane_hit.iter_mut().zip(&a75s).zip(&blocks) {
-                            if targets.prefilter_match(a75) {
-                                pf_hits += 1;
-                                // Rare survivor (≈ len·2⁻³² of candidates): confirm
-                                // with the full compression.
-                                let state = sha1::sha1_compress(sha1::IV, block);
-                                *slot = targets.match_digest(&sha1::state_to_digest(state));
-                            }
-                        }
-                    }
+                // The prefilter word of every lane: the first state word
+                // (MD4 shares MD5's serialization), or SHA-1's `a75`.
+                let first: [u32; L] = match algo {
+                    HashAlgo::Md5 => hasher.md5_rows(rows.words())[0],
+                    HashAlgo::Ntlm => hasher.md4_rows(rows.words())[0],
+                    HashAlgo::Sha1 => hasher.sha1_a75_rows(rows.words()),
                     HashAlgo::Md5Iter { .. } => {
                         unreachable!("iterated algos fall back to the scalar cracker")
                     }
+                };
+                // A predicted branch per lane: building the mask
+                // branch-free measured 10 % slower end to end.
+                for (l, &word) in first.iter().enumerate() {
+                    if targets.prefilter_match(word) {
+                        survivors |= 1 << l;
+                    }
                 }
+                pf_checked += L as u64;
+                pf_hits += u64::from(survivors.count_ones());
             }
             if let Some(t0) = t_hash {
                 instruments.hash_ns.observe(t0.elapsed().as_nanos() as u64);
             }
-            for (l, hit) in lane_hit.iter().enumerate() {
-                if let Some(t) = *hit {
-                    let id = info.start_id + l as u128;
-                    hits.push((id, space.generate(id), t));
+            // Rare (a hit, or ≈ len·2⁻³² of candidates): the oracle's own
+            // test confirms the lane, lowest identifier first.
+            while survivors != 0 {
+                let id = info.start_id + u128::from(survivors.trailing_zeros());
+                survivors &= survivors - 1;
+                let key = space.generate(id);
+                if let Some(t) = targets.matches(&key) {
+                    hits.push((id, key, t));
                     if first_hit_only {
                         found_first = true;
                         break 'outer;

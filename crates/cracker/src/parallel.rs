@@ -364,20 +364,24 @@ mod tests {
     fn first_hit_stops_early_on_full_space() {
         let s = space();
         // "a" is identifier 0: the search should terminate almost
-        // immediately even over the full space.
+        // immediately even over the full space. One worker: how far other
+        // workers run before they see the stop flag depends on when the
+        // host schedules them (`tests/steal_scheduler.rs` bounds that
+        // overrun per worker).
         let t = targets(&[b"a"]);
         let cfg = ParallelConfig {
-            threads: 4,
+            threads: 1,
             chunk: 1 << 10,
             ..ParallelConfig::default()
         };
         let r = crack_parallel(&s, &t, s.interval(), cfg);
         assert_eq!(r.hits[0].1.as_bytes(), b"a");
         assert!(
-            r.tested < s.size() / 2,
-            "tested {} of {}",
+            r.tested <= u128::from(cfg.chunk),
+            "tested {} of {}, more than one chunk of {}",
             r.tested,
-            s.size()
+            s.size(),
+            cfg.chunk
         );
     }
 

@@ -4,6 +4,9 @@
 //! The paper's Section V argument is that throughput is decided by the
 //! instruction mix of a *vectorized* inner loop: a warp evaluates 32 keys
 //! in lockstep, one padded block per key, with no per-key control flow.
+//! A batch is therefore handed over *word-major* — `rows[w][l]` is word
+//! `w` of lane `l`'s block, one vector load per message word — and the
+//! states come back the same way, one row per state word.
 //! The compression cores with that shape are written once, generic over
 //! a vector leaf, in `simd/cores.rs`; this module names the trait the
 //! cracker's scan loop drives them through and instantiates them over
@@ -32,24 +35,33 @@ use crate::simd::cores;
 /// functions lane by lane — the property tests enforce this for every
 /// implementation.
 pub trait LaneHasher<const L: usize>: Copy + Send + Sync {
-    /// MD5 final chained state per lane
-    /// (= `md5_compress(IV, &blocks[l])`).
-    fn md5_batch(&self, blocks: &[[u32; 16]; L]) -> [[u32; 4]; L];
+    /// MD5 final chained state, one row per state word: lane `l` of it
+    /// equals `md5_compress(IV, block l)`.
+    fn md5_rows(&self, rows: &[[u32; L]; 16]) -> [[u32; L]; 4];
 
-    /// MD4 final chained state per lane (the NTLM core).
-    fn md4_batch(&self, blocks: &[[u32; 16]; L]) -> [[u32; 4]; L];
-
-    /// SHA-1 final chained state per lane.
-    fn sha1_batch(&self, blocks: &[[u32; 16]; L]) -> [[u32; 5]; L];
+    /// MD4 final chained state (the NTLM core), one row per state word.
+    fn md4_rows(&self, rows: &[[u32; L]; 16]) -> [[u32; L]; 4];
 
     /// SHA-1 `a75` partial value per lane (76 rounds; survivors must be
     /// confirmed with the full compression).
-    fn sha1_a75_batch(&self, blocks: &[[u32; 16]; L]) -> [u32; L];
+    fn sha1_a75_rows(&self, rows: &[[u32; L]; 16]) -> [u32; L];
 
     /// The reversed-MD5 forward half: 49 steps for lanes sharing
     /// `template` in words 1..16, rotating-form state after step 48 per
     /// lane (comparable with [`crate::Md5PrefixSearch::reference`]).
     fn md5_forward49_batch(&self, template: &[u32; 16], w0s: &[u32; L]) -> [[u32; 4]; L];
+
+    /// [`LaneHasher::md5_rows`] for a caller holding one block per lane:
+    /// transposes in and out around the rows kernel.
+    fn md5_batch(&self, blocks: &[[u32; 16]; L]) -> [[u32; 4]; L] {
+        cores::state_lanes(&self.md5_rows(&cores::rows_of(blocks)))
+    }
+
+    /// [`LaneHasher::sha1_a75_rows`] for a caller holding one block per
+    /// lane.
+    fn sha1_a75_batch(&self, blocks: &[[u32; 16]; L]) -> [u32; L] {
+        self.sha1_a75_rows(&cores::rows_of(blocks))
+    }
 }
 
 /// The generic cores over `[u32; L]` lanes as a [`LaneHasher`] at any
@@ -59,23 +71,18 @@ pub struct AutoVec;
 
 impl<const L: usize> LaneHasher<L> for AutoVec {
     #[inline]
-    fn md5_batch(&self, blocks: &[[u32; 16]; L]) -> [[u32; 4]; L] {
-        cores::md5_blocks::<[u32; L], L>(blocks)
+    fn md5_rows(&self, rows: &[[u32; L]; 16]) -> [[u32; L]; 4] {
+        cores::md5_rows::<[u32; L], L>(rows)
     }
 
     #[inline]
-    fn md4_batch(&self, blocks: &[[u32; 16]; L]) -> [[u32; 4]; L] {
-        cores::md4_blocks::<[u32; L], L>(blocks)
+    fn md4_rows(&self, rows: &[[u32; L]; 16]) -> [[u32; L]; 4] {
+        cores::md4_rows::<[u32; L], L>(rows)
     }
 
     #[inline]
-    fn sha1_batch(&self, blocks: &[[u32; 16]; L]) -> [[u32; 5]; L] {
-        cores::sha1_blocks::<[u32; L], L>(blocks)
-    }
-
-    #[inline]
-    fn sha1_a75_batch(&self, blocks: &[[u32; 16]; L]) -> [u32; L] {
-        cores::sha1_a75::<[u32; L], L>(blocks)
+    fn sha1_a75_rows(&self, rows: &[[u32; L]; 16]) -> [u32; L] {
+        cores::sha1_a75_rows::<[u32; L], L>(rows)
     }
 
     #[inline]

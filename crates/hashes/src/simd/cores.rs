@@ -2,6 +2,13 @@
 //! instantiated per ISA by the `#[target_feature]` shims — and over plain
 //! `[u32; L]` arrays by [`crate::AutoVec`], the portable fallback.
 //!
+//! Batches arrive *word-major* — `rows[w]` holds message word `w` of all
+//! `L` candidates — so a core's input is sixteen vector loads and its
+//! output one vector store per state word: the writers
+//! (`eks-keyspace`'s `Rows`) produce that form directly, and nothing
+//! between them and the hash moves a word that is the same in every
+//! lane one lane at a time.
+//!
 //! Every core carries the Section V tricks (49-step reversed MD5, SHA-1
 //! `a75` partial rounds) with the vector operations *explicit*, so on an
 //! ISA leaf the instruction mix is fixed by construction rather than left
@@ -23,32 +30,37 @@ use crate::md4;
 use crate::md5::{self, IV as MD5_IV, K as MD5_K, S as MD5_S};
 use crate::sha1::{IV as SHA1_IV, K as SHA1_K};
 
-/// Gather word `w` of every block into one vector (SoA transpose).
+/// One vector per message word: sixteen loads.
 #[inline(always)]
-fn gather_word<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L], w: usize) -> V {
+fn load_rows<V: Vec32, const L: usize>(rows: &[[u32; L]; 16]) -> [V; 16] {
     debug_assert_eq!(L, V::LANES);
-    let mut tmp = [0u32; L];
-    for (t, block) in tmp.iter_mut().zip(blocks) {
-        *t = block[w];
-    }
-    V::load(&tmp)
+    core::array::from_fn(|w| V::load(&rows[w]))
 }
 
-/// Transpose `L` 16-word blocks into one vector per message word.
-#[inline(always)]
-fn load_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [V; 16] {
-    core::array::from_fn(|w| gather_word(blocks, w))
+/// `blocks` word-major: what a caller holding one block per lane does
+/// before it can enter a rows kernel.
+#[inline]
+pub(crate) fn rows_of<const L: usize>(blocks: &[[u32; 16]; L]) -> [[u32; L]; 16] {
+    core::array::from_fn(|w| core::array::from_fn(|l| blocks[l][w]))
 }
 
-/// Scatter four state vectors back to per-lane `[a, b, c, d]` arrays.
+/// A word-major state as one `[a, b, c, d]` per lane. Spelled out per
+/// word: `state.map(|row| row[l])` copies the whole state once per lane
+/// and cost the 49-step MD5 search two thirds of its rate.
 #[inline(always)]
-fn store_state4<V: Vec32, const L: usize>(s: [V; 4]) -> [[u32; 4]; L] {
+pub(crate) fn state_lanes<const L: usize>(state: &[[u32; L]; 4]) -> [[u32; 4]; L] {
+    core::array::from_fn(|l| [state[0][l], state[1][l], state[2][l], state[3][l]])
+}
+
+/// One row per state word: four stores.
+#[inline(always)]
+fn store_rows<V: Vec32, const L: usize>(s: [V; 4]) -> [[u32; L]; 4] {
     debug_assert_eq!(L, V::LANES);
-    let mut cols = [[0u32; L]; 4];
-    for (col, v) in cols.iter_mut().zip(s) {
-        v.store(col);
+    let mut rows = [[0u32; L]; 4];
+    for (row, v) in rows.iter_mut().zip(s) {
+        v.store(row);
     }
-    core::array::from_fn(|l| [cols[0][l], cols[1][l], cols[2][l], cols[3][l]])
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -127,12 +139,13 @@ fn md5_steps<V: Vec32, const STEPS: usize>(m: &[V; 16]) -> [V; 4] {
 }
 
 /// MD5 over `L` pre-padded single-block messages: the final chained
-/// state per lane, equal to `md5_compress(IV, &blocks[l])`.
+/// state, one row per state word — lane `l` of it equals
+/// `md5_compress(IV, block l)`.
 #[inline(always)]
-pub(crate) fn md5_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [[u32; 4]; L] {
-    let m = load_blocks::<V, L>(blocks);
+pub(crate) fn md5_rows<V: Vec32, const L: usize>(rows: &[[u32; L]; 16]) -> [[u32; L]; 4] {
+    let m = load_rows::<V, L>(rows);
     let [a, b, c, d] = md5_steps::<V, 64>(&m);
-    store_state4([
+    store_rows([
         a.add(V::splat(MD5_IV[0])),
         b.add(V::splat(MD5_IV[1])),
         c.add(V::splat(MD5_IV[2])),
@@ -160,7 +173,7 @@ pub(crate) fn md5_forward49<V: Vec32, const L: usize>(
     // register that is `a` in its frame; the rotating-form state after
     // step 48 is therefore [d, a, b, c] of our fixed naming.
     let [a, b, c, d] = md5_steps::<V, { crate::md5_reverse::FORWARD_STEPS }>(&m);
-    store_state4([d, a, b, c])
+    state_lanes(&store_rows::<V, L>([d, a, b, c]))
 }
 
 // ---------------------------------------------------------------------------
@@ -187,11 +200,11 @@ fn md4_h<V: Vec32>(a: V, b: V, c: V, d: V, w: V, s: u32) -> V {
     a.add(b.xor3(c, d)).add(w).add(V::splat(K3)).rotl(s)
 }
 
-/// MD4 over `L` pre-padded single-block messages (the NTLM batch core):
-/// equal to `md4_compress(IV, &blocks[l])` on every lane.
+/// MD4 over `L` pre-padded single-block messages (the NTLM batch core),
+/// one row per state word: lane `l` equals `md4_compress(IV, block l)`.
 #[inline(always)]
-pub(crate) fn md4_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [[u32; 4]; L] {
-    let m = load_blocks::<V, L>(blocks);
+pub(crate) fn md4_rows<V: Vec32, const L: usize>(rows: &[[u32; L]; 16]) -> [[u32; L]; 4] {
+    let m = load_rows::<V, L>(rows);
     let mut a = V::splat(md4::IV[0]);
     let mut b = V::splat(md4::IV[1]);
     let mut c = V::splat(md4::IV[2]);
@@ -220,7 +233,7 @@ pub(crate) fn md4_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [
         b = md4_h(b, c, d, a, m[col + 12], 15);
     }
 
-    store_state4([
+    store_rows([
         a.add(V::splat(md4::IV[0])),
         b.add(V::splat(md4::IV[1])),
         c.add(V::splat(md4::IV[2])),
@@ -283,15 +296,14 @@ macro_rules! sha1_group {
     };
 }
 
-/// Run the first `ROUNDS` SHA-1 rounds from the IV with a rolling
-/// 16-entry schedule ring, returning the raw `[a, b, c, d, e]`
-/// registers in the frame after the last executed round (the newest
-/// value is `a`). `ROUNDS` is 80 for the full hash,
-/// [`crate::sha1_partial::PARTIAL_ROUNDS`] (76) for the `a75` early
-/// exit; both are multiples of the paper-style 5-round groups minus the
-/// final partial group handled by the last loop's bound.
+/// Run the first [`crate::sha1_partial::PARTIAL_ROUNDS`] (76) SHA-1
+/// rounds from the IV with a rolling 16-entry schedule ring, returning
+/// the newest register — `a75`. The full hash has no lane kernel: the
+/// searches reject on `a75` and confirm the rare survivor with the
+/// scalar compression.
 #[inline(always)]
-fn sha1_rounds<V: Vec32, const ROUNDS: usize>(m: &[V; 16]) -> [V; 5] {
+fn sha1_rounds76<V: Vec32>(m: &[V; 16]) -> V {
+    const { assert!(crate::sha1_partial::PARTIAL_ROUNDS == 76) };
     let mut w = *m;
     let mut a = V::splat(SHA1_IV[0]);
     let mut b = V::splat(SHA1_IV[1]);
@@ -324,37 +336,13 @@ fn sha1_rounds<V: Vec32, const ROUNDS: usize>(m: &[V; 16]) -> [V; 5] {
         sha1_group!(maj, a, b, c, d, e, w, i, k2, expand);
         i += 5;
     }
-    while i < 75.min(ROUNDS) {
+    while i < 75 {
         sha1_group!(xor3, a, b, c, d, e, w, i, k3, expand);
         i += 5;
     }
-    // Rounds 75..ROUNDS (one round for the a75 path, five for the full
-    // hash): after each round the renaming shifts, so the tail is
-    // spelled out and the loop above stopped at a group boundary.
-    sha1_round!(xor3, a, b, c, d, e, sha1_expand!(w, 75), k3);
-    if ROUNDS == 76 {
-        // Rotating frame after round 75: the newest value (a75) sits in
-        // the register named `e`; `b` was already rotated by the round.
-        return [e, a, b, c, d];
-    }
-    sha1_round!(xor3, e, a, b, c, d, sha1_expand!(w, 76), k3);
-    sha1_round!(xor3, d, e, a, b, c, sha1_expand!(w, 77), k3);
-    sha1_round!(xor3, c, d, e, a, b, sha1_expand!(w, 78), k3);
-    sha1_round!(xor3, b, c, d, e, a, sha1_expand!(w, 79, last), k3);
-    [a, b, c, d, e]
-}
-
-/// SHA-1 over `L` pre-padded single-block messages: equal to
-/// `sha1_compress(IV, &blocks[l])` on every lane.
-#[inline(always)]
-pub(crate) fn sha1_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [[u32; 5]; L] {
-    let m = load_blocks::<V, L>(blocks);
-    let s = sha1_rounds::<V, 80>(&m);
-    let mut cols = [[0u32; L]; 5];
-    for (col, (v, iv)) in cols.iter_mut().zip(s.into_iter().zip(SHA1_IV)) {
-        v.add(V::splat(iv)).store(col);
-    }
-    core::array::from_fn(|l| [cols[0][l], cols[1][l], cols[2][l], cols[3][l], cols[4][l]])
+    // Round 75 writes the register named `e` in this frame — a75 — and
+    // nothing reads the `b` it would rotate.
+    e.add(a.rotl(5)).add(b.xor3(c, d)).add(k3).add(sha1_expand!(w, 75, last))
 }
 
 /// The SHA-1 partial path: 76 rounds per lane, returning each lane's
@@ -363,14 +351,10 @@ pub(crate) fn sha1_blocks<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> 
 /// the full hash; one that fails is rejected four rounds and four
 /// schedule expansions early (the paper's "anticipate the checks" rule).
 #[inline(always)]
-pub(crate) fn sha1_a75<V: Vec32, const L: usize>(blocks: &[[u32; 16]; L]) -> [u32; L] {
+pub(crate) fn sha1_a75_rows<V: Vec32, const L: usize>(rows: &[[u32; L]; 16]) -> [u32; L] {
     debug_assert_eq!(L, V::LANES);
-    let m = load_blocks::<V, L>(blocks);
-    // After round 75 (the 76th) the newest value sits in `a` of the
-    // rolling naming — that is a75.
-    let [a, _, _, _, _] = sha1_rounds::<V, { crate::sha1_partial::PARTIAL_ROUNDS }>(&m);
     let mut out = [0u32; L];
-    a.store(&mut out);
+    sha1_rounds76(&load_rows::<V, L>(rows)).store(&mut out);
     out
 }
 
@@ -384,40 +368,36 @@ mod tests {
     use crate::md4::md4_compress;
     use crate::md5::md5_compress;
     use crate::padding::{pad_md5_block, pad_sha_block};
-    use crate::sha1::{expand_schedule, round as scalar_sha1_round, sha1_compress};
+    use crate::sha1::{expand_schedule, round as scalar_sha1_round};
     use crate::simd::vec::X2;
+
+    /// Lane `l` of a word-major state.
+    fn lane<const L: usize>(state: &[[u32; L]; 4], l: usize) -> [u32; 4] {
+        state_lanes(state)[l]
+    }
 
     #[test]
     fn scalar_core_md5_matches_compress() {
         let block = pad_md5_block(b"core-check");
-        let got = md5_blocks::<[u32; 1], 1>(&[block]);
-        assert_eq!(got[0], md5_compress(MD5_IV, &block));
+        let got = md5_rows::<[u32; 1], 1>(&rows_of(&[block]));
+        assert_eq!(lane(&got, 0), md5_compress(MD5_IV, &block));
     }
 
     #[test]
     fn paired_core_md5_matches_compress() {
         let blocks = [pad_md5_block(b"left"), pad_md5_block(b"right")];
-        let got = md5_blocks::<X2<[u32; 1]>, 2>(&blocks);
+        let got = md5_rows::<X2<[u32; 1]>, 2>(&rows_of(&blocks));
         for (l, block) in blocks.iter().enumerate() {
-            assert_eq!(got[l], md5_compress(MD5_IV, block), "lane {l}");
+            assert_eq!(lane(&got, l), md5_compress(MD5_IV, block), "lane {l}");
         }
     }
 
     #[test]
     fn paired_core_md4_matches_compress() {
         let blocks = [pad_md5_block(b"ntlm-a"), pad_md5_block(b"ntlm-b")];
-        let got = md4_blocks::<X2<[u32; 1]>, 2>(&blocks);
+        let got = md4_rows::<X2<[u32; 1]>, 2>(&rows_of(&blocks));
         for (l, block) in blocks.iter().enumerate() {
-            assert_eq!(got[l], md4_compress(md4::IV, block), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn paired_core_sha1_matches_compress() {
-        let blocks = [pad_sha_block(b"sha-a"), pad_sha_block(b"sha-b")];
-        let got = sha1_blocks::<X2<[u32; 1]>, 2>(&blocks);
-        for (l, block) in blocks.iter().enumerate() {
-            assert_eq!(got[l], sha1_compress(SHA1_IV, block), "lane {l}");
+            assert_eq!(lane(&got, l), md4_compress(md4::IV, block), "lane {l}");
         }
     }
 
@@ -440,7 +420,7 @@ mod tests {
     #[test]
     fn paired_core_a75_matches_scalar_partial() {
         let blocks = [pad_sha_block(b"a75-x"), pad_sha_block(b"a75-y")];
-        let got = sha1_a75::<X2<[u32; 1]>, 2>(&blocks);
+        let got = sha1_a75_rows::<X2<[u32; 1]>, 2>(&rows_of(&blocks));
         for (l, block) in blocks.iter().enumerate() {
             let sched = expand_schedule(block);
             let mut s = SHA1_IV;

@@ -163,29 +163,23 @@ macro_rules! isa_handle {
 
         #[cfg(target_arch = $arch)]
         impl LaneHasher<{ $width }> for $name {
-            fn md5_batch(&self, blocks: &[[u32; 16]; $width]) -> [[u32; 4]; $width] {
+            fn md5_rows(&self, rows: &[[u32; $width]; 16]) -> [[u32; $width]; 4] {
                 use $shims as shims;
                 // SAFETY: `self` was constructed by `new`, which proved
                 // the ISA is available on this CPU.
-                unsafe { shims::md5(blocks) }
+                unsafe { shims::md5_rows(rows) }
             }
 
-            fn md4_batch(&self, blocks: &[[u32; 16]; $width]) -> [[u32; 4]; $width] {
+            fn md4_rows(&self, rows: &[[u32; $width]; 16]) -> [[u32; $width]; 4] {
                 use $shims as shims;
-                // SAFETY: as in `md5_batch` — construction proved the ISA.
-                unsafe { shims::md4(blocks) }
+                // SAFETY: as in `md5_rows` — construction proved the ISA.
+                unsafe { shims::md4_rows(rows) }
             }
 
-            fn sha1_batch(&self, blocks: &[[u32; 16]; $width]) -> [[u32; 5]; $width] {
+            fn sha1_a75_rows(&self, rows: &[[u32; $width]; 16]) -> [u32; $width] {
                 use $shims as shims;
-                // SAFETY: as in `md5_batch` — construction proved the ISA.
-                unsafe { shims::sha1(blocks) }
-            }
-
-            fn sha1_a75_batch(&self, blocks: &[[u32; 16]; $width]) -> [u32; $width] {
-                use $shims as shims;
-                // SAFETY: as in `md5_batch` — construction proved the ISA.
-                unsafe { shims::sha1_a75(blocks) }
+                // SAFETY: as in `md5_rows` — construction proved the ISA.
+                unsafe { shims::sha1_a75_rows(rows) }
             }
 
             fn md5_forward49_batch(
@@ -194,7 +188,7 @@ macro_rules! isa_handle {
                 w0s: &[u32; $width],
             ) -> [[u32; 4]; $width] {
                 use $shims as shims;
-                // SAFETY: as in `md5_batch` — construction proved the ISA.
+                // SAFETY: as in `md5_rows` — construction proved the ISA.
                 unsafe { shims::md5_forward49(template, w0s) }
             }
         }

@@ -91,30 +91,25 @@ impl Vec32 for U32x4 {
     }
 }
 
-/// The five `#[target_feature(enable = "neon")]` entry points at
+/// The four `#[target_feature(enable = "neon")]` entry points at
 /// `X2<U32x4>` (8 keys per call) — the NEON counterpart of the x86
 /// module's `define_shims!` output.
 pub(crate) mod neon_shims {
     use super::*;
 
     #[target_feature(enable = "neon")]
-    pub(crate) fn md5(blocks: &[[u32; 16]; 8]) -> [[u32; 4]; 8] {
-        cores::md5_blocks::<X2<U32x4>, 8>(blocks)
+    pub(crate) fn md5_rows(rows: &[[u32; 8]; 16]) -> [[u32; 8]; 4] {
+        cores::md5_rows::<X2<U32x4>, 8>(rows)
     }
 
     #[target_feature(enable = "neon")]
-    pub(crate) fn md4(blocks: &[[u32; 16]; 8]) -> [[u32; 4]; 8] {
-        cores::md4_blocks::<X2<U32x4>, 8>(blocks)
+    pub(crate) fn md4_rows(rows: &[[u32; 8]; 16]) -> [[u32; 8]; 4] {
+        cores::md4_rows::<X2<U32x4>, 8>(rows)
     }
 
     #[target_feature(enable = "neon")]
-    pub(crate) fn sha1(blocks: &[[u32; 16]; 8]) -> [[u32; 5]; 8] {
-        cores::sha1_blocks::<X2<U32x4>, 8>(blocks)
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(crate) fn sha1_a75(blocks: &[[u32; 16]; 8]) -> [u32; 8] {
-        cores::sha1_a75::<X2<U32x4>, 8>(blocks)
+    pub(crate) fn sha1_a75_rows(rows: &[[u32; 8]; 16]) -> [u32; 8] {
+        cores::sha1_a75_rows::<X2<U32x4>, 8>(rows)
     }
 
     #[target_feature(enable = "neon")]

@@ -198,7 +198,7 @@ impl Vec32 for U32x16 {
     }
 }
 
-/// Generate the five `#[target_feature]` entry points for one ISA: the
+/// Generate the four `#[target_feature]` entry points for one ISA: the
 /// only places the explicit-SIMD kernels are codegenned, and the only
 /// functions a handle calls (via `unsafe`, with detection as the proof).
 macro_rules! define_shims {
@@ -207,23 +207,18 @@ macro_rules! define_shims {
             use super::*;
 
             #[target_feature(enable = $feature)]
-            pub(crate) fn md5(blocks: &[[u32; 16]; $lanes]) -> [[u32; 4]; $lanes] {
-                cores::md5_blocks::<$vec, $lanes>(blocks)
+            pub(crate) fn md5_rows(rows: &[[u32; $lanes]; 16]) -> [[u32; $lanes]; 4] {
+                cores::md5_rows::<$vec, $lanes>(rows)
             }
 
             #[target_feature(enable = $feature)]
-            pub(crate) fn md4(blocks: &[[u32; 16]; $lanes]) -> [[u32; 4]; $lanes] {
-                cores::md4_blocks::<$vec, $lanes>(blocks)
+            pub(crate) fn md4_rows(rows: &[[u32; $lanes]; 16]) -> [[u32; $lanes]; 4] {
+                cores::md4_rows::<$vec, $lanes>(rows)
             }
 
             #[target_feature(enable = $feature)]
-            pub(crate) fn sha1(blocks: &[[u32; 16]; $lanes]) -> [[u32; 5]; $lanes] {
-                cores::sha1_blocks::<$vec, $lanes>(blocks)
-            }
-
-            #[target_feature(enable = $feature)]
-            pub(crate) fn sha1_a75(blocks: &[[u32; 16]; $lanes]) -> [u32; $lanes] {
-                cores::sha1_a75::<$vec, $lanes>(blocks)
+            pub(crate) fn sha1_a75_rows(rows: &[[u32; $lanes]; 16]) -> [u32; $lanes] {
+                cores::sha1_a75_rows::<$vec, $lanes>(rows)
             }
 
             #[target_feature(enable = $feature)]

@@ -1,9 +1,11 @@
 //! Seeded property tests for every [`LaneHasher`]: on the portable
 //! `AutoVec` cores at both widths and on every ISA the running CPU
-//! supports, every lane of every batched algorithm — forward
-//! MD5/MD4/SHA-1, the 49-step reversed-MD5 forward half, the 76-round
-//! SHA-1 `a75` partial — must be bit-for-bit equal to its scalar
-//! reference on random single-block messages.
+//! supports, every lane of every batched algorithm — forward MD5/MD4,
+//! the 49-step reversed-MD5 forward half, the 76-round SHA-1 `a75`
+//! partial — must be bit-for-bit equal to its scalar reference on random
+//! single-block messages. The kernels take the batch word-major (`rows[w]`
+//! = word `w` of every lane); the messages here are random per lane, so
+//! every row's lanes all differ.
 //!
 //! The checks are written once, generic over [`LaneHasher`], and
 //! instantiated per implementation (`AutoVec` = 8 and 16 keys, AVX2 = 16,
@@ -37,13 +39,33 @@ fn random_blocks<const L: usize>(
         .collect()
 }
 
-/// The lanes' blocks in the array form the hashers take.
+/// The lanes' blocks, one per lane.
 fn blocks_of<const L: usize>(lanes: &[(Vec<u8>, [u32; 16])]) -> [[u32; 16]; L] {
     let mut blocks = [[0u32; 16]; L];
     for (b, (_, block)) in blocks.iter_mut().zip(lanes) {
         *b = *block;
     }
     blocks
+}
+
+/// `blocks` in the word-major form the rows kernels take.
+fn rows_of<const L: usize>(blocks: &[[u32; 16]; L]) -> [[u32; L]; 16] {
+    core::array::from_fn(|w| core::array::from_fn(|l| blocks[l][w]))
+}
+
+/// Lane `l` of a word-major state.
+fn lane<const L: usize>(state: &[[u32; L]; 4], l: usize) -> [u32; 4] {
+    state.map(|row| row[l])
+}
+
+/// 76 scalar SHA-1 rounds, newest register.
+fn scalar_a75(block: &[u32; 16]) -> u32 {
+    let w = sha1::expand_schedule(block);
+    let mut s = sha1::IV;
+    for (i, &wi) in w.iter().enumerate().take(76) {
+        s = sha1::round(i, s, wi);
+    }
+    s[0]
 }
 
 /// Every batched kernel of `hasher` against its scalar reference, at the
@@ -53,16 +75,27 @@ fn check_hasher<const L: usize, H: LaneHasher<L>>(name: &'static str, hasher: H)
         // Forward MD5: each lane equals the scalar compression, and its
         // serialised state the single-block digest of the message.
         let lanes = random_blocks::<L>(rng, pad_md5_block);
-        for (l, (state, (msg, b))) in hasher.md5_batch(&blocks_of(&lanes)).iter().zip(&lanes).enumerate() {
-            assert_eq!(*state, md5::md5_compress(md5::IV, b), "{name} md5 lane {l}");
-            assert_eq!(md5::state_to_digest(*state), md5::md5_single_block(msg), "{name} md5 lane {l}");
+        let blocks = blocks_of(&lanes);
+        let states = hasher.md5_rows(&rows_of(&blocks));
+        for (l, (msg, b)) in lanes.iter().enumerate() {
+            let state = lane(&states, l);
+            assert_eq!(state, md5::md5_compress(md5::IV, b), "{name} md5 lane {l}");
+            assert_eq!(md5::state_to_digest(state), md5::md5_single_block(msg), "{name} md5 lane {l}");
         }
+        // The one-block-per-lane form is the same kernel behind a transpose.
+        assert_eq!(
+            hasher.md5_batch(&blocks),
+            core::array::from_fn(|l| lane(&states, l)),
+            "{name} md5_batch"
+        );
 
         // Forward MD4 (the NTLM core).
         let lanes = random_blocks::<L>(rng, pad_md5_block);
-        for (l, (state, (msg, b))) in hasher.md4_batch(&blocks_of(&lanes)).iter().zip(&lanes).enumerate() {
-            assert_eq!(*state, md4::md4_compress(md4::IV, b), "{name} md4 lane {l}");
-            assert_eq!(md5::state_to_digest(*state), md4::md4_single_block(msg), "{name} md4 lane {l}");
+        let states = hasher.md4_rows(&rows_of(&blocks_of(&lanes)));
+        for (l, (msg, b)) in lanes.iter().enumerate() {
+            let state = lane(&states, l);
+            assert_eq!(state, md4::md4_compress(md4::IV, b), "{name} md4 lane {l}");
+            assert_eq!(md5::state_to_digest(state), md4::md4_single_block(msg), "{name} md4 lane {l}");
         }
 
         // NTLM = MD4 over the UTF-16LE expansion; the lane path sees the
@@ -78,30 +111,42 @@ fn check_hasher<const L: usize, H: LaneHasher<L>>(name: &'static str, hasher: H)
             let utf16: Vec<u8> = p.iter().flat_map(|&c| [c, 0]).collect();
             *b = pad_md5_block(&utf16);
         }
-        for (l, (state, p)) in hasher.md4_batch(&blocks).iter().zip(&passwords).enumerate() {
-            assert_eq!(md5::state_to_digest(*state), md4::ntlm(p), "{name} ntlm lane {l}");
-        }
-
-        // Forward SHA-1.
-        let lanes = random_blocks::<L>(rng, pad_sha_block);
-        for (l, (state, (msg, b))) in hasher.sha1_batch(&blocks_of(&lanes)).iter().zip(&lanes).enumerate() {
-            assert_eq!(*state, sha1::sha1_compress(sha1::IV, b), "{name} sha1 lane {l}");
-            assert_eq!(sha1::state_to_digest(*state), sha1::sha1_single_block(msg), "{name} sha1 lane {l}");
+        let states = hasher.md4_rows(&rows_of(&blocks));
+        for (l, p) in passwords.iter().enumerate() {
+            assert_eq!(md5::state_to_digest(lane(&states, l)), md4::ntlm(p), "{name} ntlm lane {l}");
         }
 
         // SHA-1 `a75` partial: 76 scalar rounds, newest register — which
         // is also what the search accepts with the lane's own digest as
         // the target.
         let lanes = random_blocks::<L>(rng, pad_sha_block);
-        for (l, (&a75, (msg, b))) in hasher.sha1_a75_batch(&blocks_of(&lanes)).iter().zip(&lanes).enumerate() {
-            let w = sha1::expand_schedule(b);
-            let mut s = sha1::IV;
-            for (i, &wi) in w.iter().enumerate().take(76) {
-                s = sha1::round(i, s, wi);
-            }
-            assert_eq!(a75, s[0], "{name} a75 lane {l}");
+        let blocks = blocks_of(&lanes);
+        let a75s = hasher.sha1_a75_rows(&rows_of(&blocks));
+        assert_eq!(hasher.sha1_a75_batch(&blocks), a75s, "{name} sha1_a75_batch");
+        for (l, (&a75, (msg, b))) in a75s.iter().zip(&lanes).enumerate() {
+            assert_eq!(a75, scalar_a75(b), "{name} a75 lane {l}");
             let search = Sha1PartialSearch::new(&sha1::sha1_single_block(msg));
             assert_eq!(a75, search.a75_expected(), "{name} a75 lane {l} self-target");
+        }
+
+        // The searches' own batch shape: every lane the same block but for
+        // one word, which steps — fifteen rows hold one value in all lanes.
+        let mut blocks = [[0u32; 16]; L];
+        let shared: [u32; 16] = core::array::from_fn(|_| rng.u32());
+        let stepping = rng.index(16);
+        for b in blocks.iter_mut() {
+            *b = shared;
+            if let Some(word) = b.get_mut(stepping) {
+                *word = rng.u32();
+            }
+        }
+        let rows = rows_of(&blocks);
+        let (md5s, md4s, a75s) =
+            (hasher.md5_rows(&rows), hasher.md4_rows(&rows), hasher.sha1_a75_rows(&rows));
+        for (l, (b, &a75)) in blocks.iter().zip(&a75s).enumerate() {
+            assert_eq!(lane(&md5s, l), md5::md5_compress(md5::IV, b), "{name} stepping md5 lane {l}");
+            assert_eq!(lane(&md4s, l), md4::md4_compress(md4::IV, b), "{name} stepping md4 lane {l}");
+            assert_eq!(a75, scalar_a75(b), "{name} stepping a75 lane {l}");
         }
 
         // Reversed-MD5 forward half: lanes share words 1..16, differ only

@@ -7,18 +7,20 @@
 //! terminator and length words when the key grows. [`BlockBatch`] exploits
 //! this: it keeps the current key's fully padded 16-word block as a
 //! template, advances the key in place, mirrors the byte delta into the
-//! template, and hands out batches of `L` block copies for the
-//! lane-parallel compression cores. Steady state writes ~1–2 bytes per
-//! candidate and performs **no heap allocation** — the key buffer is
-//! inline, the template and the batch output live on the caller's stack.
+//! template, and hands out batches of `L` candidates for the
+//! lane-parallel compression cores, word-major ([`Rows`]): the `w[0]` row
+//! is written per candidate, a suffix row only from the lane at which a
+//! carry moved it. Steady state writes one word per candidate and
+//! performs **no heap allocation** — the key buffer is inline, the
+//! template and the batch output live on the caller's stack.
 //!
-//! Between two carries of the fastest digit even that is more than `next`
-//! needs: the candidates of a *run* differ in one byte that steps through
-//! the charset, so when that byte lives in `w[0]` the writer emits the
-//! whole run from registers (`base | symbol[d + j] << shift`) and touches
-//! the key, the charset's reverse table and the template once per run —
-//! at the carry — instead of once per candidate. That is what makes
-//! `K_next` vanish next to `K_C` (Section III) on a host core too.
+//! Between two carries of the fastest digit even the key is more than
+//! `next` needs: the candidates of a *run* differ in one byte that steps
+//! through the charset, so when that byte lives in `w[0]` the writer
+//! emits the whole run from registers (`base | symbol[d + j] << shift`)
+//! and touches the key, the charset's reverse table and the template once
+//! per run — at the carry — instead of once per candidate. That is what
+//! makes `K_next` vanish next to `K_C` (Section III) on a host core too.
 //!
 //! The writer also tracks a *suffix epoch*: a counter bumped whenever any
 //! block word other than `w[0]` changes. Batches whose epoch is stable
@@ -34,7 +36,7 @@
 use crate::encode::{advance_tracked, Order};
 use crate::interval::Interval;
 use crate::key::Key;
-use crate::source::BlockSource;
+use crate::source::{BlockSource, Rows};
 use crate::space::KeySpace;
 
 /// How key bytes map into the padded single-block message.
@@ -113,7 +115,7 @@ impl BlockLayout {
     }
 }
 
-/// Metadata for one batch handed out by [`BlockBatch::fill`].
+/// Metadata for one batch handed out by a [`BlockSource`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchInfo {
     /// Space-local identifier of the batch's first candidate; lane `l`
@@ -207,24 +209,18 @@ impl<'a> BlockBatch<'a> {
         &self.template
     }
 
-    /// Write the next `L` candidates' padded blocks into `out` and
-    /// advance. Lane `l` receives the block of identifier
-    /// `start_id + l`.
+    /// Write the next `L` candidates' padded blocks into `out`, one
+    /// whole block per lane, and advance. Lane `l` receives the block of
+    /// identifier `start_id + l`. The searches take the word-major
+    /// [`BlockSource::fill_rows`]; this lane-major form serves callers
+    /// that read blocks one at a time.
     ///
     /// # Panics
     /// Panics when fewer than `L` candidates remain — the caller owns the
     /// tail (scalar path).
     #[inline]
     pub fn fill<const L: usize>(&mut self, out: &mut [[u32; 16]; L]) -> BatchInfo {
-        assert!(
-            self.remaining >= L as u128,
-            "fill of {L} lanes with only {} candidates remaining",
-            self.remaining
-        );
-        self.emit::<L>(|l, template, w0| {
-            out[l] = *template;
-            out[l][0] = w0;
-        })
+        self.emit::<L>(&mut LaneBlocks(out))
     }
 
     /// Write the next `L` candidates' **first block words** into `out`
@@ -244,24 +240,26 @@ impl<'a> BlockBatch<'a> {
     /// tail (scalar path).
     #[inline]
     pub fn fill_w0s<const L: usize>(&mut self, out: &mut [u32; L]) -> (BatchInfo, [u32; 16]) {
-        assert!(
-            self.remaining >= L as u128,
-            "fill_w0s of {L} lanes with only {} candidates remaining",
-            self.remaining
-        );
         let template0 = self.template;
-        let info = self.emit::<L>(|l, _, w0| out[l] = w0);
+        let info = self.emit::<L>(&mut FirstWords(out));
         (info, template0)
     }
 
-    /// Hand the next `L` candidates to `put(lane, template, w0)` — the
-    /// lane's block is `template` with word 0 replaced by `w0` — and
-    /// advance past them.
+    /// Hand the next `L` candidates to `sink` and advance past them.
+    ///
+    /// # Panics
+    /// Panics when fewer than `L` candidates remain.
     #[inline]
-    fn emit<const L: usize>(&mut self, mut put: impl FnMut(usize, &[u32; 16], u32)) -> BatchInfo {
+    fn emit<const L: usize>(&mut self, sink: &mut impl Sink) -> BatchInfo {
+        assert!(
+            self.remaining >= L as u128,
+            "fill of {L} lanes with only {} candidates remaining",
+            self.remaining
+        );
         let start_id = self.next_id;
         let epoch0 = self.epoch;
         let symbols = self.space.charset().symbols();
+        sink.start(&self.template);
         let mut l = 0;
         loop {
             // Lanes up to the fastest digit's next carry differ in one
@@ -272,13 +270,13 @@ impl<'a> BlockBatch<'a> {
                     let base = self.template[0] & !(0xff << run.shift);
                     let ahead = &symbols[run.digit..symbols.len().min(run.digit + L - l)];
                     for (j, &symbol) in ahead.iter().enumerate() {
-                        put(l + j, &self.template, base | u32::from(symbol) << run.shift);
+                        sink.put(l + j, &self.template, base | u32::from(symbol) << run.shift);
                     }
                     self.move_in_run(run, ahead.len() - 1);
                     ahead.len()
                 }
                 None => {
-                    put(l, &self.template, self.template[0]);
+                    sink.put(l, &self.template, self.template[0]);
                     1
                 }
             };
@@ -286,7 +284,11 @@ impl<'a> BlockBatch<'a> {
             if l == L {
                 break;
             }
+            let epoch = self.epoch;
             self.advance_template();
+            if self.epoch != epoch {
+                sink.suffix_moved(l, &self.template);
+            }
         }
         // Uniformity covers the L-1 advances *between* the batch's lanes;
         // the advance positioning the writer for the next batch may bump
@@ -378,6 +380,64 @@ impl<'a> BlockBatch<'a> {
     }
 }
 
+/// Where [`BlockBatch::emit`] puts a batch: the three output forms
+/// differ only in how much of each candidate's block they keep.
+trait Sink {
+    /// The batch begins; `template` is lane 0's block.
+    fn start(&mut self, _template: &[u32; 16]) {}
+
+    /// Lane `l`'s block is `template` with word 0 replaced by `w0`.
+    fn put(&mut self, l: usize, template: &[u32; 16], w0: u32);
+
+    /// A carry between lanes `l - 1` and `l` changed words 1..16: lanes
+    /// `l..` take them from `template`.
+    fn suffix_moved(&mut self, _l: usize, _template: &[u32; 16]) {}
+}
+
+/// One whole block per lane ([`BlockBatch::fill`]).
+struct LaneBlocks<'o, const L: usize>(&'o mut [[u32; 16]; L]);
+
+impl<const L: usize> Sink for LaneBlocks<'_, L> {
+    #[inline]
+    fn put(&mut self, l: usize, template: &[u32; 16], w0: u32) {
+        self.0[l] = *template;
+        self.0[l][0] = w0;
+    }
+}
+
+/// First words only ([`BlockBatch::fill_w0s`]).
+struct FirstWords<'o, const L: usize>(&'o mut [u32; L]);
+
+impl<const L: usize> Sink for FirstWords<'_, L> {
+    #[inline]
+    fn put(&mut self, l: usize, _template: &[u32; 16], w0: u32) {
+        self.0[l] = w0;
+    }
+}
+
+/// Word-major: the `w[0]` row lane by lane, a suffix row only where it
+/// differs from what [`Rows`] already holds.
+struct WordRows<'o, const L: usize>(&'o mut Rows<L>);
+
+impl<const L: usize> Sink for WordRows<'_, L> {
+    #[inline]
+    fn start(&mut self, template: &[u32; 16]) {
+        self.suffix_moved(0, template);
+    }
+
+    #[inline]
+    fn put(&mut self, l: usize, _template: &[u32; 16], w0: u32) {
+        self.0.row_mut(0)[l] = w0;
+    }
+
+    #[inline]
+    fn suffix_moved(&mut self, l: usize, template: &[u32; 16]) {
+        for (w, &word) in template.iter().enumerate().skip(1) {
+            self.0.from_lane(w, l, word);
+        }
+    }
+}
+
 impl BlockSource for BlockBatch<'_> {
     #[inline]
     fn next_id(&self) -> u128 {
@@ -390,8 +450,8 @@ impl BlockSource for BlockBatch<'_> {
     }
 
     #[inline]
-    fn fill<const L: usize>(&mut self, out: &mut [[u32; 16]; L]) -> BatchInfo {
-        BlockBatch::fill(self, out)
+    fn fill_rows<const L: usize>(&mut self, rows: &mut Rows<L>) -> BatchInfo {
+        self.emit::<L>(&mut WordRows(rows))
     }
 
     /// First-char-fastest sweeps vary only the leading key bytes, so one

@@ -45,7 +45,7 @@ pub use interval::Interval;
 pub use iter::KeyIter;
 pub use key::{Key, MAX_KEY_LEN};
 pub use mask::{MaskBlocks, MaskError, MaskSlot, MaskSpace};
-pub use source::{BlockSource, BlockSpace, KeyBlocks};
+pub use source::{BlockSource, BlockSpace, KeyBlocks, Rows};
 pub use space::{KeySpace, KeySpaceError};
 
 /// The trait every space here implements, re-exported so the layers

@@ -24,7 +24,7 @@ use crate::batch::{BatchInfo, BlockLayout};
 use crate::charset::Charset;
 use crate::interval::Interval;
 use crate::key::{Key, MAX_KEY_LEN};
-use crate::source::{BlockSource, BlockSpace};
+use crate::source::{BlockSource, BlockSpace, Rows};
 
 /// One position of a mask: a charset or a fixed literal byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,11 +254,13 @@ impl BlockSpace for MaskSpace {
 /// A mask is a fixed-length mixed-radix counter, so the writer keeps one
 /// digit per position next to the current candidate's padded block and
 /// never goes back to bytes: the candidates up to the fastest position's
-/// next carry differ in that position's byte alone, and are emitted as
-/// `base | symbol[d + j] << shift` in whichever block word holds it
-/// (`w[1]` for `?u?l?l?d` under NTLM's UTF-16 layout, `w[0]` under
-/// MD5's). No reverse charset look-up, no `key_at` after the first
-/// candidate, no heap.
+/// next carry differ in that position's byte alone, and are written as
+/// `base | symbol[d + j] << shift` into the row of whichever block word
+/// holds it (`w[1]` for `?u?l?l?d` under NTLM's UTF-16 layout, `w[0]`
+/// under MD5's). Every other row holds one value in all lanes unless a
+/// carry inside the batch moved it, and is then rewritten from that lane
+/// on. No reverse charset look-up, no `key_at` after the first candidate,
+/// no heap.
 #[derive(Debug, Clone)]
 pub struct MaskBlocks<'a> {
     slots: &'a [MaskSlot],
@@ -307,8 +309,9 @@ impl<'a> MaskBlocks<'a> {
 
     /// Set position `pos` to `digit`, in the digits and in the template;
     /// the suffix epoch moves when a word other than `w[0]` changes.
+    /// Returns the template word written.
     #[inline]
-    fn set_digit(&mut self, pos: usize, digit: usize) {
+    fn set_digit(&mut self, pos: usize, digit: usize) -> usize {
         self.digits[pos] = digit as u8;
         let (word, shift) = self.layout.key_byte_slot(pos);
         let symbol = self.slots[pos].symbols()[digit];
@@ -317,19 +320,22 @@ impl<'a> MaskBlocks<'a> {
             self.epoch += 1;
         }
         self.template[word] = updated;
+        word
     }
 
     /// The counter's `next`: increment the fastest position, carrying
     /// leftward (wrapping past the last candidate, which callers bound).
-    fn advance(&mut self) {
+    /// Returns the template words written, one bit each.
+    fn advance(&mut self) -> u16 {
+        let mut written = 0;
         for pos in (0..=self.fast).rev() {
             let digit = usize::from(self.digits[pos]) + 1;
             if digit < self.slots[pos].symbols().len() {
-                self.set_digit(pos, digit);
-                return;
+                return written | 1 << self.set_digit(pos, digit);
             }
-            self.set_digit(pos, 0);
+            written |= 1 << self.set_digit(pos, 0);
         }
+        written
     }
 }
 
@@ -345,7 +351,7 @@ impl BlockSource for MaskBlocks<'_> {
     }
 
     #[inline]
-    fn fill<const L: usize>(&mut self, out: &mut [[u32; 16]; L]) -> BatchInfo {
+    fn fill_rows<const L: usize>(&mut self, rows: &mut Rows<L>) -> BatchInfo {
         assert!(
             self.remaining >= L as u128,
             "fill of {L} lanes with only {} candidates remaining",
@@ -354,24 +360,37 @@ impl BlockSource for MaskBlocks<'_> {
         let (start_id, epoch) = (self.next_id, self.epoch);
         let symbols = self.slots[self.fast].symbols();
         let (word, shift) = self.layout.key_byte_slot(self.fast);
+        for (w, &value) in self.template.iter().enumerate() {
+            if w != word {
+                rows.uniform(w, value);
+            }
+        }
         let mut l = 0;
         loop {
             // The lanes up to the next carry differ in one byte of one
-            // word: emit them from registers, then move the digit and the
-            // template to the last of them in one step.
+            // word: write them into that word's row from registers, then
+            // move the digit and the template to the last of them in one
+            // step.
             let digit = usize::from(self.digits[self.fast]);
             let base = self.template[word] & !(0xff << shift);
             let ahead = &symbols[digit..symbols.len().min(digit + L - l)];
-            for (block, &symbol) in out[l..].iter_mut().zip(ahead) {
-                *block = self.template;
-                block[word] = base | u32::from(symbol) << shift;
+            for (slot, &symbol) in rows.row_mut(word)[l..].iter_mut().zip(ahead) {
+                *slot = base | u32::from(symbol) << shift;
             }
             self.set_digit(self.fast, digit + ahead.len() - 1);
             l += ahead.len();
             if l == L {
                 break;
             }
-            self.advance();
+            // A carry out of the stepping word changes another row from
+            // this lane on; the stepping word's own row is rewritten by
+            // the next run either way.
+            let mut moved = self.advance() & !(1 << word);
+            while moved != 0 {
+                let w = moved.trailing_zeros() as usize;
+                rows.from_lane(w, l, self.template[w]);
+                moved &= moved - 1;
+            }
         }
         // As in `BlockBatch`: the advance that positions the writer for
         // the next batch may move the epoch without invalidating this one.

@@ -7,14 +7,23 @@
 //! those blocks": a [`BlockSpace`] is a key-producing space that knows
 //! how, and a [`BlockSource`] is its writer over one interval.
 //!
+//! The batch is *word-major* ([`Rows`]): row `w` holds block word `w` of
+//! all `L` candidates, which is the form the kernels load — one vector
+//! per message word — so nothing transposes between writer and hash. It
+//! is also the form in which a batch is cheap to write: consecutive
+//! candidates differ in one byte of one word, so fifteen of the sixteen
+//! rows hold one value in every lane, and [`Rows`] remembers which, so a
+//! row that has not changed since the previous batch costs a compare.
+//!
 //! Three writers exist. [`BlockBatch`] serves [`KeySpace`] and
 //! [`MaskBlocks`](crate::MaskBlocks) serves
 //! [`MaskSpace`](crate::MaskSpace): both know which single byte moves
-//! between two carries and emit those runs from registers.
+//! between two carries, write that word's row run by run from registers,
+//! and touch another row only from the lane at which a carry moved it.
 //! [`KeyBlocks`] serves everything else (today [`HybridSpace`]): it
-//! drives the space's own `next` and re-pads the key each step — no
-//! knowledge of the space, no heap, roughly one block format per
-//! candidate.
+//! drives the space's own `next`, re-pads the key each step and writes
+//! the block as a column — no knowledge of the space, no heap, roughly
+//! one block format per candidate.
 
 // Indexing/slicing below is over fixed-size state arrays; the workspace
 // `clippy::indexing_slicing` escalation guards new code, not these
@@ -33,6 +42,91 @@ use crate::space::KeySpace;
 // writer needs a multi-block path.
 const _: () = assert!(2 * MAX_KEY_LEN <= 55);
 
+/// `L` padded blocks, word-major: `words()[w][l]` is word `w` of lane
+/// `l`'s block.
+///
+/// The buffer carries its own uniformity state: per row, the value every
+/// lane from some index on is known to hold. [`Rows::uniform`] and
+/// [`Rows::from_lane`] store only what that does not already cover, so a
+/// writer states what each row must hold and pays for the rows that
+/// changed. Because the state describes the *buffer*, not a writer's
+/// history, any writer may follow any other into the same `Rows`.
+#[derive(Debug, Clone)]
+pub struct Rows<const L: usize> {
+    words: [[u32; L]; 16],
+    /// `words[w][known_from[w]..]` all hold `tail[w]`; `known_from[w]`
+    /// is `L` when nothing is known about the row.
+    tail: [u32; 16],
+    known_from: [u8; 16],
+}
+
+impl<const L: usize> Default for Rows<L> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const L: usize> Rows<L> {
+    /// `L` all-zero blocks.
+    pub fn new() -> Self {
+        const { assert!(L <= u8::MAX as usize, "lane indices are kept in a byte") };
+        Self { words: [[0; L]; 16], tail: [0; 16], known_from: [0; 16] }
+    }
+
+    /// Make every lane of row `w` hold `v`; nothing is stored when the
+    /// row already does.
+    #[inline]
+    pub fn uniform(&mut self, w: usize, v: u32) {
+        self.from_lane(w, 0, v);
+    }
+
+    /// Make lanes `l..` of row `w` hold `v`, leaving the lanes before
+    /// `l` as they are; nothing is stored when they already do.
+    #[inline]
+    pub fn from_lane(&mut self, w: usize, l: usize, v: u32) {
+        if self.tail[w] == v && usize::from(self.known_from[w]) <= l {
+            return;
+        }
+        self.words[w][l..].fill(v);
+        self.tail[w] = v;
+        self.known_from[w] = l as u8;
+    }
+
+    /// Row `w` for lane-by-lane writing; the row counts as unknown from
+    /// here on.
+    #[inline]
+    pub fn row_mut(&mut self, w: usize) -> &mut [u32; L] {
+        self.known_from[w] = L as u8;
+        &mut self.words[w]
+    }
+
+    /// Overwrite lane `l` with `block` (a column write).
+    #[inline]
+    pub fn set_block(&mut self, l: usize, block: &[u32; 16]) {
+        for (w, &word) in block.iter().enumerate() {
+            self.row_mut(w)[l] = word;
+        }
+    }
+
+    /// Lane `l`'s block.
+    #[inline]
+    pub fn block(&self, l: usize) -> [u32; 16] {
+        core::array::from_fn(|w| self.words[w][l])
+    }
+
+    /// Row `w`: block word `w` of every lane.
+    #[inline]
+    pub fn row(&self, w: usize) -> &[u32; L] {
+        &self.words[w]
+    }
+
+    /// All sixteen rows, the form the lane kernels load.
+    #[inline]
+    pub fn words(&self) -> &[[u32; L]; 16] {
+        &self.words
+    }
+}
+
 /// A stream of consecutive candidates, handed out `L` pre-padded blocks
 /// at a time.
 pub trait BlockSource {
@@ -42,22 +136,37 @@ pub trait BlockSource {
     /// Candidates left in the interval.
     fn remaining(&self) -> u128;
 
-    /// Write the next `L` candidates' padded blocks into `out` and
+    /// Write the next `L` candidates' padded blocks into `rows` and
     /// advance; lane `l` receives the block of identifier `start_id + l`.
+    /// `rows` may hold anything on entry — another writer's batch
+    /// included — and holds exactly these `L` blocks on return.
     ///
     /// # Panics
     /// Panics when fewer than `L` candidates remain — the caller owns the
     /// tail.
-    fn fill<const L: usize>(&mut self, out: &mut [[u32; 16]; L]) -> BatchInfo;
+    fn fill_rows<const L: usize>(&mut self, rows: &mut Rows<L>) -> BatchInfo;
+
+    /// [`fill_rows`] transposed to one block per lane: the lane-major
+    /// form the tests compare with per-key references.
+    ///
+    /// [`fill_rows`]: BlockSource::fill_rows
+    fn fill<const L: usize>(&mut self, out: &mut [[u32; 16]; L]) -> BatchInfo {
+        let mut rows = Rows::<L>::new();
+        let info = self.fill_rows(&mut rows);
+        for (l, block) in out.iter_mut().enumerate() {
+            *block = rows.block(l);
+        }
+        info
+    }
 
     /// Write only the next `L` candidates' first block words and advance,
     /// returning the batch metadata and the first candidate's whole block
     /// (see [`BlockBatch::fill_w0s`]). `None` — from the default, and
     /// from a source whose candidates do not mostly differ in `w[0]` —
-    /// means nothing was consumed and the caller should [`fill`]; a
+    /// means nothing was consumed and the caller should [`fill_rows`]; a
     /// source that declines once declines for its whole interval.
     ///
-    /// [`fill`]: BlockSource::fill
+    /// [`fill_rows`]: BlockSource::fill_rows
     #[inline]
     fn try_fill_w0s<const L: usize>(
         &mut self,
@@ -95,10 +204,10 @@ impl BlockSpace for HybridSpace {
     }
 }
 
-/// The writer of last resort: generate once, `advance`, re-pad. Works
-/// for any [`SolutionSpace`] of keys and allocates nothing; costs one
-/// block format per candidate where the run-based writers cost one
-/// store.
+/// The writer of last resort: generate once, `advance`, re-pad, write
+/// the block as a column. Works for any [`SolutionSpace`] of keys and
+/// allocates nothing; costs one block format per candidate where the
+/// run-based writers cost one store.
 #[derive(Debug, Clone)]
 pub struct KeyBlocks<'a, S> {
     space: &'a S,
@@ -153,7 +262,7 @@ impl<S: SolutionSpace<Solution = Key>> BlockSource for KeyBlocks<'_, S> {
     }
 
     #[inline]
-    fn fill<const L: usize>(&mut self, out: &mut [[u32; 16]; L]) -> BatchInfo {
+    fn fill_rows<const L: usize>(&mut self, rows: &mut Rows<L>) -> BatchInfo {
         assert!(
             self.remaining >= L as u128,
             "fill of {L} lanes with only {} candidates remaining",
@@ -161,8 +270,8 @@ impl<S: SolutionSpace<Solution = Key>> BlockSource for KeyBlocks<'_, S> {
         );
         let (start_id, epoch) = (self.next_id, self.epoch);
         let mut id = start_id;
-        for (l, block) in out.iter_mut().enumerate() {
-            *block = self.template;
+        for l in 0..L {
+            rows.set_block(l, &self.template);
             if l + 1 < L {
                 self.step(id);
                 id += 1;

@@ -1,5 +1,6 @@
-//! Seeded property: [`BlockBatch`]'s run-based `fill` / `fill_w0s` are
-//! indistinguishable from generating every candidate on its own.
+//! Seeded property: [`BlockBatch`]'s run-based `fill_rows` / `fill` /
+//! `fill_w0s` are indistinguishable from generating every candidate on
+//! its own.
 //!
 //! The writer emits the candidates between two carries of the fastest
 //! digit from registers and touches the key only at the carry; the
@@ -15,6 +16,12 @@
 //! (advance and re-pad, here over hybrids and masks) must hand out, lane
 //! by lane, the block padded from scratch from `generate(start_id + l)`.
 //!
+//! The batch is word-major ([`Rows`]) and the buffer remembers which of
+//! its rows hold one value in every lane, so every sweep here reuses one
+//! buffer from batch to batch, and the last property hands one buffer
+//! from writer to writer: whatever it held, a fill leaves exactly the
+//! batch in it.
+//!
 //! The root package runs this file too (`tests/batch_fill.rs` includes
 //! it), so the tier-1 `cargo test -q` covers it.
 
@@ -27,13 +34,13 @@ use eks_core::prop::{forall, Rng};
 use eks_core::SolutionSpace;
 use eks_keyspace::{
     advance_tracked, BatchInfo, BlockBatch, BlockLayout, BlockSource, BlockSpace, Charset,
-    HybridSpace, Interval, Key, KeyBlocks, KeySpace, MaskSlot, MaskSpace, Order,
+    HybridSpace, Interval, Key, KeyBlocks, KeySpace, MaskSlot, MaskSpace, Order, Rows,
 };
 
 const ORDERS: [Order; 2] = [Order::FirstCharFastest, Order::LastCharFastest];
 const LAYOUTS: [BlockLayout; 3] =
     [BlockLayout::Md5Le, BlockLayout::ShaBe, BlockLayout::NtlmUtf16Le];
-const CHARSET_SIZES: [usize; 5] = [1, 2, 3, 26, 95];
+const CHARSET_SIZES: [usize; 6] = [1, 2, 3, 10, 26, 95];
 
 /// `n` distinct printable symbols in a scrambled order, so that a fill
 /// that stepped the byte instead of the digit would be caught.
@@ -116,8 +123,14 @@ impl<'a> Reference<'a> {
     }
 }
 
-/// Sweep `interval` in batches of `L`, drawing `fill` or `fill_w0s` per
-/// batch, and compare everything observable with the reference.
+/// `rows` lane by lane.
+fn blocks_of<const L: usize>(rows: &Rows<L>) -> [[u32; 16]; L] {
+    core::array::from_fn(|l| rows.block(l))
+}
+
+/// Sweep `interval` in batches of `L`, drawing `fill_rows` (into one
+/// buffer for the whole sweep), `fill` or `fill_w0s` per batch, and
+/// compare everything observable with the reference.
 fn check_sweep<const L: usize>(
     space: &KeySpace,
     layout: BlockLayout,
@@ -134,9 +147,15 @@ fn check_sweep<const L: usize>(
         space.max_len(),
     );
     assert_eq!(writer.template(), &reference.block, "first block, {case}");
+    let mut rows = Rows::<L>::new();
     while writer.remaining() >= L as u128 {
         let (want_blocks, want_info) = reference.fill::<L>();
-        if rng.below(2) == 0 {
+        let draw = rng.below(4);
+        if draw < 2 {
+            let info = writer.fill_rows(&mut rows);
+            assert_eq!(info, want_info, "fill_rows info, {case}");
+            assert_eq!(blocks_of(&rows), want_blocks, "fill_rows at id {}, {case}", info.start_id);
+        } else if draw == 2 {
             let mut blocks = [[0u32; 16]; L];
             let info = writer.fill(&mut blocks);
             assert_eq!(info, want_info, "fill info, {case}");
@@ -226,8 +245,7 @@ fn fastest_digit_outside_w0_bumps_the_epoch_every_step() {
         let space =
             KeySpace::new(charset(26), 6, 6, Order::LastCharFastest).expect("fits u128");
         let mut writer = BlockBatch::new(&space, layout, Interval::new(1_000, 64));
-        let mut blocks = [[0u32; 16]; 16];
-        let info = writer.fill(&mut blocks);
+        let info = writer.fill_rows(&mut Rows::<16>::new());
         assert!(!info.uniform_suffix, "{layout:?}");
         assert_eq!(writer.epoch(), 16, "{layout:?}: 15 steps between lanes + 1 to reposition");
         let mut rng = Rng::new(7);
@@ -235,7 +253,8 @@ fn fastest_digit_outside_w0_bumps_the_epoch_every_step() {
     }
 }
 
-/// Sweep `writer` in batches of `L` against blocks padded from scratch
+/// Sweep `writer` in batches of `L`, into `rows` as it was left by
+/// whoever wrote it last, against blocks padded from scratch
 /// from `generate(id)`: every lane, `start_id`, `uniform_suffix` (true
 /// exactly when the lanes share words 1..16), and the epoch as a version
 /// of those words — it never decreases, and two batches that report the
@@ -244,6 +263,7 @@ fn fastest_digit_outside_w0_bumps_the_epoch_every_step() {
 fn check_structured_sweep<const L: usize, S, W>(
     space: &S,
     mut writer: W,
+    rows: &mut Rows<L>,
     layout: BlockLayout,
     case: &str,
 ) -> u32
@@ -255,8 +275,8 @@ where
     let mut last: Option<(u64, [u32; 16])> = None;
     while writer.remaining() >= L as u128 {
         let (start, remaining) = (writer.next_id(), writer.remaining());
-        let mut blocks = [[0u32; 16]; L];
-        let info = writer.fill(&mut blocks);
+        let info = writer.fill_rows(rows);
+        let blocks = blocks_of(rows);
         assert_eq!(info.start_id, start, "start_id, {case}");
         for (l, block) in blocks.iter().enumerate() {
             let id = start + l as u128;
@@ -297,23 +317,24 @@ fn check_structured<S: BlockSpace>(space: &S, layout: BlockLayout, rng: &mut Rng
     let len = rng.range_u128(1, 12 * u128::from(width) + 5);
     let interval = Interval::new(start, len.min(size - start));
     let case = format!("{name} {layout:?} {interval:?} L={width}");
-    let writer = space.blocks(layout, interval);
-    // The writer of last resort must agree on every space, too.
-    let generic = KeyBlocks::new(space, layout, interval);
     match width {
-        8 => {
-            check_structured_sweep::<8, _, _>(space, generic, layout, &case);
-            check_structured_sweep::<8, _, _>(space, writer, layout, &case)
-        }
-        16 => {
-            check_structured_sweep::<16, _, _>(space, generic, layout, &case);
-            check_structured_sweep::<16, _, _>(space, writer, layout, &case)
-        }
-        _ => {
-            check_structured_sweep::<32, _, _>(space, generic, layout, &case);
-            check_structured_sweep::<32, _, _>(space, writer, layout, &case)
-        }
+        8 => check_both_writers::<8, _>(space, layout, interval, &case),
+        16 => check_both_writers::<16, _>(space, layout, interval, &case),
+        _ => check_both_writers::<32, _>(space, layout, interval, &case),
     }
+}
+
+/// The writer of last resort must agree on every space, too — and leaves
+/// its last batch in the buffer the space's own writer then starts from.
+fn check_both_writers<const L: usize, S: BlockSpace>(
+    space: &S,
+    layout: BlockLayout,
+    interval: Interval,
+    case: &str,
+) -> u32 {
+    let mut rows = Rows::<L>::new();
+    check_structured_sweep(space, KeyBlocks::new(space, layout, interval), &mut rows, layout, case);
+    check_structured_sweep(space, space.blocks(layout, interval), &mut rows, layout, case)
 }
 
 /// A mask of `len` positions: literals, one-symbol sets and sets of 2, 3,
@@ -376,4 +397,79 @@ fn advance_and_repad_writer_equals_the_per_key_reference() {
         });
     }
     assert!(batches > 300, "only {batches} batches: the drawn intervals are too short to test much");
+}
+
+/// One batch from a fresh writer at `start` into `rows`, whatever `rows`
+/// held, is exactly the `L` blocks padded from scratch.
+fn check_one_batch<const L: usize, S: BlockSpace>(
+    space: &S,
+    layout: BlockLayout,
+    start: u128,
+    rows: &mut Rows<L>,
+    case: &str,
+) {
+    let info = space.blocks(layout, Interval::new(start, L as u128)).fill_rows(rows);
+    assert_eq!(info.start_id, start, "{case}");
+    for l in 0..L {
+        let id = start + l as u128;
+        let want = reference_block(layout, &space.generate(id));
+        assert_eq!(rows.block(l), want, "lane {l} (id {id}) {layout:?}, {case}");
+    }
+}
+
+/// The uniformity state lives in the buffer, not in a writer: one `Rows`
+/// handed from writer to writer — other spaces, other layouts, other
+/// stepping words, intervals that start mid-run — holds exactly the batch
+/// last written. Includes the lane loop's own hand-over: a `w[0]`-only
+/// sweep that leaves the buffer untouched for many batches, interrupted by
+/// a fresh writer rebuilding one batch's full blocks, and finally
+/// abandoned for full fills by the sweeping writer itself.
+#[test]
+fn one_rows_buffer_serves_any_sequence_of_writers() {
+    const L: usize = 16;
+    forall("stale rows", 64, |rng| {
+        let mut rows = Rows::<L>::new();
+        let keys = KeySpace::new(charset(3), 1, 8, ORDERS[rng.index(2)]).expect("fits u128");
+        let mask_len = rng.range(2, 12) as usize;
+        let mask = random_mask(rng, mask_len);
+        let hybrid = HybridSpace::with_digit_suffixes(&[b"alpha".as_slice(), b"be", b"gamma-ray"], 2)
+            .expect("words + suffix fit a key");
+        for step in 0..12 {
+            let layout = LAYOUTS[rng.index(3)];
+            match rng.below(3) {
+                0 => {
+                    let start = rng.range_u128(0, keys.size() - L as u128);
+                    check_one_batch(&keys, layout, start, &mut rows, &format!("step {step}: keys"));
+                }
+                1 if mask.size() >= L as u128 => {
+                    let start = rng.range_u128(0, mask.size() - L as u128);
+                    check_one_batch(&mask, layout, start, &mut rows, &format!("step {step}: mask"));
+                }
+                _ => {
+                    let start = rng.range_u128(0, hybrid.size() - L as u128);
+                    check_one_batch(&hybrid, layout, start, &mut rows, &format!("step {step}: hybrid"));
+                }
+            }
+        }
+
+        // The lane loop's hand-over, on a space whose `w[0]` rolls over
+        // every 27 candidates so that rebuilds are frequent.
+        let keys = KeySpace::new(charset(3), 3, 6, Order::FirstCharFastest).expect("fits u128");
+        let layout = LAYOUTS[rng.index(3)];
+        let mut sweep = keys.blocks(layout, keys.interval());
+        let mut w0s = [0u32; L];
+        for _ in 0..rng.range(1, 20) {
+            let (info, _) = sweep.fill_w0s(&mut w0s);
+            if !info.uniform_suffix || rng.below(4) == 0 {
+                check_one_batch(&keys, layout, info.start_id, &mut rows, "rebuild under the w0 sweep");
+            }
+        }
+        let mut reference = Reference::new(&keys, layout, Interval::new(sweep.next_id(), sweep.remaining()));
+        reference.epoch = sweep.epoch();
+        for _ in 0..8 {
+            let (want_blocks, want_info) = reference.fill::<L>();
+            assert_eq!(sweep.fill_rows(&mut rows), want_info, "full fills after the w0 sweep");
+            assert_eq!(blocks_of(&rows), want_blocks, "full fills after the w0 sweep");
+        }
+    });
 }
