@@ -7,7 +7,7 @@
 //! warp would: the space's block writer puts `L` consecutive candidates'
 //! pre-padded blocks in place (no allocation), a [`LaneHasher`] hashes
 //! all lanes together, and the [`TargetSet`] prefilter reduces the common
-//! miss to one `u32` compare per lane.
+//! miss to one vector compare of the whole batch per target word.
 //!
 //! The batch has one layout from writer to kernel: *word-major*
 //! ([`Rows`] — row `w` is block word `w` of all `L` candidates). That is
@@ -16,14 +16,17 @@
 //! lane and are left alone while it does not change), so nothing that is
 //! constant across candidates moves per candidate — the host form of the
 //! paper's "`K_next` vanishes next to `K_C`". The kernel's first state
-//! word comes back as a row too; the prefilter reads it into a lane mask
-//! and the rare survivor is confirmed by the oracle's own test.
+//! word comes back as a row too; the prefilter turns the whole row into a
+//! lane mask at once ([`TargetSet::prefilter_row`]) and the rare survivor
+//! is confirmed by the oracle's own test.
 //!
 //! That loop exists once (`crack_lanes`), behind one entry point
 //! ([`crack_interval_batched`]), and is generic in two directions. *Where
 //! the blocks come from* is the space's business ([`BlockSpace::blocks`]):
-//! `BlockBatch` for a `KeySpace`, the run-based `MaskBlocks` for a mask,
-//! the advance-and-re-pad `KeyBlocks` for a hybrid dictionary —
+//! `BlockBatch` for a `KeySpace` and `MaskBlocks` for a mask, which copy
+//! the stepping word's row out of a precomputed table and settle their
+//! counter once per table period, the advance-and-re-pad `KeyBlocks` for
+//! a hybrid dictionary —
 //! Section III's "only `f` and `next` change". *What hashes them* is the
 //! [`Kernel`]: one family of compression cores (`eks-hashes::simd`),
 //! instantiated per ISA behind runtime detection — what
@@ -372,13 +375,7 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
                         unreachable!("iterated algos fall back to the scalar cracker")
                     }
                 };
-                // A predicted branch per lane: building the mask
-                // branch-free measured 10 % slower end to end.
-                for (l, &word) in first.iter().enumerate() {
-                    if targets.prefilter_match(word) {
-                        survivors |= 1 << l;
-                    }
-                }
+                survivors = targets.prefilter_row(&first);
                 pf_checked += L as u64;
                 pf_hits += u64::from(survivors.count_ones());
             }
@@ -426,7 +423,7 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eks_keyspace::{Charset, KeySpace, Order};
+    use eks_keyspace::{Charset, KeySpace, MaskSpace, Order};
 
     fn space(order: Order) -> KeySpace {
         KeySpace::new(Charset::lowercase(), 1, 4, order).unwrap()
@@ -628,6 +625,25 @@ mod tests {
         let a = batched(&s, &t, s.interval(), &stop, true, Kernel::Portable(Lanes::Scalar));
         let b = crack_interval(&s, &t, s.interval(), &stop, true);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn non_ascii_mask_literals_find_the_typed_string() {
+        let kernels = PORTABLE.into_iter().chain(SimdHasher::best().map(Kernel::Simd));
+        for kernel in kernels {
+            for (mask, typed) in [("?lé?d", "xé7"), ("€?u?d", "€Q0"), ("?d🦀?l", "9🦀z")] {
+                let m = MaskSpace::parse(mask).unwrap();
+                for algo in [HashAlgo::Md5, HashAlgo::Sha1] {
+                    let t = targets(algo, &[typed.as_bytes()]);
+                    let stop = AtomicBool::new(false);
+                    let whole = Interval::new(0, m.size());
+                    let out =
+                        crack_interval_batched(&m, &t, whole, &stop, false, kernel, &Telemetry::disabled());
+                    let found: Vec<&[u8]> = out.hits.iter().map(|(_, k, _)| k.as_bytes()).collect();
+                    assert_eq!(found, [typed.as_bytes()], "{mask} {algo:?} {kernel:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -160,19 +160,33 @@ impl TargetSet {
         self.digests.binary_search(&h).ok()
     }
 
-    /// Lane prefilter: could a candidate whose cheapest kernel output is
-    /// `w` match any target? False rejects are impossible; a rare true
-    /// here (≈ `len·2⁻³²` per candidate) is confirmed via
-    /// [`TargetSet::match_digest`].
+    /// Lane prefilter over a whole batch: bit `l` is set when a candidate
+    /// whose cheapest kernel output is `row[l]` could match some target.
+    /// False rejects are impossible; a rare set bit (≈ `len·2⁻³²` per
+    /// candidate) is confirmed by the caller's own test.
     #[inline]
-    pub fn prefilter_match(&self, w: u32) -> bool {
-        // Tiny sets (the usual case) scan linearly — branch-predictable
-        // and vectorizable; big audit sets fall back to binary search.
+    pub fn prefilter_row<const L: usize>(&self, row: &[u32; L]) -> u64 {
+        const { assert!(L <= 64, "one bit per lane") };
+        let mut mask = 0;
         if self.lane_words.len() <= 4 {
-            self.lane_words.contains(&w)
+            // Tiny sets (the usual case): one branch-free compare of the
+            // whole row per target word, which the compiler turns into a
+            // vector compare and a mask extraction.
+            for &t in &self.lane_words {
+                for (l, &w) in row.iter().enumerate() {
+                    mask |= u64::from(w == t) << l;
+                }
+            }
         } else {
-            self.lane_words.binary_search(&w).is_ok()
+            // Big audit sets: a binary search per lane, the branch taken
+            // only on the rare survivor.
+            for (l, w) in row.iter().enumerate() {
+                if self.lane_words.binary_search(w).is_ok() {
+                    mask |= 1 << l;
+                }
+            }
         }
+        mask
     }
 
     /// Match an already-computed digest without rehashing; returns the
@@ -245,6 +259,61 @@ mod tests {
         let d = algo.hash_long(b"dup");
         let set = TargetSet::new(algo, &[d.clone(), d]);
         assert_eq!(set.len(), 1);
+    }
+
+    /// splitmix64: seeded draws without a dependency on `eks-core`'s
+    /// property kit.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Random rows with `words` planted at lane 0, at lane `L - 1`, at
+    /// both plus a random lane, or nowhere: the mask must equal the
+    /// per-lane reference bit for bit.
+    fn check_rows<const L: usize>(set: &TargetSet, words: &[u32], state: &mut u64) {
+        for case in 0..64 {
+            let mut row: [u32; L] = core::array::from_fn(|_| draw(state) as u32);
+            let lanes = match case % 4 {
+                0 => vec![0],
+                1 => vec![L - 1],
+                2 => vec![0, L - 1, draw(state) as usize % L],
+                _ => vec![],
+            };
+            for l in lanes {
+                row[l] = words[draw(state) as usize % words.len()];
+            }
+            let want = (0..L).filter(|&l| words.contains(&row[l])).fold(0u64, |m, l| m | 1 << l);
+            assert_eq!(set.prefilter_row(&row), want, "{} targets, L = {L}, row {row:x?}", set.len());
+        }
+    }
+
+    #[test]
+    fn prefilter_row_equals_the_per_lane_reference() {
+        let mut state = 0x5eed;
+        for algo in [HashAlgo::Md5, HashAlgo::Ntlm, HashAlgo::Sha1] {
+            // Both sides of the linear / binary-search switch at 4 words.
+            for n in [1, 4, 5, 1_000] {
+                let mut digests: Vec<Vec<u8>> = (0..n)
+                    .map(|_| (0..algo.digest_len()).map(|_| draw(&mut state) as u8).collect())
+                    .collect();
+                // A duplicate digest, and one that differs outside the
+                // lane word: neither adds a lane word.
+                digests.push(digests[0].clone());
+                let mut twin = digests[0].clone();
+                twin[8] ^= 1;
+                digests.push(twin);
+                let set = TargetSet::new(algo, &digests);
+                assert_eq!(set.len(), n + 1);
+                let words: Vec<u32> = digests.iter().map(|d| TargetSet::lane_word(algo, d)).collect();
+                check_rows::<8>(&set, &words, &mut state);
+                check_rows::<16>(&set, &words, &mut state);
+                check_rows::<32>(&set, &words, &mut state);
+            }
+        }
     }
 
     #[test]

@@ -8,25 +8,29 @@
 //! this: it keeps the current key's fully padded 16-word block as a
 //! template, advances the key in place, mirrors the byte delta into the
 //! template, and hands out batches of `L` candidates for the
-//! lane-parallel compression cores, word-major ([`Rows`]): the `w[0]` row
-//! is written per candidate, a suffix row only from the lane at which a
-//! carry moved it. Steady state writes one word per candidate and
-//! performs **no heap allocation** — the key buffer is inline, the
-//! template and the batch output live on the caller's stack.
+//! lane-parallel compression cores, word-major ([`Rows`]): the stepping
+//! word's row is written per candidate, every other row only from the
+//! lane at which a carry moved it. Steady state writes one word per
+//! candidate and performs **no heap allocation** — the key buffer and
+//! the table below are inline, the batch output lives on the caller's
+//! stack.
 //!
-//! Between two carries of the fastest digit even the key is more than
-//! `next` needs: the candidates of a *run* differ in one byte that steps
-//! through the charset, so when that byte lives in `w[0]` the writer
-//! emits the whole run from registers (`base | symbol[d + j] << shift`)
-//! and touches the key, the charset's reverse table and the template once
-//! per run — at the carry — instead of once per candidate. That is what
+//! Between two carries of its slower positions even `next` is more than
+//! the writer needs: the candidates differ only in the fastest position
+//! and the next few that share its block word, and that word's value at
+//! every combination of them is precomputed once (`StepTable`: `?l?l`
+//! in `w[0]`, 676 entries, for a first-char-fastest lowercase sweep). A
+//! batch copies the row out of the table segment by segment and touches
+//! the key, the charset's reverse table and the template once per table
+//! period — at the carry — instead of once per candidate. That is what
 //! makes `K_next` vanish next to `K_C` (Section III) on a host core too.
 //!
-//! The writer also tracks a *suffix epoch*: a counter bumped whenever any
-//! block word other than `w[0]` changes. Batches whose epoch is stable
-//! satisfy the precondition of the reversed-MD5 search (all candidates
-//! share words 1..16), so the consumer can run the 49-step path and only
-//! rebuild the reversed reference when the epoch moves.
+//! The writer also tracks a *suffix epoch*, a version of block words
+//! 1..16: it never decreases, and two batches that report the same one
+//! start from the same suffix. A batch whose lanes all share that suffix
+//! (`uniform_suffix`) satisfies the precondition of the reversed-MD5
+//! search, so the consumer can run the 49-step path and only rebuild the
+//! reversed reference when the epoch moves.
 
 // Indexing/slicing below is over fixed-size state arrays or lengths
 // established by construction; the workspace `clippy::indexing_slicing`
@@ -36,7 +40,7 @@
 use crate::encode::{advance_tracked, Order};
 use crate::interval::Interval;
 use crate::key::Key;
-use crate::source::{BlockSource, Rows};
+use crate::source::{BlockSource, Rows, StepTable};
 use crate::space::KeySpace;
 
 /// How key bytes map into the padded single-block message.
@@ -135,26 +139,15 @@ pub struct BatchInfo {
 pub struct BlockBatch<'a> {
     space: &'a KeySpace,
     layout: BlockLayout,
+    /// The candidate `next_id` maps to, and its padded block, between
+    /// batches; inside one, the table positions' bytes lag behind.
     key: Key,
     template: [u32; 16],
     next_id: u128,
     remaining: u128,
     epoch: u64,
-    /// The fastest digit, when its block byte lives in `w[0]`.
-    run: Option<Run>,
-}
-
-/// Where the fastest-varying key digit sits: what the writer needs to
-/// emit the candidates up to that digit's next carry without going
-/// through the key.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    /// Key position of the digit.
-    pos: usize,
-    /// Bit offset of its byte inside `w[0]`.
-    shift: u32,
-    /// The digit's current value (index into the charset).
-    digit: usize,
+    /// The stepping word over the key's fastest positions.
+    table: StepTable,
 }
 
 impl<'a> BlockBatch<'a> {
@@ -169,12 +162,11 @@ impl<'a> BlockBatch<'a> {
             next_id: clamped.start,
             remaining: clamped.len,
             epoch: 0,
-            run: None,
+            table: StepTable::new(),
         };
         if b.remaining > 0 {
             space.key_at_into(b.next_id, &mut b.key);
             b.format_full();
-            b.sync_run();
         }
         b
     }
@@ -258,95 +250,65 @@ impl<'a> BlockBatch<'a> {
         );
         let start_id = self.next_id;
         let epoch0 = self.epoch;
-        let symbols = self.space.charset().symbols();
-        sink.start(&self.template);
+        sink.rest(0, &self.template, self.table.word());
         let mut l = 0;
         loop {
-            // Lanes up to the fastest digit's next carry differ in one
-            // byte of `w[0]`: emit them from registers, then move the key
-            // and template to the last of them in one step.
-            let emitted = match self.run {
-                Some(run) => {
-                    let base = self.template[0] & !(0xff << run.shift);
-                    let ahead = &symbols[run.digit..symbols.len().min(run.digit + L - l)];
-                    for (j, &symbol) in ahead.iter().enumerate() {
-                        sink.put(l + j, &self.template, base | u32::from(symbol) << run.shift);
-                    }
-                    self.move_in_run(run, ahead.len() - 1);
-                    ahead.len()
-                }
-                None => {
-                    sink.put(l, &self.template, self.template[0]);
-                    1
-                }
-            };
-            l += emitted;
+            // Lanes up to the next carry differ in the table positions
+            // alone: their stepping words come straight out of the table.
+            let word = self.table.word();
+            let (base, run) = self.table.take(L - l);
+            sink.run(l, &self.template, word, base, run);
+            l += run.len();
             if l == L {
                 break;
             }
-            let epoch = self.epoch;
-            self.advance_template();
-            if self.epoch != epoch {
-                sink.suffix_moved(l, &self.template);
-            }
+            self.carry();
+            sink.rest(l, &self.template, self.table.word());
         }
-        // Uniformity covers the L-1 advances *between* the batch's lanes;
-        // the advance positioning the writer for the next batch may bump
-        // the epoch without invalidating this batch.
-        let uniform_suffix = self.epoch == epoch0;
+        // Uniformity covers the steps *between* the batch's lanes, and a
+        // stepping word other than `w[0]` moves the suffix at every one;
+        // the step positioning the writer for the next batch may bump the
+        // epoch without invalidating this batch.
+        let word = self.table.word();
+        let uniform_suffix = self.epoch == epoch0 && (word == 0 || L == 1);
+        if word != 0 {
+            self.epoch += 1;
+        }
         self.next_id += L as u128;
         self.remaining -= L as u128;
-        if self.remaining > 0 {
-            match self.run {
-                Some(run) if run.digit + 1 < symbols.len() => self.move_in_run(run, 1),
-                _ => self.advance_template(),
-            }
+        if self.remaining == 0 {
+            self.settle(self.table.j() - 1);
+        } else if self.table.at_end() {
+            self.carry();
+        } else {
+            self.settle(self.table.j());
         }
         BatchInfo { start_id, epoch: epoch0, uniform_suffix }
     }
 
-    /// Move `steps` candidates forward inside `run` (no carry): only the
-    /// fastest digit's byte changes, in the key and in `w[0]`.
+    /// Bring the key and the template to the table's combined digit `j`.
     #[inline]
-    fn move_in_run(&mut self, run: Run, steps: usize) {
-        let digit = run.digit + steps;
-        let symbol = self.space.charset().symbol(digit);
-        self.key.set_byte(run.pos, symbol);
-        self.template[0] =
-            (self.template[0] & !(0xff << run.shift)) | u32::from(symbol) << run.shift;
-        self.run = Some(Run { digit, ..run });
+    fn settle(&mut self, j: usize) {
+        let (value, bytes) = self.table.at(j);
+        self.template[self.table.word()] = value;
+        let (order, len) = (self.space.order(), self.key.len());
+        for (i, byte) in bytes.enumerate() {
+            self.key.set_byte(fastest(order, len, i), byte);
+        }
     }
 
-    /// Locate the fastest digit after the key moved by anything other
-    /// than [`Self::move_in_run`]. `None` when its byte is not in `w[0]`
-    /// (long last-char-fastest keys) or there is no digit (the empty
-    /// key): every candidate then goes through [`Self::advance_template`],
-    /// which is also what keeps the suffix epoch right there.
-    fn sync_run(&mut self) {
-        let pos = match (self.space.order(), self.key.len()) {
-            (_, 0) => None,
-            (Order::FirstCharFastest, _) => Some(0),
-            (Order::LastCharFastest, len) => Some(len - 1),
-        };
-        self.run = pos.and_then(|pos| {
-            let (word, shift) = self.layout.key_byte_slot(pos);
-            if word != 0 {
-                return None;
-            }
-            let digit = self.space.charset().index_of(self.key.as_bytes()[pos])?;
-            Some(Run { pos, shift, digit })
-        });
-    }
-
-    /// Advance the key once and mirror the byte delta into the template.
-    fn advance_template(&mut self) {
+    /// The carry out of the table: from its last entry, advance the key
+    /// once — every table position wraps, a slower one steps — and mirror
+    /// the byte delta into the template.
+    fn carry(&mut self) {
+        self.settle(self.table.last());
         let delta = advance_tracked(&mut self.key, self.space.charset(), self.space.order());
         if delta.grew {
-            // Length changed: terminator and length words move. Rare
-            // (once per charset^len candidates) — reformat from scratch.
+            // Length changed: terminator, length words and the table's
+            // positions move. Rare (once per charset^len candidates) —
+            // reformat from scratch.
             self.format_full();
             self.epoch += 1;
-            self.sync_run();
             return;
         }
         let len = self.key.len();
@@ -362,7 +324,7 @@ impl<'a> BlockBatch<'a> {
         if touched_suffix {
             self.epoch += 1;
         }
-        self.sync_run();
+        self.table.restart(&self.template);
     }
 
     /// Overwrite the block byte(s) of key byte `pos`; returns true when a
@@ -374,24 +336,41 @@ impl<'a> BlockBatch<'a> {
         word != 0
     }
 
-    /// Format the current key into the template from scratch.
+    /// Format the current key into the template from scratch, and build
+    /// the table over its fastest positions.
     fn format_full(&mut self) {
         self.template = self.layout.pad(self.key.as_bytes());
+        let (charset, order, layout) = (self.space.charset(), self.space.order(), self.layout);
+        let key = self.key.as_bytes();
+        let positions = (0..key.len()).map(|i| {
+            let pos = fastest(order, key.len(), i);
+            let (word, shift) = layout.key_byte_slot(pos);
+            let digit = charset.index_of(key[pos]).expect("keys hold charset symbols");
+            (word, shift, charset.symbols(), digit)
+        });
+        self.table.build(&self.template, positions);
+    }
+}
+
+/// Key position of the `i`-th fastest position of a `len`-byte key.
+#[inline]
+fn fastest(order: Order, len: usize, i: usize) -> usize {
+    match order {
+        Order::FirstCharFastest => i,
+        Order::LastCharFastest => len - 1 - i,
     }
 }
 
 /// Where [`BlockBatch::emit`] puts a batch: the three output forms
 /// differ only in how much of each candidate's block they keep.
 trait Sink {
-    /// The batch begins; `template` is lane 0's block.
-    fn start(&mut self, _template: &[u32; 16]) {}
+    /// Lanes `l..l + run.len()` hold `template` with word `word` replaced
+    /// by `base | run[i]`.
+    fn run(&mut self, l: usize, template: &[u32; 16], word: usize, base: u32, run: &[u32]);
 
-    /// Lane `l`'s block is `template` with word 0 replaced by `w0`.
-    fn put(&mut self, l: usize, template: &[u32; 16], w0: u32);
-
-    /// A carry between lanes `l - 1` and `l` changed words 1..16: lanes
-    /// `l..` take them from `template`.
-    fn suffix_moved(&mut self, _l: usize, _template: &[u32; 16]) {}
+    /// From lane `l` on — the batch's start, or a carry between lanes
+    /// `l - 1` and `l` — every word but `word` is `template`'s.
+    fn rest(&mut self, _l: usize, _template: &[u32; 16], _word: usize) {}
 }
 
 /// One whole block per lane ([`BlockBatch::fill`]).
@@ -399,9 +378,11 @@ struct LaneBlocks<'o, const L: usize>(&'o mut [[u32; 16]; L]);
 
 impl<const L: usize> Sink for LaneBlocks<'_, L> {
     #[inline]
-    fn put(&mut self, l: usize, template: &[u32; 16], w0: u32) {
-        self.0[l] = *template;
-        self.0[l][0] = w0;
+    fn run(&mut self, l: usize, template: &[u32; 16], word: usize, base: u32, run: &[u32]) {
+        for (block, &e) in self.0[l..].iter_mut().zip(run) {
+            *block = *template;
+            block[word] = base | e;
+        }
     }
 }
 
@@ -410,30 +391,36 @@ struct FirstWords<'o, const L: usize>(&'o mut [u32; L]);
 
 impl<const L: usize> Sink for FirstWords<'_, L> {
     #[inline]
-    fn put(&mut self, l: usize, _template: &[u32; 16], w0: u32) {
-        self.0[l] = w0;
+    fn run(&mut self, l: usize, template: &[u32; 16], word: usize, base: u32, run: &[u32]) {
+        let out = &mut self.0[l..l + run.len()];
+        if word == 0 {
+            for (o, &e) in out.iter_mut().zip(run) {
+                *o = base | e;
+            }
+        } else {
+            out.fill(template[0]);
+        }
     }
 }
 
-/// Word-major: the `w[0]` row lane by lane, a suffix row only where it
-/// differs from what [`Rows`] already holds.
+/// Word-major: the stepping word's row segment by segment, every other
+/// row only where it differs from what [`Rows`] already holds.
 struct WordRows<'o, const L: usize>(&'o mut Rows<L>);
 
 impl<const L: usize> Sink for WordRows<'_, L> {
     #[inline]
-    fn start(&mut self, template: &[u32; 16]) {
-        self.suffix_moved(0, template);
+    fn run(&mut self, l: usize, _template: &[u32; 16], word: usize, base: u32, run: &[u32]) {
+        for (o, &e) in self.0.row_mut(word)[l..].iter_mut().zip(run) {
+            *o = base | e;
+        }
     }
 
     #[inline]
-    fn put(&mut self, l: usize, _template: &[u32; 16], w0: u32) {
-        self.0.row_mut(0)[l] = w0;
-    }
-
-    #[inline]
-    fn suffix_moved(&mut self, l: usize, template: &[u32; 16]) {
-        for (w, &word) in template.iter().enumerate().skip(1) {
-            self.0.from_lane(w, l, word);
+    fn rest(&mut self, l: usize, template: &[u32; 16], word: usize) {
+        for (w, &v) in template.iter().enumerate() {
+            if w != word {
+                self.0.from_lane(w, l, v);
+            }
         }
     }
 }

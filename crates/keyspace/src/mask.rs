@@ -8,8 +8,8 @@
 //! because it, too, is a bijection from `0..size` onto its candidates.
 //!
 //! Mask syntax: `?l` lowercase, `?u` uppercase, `?d` digits, `?s` ASCII
-//! symbols, `?a` all printable ASCII, `??` a literal `?`, any other byte
-//! a literal.
+//! symbols, `?a` all printable ASCII, `??` a literal `?`, any other
+//! character a literal — one position per byte of its UTF-8 encoding.
 
 // Indexing/slicing below is over fixed-size state arrays or lengths
 // established by construction; the workspace `clippy::indexing_slicing`
@@ -24,7 +24,7 @@ use crate::batch::{BatchInfo, BlockLayout};
 use crate::charset::Charset;
 use crate::interval::Interval;
 use crate::key::{Key, MAX_KEY_LEN};
-use crate::source::{BlockSource, BlockSpace, Rows};
+use crate::source::{BlockSource, BlockSpace, Rows, StepTable};
 
 /// One position of a mask: a charset or a fixed literal byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,8 +126,8 @@ impl MaskSpace {
         Ok(Self { slots, size })
     }
 
-    /// Parse hashcat-style syntax (`?l?u?d?s?a`, `??` literal `?`,
-    /// other bytes literal).
+    /// Parse hashcat-style syntax (`?l?u?d?s?a`, `??` literal `?`, any
+    /// other character literal, as its UTF-8 bytes).
     pub fn parse(mask: &str) -> Result<Self, MaskError> {
         let mut slots = Vec::new();
         let mut chars = mask.chars();
@@ -148,7 +148,10 @@ impl MaskSpace {
                 };
                 slots.push(slot);
             } else {
-                slots.push(MaskSlot::Literal(c as u8));
+                // One literal per UTF-8 byte: the key is the typed
+                // string's bytes, as `eks hash` hashes them.
+                let mut utf8 = [0u8; 4];
+                slots.extend(c.encode_utf8(&mut utf8).bytes().map(MaskSlot::Literal));
             }
         }
         Self::from_slots(slots)
@@ -253,11 +256,13 @@ impl BlockSpace for MaskSpace {
 ///
 /// A mask is a fixed-length mixed-radix counter, so the writer keeps one
 /// digit per position next to the current candidate's padded block and
-/// never goes back to bytes: the candidates up to the fastest position's
-/// next carry differ in that position's byte alone, and are written as
-/// `base | symbol[d + j] << shift` into the row of whichever block word
-/// holds it (`w[1]` for `?u?l?l?d` under NTLM's UTF-16 layout, `w[0]`
-/// under MD5's). Every other row holds one value in all lanes unless a
+/// never goes back to bytes. The last positions with a choice — as many
+/// as share the fastest one's block word and fit a `StepTable` — step
+/// between two carries of the slower ones, and the table holds that
+/// word's value at every combination of them (`w[1]` = `?l?d` for
+/// `?u?l?l?d` under NTLM's UTF-16 layout, 260 entries): a batch copies
+/// the row out of it segment by segment and settles the slower digits
+/// once per period. Every other row holds one value in all lanes unless a
 /// carry inside the batch moved it, and is then rewritten from that lane
 /// on. No reverse charset look-up, no `key_at` after the first candidate,
 /// no heap.
@@ -265,14 +270,17 @@ impl BlockSpace for MaskSpace {
 pub struct MaskBlocks<'a> {
     slots: &'a [MaskSlot],
     layout: BlockLayout,
-    /// Digit of every position in the candidate `next_id` maps to.
+    /// Digit of every position in the candidate `next_id` maps to; those
+    /// of the table's positions are not kept up to date.
     digits: [u8; MAX_KEY_LEN],
-    /// That candidate's padded block.
+    /// That candidate's padded block, but for the table positions' bytes.
     template: [u32; 16],
-    /// The last position with more than one choice — the one that steps
-    /// between carries (literals after it never move); the last position
-    /// when the mask is all literals.
-    fast: usize,
+    /// The stepping word over the last positions with a choice (the last
+    /// position when the mask is all literals); literals after them never
+    /// move.
+    table: StepTable,
+    /// The positions slower than the table's: `0..slow`.
+    slow: usize,
     next_id: u128,
     remaining: u128,
     epoch: u64,
@@ -295,12 +303,23 @@ impl<'a> MaskBlocks<'a> {
             key[pos] = slot.symbols()[digit];
             rest /= card;
         }
+        let template = layout.pad(&key[..slots.len()]);
+        let fast = slots.iter().rposition(|s| s.cardinality() > 1).unwrap_or(slots.len() - 1);
+        let mut table = StepTable::new();
+        table.build(
+            &template,
+            (0..=fast).rev().map(|pos| {
+                let (word, shift) = layout.key_byte_slot(pos);
+                (word, shift, slots[pos].symbols(), usize::from(digits[pos]))
+            }),
+        );
         Self {
             slots,
             layout,
             digits,
-            template: layout.pad(&key[..slots.len()]),
-            fast: slots.iter().rposition(|s| s.cardinality() > 1).unwrap_or(slots.len() - 1),
+            template,
+            slow: fast + 1 - table.positions(),
+            table,
             next_id: clamped.start,
             remaining: clamped.len,
             epoch: 0,
@@ -323,18 +342,21 @@ impl<'a> MaskBlocks<'a> {
         word
     }
 
-    /// The counter's `next`: increment the fastest position, carrying
-    /// leftward (wrapping past the last candidate, which callers bound).
-    /// Returns the template words written, one bit each.
-    fn advance(&mut self) -> u16 {
+    /// The carry out of the table: its positions wrap to digit 0 and the
+    /// slower ones step, carrying leftward (wrapping past the last
+    /// candidate, which callers bound). Returns the template words
+    /// written, one bit each.
+    fn carry(&mut self) -> u16 {
         let mut written = 0;
-        for pos in (0..=self.fast).rev() {
+        for pos in (0..self.slow).rev() {
             let digit = usize::from(self.digits[pos]) + 1;
             if digit < self.slots[pos].symbols().len() {
-                return written | 1 << self.set_digit(pos, digit);
+                written |= 1 << self.set_digit(pos, digit);
+                break;
             }
             written |= 1 << self.set_digit(pos, 0);
         }
+        self.table.restart(&self.template);
         written
     }
 }
@@ -358,8 +380,7 @@ impl BlockSource for MaskBlocks<'_> {
             self.remaining
         );
         let (start_id, epoch) = (self.next_id, self.epoch);
-        let symbols = self.slots[self.fast].symbols();
-        let (word, shift) = self.layout.key_byte_slot(self.fast);
+        let word = self.table.word();
         for (w, &value) in self.template.iter().enumerate() {
             if w != word {
                 rows.uniform(w, value);
@@ -367,38 +388,38 @@ impl BlockSource for MaskBlocks<'_> {
         }
         let mut l = 0;
         loop {
-            // The lanes up to the next carry differ in one byte of one
-            // word: write them into that word's row from registers, then
-            // move the digit and the template to the last of them in one
-            // step.
-            let digit = usize::from(self.digits[self.fast]);
-            let base = self.template[word] & !(0xff << shift);
-            let ahead = &symbols[digit..symbols.len().min(digit + L - l)];
-            for (slot, &symbol) in rows.row_mut(word)[l..].iter_mut().zip(ahead) {
-                *slot = base | u32::from(symbol) << shift;
+            // The lanes up to the next carry differ in the table
+            // positions alone: copy their stepping words out of it.
+            let (base, run) = self.table.take(L - l);
+            for (slot, &e) in rows.row_mut(word)[l..].iter_mut().zip(run) {
+                *slot = base | e;
             }
-            self.set_digit(self.fast, digit + ahead.len() - 1);
-            l += ahead.len();
+            l += run.len();
             if l == L {
                 break;
             }
-            // A carry out of the stepping word changes another row from
-            // this lane on; the stepping word's own row is rewritten by
-            // the next run either way.
-            let mut moved = self.advance() & !(1 << word);
+            // A carry out of the table changes another row from this
+            // lane on; the stepping word's own row is rewritten by the
+            // next segment either way.
+            let mut moved = self.carry() & !(1 << word);
             while moved != 0 {
                 let w = moved.trailing_zeros() as usize;
                 rows.from_lane(w, l, self.template[w]);
                 moved &= moved - 1;
             }
         }
-        // As in `BlockBatch`: the advance that positions the writer for
-        // the next batch may move the epoch without invalidating this one.
-        let uniform_suffix = self.epoch == epoch;
+        // As in `BlockBatch`: a stepping word other than `w[0]` moves the
+        // suffix from lane to lane, and the carry that positions the
+        // writer for the next batch may move the epoch without
+        // invalidating this one.
+        let uniform_suffix = self.epoch == epoch && (word == 0 || L == 1);
+        if word != 0 {
+            self.epoch += 1;
+        }
         self.next_id += L as u128;
         self.remaining -= L as u128;
-        if self.remaining > 0 {
-            self.advance();
+        if self.remaining > 0 && self.table.at_end() {
+            self.carry();
         }
         BatchInfo { start_id, epoch, uniform_suffix }
     }
@@ -459,6 +480,24 @@ mod tests {
         assert_eq!(m.id_of(&Key::from_bytes(b"a")), None, "wrong length");
         assert_eq!(m.id_of(&Key::from_bytes(b"aa")), None, "digit expected");
         assert_eq!(m.id_of(&Key::from_bytes(b"A0")), None, "lower expected");
+    }
+
+    #[test]
+    fn non_ascii_literals_are_their_utf8_bytes() {
+        // 2-, 3- and 4-byte characters next to ASCII classes.
+        for (mask, typed) in [("?lé?d", "xé7"), ("€?u?d", "€Q0"), ("?d🦀?l", "9🦀z")] {
+            let m = MaskSpace::parse(mask).unwrap();
+            let key = Key::from_bytes(typed.as_bytes());
+            assert_eq!(m.len(), typed.len(), "{mask}: one position per byte");
+            let id = m.id_of(&key).unwrap_or_else(|| panic!("{typed} is in {mask}"));
+            assert_eq!(m.key_at(id), key, "{mask}");
+            for id in (0..m.size()).step_by(7) {
+                assert_eq!(m.id_of(&m.key_at(id)), Some(id), "{mask} id {id}");
+            }
+        }
+        // The byte count, not the character count, meets MAX_KEY_LEN.
+        assert!(MaskSpace::parse(&"🦀".repeat(MAX_KEY_LEN / 4)).is_ok());
+        assert_eq!(MaskSpace::parse(&"🦀".repeat(MAX_KEY_LEN / 4 + 1)), Err(MaskError::TooLong));
     }
 
     #[test]

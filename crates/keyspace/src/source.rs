@@ -17,13 +17,17 @@
 //!
 //! Three writers exist. [`BlockBatch`] serves [`KeySpace`] and
 //! [`MaskBlocks`](crate::MaskBlocks) serves
-//! [`MaskSpace`](crate::MaskSpace): both know which single byte moves
-//! between two carries, write that word's row run by run from registers,
-//! and touch another row only from the lane at which a carry moved it.
-//! [`KeyBlocks`] serves everything else (today [`HybridSpace`]): it
-//! drives the space's own `next`, re-pads the key each step and writes
-//! the block as a column — no knowledge of the space, no heap, roughly
-//! one block format per candidate.
+//! [`MaskSpace`](crate::MaskSpace): both know which key positions move
+//! between two carries of the slower ones — the fastest position and the
+//! next few that share its block word — and precompute that word's values
+//! over one whole period of those positions once (`StepTable`). A batch
+//! is then the stepping word's row copied out of the table segment by
+//! segment (`base | table[j..]`); the counter is settled once per table
+//! period, at a carry, which touches another row only from the lane at
+//! which it moved it. [`KeyBlocks`] serves everything else (today
+//! [`HybridSpace`]): it drives the space's own `next`, re-pads the key
+//! each step and writes the block as a column — no knowledge of the
+//! space, no heap, roughly one block format per candidate.
 
 // Indexing/slicing below is over fixed-size state arrays; the workspace
 // `clippy::indexing_slicing` escalation guards new code, not these
@@ -124,6 +128,150 @@ impl<const L: usize> Rows<L> {
     #[inline]
     pub fn words(&self) -> &[[u32; L]; 16] {
         &self.words
+    }
+}
+
+/// Largest period a [`StepTable`] spans: 1 024 words, 4 KiB kept inline
+/// in the writer — an L1-resident copy source, and enough for two
+/// positions of up to 32 symbols (`?l?l`, `?l?d`, `?u?d?d`).
+const TABLE_CAP: usize = 1024;
+
+/// The stepping word's value at every combination of the key positions
+/// that step between two carries: the fastest position and, slowest
+/// last, as many of the next ones as share its block word while the
+/// product of their cardinalities stays within [`TABLE_CAP`].
+///
+/// `entries[j]` holds those positions' bytes at combined digit `j`
+/// (fastest position least significant); the rest of the word, `base`,
+/// moves only when a carry moves a slower position in the same word. The
+/// table is built once per writer (and again when a key grows), as an
+/// outer product — one slower position multiplied in at a time, no
+/// division per entry — and then read segment by segment up to the next
+/// carry.
+#[derive(Debug, Clone)]
+pub(crate) struct StepTable {
+    entries: [u32; TABLE_CAP],
+    period: usize,
+    /// Combined digit of the next candidate, `0..=period`.
+    j: usize,
+    /// The block word the positions live in.
+    word: usize,
+    /// Their bytes' mask in it, and everything else in it.
+    mask: u32,
+    base: u32,
+    /// Bit offsets of their bytes, fastest first; `positions` are used.
+    shifts: [u32; 4],
+    positions: usize,
+}
+
+impl StepTable {
+    /// The table of no positions: a period of one candidate.
+    pub(crate) fn new() -> Self {
+        Self {
+            entries: [0; TABLE_CAP],
+            period: 1,
+            j: 0,
+            word: 0,
+            mask: 0,
+            base: 0,
+            shifts: [0; 4],
+            positions: 0,
+        }
+    }
+
+    /// Rebuild over `positions` — each `(word, shift, symbols, digit)`,
+    /// fastest first — for as long as they share the first one's word and
+    /// the period stays within [`TABLE_CAP`], positioned at their current
+    /// digits, with the rest of the word taken from `template`.
+    pub(crate) fn build<'s>(
+        &mut self,
+        template: &[u32; 16],
+        positions: impl IntoIterator<Item = (usize, u32, &'s [u8], usize)>,
+    ) {
+        self.entries[0] = 0;
+        (self.period, self.j, self.word, self.mask, self.positions) = (1, 0, 0, 0, 0);
+        for (word, shift, symbols, digit) in positions {
+            if self.positions == 0 {
+                self.word = word;
+            }
+            if word != self.word || self.period * symbols.len() > TABLE_CAP {
+                break;
+            }
+            // Every combination so far, once per symbol of the new
+            // position (the zero symbol last: it is written in place).
+            let (head, tail) = self.entries.split_at_mut(self.period);
+            for (block, &symbol) in tail.chunks_exact_mut(self.period).zip(&symbols[1..]) {
+                for (e, &h) in block.iter_mut().zip(head.iter()) {
+                    *e = h | u32::from(symbol) << shift;
+                }
+            }
+            for e in head {
+                *e |= u32::from(symbols[0]) << shift;
+            }
+            self.j += digit * self.period;
+            self.period *= symbols.len();
+            self.mask |= 0xff << shift;
+            self.shifts[self.positions] = shift;
+            self.positions += 1;
+        }
+        self.base = template[self.word] & !self.mask;
+    }
+
+    /// Back to combined digit 0 after a carry, with the rest of the word
+    /// taken from `template` again.
+    pub(crate) fn restart(&mut self, template: &[u32; 16]) {
+        self.j = 0;
+        self.base = template[self.word] & !self.mask;
+    }
+
+    /// The block word the table steps.
+    #[inline]
+    pub(crate) fn word(&self) -> usize {
+        self.word
+    }
+
+    /// Number of key positions in the table (at most four: one word).
+    #[inline]
+    pub(crate) fn positions(&self) -> usize {
+        self.positions
+    }
+
+    /// True once every entry of the period has been handed out: the next
+    /// candidate is a carry away.
+    #[inline]
+    pub(crate) fn at_end(&self) -> bool {
+        self.j == self.period
+    }
+
+    /// Combined digit of the next candidate.
+    #[inline]
+    pub(crate) fn j(&self) -> usize {
+        self.j
+    }
+
+    /// The next at most `max` candidates' stepping words up to the carry,
+    /// as `base` and the entries to OR into it; moves past them.
+    #[inline]
+    pub(crate) fn take(&mut self, max: usize) -> (u32, &[u32]) {
+        let j = self.j;
+        let n = max.min(self.period - j);
+        self.j += n;
+        (self.base, &self.entries[j..j + n])
+    }
+
+    /// The stepping word at combined digit `j`, and the table positions'
+    /// bytes there, fastest first.
+    #[inline]
+    pub(crate) fn at(&self, j: usize) -> (u32, impl Iterator<Item = u8> + '_) {
+        let entry = self.entries[j];
+        let bytes = self.shifts[..self.positions].iter().map(move |&s| (entry >> s) as u8);
+        (self.base | entry, bytes)
+    }
+
+    /// The last combined digit, every table position at its last symbol.
+    #[inline]
+    pub(crate) fn last(&self) -> usize {
+        self.period - 1
     }
 }
 

@@ -1,20 +1,25 @@
-//! Seeded property: [`BlockBatch`]'s run-based `fill_rows` / `fill` /
+//! Seeded property: [`BlockBatch`]'s table-based `fill_rows` / `fill` /
 //! `fill_w0s` are indistinguishable from generating every candidate on
 //! its own.
 //!
-//! The writer emits the candidates between two carries of the fastest
-//! digit from registers and touches the key only at the carry; the
-//! reference below knows nothing of runs: it advances a [`Key`] with
-//! [`advance_tracked`] once per candidate, pads it from scratch, and bumps
-//! the suffix epoch whenever a block word other than `w[0]` differs from
-//! the previous candidate's. Blocks, batch metadata and every observable
-//! of the writer (`key`, `template`, `epoch`, `next_id`, `remaining`) must
-//! agree after every batch.
+//! The writer copies the candidates between two carries of its slower
+//! positions out of a precomputed stepping-word table and touches the key
+//! only at the carry; the reference below knows nothing of tables: it
+//! advances a [`Key`] with [`advance_tracked`] once per candidate, pads it
+//! from scratch, and marks a batch uniform exactly when no block word
+//! other than `w[0]` differs between its lanes. Blocks, `start_id`,
+//! `uniform_suffix` and the writer's `key`, `template`, `next_id` and
+//! `remaining` must agree after every batch, and the suffix epoch must
+//! keep its contract (see [`SuffixEpochs`]).
 //!
 //! The structured writers get the same treatment with an even blunter
-//! reference: [`MaskBlocks`] (run-based, any block word) and [`KeyBlocks`]
-//! (advance and re-pad, here over hybrids and masks) must hand out, lane
-//! by lane, the block padded from scratch from `generate(start_id + l)`.
+//! reference: [`MaskBlocks`] (table-based, any block word) and
+//! [`KeyBlocks`] (advance and re-pad, here over hybrids and masks) must
+//! hand out, lane by lane, the block padded from scratch from
+//! `generate(start_id + l)`. The table's edges — a period of exactly its
+//! 1 024-entry cap and one cardinality past it, periods shorter than a
+//! batch, literals after the stepping position — are drawn by the
+//! properties and pinned by `table_edges_equal_the_per_key_reference`.
 //!
 //! The batch is word-major ([`Rows`]) and the buffer remembers which of
 //! its rows hold one value in every lane, so every sweep here reuses one
@@ -40,7 +45,9 @@ use eks_keyspace::{
 const ORDERS: [Order; 2] = [Order::FirstCharFastest, Order::LastCharFastest];
 const LAYOUTS: [BlockLayout; 3] =
     [BlockLayout::Md5Le, BlockLayout::ShaBe, BlockLayout::NtlmUtf16Le];
-const CHARSET_SIZES: [usize; 6] = [1, 2, 3, 10, 26, 95];
+/// 32 and 33 straddle the table's cap: two 32-symbol positions fill it
+/// exactly, a 33-symbol one leaves its slower neighbour outside.
+const CHARSET_SIZES: [usize; 8] = [1, 2, 3, 10, 26, 32, 33, 95];
 
 /// `n` distinct printable symbols in a scrambled order, so that a fill
 /// that stepped the byte instead of the digit would be caught.
@@ -71,6 +78,8 @@ fn reference_block(layout: BlockLayout, key: &Key) -> [u32; 16] {
 }
 
 /// One candidate at a time: the behaviour `BlockBatch` must reproduce.
+/// Its epoch counts every change of words 1..16 — finer than the
+/// contract asks — and decides `uniform_suffix`.
 struct Reference<'a> {
     space: &'a KeySpace,
     layout: BlockLayout,
@@ -128,9 +137,40 @@ fn blocks_of<const L: usize>(rows: &Rows<L>) -> [[u32; 16]; L] {
     core::array::from_fn(|l| rows.block(l))
 }
 
+/// The suffix epoch's contract, which every writer keeps: it never
+/// decreases, and two batches that report the same one start from the
+/// same words 1..16. Together with an exact `uniform_suffix` that is all
+/// the reversed-MD5 memo relies on (it rebuilds its reference when a
+/// uniform batch's epoch moves) — a writer may bump the epoch more often
+/// than the suffix changes, never less.
+#[derive(Default)]
+struct SuffixEpochs(Option<(u64, [u32; 16])>);
+
+impl SuffixEpochs {
+    /// `info` is the next batch, `first` its lane 0's block.
+    fn check(&mut self, info: &BatchInfo, first: &[u32; 16], case: &str) {
+        let start = info.start_id;
+        if let Some((epoch, suffix)) = self.0 {
+            assert!(info.epoch >= epoch, "epoch went backwards at id {start}, {case}");
+            if info.epoch == epoch {
+                assert_eq!(first[1..], suffix[1..], "same epoch, other suffix at id {start}, {case}");
+            }
+        }
+        self.0 = Some((info.epoch, *first));
+    }
+}
+
+/// `info` describes the same batch as the reference's `want`, the epoch
+/// aside.
+fn assert_same_batch(info: BatchInfo, want: BatchInfo, case: &str) {
+    assert_eq!(info.start_id, want.start_id, "start_id, {case}");
+    assert_eq!(info.uniform_suffix, want.uniform_suffix, "uniform_suffix at id {}, {case}", want.start_id);
+}
+
 /// Sweep `interval` in batches of `L`, drawing `fill_rows` (into one
 /// buffer for the whole sweep), `fill` or `fill_w0s` per batch, and
-/// compare everything observable with the reference.
+/// compare everything observable with the reference — the epoch by its
+/// contract.
 fn check_sweep<const L: usize>(
     space: &KeySpace,
     layout: BlockLayout,
@@ -148,28 +188,30 @@ fn check_sweep<const L: usize>(
     );
     assert_eq!(writer.template(), &reference.block, "first block, {case}");
     let mut rows = Rows::<L>::new();
+    let mut epochs = SuffixEpochs::default();
     while writer.remaining() >= L as u128 {
         let (want_blocks, want_info) = reference.fill::<L>();
         let draw = rng.below(4);
-        if draw < 2 {
+        let info = if draw < 2 {
             let info = writer.fill_rows(&mut rows);
-            assert_eq!(info, want_info, "fill_rows info, {case}");
             assert_eq!(blocks_of(&rows), want_blocks, "fill_rows at id {}, {case}", info.start_id);
+            info
         } else if draw == 2 {
             let mut blocks = [[0u32; 16]; L];
             let info = writer.fill(&mut blocks);
-            assert_eq!(info, want_info, "fill info, {case}");
             assert_eq!(blocks, want_blocks, "fill blocks at id {}, {case}", info.start_id);
+            info
         } else {
             let mut w0s = [0u32; L];
             let (info, template0) = writer.fill_w0s(&mut w0s);
-            assert_eq!(info, want_info, "fill_w0s info, {case}");
             assert_eq!(template0, want_blocks[0], "fill_w0s first block, {case}");
             for (l, (w0, want)) in w0s.iter().zip(&want_blocks).enumerate() {
                 assert_eq!(*w0, want[0], "fill_w0s lane {l} at id {}, {case}", info.start_id);
             }
-        }
-        assert_eq!(writer.epoch(), reference.epoch, "epoch, {case}");
+            info
+        };
+        assert_same_batch(info, want_info, &case);
+        epochs.check(&info, &want_blocks[0], &case);
         assert_eq!(writer.key(), &reference.key, "key, {case}");
         assert_eq!(writer.template(), &reference.block, "template, {case}");
         assert_eq!(writer.next_id(), reference.next_id, "next_id, {case}");
@@ -236,18 +278,21 @@ fn run_based_fill_equals_the_per_key_reference() {
 }
 
 /// Last-char-fastest keys longer than `w[0]` holds: the fastest digit's
-/// byte is in a suffix word, so every step must bump the epoch and no
-/// batch is uniform — the run path has to step aside, not emit from a
-/// stale `w[0]`.
+/// byte is in a suffix word, which the table then steps, so no batch is
+/// uniform and no two batches share an epoch. That is the contract the
+/// other writers are held to (`uniform_suffix` exact, `epoch` monotone,
+/// same epoch ⇒ same words 1..16) and all the reversed-MD5 memo relies
+/// on — not an epoch per candidate, which the writer stopped counting
+/// when it stopped stepping one candidate at a time.
 #[test]
-fn fastest_digit_outside_w0_bumps_the_epoch_every_step() {
+fn fastest_digit_outside_w0_keeps_the_suffix_contract() {
     for layout in LAYOUTS {
         let space =
             KeySpace::new(charset(26), 6, 6, Order::LastCharFastest).expect("fits u128");
         let mut writer = BlockBatch::new(&space, layout, Interval::new(1_000, 64));
         let info = writer.fill_rows(&mut Rows::<16>::new());
         assert!(!info.uniform_suffix, "{layout:?}");
-        assert_eq!(writer.epoch(), 16, "{layout:?}: 15 steps between lanes + 1 to reposition");
+        assert!(writer.epoch() > info.epoch, "{layout:?}: the next batch starts from another suffix");
         let mut rng = Rng::new(7);
         check_sweep::<16>(&space, layout, Interval::new(1_000, 200), &mut rng);
     }
@@ -256,10 +301,8 @@ fn fastest_digit_outside_w0_bumps_the_epoch_every_step() {
 /// Sweep `writer` in batches of `L`, into `rows` as it was left by
 /// whoever wrote it last, against blocks padded from scratch
 /// from `generate(id)`: every lane, `start_id`, `uniform_suffix` (true
-/// exactly when the lanes share words 1..16), and the epoch as a version
-/// of those words — it never decreases, and two batches that report the
-/// same one start from the same suffix.
-/// Returns the number of batches checked.
+/// exactly when the lanes share words 1..16), and the epoch by its
+/// contract ([`SuffixEpochs`]). Returns the number of batches checked.
 fn check_structured_sweep<const L: usize, S, W>(
     space: &S,
     mut writer: W,
@@ -272,7 +315,7 @@ where
     W: BlockSource,
 {
     let mut batches = 0;
-    let mut last: Option<(u64, [u32; 16])> = None;
+    let mut epochs = SuffixEpochs::default();
     while writer.remaining() >= L as u128 {
         let (start, remaining) = (writer.next_id(), writer.remaining());
         let info = writer.fill_rows(rows);
@@ -285,13 +328,7 @@ where
         }
         let uniform = blocks.iter().all(|b| b[1..] == blocks[0][1..]);
         assert_eq!(info.uniform_suffix, uniform, "uniform_suffix at id {start}, {case}");
-        if let Some((epoch, first)) = last {
-            assert!(info.epoch >= epoch, "epoch went backwards at id {start}, {case}");
-            if info.epoch == epoch {
-                assert_eq!(blocks[0][1..], first[1..], "same epoch, other suffix at id {start}, {case}");
-            }
-        }
-        last = Some((info.epoch, blocks[0]));
+        epochs.check(&info, &blocks[0], case);
         assert_eq!(writer.next_id(), start + L as u128, "next_id, {case}");
         assert_eq!(writer.remaining(), remaining - L as u128, "remaining, {case}");
         batches += 1;
@@ -301,15 +338,21 @@ where
 
 /// Check the space's own writer and the generic one over one drawn
 /// interval; returns the number of batches the interval held.
-fn check_structured<S: BlockSpace>(space: &S, layout: BlockLayout, rng: &mut Rng, name: &str) -> u32 {
+fn check_structured<S: BlockSpace>(
+    space: &S,
+    layout: BlockLayout,
+    periods: &[u128],
+    rng: &mut Rng,
+    name: &str,
+) -> u32 {
     let size = space.size().expect("finite");
     let width = [8u64, 16, 32][rng.index(3)];
-    // Start a short run-up before a multiple of a small power of ten or
-    // of 26 (where the test spaces carry), or anywhere.
+    // Start a short run-up before a multiple of one of `periods` (where
+    // the space carries), or anywhere.
     let start = match rng.below(3) {
         0 => rng.range_u128(0, size - 1),
         _ => {
-            let period = [10u128, 26, 100, 111, 676, 1000][rng.index(6)];
+            let period = periods[rng.index(periods.len())];
             let carry = rng.range_u128(0, size / period) * period;
             carry.saturating_sub(u128::from(rng.below(2 * width))).min(size - 1)
         }
@@ -338,17 +381,38 @@ fn check_both_writers<const L: usize, S: BlockSpace>(
 }
 
 /// A mask of `len` positions: literals, one-symbol sets and sets of 2, 3,
-/// 10 or 26 scrambled symbols, so the stepping position — the last one
-/// with a choice — lands in every block word a 20-byte key reaches, with
-/// literals after it or not.
-fn random_mask(rng: &mut Rng, len: usize) -> MaskSpace {
-    let slots = (0..len)
-        .map(|_| match rng.below(6) {
-            0 => MaskSlot::Literal(b'!' + rng.below(90) as u8),
-            k => MaskSlot::Set(charset([1, 2, 3, 10, 26][k as usize - 1])),
-        })
-        .collect();
-    MaskSpace::from_slots(slots).expect("26^20 fits u128")
+/// 10, 26, 32, 33 or 95 scrambled symbols, so the stepping position — the
+/// last one with a choice — lands in every block word a 20-byte key
+/// reaches, with literals after it or not, and its table stops short of,
+/// at, or one cardinality past the cap. Also returns where the mask
+/// carries: the products of its last cardinalities.
+fn random_mask(rng: &mut Rng, len: usize) -> (MaskSpace, Vec<u128>) {
+    loop {
+        let slots: Vec<MaskSlot> = (0..len)
+            .map(|_| match rng.below(9) {
+                0 => MaskSlot::Literal(b'!' + rng.below(90) as u8),
+                k => MaskSlot::Set(charset([1, 2, 3, 10, 26, 32, 33, 95][k as usize - 1])),
+            })
+            .collect();
+        let periods = carry_periods(&slots);
+        // Too many 95s overflow u128: draw again.
+        if let Ok(mask) = MaskSpace::from_slots(slots) {
+            return (mask, periods);
+        }
+    }
+}
+
+/// The products of the last 1, 2, … cardinalities of a mask: the
+/// identifiers at whose multiples it carries, short of its size.
+fn carry_periods(slots: &[MaskSlot]) -> Vec<u128> {
+    let mut periods = vec![1];
+    for slot in slots.iter().rev() {
+        match periods.last().and_then(|p: &u128| p.checked_mul(slot.cardinality())) {
+            Some(p) => periods.push(p),
+            None => break,
+        }
+    }
+    periods
 }
 
 #[test]
@@ -357,13 +421,76 @@ fn mask_writer_equals_the_per_key_reference() {
     for layout in LAYOUTS {
         for len in 1..=20 {
             forall("mask blocks equal per-key reference", 12, |rng| {
-                let mask = random_mask(rng, len);
+                let (mask, periods) = random_mask(rng, len);
                 let name = format!("mask of {len} ({} keys)", mask.size());
-                batches += check_structured(&mask, layout, rng, &name);
+                batches += check_structured(&mask, layout, &periods, rng, &name);
             });
         }
     }
     assert!(batches > 2_000, "only {batches} batches: the drawn intervals are too short to test much");
+}
+
+/// The table's edges on fixed spaces, under every layout and lane width:
+/// a period of exactly the 1 024-entry cap (two 32-symbol positions), one
+/// cardinality past it (33 × 32: the slower position shares the word but
+/// not the table, so `base` must move on a carry), a period shorter than
+/// a batch (`?l?l?l?l?d` under MD5: `?d` alone in `w[1]`, several carries
+/// per batch), literals after the stepping position inside and outside
+/// its word, and sets of 1, 2, 3 and 95 symbols; then key spaces of 32
+/// and 33 symbols, both orders, across growth and the first carries that
+/// move `base`.
+#[test]
+fn table_edges_equal_the_per_key_reference() {
+    let set = |n| MaskSlot::Set(charset(n));
+    let lit = MaskSlot::Literal;
+    let masks: [Vec<MaskSlot>; 8] = [
+        vec![set(3), set(32), set(32)],
+        vec![set(2), set(33), set(32)],
+        vec![set(33), set(32)],
+        vec![set(26), set(26), set(26), set(26), set(10)],
+        vec![set(3), set(2), lit(b'x'), lit(b'y')],
+        vec![set(2), set(3), set(2), lit(b'x'), lit(b'y'), lit(b'z')],
+        vec![set(95), set(95), set(2)],
+        vec![set(1), set(2), set(1), set(3), set(1)],
+    ];
+    for layout in LAYOUTS {
+        for slots in &masks {
+            let mask = MaskSpace::from_slots(slots.clone()).expect("fits u128");
+            for interval in windows(mask.size(), &carry_periods(slots)) {
+                let case = format!("mask {slots:?} {layout:?} {interval:?}");
+                check_both_writers::<8, _>(&mask, layout, interval, &case);
+                check_both_writers::<16, _>(&mask, layout, interval, &case);
+                check_both_writers::<32, _>(&mask, layout, interval, &case);
+            }
+        }
+        for n in [32, 33] {
+            for order in ORDERS {
+                let space = KeySpace::new(charset(n), 1, 3, order).expect("fits u128");
+                // Lengths 1 and 2, both growth steps, and the first
+                // carry past two table positions (a base move wherever
+                // the third position shares their word).
+                let interval = Interval::new(0, (n + 2 * n * n + 40) as u128);
+                let mut rng = Rng::new(n as u64);
+                check_sweep::<8>(&space, layout, interval, &mut rng);
+                check_sweep::<16>(&space, layout, interval, &mut rng);
+                check_sweep::<32>(&space, layout, interval, &mut rng);
+            }
+        }
+    }
+}
+
+/// The whole of a small space; else 200 identifiers around the first
+/// carry of each period.
+fn windows(size: u128, periods: &[u128]) -> Vec<Interval> {
+    let whole = Interval::new(0, size);
+    if size <= 4096 {
+        return vec![whole];
+    }
+    periods
+        .iter()
+        .filter(|&&p| p > 1 && p < size)
+        .map(|&p| Interval::new(p - p.min(40), 200).intersect(&whole))
+        .collect()
 }
 
 #[test]
@@ -393,7 +520,7 @@ fn advance_and_repad_writer_equals_the_per_key_reference() {
             }
             .expect("words + suffix fit a key");
             let name = format!("hybrid of {} keys", space.size());
-            batches += check_structured(&space, layout, rng, &name);
+            batches += check_structured(&space, layout, &[10, 26, 100, 111, 676, 1000], rng, &name);
         });
     }
     assert!(batches > 300, "only {batches} batches: the drawn intervals are too short to test much");
@@ -431,7 +558,7 @@ fn one_rows_buffer_serves_any_sequence_of_writers() {
         let mut rows = Rows::<L>::new();
         let keys = KeySpace::new(charset(3), 1, 8, ORDERS[rng.index(2)]).expect("fits u128");
         let mask_len = rng.range(2, 12) as usize;
-        let mask = random_mask(rng, mask_len);
+        let (mask, _) = random_mask(rng, mask_len);
         let hybrid = HybridSpace::with_digit_suffixes(&[b"alpha".as_slice(), b"be", b"gamma-ray"], 2)
             .expect("words + suffix fit a key");
         for step in 0..12 {
