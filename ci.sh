@@ -54,6 +54,23 @@ TELEMETRY_DIR="$(mktemp -d)"
 ./target/release/eks report --metrics "$TELEMETRY_DIR/m.prom" --trace "$TELEMETRY_DIR/t.jsonl" > /dev/null
 rm -rf "$TELEMETRY_DIR"
 
+echo "==> cluster smoke: eks cluster on a GPU + CPU node (steal, retune), then the report's network efficiency"
+CLUSTER_DIR="$(mktemp -d)"
+./target/release/eks cluster --algo md5 --digest d077f244def8a70e5ea758bd8352fcd8 \
+  --topology 'A(660, cpu:2)' --max 3 --all --sched steal --retune \
+  --metrics-out "$CLUSTER_DIR/c.prom" --trace-out "$CLUSTER_DIR/c.jsonl" --quiet > /dev/null
+./target/release/eks report --metrics "$CLUSTER_DIR/c.prom" --trace "$CLUSTER_DIR/c.jsonl" \
+  > "$CLUSTER_DIR/report.txt"
+# The efficiency counts a drained member's wait as idle (members x wall
+# time), so it must be reported and can never read a flat 100 %.
+EFFICIENCY="$(sed -n 's/.*network efficiency: \([0-9.]*\)%.*/\1/p' "$CLUSTER_DIR/report.txt")"
+if [ -z "$EFFICIENCY" ] || ! awk -v e="$EFFICIENCY" 'BEGIN { exit !(e < 100) }'; then
+  echo "FAIL: network efficiency missing or not below 100% (got \"$EFFICIENCY\")" >&2
+  cat "$CLUSTER_DIR/report.txt" >&2
+  exit 1
+fi
+rm -rf "$CLUSTER_DIR"
+
 echo "==> eks bench --json (schema-3 host-tuning report: cpu_features + per-backend tuned rates + the detected kernel per algorithm)"
 BENCH_DIR="$(mktemp -d)"
 ./target/release/eks bench --json "$BENCH_DIR/host.json" > /dev/null

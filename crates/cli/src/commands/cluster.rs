@@ -2,8 +2,8 @@
 
 use crate::args::Args;
 use eks_cluster::{
-    paper_network, run_cluster_search_retuned, simulate_search, tune_device, AchievedModel,
-    SimParams,
+    paper_network, plan_fleet, run_cluster, simulate_search, tune_device, AchievedModel,
+    ClusterOptions, SimParams,
 };
 use eks_cracker::{render_worker_stats, TargetSet};
 use eks_engine::SchedPolicy;
@@ -44,6 +44,9 @@ pub(super) fn cmd_cluster(args: &Args) -> Result<(), String> {
             "paper network + host cpu:2".to_string(),
         ),
     };
+    if net.all_devices().is_empty() && net.all_cpus().is_empty() {
+        return Err(format!("topology {label:?} has no device and no cpu worker"));
+    }
     let sched = parse_sched(args, SchedPolicy::Static)?;
     let retune = parse_retune(args)?;
     let (telemetry, log) = parse_telemetry(args)?;
@@ -56,16 +59,15 @@ pub(super) fn cmd_cluster(args: &Args) -> Result<(), String> {
         algo.name(),
         if retune.is_some() { ", closed-loop retune" } else { "" }
     ));
-    let r = run_cluster_search_retuned(
-        &net,
-        &space,
-        &targets,
-        space.interval(),
-        !args.has("all"),
+    let fleet = plan_fleet(&net, algo, &telemetry);
+    let options = ClusterOptions {
+        first_hit_only: !args.has("all"),
         sched,
         retune,
-        &telemetry,
-    );
+        telemetry: telemetry.clone(),
+        ..ClusterOptions::default()
+    };
+    let r = run_cluster(fleet, &space, &targets, space.interval(), options);
     print!("{}", render_worker_stats(&r.stats));
     log.info(format!(
         "parallel efficiency: {:.1}% (the paper reports 85-90%)",

@@ -201,7 +201,7 @@ fn job_run(store: JobStore, args: &Args) -> Result<(), String> {
     let (telemetry, log) = parse_telemetry(args)?;
     let _metrics_server = spawn_metrics_server(args, &telemetry, Some(jobs_fn(&store)))?;
     let fleet = match args.get("topology") {
-        Some(t) => eks_cluster::plan_job_fleet(
+        Some(t) => eks_cluster::plan_fleet(
             &eks_cluster::parse_topology(t, 0.0)?,
             HashAlgo::Md5,
             &telemetry,

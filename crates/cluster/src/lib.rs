@@ -12,13 +12,16 @@
 //!   round-based scatter/gather with link latencies, launch overheads and
 //!   tuning error, producing the aggregate throughput and efficiency of
 //!   Table IX;
-//! * [`runtime`] — a real multi-threaded runtime (one thread per node,
-//!   scoped std threads) that actually cracks keys through the same
-//!   dispatch pattern, for end-to-end functional verification;
-//! * [`multijob`] — the same planned tree serving a whole *spool* of
-//!   jobs: the cluster's devices become a persistent [`eks_jobs::Fleet`]
-//!   the job service leases keyspace onto, with join/leave events
-//!   applied between fair-share rounds;
+//! * [`runtime`] — the real driver: [`plan_fleet`] flattens the tree into
+//!   one [`eks_jobs::Fleet`] of backend leaves weighted by tuned rate, and
+//!   [`run_cluster`] cracks keys over it in one round loop — static
+//!   scatter is one round, bounded rounds and join/leave events
+//!   ([`FleetEvent`]) are the same loop run longer;
+//! * [`dynamic`] — the virtual-time membership model ([`run_dynamic`]):
+//!   declared rates, no keys scanned;
+//! * [`multijob`] — the same planned fleet serving a whole *spool* of
+//!   jobs, with the driver's join/leave events applied between
+//!   fair-share rounds;
 //! * [`fault`] — the minimum fault-tolerance model the paper sketches:
 //!   detect a dead subtree, requeue its outstanding interval, repartition
 //!   over the survivors.
@@ -39,7 +42,6 @@ pub mod dynamic;
 pub mod fault;
 pub mod model;
 pub mod multijob;
-pub mod rounds;
 pub mod runtime;
 pub mod simgpu;
 pub mod spec;
@@ -48,21 +50,13 @@ pub mod topology;
 pub mod tuning;
 
 pub use des::{simulate_search, time_to_first_hit, NetworkReport, SimParams};
-pub use dynamic::{
-    run_dynamic, run_dynamic_search, run_dynamic_search_observed, DynamicConfig, DynamicReport,
-    DynamicSearchConfig, DynamicSearchReport, MembershipEvent, ScheduledEvent,
-    ScheduledSearchEvent, SearchEvent,
-};
+pub use dynamic::{run_dynamic, DynamicConfig, DynamicReport, MembershipEvent, ScheduledEvent};
 pub use fault::{simulate_search_with_failure, FailureEvent, FailureReport};
 pub use model::{calibrate, fit_model, FittedModel};
-pub use multijob::{
-    plan_job_fleet, run_cluster_jobs, run_dynamic_jobs, FleetEvent, MultiJobReport,
-    ScheduledFleetEvent,
-};
-pub use rounds::{run_rounds, run_rounds_observed, RoundConfig, RoundReport};
+pub use multijob::{run_dynamic_jobs, MultiJobReport};
 pub use runtime::{
-    run_cluster_search, run_cluster_search_observed, run_cluster_search_retuned,
-    run_cluster_search_sched, ClusterSearchResult,
+    plan_fleet, run_cluster, run_cluster_search, ClusterOptions, ClusterSearchResult, FleetEvent,
+    ScheduledFleetEvent,
 };
 pub use simgpu::SimKernelBackend;
 pub use spec::{paper_network, ClusterNode, CpuWorker, GpuSlot};

@@ -1,116 +1,19 @@
-//! Multi-tenant cluster entry points: a whole spool of jobs over one
-//! dispatch tree.
+//! A whole spool of jobs over one planned cluster fleet.
 //!
-//! [`plan_job_fleet`] walks the cluster exactly as the runtime's scatter
-//! planning does — one leaf executor per simulated GPU and per CPU
-//! worker thread, weighted by tuned throughput (`N_j = N_max · X_j /
-//! X_max`) — but instead of pre-assigning one search's interval it
-//! yields a persistent [`Fleet`] the job service leases keyspace onto,
-//! round after round. [`run_cluster_jobs`] drives the service until the
-//! spool drains; [`run_dynamic_jobs`] interleaves membership events
-//! between fair-share rounds, so a node joining or leaving the network
-//! interacts correctly with lease reassignment: membership only changes
-//! *between* leases, every lease re-scatters over the then-current
-//! members, and coverage accounting lives in the job records — a leaver
-//! never takes assigned-but-unscanned keys with it.
+//! [`crate::plan_fleet`] turns a cluster description into the persistent
+//! [`eks_jobs::Fleet`] the job service leases keyspace onto, round after
+//! round. [`run_dynamic_jobs`] interleaves membership events between
+//! fair-share rounds with the same [`apply_events`] the single-search
+//! driver uses, so a node joining or leaving the network interacts
+//! correctly with lease reassignment: membership only changes *between*
+//! leases, every lease re-scatters over the then-current members, and
+//! coverage accounting lives in the job records — a leaver never takes
+//! assigned-but-unscanned keys with it.
 
-use eks_cracker::CpuBackend;
-use eks_engine::Backend;
-use eks_hashes::HashAlgo;
-use eks_jobs::{Fleet, FleetMember, JobError, JobId, JobService};
-use eks_telemetry::{names, Telemetry};
+use eks_jobs::{Fleet, JobError, JobId, JobService};
+use eks_telemetry::names;
 
-use crate::simgpu::SimKernelBackend;
-use crate::spec::ClusterNode;
-use crate::tuning::tune_cpu;
-
-/// Build the shared job fleet from a cluster description: one member
-/// per simulated GPU (label `node/device [simgpu]`) and one per CPU
-/// worker thread (all threads of a worker share the `node/cpu
-/// [auto:kernel]` label, so their credits accumulate per device exactly
-/// as in the single-search runtime). Weights are tuned rates for
-/// `algo`, the fleet's *reference* algorithm — jobs hashing something
-/// else still scan correctly, and stealing absorbs the rate skew.
-pub fn plan_job_fleet(root: &ClusterNode, algo: HashAlgo, telemetry: &Telemetry) -> Fleet {
-    let mut members = Vec::new();
-    collect_members(root, algo, telemetry, &mut members);
-    Fleet::new(members)
-}
-
-fn collect_members(
-    node: &ClusterNode,
-    algo: HashAlgo,
-    telemetry: &Telemetry,
-    out: &mut Vec<FleetMember>,
-) {
-    for slot in &node.devices {
-        let backend = SimKernelBackend::new(slot.device.clone());
-        let weight = backend.tuned_rate(algo);
-        let label = format!("{}/{} [{}]", node.name, slot.device.name, backend.name());
-        if telemetry.is_enabled() {
-            telemetry.gauge(names::DEVICE_RATE_MKEYS, &[("device", &label)]).set(weight);
-        }
-        out.push(FleetMember { label, weight, backend: Box::new(backend) });
-    }
-    for cpu in &node.cpus {
-        let rate = tune_cpu(cpu, algo).achieved_mkeys;
-        let backend = CpuBackend::default().with_telemetry(telemetry.clone());
-        let label = format!("{}/{} [auto:{}]", node.name, cpu.name, backend.kernel().name());
-        if telemetry.is_enabled() {
-            telemetry.gauge(names::DEVICE_RATE_MKEYS, &[("device", &label)]).set(rate);
-        }
-        // Each thread is its own fleet member (its own deque slot) with
-        // an equal slice of the worker's tuned rate; the shared label
-        // keeps accounting per device rather than per thread.
-        let per_thread = rate / cpu.threads.max(1) as f64;
-        for _ in 0..cpu.threads.max(1) {
-            out.push(FleetMember {
-                label: label.clone(),
-                weight: per_thread,
-                backend: Box::new(backend.clone()),
-            });
-        }
-    }
-    for child in &node.children {
-        collect_members(child, algo, telemetry, out);
-    }
-}
-
-/// Plan the fleet and drive the service's fair-share rounds until no
-/// runnable job has work left. Returns the number of non-idle rounds.
-///
-/// # Panics
-/// Panics when the cluster holds no device and no CPU worker.
-pub fn run_cluster_jobs(
-    root: &ClusterNode,
-    service: &JobService,
-    algo: HashAlgo,
-) -> Result<u64, JobError> {
-    let fleet = plan_job_fleet(root, algo, service.telemetry());
-    service.run_until_idle(&fleet)
-}
-
-/// A fleet membership change during a multi-job run.
-pub enum FleetEvent {
-    /// A device (or remote node's executor) joins the fleet.
-    Join {
-        /// The joining member.
-        member: FleetMember,
-    },
-    /// The member carrying this label leaves the fleet.
-    Leave {
-        /// Label of the leaver.
-        label: String,
-    },
-}
-
-/// A [`FleetEvent`] scheduled before a given fair-share round.
-pub struct ScheduledFleetEvent {
-    /// The event fires before this round index (0-based).
-    pub before_round: u64,
-    /// What happens.
-    pub event: FleetEvent,
-}
+use crate::runtime::{apply_events, ScheduledFleetEvent};
 
 /// What a multi-job run did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,38 +41,14 @@ pub struct MultiJobReport {
 pub fn run_dynamic_jobs(
     mut fleet: Fleet,
     service: &JobService,
-    events: Vec<ScheduledFleetEvent>,
+    mut events: Vec<ScheduledFleetEvent>,
 ) -> Result<MultiJobReport, JobError> {
     let telemetry = service.telemetry().clone();
     let rebalance_counter = telemetry.counter(names::REBALANCES, &[]);
-    let mut events = events;
     let mut report =
         MultiJobReport { rounds: 0, rebalances: 0, scanned: 0, completed: Vec::new() };
     loop {
-        let round = report.rounds;
-        let mut changed = false;
-        let mut rest = Vec::with_capacity(events.len());
-        for scheduled in events {
-            if scheduled.before_round != round {
-                rest.push(scheduled);
-                continue;
-            }
-            match scheduled.event {
-                FleetEvent::Join { member } => {
-                    telemetry.event(names::EVENT_JOIN).field("member", &member.label).finish();
-                    fleet.join(member);
-                    changed = true;
-                }
-                FleetEvent::Leave { label } => {
-                    if fleet.leave(&label) {
-                        telemetry.event(names::EVENT_LEAVE).field("member", &label).finish();
-                        changed = true;
-                    }
-                }
-            }
-        }
-        events = rest;
-        if changed {
+        if apply_events(&mut fleet, &mut events, report.rounds, &telemetry) {
             report.rebalances += 1;
             rebalance_counter.inc();
         }
@@ -189,9 +68,15 @@ pub fn run_dynamic_jobs(
 #[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
+    use crate::runtime::{plan_fleet, FleetEvent};
+    use crate::simgpu::SimKernelBackend;
+    use crate::spec::ClusterNode;
+    use eks_engine::Backend;
     use eks_gpusim::device::Device;
-    use eks_jobs::{JobSpec, JobState, JobStore, ServiceConfig};
+    use eks_hashes::HashAlgo;
+    use eks_jobs::{FleetMember, JobSpec, JobState, JobStore, ServiceConfig};
     use eks_keyspace::Order;
+    use eks_telemetry::Telemetry;
     use std::path::PathBuf;
 
     fn small_net() -> ClusterNode {
@@ -232,7 +117,8 @@ mod tests {
             store,
             ServiceConfig { round_keys: 8192, ..ServiceConfig::default() },
         );
-        let rounds = run_cluster_jobs(&small_net(), &service, HashAlgo::Md5).unwrap();
+        let fleet = plan_fleet(&small_net(), HashAlgo::Md5, service.telemetry());
+        let rounds = service.run_until_idle(&fleet).unwrap();
         assert!(rounds >= 2, "two jobs over {SPACE} keys need several rounds, got {rounds}");
         for (id, word) in [(a.id, &b"cat"[..]), (b.id, b"zzz")] {
             let rec = service.store().load(id).unwrap();
@@ -253,7 +139,7 @@ mod tests {
             store,
             ServiceConfig { round_keys: 8192, ..ServiceConfig::default() },
         );
-        let fleet = plan_job_fleet(&small_net(), HashAlgo::Md5, &Telemetry::disabled());
+        let fleet = plan_fleet(&small_net(), HashAlgo::Md5, &Telemetry::disabled());
         let joiner = || {
             let backend = SimKernelBackend::new(Device::geforce_gtx_550_ti());
             let weight = backend.tuned_rate(HashAlgo::Md5);
@@ -291,7 +177,8 @@ mod tests {
             store,
             ServiceConfig { round_keys: 8192, retune: true, ..ServiceConfig::default() },
         );
-        let rounds = run_cluster_jobs(&small_net(), &service, HashAlgo::Md5).unwrap();
+        let fleet = plan_fleet(&small_net(), HashAlgo::Md5, service.telemetry());
+        let rounds = service.run_until_idle(&fleet).unwrap();
         assert!(rounds >= 1);
         for (id, word) in [(a.id, &b"cat"[..]), (b.id, b"zzz")] {
             let rec = service.store().load(id).unwrap();
@@ -306,10 +193,16 @@ mod tests {
     fn leave_that_would_empty_the_fleet_is_refused() {
         let telemetry = Telemetry::disabled();
         let net = ClusterNode::device_node("A", vec![Device::geforce_gtx_660()], 1e-3);
-        let mut fleet = plan_job_fleet(&net, HashAlgo::Md5, &telemetry);
+        let mut fleet = plan_fleet(&net, HashAlgo::Md5, &telemetry);
         assert_eq!(fleet.len(), 1);
         let label = fleet.labels()[0].to_string();
         assert!(!fleet.leave(&label), "last member must stay");
         assert_eq!(fleet.len(), 1);
+        // Nor may the threads of the only worker all leave at once.
+        let net = ClusterNode::device_node("A", vec![], 1e-3).with_cpu("cpu0", 2);
+        let mut fleet = plan_fleet(&net, HashAlgo::Md5, &telemetry);
+        let label = fleet.labels()[0].to_string();
+        assert!(!fleet.leave(&label), "the only worker must stay");
+        assert_eq!(fleet.len(), 2);
     }
 }

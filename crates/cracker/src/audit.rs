@@ -10,11 +10,11 @@
 
 use std::time::Instant;
 
+use eks_engine::Checkpoint;
 use eks_hashes::{to_hex, HashAlgo};
 use eks_keyspace::{Key, KeySpace};
 
 use crate::engine::crack_interval;
-use crate::resume::Checkpoint;
 use crate::target::TargetSet;
 
 /// One entry of the audited table.

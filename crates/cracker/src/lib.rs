@@ -18,7 +18,6 @@ pub mod engine;
 pub mod mining;
 pub mod parallel;
 pub mod progress;
-pub mod resume;
 pub mod stats;
 pub mod target;
 
@@ -32,6 +31,5 @@ pub use parallel::{
     crack_space_parallel, ParallelConfig, ParallelReport,
 };
 pub use progress::ThroughputMeter;
-pub use resume::Checkpoint;
 pub use stats::{render_worker_stats, ClassUsage, PasswordStats};
 pub use target::{HashTarget, TargetSet};

@@ -69,6 +69,11 @@ impl Fleet {
         self.members.is_empty()
     }
 
+    /// The members, in slot order.
+    pub fn members(&self) -> &[FleetMember] {
+        &self.members
+    }
+
     /// Member labels, in slot order.
     pub fn labels(&self) -> Vec<&str> {
         self.members.iter().map(|m| m.label.as_str()).collect()
@@ -85,12 +90,13 @@ impl Fleet {
         self.members.push(member);
     }
 
-    /// A device leaves the fleet. Returns false when no member carries
-    /// the label. Leases already dispatched are unaffected; the member
-    /// simply receives no further work.
+    /// A device leaves the fleet: every member carrying the label (all
+    /// threads of a CPU worker) goes. Returns false when no member
+    /// carries the label. Leases already dispatched are unaffected; the
+    /// members simply receive no further work.
     pub fn leave(&mut self, label: &str) -> bool {
         let before = self.members.len();
-        if before == 1 && self.members.iter().any(|m| m.label == label) {
+        if self.members.iter().all(|m| m.label == label) {
             // Refuse to shrink to an empty fleet; the caller decides
             // whether to stop the service instead.
             return false;

@@ -5,18 +5,21 @@
 //!    Table VIII throughput columns;
 //! 2. runs the discrete-event simulation of a large search and reports
 //!    the Table IX aggregate throughput and efficiency;
-//! 3. runs a *real* threaded search over a small keyspace through the
-//!    same hierarchical dispatch and recovers the planted password.
+//! 3. runs a *real* threaded search over a small keyspace, scattered by
+//!    the same tuned rates in bounded rounds with a stop check after each,
+//!    and recovers the planted password.
 //!
 //! Run with: `cargo run --release --example cluster_crack`
 
 use eks::cluster::{
-    paper_network, run_cluster_search, simulate_search, tune_device, AchievedModel, SimParams,
+    paper_network, plan_fleet, run_cluster, simulate_search, tune_device, AchievedModel,
+    ClusterOptions, SimParams,
 };
 use eks::cracker::TargetSet;
 use eks::hashes::HashAlgo;
 use eks::kernels::Tool;
 use eks::keyspace::{Charset, KeySpace, Order};
+use eks::telemetry::Telemetry;
 
 fn main() {
     let net = paper_network(2e-3);
@@ -55,13 +58,21 @@ fn main() {
         report.parallel_efficiency()
     );
 
-    // A real cracked password through the same dispatch tree.
+    // A real cracked password over the same network, flattened into one
+    // fleet and searched in 50k-key rounds: the stop condition is checked
+    // at every gather.
     let space = KeySpace::new(Charset::lowercase(), 1, 4, Order::FirstCharFastest).unwrap();
     let secret = b"amd";
     let targets = TargetSet::new(HashAlgo::Md5, &[HashAlgo::Md5.hash(secret)]);
-    let result = run_cluster_search(&net, &space, &targets, space.interval(), true);
+    let fleet = plan_fleet(&net, HashAlgo::Md5, &Telemetry::disabled());
+    let options =
+        ClusterOptions { first_hit_only: true, round_keys: Some(50_000), ..ClusterOptions::default() };
+    let result = run_cluster(fleet, &space, &targets, space.interval(), options);
     let (id, key, _) = result.hits.first().expect("planted key is in the space");
-    println!("real search       : cracked \"{key}\" (id {id}), {} keys tested", result.tested);
+    println!(
+        "real search       : cracked \"{key}\" (id {id}) in {} round(s), {} keys tested",
+        result.rounds, result.tested
+    );
     println!("per-device work   :");
     for (name, tested) in &result.per_device {
         println!("  {name:<28} {tested:>10} keys");

@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example telemetry_report`
 
-use eks::cluster::run_cluster_search_observed;
+use eks::cluster::{plan_fleet, run_cluster, ClusterOptions};
 use eks::cracker::TargetSet;
 use eks::engine::SchedPolicy;
 use eks::gpusim::device::Device;
@@ -41,15 +41,13 @@ fn main() {
     // Run with a live registry + trace sink; the steal scheduler
     // repairs whatever the tuned-rate scatter got wrong.
     let telemetry = Telemetry::enabled();
-    let result = run_cluster_search_observed(
-        &net,
-        &space,
-        &targets,
-        space.interval(),
-        false,
-        SchedPolicy::Steal,
-        &telemetry,
-    );
+    let fleet = plan_fleet(&net, HashAlgo::Md5, &telemetry);
+    let options = ClusterOptions {
+        sched: SchedPolicy::Steal,
+        telemetry: telemetry.clone(),
+        ..ClusterOptions::default()
+    };
+    let result = run_cluster(fleet, &space, &targets, space.interval(), options);
     let (_, key, _) = result.hits.first().expect("planted key is in the space");
     println!("cracked \"{key}\" — {} keys tested\n", result.tested);
 

@@ -12,7 +12,8 @@ use eks::cluster::{
     parse_topology, run_cluster_search, run_dynamic, DynamicConfig, MembershipEvent,
     ScheduledEvent,
 };
-use eks::cracker::{crack_interval, crack_space_parallel, Checkpoint, ParallelConfig, TargetSet};
+use eks::cracker::{crack_interval, crack_space_parallel, ParallelConfig, TargetSet};
+use eks::engine::Checkpoint;
 use eks::hashes::HashAlgo;
 use eks::keyspace::{Charset, HybridSpace, Interval, KeySpace, MaskSpace, Order};
 use std::sync::atomic::AtomicBool;

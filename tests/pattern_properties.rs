@@ -103,7 +103,7 @@ fn des_efficiency_monotone_in_search_size() {
 
 mod checkpoint_properties {
     use eks::core::prop::forall;
-    use eks::cracker::Checkpoint;
+    use eks::engine::Checkpoint;
     use eks::keyspace::Interval;
 
     /// Arbitrary take/complete/requeue sequences never lose or

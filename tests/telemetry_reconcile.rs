@@ -19,16 +19,22 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use eks::cluster::{run_rounds_observed, ClusterNode, RoundConfig};
+use eks::cluster::{
+    plan_fleet, run_cluster, ClusterNode, ClusterOptions, FleetEvent, ScheduledFleetEvent,
+    SimKernelBackend,
+};
 use eks::core::prop::{forall, Rng};
 use eks::cracker::{
     crack_parallel_backend_observed, CpuBackend, ParallelConfig, ParallelReport, TargetSet,
 };
-use eks::engine::SchedPolicy;
+use eks::engine::{Backend, Retune, SchedPolicy};
 use eks::gpusim::device::Device;
 use eks::hashes::HashAlgo;
+use eks::jobs::FleetMember;
 use eks::keyspace::{BlockSpace, Charset, Interval, KeySpace, MaskSpace, Order};
-use eks::telemetry::{names, parse_prometheus, ManualClock, Telemetry, WindowBook};
+use eks::telemetry::{
+    names, parse_prometheus, parse_trace_jsonl, ManualClock, Telemetry, WindowBook,
+};
 
 /// Sum of every `eks_keys_tested_total` sample (one per worker label),
 /// read back through the exposition parser so the whole pipeline —
@@ -151,6 +157,10 @@ fn window_deltas_telescope_to_registry_totals_under_steal() {
     });
 }
 
+/// The cluster driver's counters against its report: bounded rounds, a
+/// stealing schedule, half the seeds with the closed loop on and half
+/// with a GPU joining before round 1 and the two-thread CPU worker
+/// leaving before round 2.
 #[test]
 fn cluster_round_metrics_reconcile_exactly() {
     let space = KeySpace::new(Charset::lowercase(), 1, 3, Order::FirstCharFastest).unwrap();
@@ -159,22 +169,35 @@ fn cluster_round_metrics_reconcile_exactly() {
     forall("telemetry-reconcile-rounds", 4, |rng| {
         let targets = random_targets(rng);
         let telemetry = Telemetry::with_clock(Arc::new(ManualClock::new()));
-        let r = run_rounds_observed(
-            &net,
-            &space,
-            &targets,
-            space.interval(),
-            RoundConfig {
-                round_keys: rng.range(3_000, 12_000) as u128,
-                first_hit_only: rng.u64() % 2 == 0,
-                lose_worker: None,
-                sched: SchedPolicy::Steal,
-                // Half the seeds run the closed loop: the telemetry
-                // reconciliation must hold with re-scatters in play too.
-                retune: rng.u64() % 2 == 0,
-            },
-            &telemetry,
-        );
+        let fleet = plan_fleet(&net, HashAlgo::Md5, &telemetry);
+        let cpu = fleet.labels()[1].to_string();
+        let events = if rng.u64() % 2 == 0 {
+            let gpu = SimKernelBackend::new(Device::geforce_gtx_550_ti());
+            let member = FleetMember {
+                label: "box/GeForce GTX 550 Ti [simgpu]".into(),
+                weight: gpu.tuned_rate(HashAlgo::Md5),
+                backend: Box::new(gpu),
+            };
+            vec![
+                ScheduledFleetEvent { before_round: 1, event: FleetEvent::Join { member } },
+                ScheduledFleetEvent { before_round: 2, event: FleetEvent::Leave { label: cpu } },
+            ]
+        } else {
+            Vec::new()
+        };
+        let first_hit_only = rng.u64() % 2 == 0;
+        // The telemetry reconciliation must hold with re-scatters in play
+        // too.
+        let retune = (rng.u64() % 2 == 0).then(Retune::default);
+        let options = ClusterOptions {
+            first_hit_only,
+            sched: SchedPolicy::Steal,
+            retune,
+            round_keys: Some(rng.range(3_000, 12_000) as u128),
+            events,
+            telemetry: telemetry.clone(),
+        };
+        let r = run_cluster(fleet, &space, &targets, space.interval(), options);
         let per_device: u128 = r.stats.iter().map(|w| w.tested).sum();
         assert_eq!(per_device, r.tested, "per-device stats sum to the round total");
         assert_eq!(
@@ -182,10 +205,24 @@ fn cluster_round_metrics_reconcile_exactly() {
             r.tested,
             "registry total equals the keys charged across rounds"
         );
-        // The rounds counter reconciles too.
+        // The round and rebalance counters reconcile too.
         let samples = parse_prometheus(&telemetry.render_prometheus()).expect("valid exposition");
-        let rounds: f64 =
-            samples.iter().filter(|s| s.name == names::ROUNDS).map(|s| s.value).sum();
-        assert_eq!(rounds as u32, r.rounds);
+        let total = |name: &str| -> f64 {
+            samples.iter().filter(|s| s.name == name).map(|s| s.value).sum()
+        };
+        assert_eq!(total(names::ROUNDS) as u64, r.rounds);
+        assert_eq!(total(names::REBALANCES) as u64, r.rebalances);
+        for gauge in [names::DEVICE_RATE_MKEYS, names::CLUSTER_EFFICIENCY_PCT] {
+            assert!(samples.iter().any(|s| s.name == gauge), "{gauge} published");
+        }
+        let live_rates = samples.iter().any(|s| s.name == names::WORKER_RATE_EST);
+        assert_eq!(live_rates, retune.is_some(), "live rate gauges exactly under retune");
+        // Every applied membership change is a trace event; every round
+        // has its scatter span, and the run one merge.
+        let trace = parse_trace_jsonl(&telemetry.trace_jsonl()).expect("valid trace");
+        let count = |name: &str| trace.iter().filter(|t| t.name == name).count() as u64;
+        assert_eq!(count(names::EVENT_JOIN) + count(names::EVENT_LEAVE), r.rebalances);
+        assert_eq!(count(names::SPAN_SCATTER), r.rounds);
+        assert_eq!(count(names::SPAN_MERGE), 1);
     });
 }
