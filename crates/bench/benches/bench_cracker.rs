@@ -190,8 +190,10 @@ fn default_vs_best(algo: HashAlgo) -> Option<f64> {
 }
 
 /// The mask of the `structured` rows (and of the end-to-end benchmark's
-/// `crack_mask_ntlm` workload): 175 760 candidates whose stepping byte
-/// sits in `w[0]` under MD5/SHA-1 and in `w[1]` under NTLM.
+/// `crack_mask_ntlm` workload): 175 760 candidates whose stepping word,
+/// `?u?l` first-position-fastest, is `w[0]` under every layout — so the
+/// rows' single impossible target takes the reversed kernels under MD5
+/// (49 steps) and NTLM (30 of MD4's 48).
 const STRUCTURED_MASK: &str = "?u?l?l?d";
 /// Passes over the space per timed batched sweep (the scalar side times
 /// one): a pass of the mask is under 2 ms at kernel speed.

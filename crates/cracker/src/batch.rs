@@ -38,14 +38,20 @@
 //! AVX-512: BENCH_cracker.json, `portable8`/`portable16` vs `cpu`). The portable instantiation is the fallback for CPUs without
 //! an explicit ISA and a second participant in the equivalence tests.
 //!
-//! The MD5 step-reversal optimization (Section V-B) composes with
-//! batching: when a batch's candidates share every block word except
-//! `w[0]` — reported by [`BatchInfo::uniform_suffix`], by every writer —
-//! and a single MD5 target is sought, the 49-step reversed path runs
-//! instead of the full 64 steps, with the reversed reference memoized per
-//! suffix epoch. Writing *only* `w[0]` per candidate on top of that
+//! The step-reversal optimization (Section V-B) composes with batching:
+//! when a batch's candidates share every block word except `w[0]` —
+//! reported by [`BatchInfo::uniform_suffix`], by every writer — and a
+//! single target is sought, one reversed branch runs instead of the
+//! forward hash, with the reversed reference memoized per suffix epoch.
+//! For MD5 that is 49 of 64 steps and a four-word compare; for MD4 (NTLM)
+//! 15 steps are reversed and the early exit drops 3 more, so a lane costs
+//! 30 of 48 steps and one word, compared as `prefilter_row` compares a
+//! forward row. Writers step `w[0]` wherever the space lets them: a
+//! `KeySpace` in first-char-fastest order and every mask whose first
+//! position with a choice lies in `w[0]` (`?u?l?l?d`: `?u?l` under NTLM).
+//! Writing *only* `w[0]` per candidate on top of that
 //! ([`BlockSource::try_fill_w0s`]) is a capability `BlockBatch` alone
-//! offers.
+//! offers, and the MD5 branch alone uses.
 //!
 //! The scalar engine remains the correctness oracle: tails shorter than
 //! `L` and algorithms with no lockstep formulation (`Md5Iter`) fall back
@@ -59,7 +65,7 @@ use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use eks_engine::PollCursor;
-use eks_hashes::{AutoVec, HashAlgo, LaneHasher, Md5PrefixSearch, SimdHasher};
+use eks_hashes::{AutoVec, HashAlgo, LaneHasher, Md4PrefixSearch, Md5PrefixSearch, SimdHasher};
 use eks_keyspace::{BlockLayout, BlockSource, BlockSpace, Interval, Key, Rows};
 use eks_telemetry::{names, Counter, Histogram, Telemetry};
 
@@ -162,6 +168,39 @@ impl BatchInstruments {
             hash_ns: telemetry.histogram(names::BATCH_HASH_NS, &[]),
             prefilter_hits: telemetry.counter(names::PREFILTER_HITS, &[]),
             prefilter_misses: telemetry.counter(names::PREFILTER_MISSES, &[]),
+        }
+    }
+}
+
+/// A single target's reversed reference, memoized per suffix epoch.
+enum Reversed {
+    /// 49 forward MD5 steps against the state after step 48.
+    Md5(Md5PrefixSearch),
+    /// 30 forward MD4 steps (NTLM) against the register step 29 writes.
+    Md4(Md4PrefixSearch),
+}
+
+/// The 30-step MD4 test of one batch against the reversed `reference`:
+/// one word per lane, the compare `prefilter_row` makes of a forward
+/// row. Out of line, as is [`Reversed::new`]: inlined into the shared
+/// loop, they cost the MD5 sweep (`crack_md5`) 2.7 %, 1 of 10 pairs.
+#[inline(never)]
+fn md4_reversed<const L: usize, H: LaneHasher<L>>(hasher: &H, rows: &Rows<L>, reference: u32) -> u64 {
+    let mut survivors = 0;
+    for (l, &v) in hasher.md4_forward30_rows(rows.words()).iter().enumerate() {
+        survivors |= u64::from(v == reference) << l;
+    }
+    survivors
+}
+
+impl Reversed {
+    /// Reverse `target` over `template`'s suffix: once per suffix epoch.
+    #[cold]
+    #[inline(never)]
+    fn new(algo: HashAlgo, target: &[u8; 16], template: [u32; 16]) -> Self {
+        match algo {
+            HashAlgo::Md5 => Reversed::Md5(Md5PrefixSearch::new(target, template)),
+            _ => Reversed::Md4(Md4PrefixSearch::new(target, template)),
         }
     }
 }
@@ -294,25 +333,25 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
     // batches never straddle a stop check.
     let mut cursor = PollCursor::with_stride(clamped, stop, L as u128);
     let mut found_first = false;
-    // The reversed 49-step path needs a single MD5 target (the reversal is
-    // per-target) and a batch whose lanes share all words but w[0].
-    let single_md5: Option<[u8; 16]> = (algo == HashAlgo::Md5 && targets.len() == 1).then(|| {
-        targets
-            .digest(0)
-            .try_into()
-            .expect("MD5 digests are 16 bytes")
-    });
+    // The reversed paths need a single target (the reversal is
+    // per-target) and a batch whose lanes share all words but w[0]: MD5
+    // runs 49 steps and compares the state, MD4 (NTLM) 30 and one word.
+    let single: Option<[u8; 16]> = match algo {
+        HashAlgo::Md5 | HashAlgo::Ntlm if targets.len() == 1 => {
+            Some(targets.digest(0).try_into().expect("MD5 and MD4 digests are 16 bytes"))
+        }
+        _ => None,
+    };
     // The w0-only fast fill: where a single-target MD5 search varies
     // only the leading key bytes (the writer knows — today `BlockBatch`
     // in first-char-fastest order), the steady state writes one word per
     // candidate, touches no row at all, and the reversed kernel reads the
     // shared suffix from the epoch template. Cleared for good the first
     // time the writer declines.
-    let mut w0_fast = single_md5.is_some();
+    let mut w0_fast = single.is_some() && algo == HashAlgo::Md5;
     let mut w0s = [0u32; L];
-    let mut reversed: Option<(u64, Md5PrefixSearch)> = None;
+    let mut reversed: Option<(u64, Reversed)> = None;
     let mut batch_index: u64 = 0;
-    let mut pf_checked: u64 = 0;
     let mut pf_hits: u64 = 0;
 
     'outer: while let Some(chunk) = cursor.next_chunk() {
@@ -339,24 +378,28 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
             let t_hash = sample.then(Instant::now);
             // The lanes the kernel could not reject, one bit each.
             let mut survivors: u64 = 0;
-            if let Some(target) = single_md5.as_ref().filter(|_| info.uniform_suffix) {
+            if let Some(target) = single.as_ref().filter(|_| info.uniform_suffix) {
                 // The reversed reference depends only on the target and the
                 // suffix words: rebuild it when the suffix epoch moves,
                 // reuse it otherwise (the overwhelmingly common case).
                 if reversed.as_ref().map(|(e, _)| *e) != Some(info.epoch) {
                     let template0 = w0_template.unwrap_or_else(|| rows.block(0));
-                    reversed = Some((info.epoch, Md5PrefixSearch::new(target, template0)));
+                    reversed = Some((info.epoch, Reversed::new(algo, target, template0)));
                 }
-                let (_, search) = reversed.as_ref().expect("just built");
-                let w0s = if w0_fast { &w0s } else { rows.row(0) };
-                let states = hasher.md5_forward49_batch(search.template(), w0s);
-                let r = search.reference();
-                for (l, s) in states.iter().enumerate() {
-                    // `&` instead of `&&`: no per-lane branches in the
-                    // common all-miss case.
-                    if (s[0] == r[0]) & (s[1] == r[1]) & (s[2] == r[2]) & (s[3] == r[3]) {
-                        survivors |= 1 << l;
+                match &reversed.as_ref().expect("just built").1 {
+                    Reversed::Md5(search) => {
+                        let w0s = if w0_fast { &w0s } else { rows.row(0) };
+                        let states = hasher.md5_forward49_batch(search.template(), w0s);
+                        let r = search.reference();
+                        for (l, s) in states.iter().enumerate() {
+                            // `&` instead of `&&`: no per-lane branches in
+                            // the common all-miss case.
+                            if (s[0] == r[0]) & (s[1] == r[1]) & (s[2] == r[2]) & (s[3] == r[3]) {
+                                survivors |= 1 << l;
+                            }
+                        }
                     }
+                    Reversed::Md4(search) => survivors = md4_reversed(&hasher, &rows, search.reference()),
                 }
             } else {
                 if w0_fast {
@@ -376,9 +419,9 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
                     }
                 };
                 survivors = targets.prefilter_row(&first);
-                pf_checked += L as u64;
-                pf_hits += u64::from(survivors.count_ones());
             }
+            // Either branch's compare is the batch's prefilter.
+            pf_hits += u64::from(survivors.count_ones());
             if let Some(t0) = t_hash {
                 instruments.hash_ns.observe(t0.elapsed().as_nanos() as u64);
             }
@@ -400,7 +443,8 @@ fn crack_lanes<const L: usize, H: LaneHasher<L>, S: BlockSpace>(
     }
     if instruments.enabled {
         instruments.prefilter_hits.add(pf_hits);
-        instruments.prefilter_misses.add(pf_checked - pf_hits);
+        // Every batch went through one compare or the other.
+        instruments.prefilter_misses.add(batch_index * L as u64 - pf_hits);
     }
 
     // Tail shorter than a batch: hand the remainder to the scalar oracle,
@@ -497,6 +541,89 @@ mod tests {
         let simd = batched(&s, &t, s.interval(), &stop, false, Kernel::Simd(hasher));
         assert_eq!(simd.hits, scalar.hits);
         assert_eq!(simd.tested, scalar.tested);
+    }
+
+    #[test]
+    fn simd_reversed_ntlm_sweep_matches_scalar_across_epochs() {
+        // A single NTLM target takes the 30-step branch on every batch
+        // whose lanes share words 1..16: key spaces in both orders across
+        // growth, a mask stepping `w[0]` with a planted key, a literal
+        // prefix that pushes the stepping byte into `w[1]`, and multi-byte
+        // literals. Hits and `tested` equal the scalar oracle's.
+        fn check<S: BlockSpace>(s: &S, word: &[u8], case: &str) {
+            let t = targets(HashAlgo::Ntlm, &[word]);
+            let stop = AtomicBool::new(false);
+            let whole = Interval::new(0, s.size().expect("finite"));
+            let scalar = crack_interval(s, &t, whole, &stop, false);
+            assert!(!scalar.hits.is_empty(), "{case}: the key is in the space");
+            let kernels = PORTABLE.into_iter().chain(SimdHasher::best().map(Kernel::Simd));
+            for kernel in kernels {
+                let got = crack_interval_batched(s, &t, whole, &stop, false, kernel, &Telemetry::disabled());
+                assert_eq!(got.hits, scalar.hits, "{case} {kernel:?}");
+                assert_eq!(got.tested, scalar.tested, "{case} {kernel:?}");
+            }
+        }
+        for order in [Order::FirstCharFastest, Order::LastCharFastest] {
+            check(&space(order), b"cat", &format!("{order:?}"));
+        }
+        check(&MaskSpace::parse("?u?l?l?d").unwrap(), b"Cat4", "?u?l?l?d");
+        check(&MaskSpace::parse("ab?d?l").unwrap(), b"ab7q", "ab?d?l");
+        check(&MaskSpace::parse("?lé?d").unwrap(), "xé7".as_bytes(), "?lé?d");
+    }
+
+    /// The portable cores, counting which MD4 kernel each batch ran on
+    /// this thread: `(md4_rows, md4_forward30_rows)`.
+    #[derive(Clone, Copy)]
+    struct CountingMd4;
+
+    thread_local! {
+        static MD4_CALLS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    }
+
+    impl<const L: usize> LaneHasher<L> for CountingMd4 {
+        fn md5_rows(&self, rows: &[[u32; L]; 16]) -> [[u32; L]; 4] {
+            AutoVec.md5_rows(rows)
+        }
+        fn md4_rows(&self, rows: &[[u32; L]; 16]) -> [[u32; L]; 4] {
+            MD4_CALLS.with(|c| c.set((c.get().0 + 1, c.get().1)));
+            AutoVec.md4_rows(rows)
+        }
+        fn md4_forward30_rows(&self, rows: &[[u32; L]; 16]) -> [u32; L] {
+            MD4_CALLS.with(|c| c.set((c.get().0, c.get().1 + 1)));
+            AutoVec.md4_forward30_rows(rows)
+        }
+        fn sha1_a75_rows(&self, rows: &[[u32; L]; 16]) -> [u32; L] {
+            AutoVec.sha1_a75_rows(rows)
+        }
+        fn md5_forward49_batch(&self, template: &[u32; 16], w0s: &[u32; L]) -> [[u32; 4]; L] {
+            AutoVec.md5_forward49_batch(template, w0s)
+        }
+    }
+
+    #[test]
+    fn single_target_ntlm_mask_batches_take_the_30_step_kernel() {
+        // `?u?l?l?d` steps `?u?l` in `w[0]` and carries into `w[1]` every
+        // 676 ids: exactly the batches straddling such a carry hash all
+        // 48 steps, every other batch runs 30; several targets run 48
+        // everywhere. A search that silently lost the reversed branch for
+        // some batch class fails here, whatever the host's timing noise.
+        const L: usize = 8;
+        let mask = MaskSpace::parse("?u?l?l?d").unwrap();
+        let whole = Interval::new(0, mask.size());
+        let batches = (mask.size() / L as u128) as u64;
+        let straddling = (1..mask.size() / 676).filter(|k| k * 676 % L as u128 != 0).count() as u64;
+        let stop = AtomicBool::new(false);
+        let instruments = BatchInstruments::new(&Telemetry::disabled());
+        for (words, want) in [
+            (&[&b"Cat4"[..]][..], (straddling, batches - straddling)),
+            (&[&b"Cat4"[..], b"Dog5"][..], (batches, 0)),
+        ] {
+            let t = targets(HashAlgo::Ntlm, words);
+            MD4_CALLS.with(|c| c.set((0, 0)));
+            let out = crack_lanes::<L, _, _>(&mask, &t, whole, &stop, false, &instruments, CountingMd4);
+            assert_eq!(out.hits.len(), words.len(), "{words:?}");
+            assert_eq!(MD4_CALLS.with(|c| c.get()), want, "{words:?}: (48-step, 30-step) batches");
+        }
     }
 
     #[test]

@@ -180,10 +180,10 @@ mod tests {
         let mask = MaskSpace::parse("?d?d").unwrap();
         let t = targets(&[b"57"]);
         let stop = AtomicBool::new(false);
-        let hit = crack_space_interval(&mask, &t, 50, 10, &stop, true);
-        assert_eq!(hit.hits.len(), 1, "57 is id 57 in a ?d?d mask");
-        assert_eq!(hit.tested, 8, "first-hit stops at the match");
-        let miss = crack_space_interval(&mask, &t, 0, 57, &stop, true);
+        let hit = crack_space_interval(&mask, &t, 70, 10, &stop, true);
+        assert_eq!(hit.hits.len(), 1, "57 is id 75 in a ?d?d mask (first position fastest)");
+        assert_eq!(hit.tested, 6, "first-hit stops at the match");
+        let miss = crack_space_interval(&mask, &t, 0, 75, &stop, true);
         assert!(miss.hits.is_empty());
         let all = crack_space_interval(&mask, &t, 90, u128::MAX, &stop, false);
         assert_eq!(all.tested, 10, "clamped to the space, no overflow");

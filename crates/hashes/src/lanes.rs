@@ -46,6 +46,12 @@ pub trait LaneHasher<const L: usize>: Copy + Send + Sync {
     /// confirmed with the full compression).
     fn sha1_a75_rows(&self, rows: &[[u32; L]; 16]) -> [u32; L];
 
+    /// The reversed-MD4 forward half: steps 0..=29, the register step 29
+    /// writes per lane (comparable with
+    /// [`crate::Md4PrefixSearch::reference`] for lanes sharing words
+    /// 1..16).
+    fn md4_forward30_rows(&self, rows: &[[u32; L]; 16]) -> [u32; L];
+
     /// The reversed-MD5 forward half: 49 steps for lanes sharing
     /// `template` in words 1..16, rotating-form state after step 48 per
     /// lane (comparable with [`crate::Md5PrefixSearch::reference`]).
@@ -78,6 +84,11 @@ impl<const L: usize> LaneHasher<L> for AutoVec {
     #[inline]
     fn md4_rows(&self, rows: &[[u32; L]; 16]) -> [[u32; L]; 4] {
         cores::md4_rows::<[u32; L], L>(rows)
+    }
+
+    #[inline]
+    fn md4_forward30_rows(&self, rows: &[[u32; L]; 16]) -> [u32; L] {
+        cores::md4_forward30::<[u32; L], L>(rows)
     }
 
     #[inline]

@@ -17,7 +17,10 @@
 //!   only 49 forward steps per candidate;
 //! * early-exit comparison: each of the last steps produces one word of
 //!   the result, so mismatches are detected before finishing the state
-//!   comparison.
+//!   comparison;
+//! * [`md4_reverse`]: the same reversal for MD4 (the NTLM test
+//!   function), where `w[0]` also skips the last 15 steps and the early
+//!   exit drops three more — 30 forward steps and a one-word compare.
 //!
 //! Batched (multi-candidate) hashing follows the paper's Section V
 //! per-architecture kernels: one family of compression cores, generic
@@ -31,6 +34,7 @@ pub mod algo;
 pub mod digest;
 pub mod lanes;
 pub mod md4;
+pub mod md4_reverse;
 pub mod md5;
 pub mod md5_reverse;
 pub mod padding;
@@ -44,6 +48,7 @@ pub use digest::{from_hex, to_hex, Digest};
 pub use lanes::{AutoVec, LaneHasher};
 pub use simd::{cpu_features, SimdHasher, SimdIsa};
 pub use md4::{md4, ntlm, Md4};
+pub use md4_reverse::Md4PrefixSearch;
 pub use md5::{md5, Md5};
 pub use md5_reverse::Md5PrefixSearch;
 pub use sha1::{sha1, Sha1};

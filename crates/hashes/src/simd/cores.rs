@@ -9,12 +9,13 @@
 //! between them and the hash moves a word that is the same in every
 //! lane one lane at a time.
 //!
-//! Every core carries the Section V tricks (49-step reversed MD5, SHA-1
-//! `a75` partial rounds) with the vector operations *explicit*, so on an
-//! ISA leaf the instruction mix is fixed by construction rather than left
-//! to the loop vectorizer. Step counts and round counts are const
-//! generics so every instantiation fully unrolls and the state "rotation"
-//! is a compile-time renaming, exactly like the paper's unrolled kernels.
+//! Every core carries the Section V tricks (49-step reversed MD5, 30-step
+//! reversed MD4, SHA-1 `a75` partial rounds) with the vector operations
+//! *explicit*, so on an ISA leaf the instruction mix is fixed by
+//! construction rather than left to the loop vectorizer. Step counts and
+//! round counts are const generics so every instantiation fully unrolls
+//! and the state "rotation" is a compile-time renaming, exactly like the
+//! paper's unrolled kernels.
 //!
 //! The functions here contain no `unsafe`: all intrinsic access lives in
 //! the one-line `Vec32` op impls, and feature-availability proofs live
@@ -200,45 +201,79 @@ fn md4_h<V: Vec32>(a: V, b: V, c: V, d: V, w: V, s: u32) -> V {
     a.add(b.xor3(c, d)).add(w).add(V::splat(K3)).rotl(s)
 }
 
-/// MD4 over `L` pre-padded single-block messages (the NTLM batch core),
-/// one row per state word: lane `l` equals `md4_compress(IV, block l)`.
+/// Expand one quad of MD4 steps `i..i+4` for the given round function,
+/// each step guarded by `STEPS` — after unrolling, `i` and `STEPS` are
+/// constants, so a guard folds away and a cut mid-quad costs nothing.
+macro_rules! md4_quad {
+    ($step:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:ident, $i:ident, $steps:ident) => {
+        if $i < $steps {
+            $a = $step($a, $b, $c, $d, $m[md4::WORD_INDEX[$i]], md4::ROT[$i]);
+        }
+        if $i + 1 < $steps {
+            $d = $step($d, $a, $b, $c, $m[md4::WORD_INDEX[$i + 1]], md4::ROT[$i + 1]);
+        }
+        if $i + 2 < $steps {
+            $c = $step($c, $d, $a, $b, $m[md4::WORD_INDEX[$i + 2]], md4::ROT[$i + 2]);
+        }
+        if $i + 3 < $steps {
+            $b = $step($b, $c, $d, $a, $m[md4::WORD_INDEX[$i + 3]], md4::ROT[$i + 3]);
+        }
+    };
+}
+
+/// Run the first `STEPS` MD4 steps from the IV, returning the raw
+/// working registers `[a, b, c, d]` (no chaining addition) — `STEPS` is
+/// 48 for the full hash, [`crate::md4_reverse::FORWARD_STEPS`] for the
+/// reversed search (which stops after the second step of the last
+/// round-2 quad).
 #[inline(always)]
-pub(crate) fn md4_rows<V: Vec32, const L: usize>(rows: &[[u32; L]; 16]) -> [[u32; L]; 4] {
-    let m = load_rows::<V, L>(rows);
+fn md4_steps<V: Vec32, const STEPS: usize>(m: &[V; 16]) -> [V; 4] {
     let mut a = V::splat(md4::IV[0]);
     let mut b = V::splat(md4::IV[1]);
     let mut c = V::splat(md4::IV[2]);
     let mut d = V::splat(md4::IV[3]);
+    let mut i = 0;
+    while i < 16.min(STEPS) {
+        md4_quad!(md4_f, a, b, c, d, m, i, STEPS);
+        i += 4;
+    }
+    while i < 32.min(STEPS) {
+        md4_quad!(md4_g, a, b, c, d, m, i, STEPS);
+        i += 4;
+    }
+    while i < STEPS {
+        md4_quad!(md4_h, a, b, c, d, m, i, STEPS);
+        i += 4;
+    }
+    [a, b, c, d]
+}
 
-    // Round 1: sequential words.
-    for chunk in 0..4 {
-        let base = chunk * 4;
-        a = md4_f(a, b, c, d, m[base], 3);
-        d = md4_f(d, a, b, c, m[base + 1], 7);
-        c = md4_f(c, d, a, b, m[base + 2], 11);
-        b = md4_f(b, c, d, a, m[base + 3], 19);
-    }
-    // Round 2: column-major words.
-    for col in 0..4 {
-        a = md4_g(a, b, c, d, m[col], 3);
-        d = md4_g(d, a, b, c, m[col + 4], 5);
-        c = md4_g(c, d, a, b, m[col + 8], 9);
-        b = md4_g(b, c, d, a, m[col + 12], 13);
-    }
-    // Round 3: bit-reversed column order.
-    for &col in &[0usize, 2, 1, 3] {
-        a = md4_h(a, b, c, d, m[col], 3);
-        d = md4_h(d, a, b, c, m[col + 8], 9);
-        c = md4_h(c, d, a, b, m[col + 4], 11);
-        b = md4_h(b, c, d, a, m[col + 12], 15);
-    }
-
+/// MD4 over `L` pre-padded single-block messages (the NTLM batch core),
+/// one row per state word: lane `l` equals `md4_compress(IV, block l)`.
+#[inline(always)]
+pub(crate) fn md4_rows<V: Vec32, const L: usize>(rows: &[[u32; L]; 16]) -> [[u32; L]; 4] {
+    let [a, b, c, d] = md4_steps::<V, 48>(&load_rows::<V, L>(rows));
     store_rows([
         a.add(V::splat(md4::IV[0])),
         b.add(V::splat(md4::IV[1])),
         c.add(V::splat(md4::IV[2])),
         d.add(V::splat(md4::IV[3])),
     ])
+}
+
+/// The reversed-MD4 forward half: steps 0..=29 for `L` lanes, returning
+/// the register step 29 writes per lane — the word
+/// [`crate::Md4PrefixSearch::reference`] is compared with. Lanes must
+/// share words 1..16 for that comparison to mean anything; the kernel
+/// itself reads every row.
+#[inline(always)]
+pub(crate) fn md4_forward30<V: Vec32, const L: usize>(rows: &[[u32; L]; 16]) -> [u32; L] {
+    // Step 29 (i % 4 == 1) writes the register named `d` in this frame.
+    let [_, _, _, d] =
+        md4_steps::<V, { crate::md4_reverse::FORWARD_STEPS }>(&load_rows::<V, L>(rows));
+    let mut out = [0u32; L];
+    d.store(&mut out);
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -398,6 +433,20 @@ mod tests {
         let got = md4_rows::<X2<[u32; 1]>, 2>(&rows_of(&blocks));
         for (l, block) in blocks.iter().enumerate() {
             assert_eq!(lane(&got, l), md4_compress(md4::IV, block), "lane {l}");
+        }
+    }
+
+    #[test]
+    fn paired_core_md4_forward30_matches_scalar_steps() {
+        let blocks = [pad_md5_block(b"n\0t\0l\0m\0"), pad_md5_block(b"x\0t\0l\0m\0")];
+        let got = md4_forward30::<X2<[u32; 1]>, 2>(&rows_of(&blocks));
+        for (l, block) in blocks.iter().enumerate() {
+            let mut s = md4::IV;
+            for i in 0..crate::md4_reverse::FORWARD_STEPS {
+                s = md4::step(i, s, block);
+            }
+            // The rotating form keeps the newest register in `s[1]`.
+            assert_eq!(got[l], s[1], "lane {l}");
         }
     }
 

@@ -14,8 +14,9 @@
 //! | NEON | 4×u32 | 8 | — |
 //!
 //! Every width carries the Section V tricks: the 49-step reversed-MD5
-//! forward half, the SHA-1 `a75` partial rounds, and a final state
-//! layout the `TargetSet` first-word prefilter consumes directly.
+//! and 30-step reversed-MD4 forward halves, the SHA-1 `a75` partial
+//! rounds, and a final state layout the `TargetSet` first-word prefilter
+//! consumes directly.
 //!
 //! Detection is done **once** per process ([`SimdIsa::detect`], cached)
 //! and capability is encoded in the type system: an ISA handle such as
@@ -174,6 +175,12 @@ macro_rules! isa_handle {
                 use $shims as shims;
                 // SAFETY: as in `md5_rows` — construction proved the ISA.
                 unsafe { shims::md4_rows(rows) }
+            }
+
+            fn md4_forward30_rows(&self, rows: &[[u32; $width]; 16]) -> [u32; $width] {
+                use $shims as shims;
+                // SAFETY: as in `md5_rows` — construction proved the ISA.
+                unsafe { shims::md4_forward30(rows) }
             }
 
             fn sha1_a75_rows(&self, rows: &[[u32; $width]; 16]) -> [u32; $width] {

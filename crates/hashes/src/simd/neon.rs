@@ -91,7 +91,7 @@ impl Vec32 for U32x4 {
     }
 }
 
-/// The four `#[target_feature(enable = "neon")]` entry points at
+/// The five `#[target_feature(enable = "neon")]` entry points at
 /// `X2<U32x4>` (8 keys per call) — the NEON counterpart of the x86
 /// module's `define_shims!` output.
 pub(crate) mod neon_shims {
@@ -105,6 +105,11 @@ pub(crate) mod neon_shims {
     #[target_feature(enable = "neon")]
     pub(crate) fn md4_rows(rows: &[[u32; 8]; 16]) -> [[u32; 8]; 4] {
         cores::md4_rows::<X2<U32x4>, 8>(rows)
+    }
+
+    #[target_feature(enable = "neon")]
+    pub(crate) fn md4_forward30(rows: &[[u32; 8]; 16]) -> [u32; 8] {
+        cores::md4_forward30::<X2<U32x4>, 8>(rows)
     }
 
     #[target_feature(enable = "neon")]

@@ -198,7 +198,7 @@ impl Vec32 for U32x16 {
     }
 }
 
-/// Generate the four `#[target_feature]` entry points for one ISA: the
+/// Generate the five `#[target_feature]` entry points for one ISA: the
 /// only places the explicit-SIMD kernels are codegenned, and the only
 /// functions a handle calls (via `unsafe`, with detection as the proof).
 macro_rules! define_shims {
@@ -214,6 +214,11 @@ macro_rules! define_shims {
             #[target_feature(enable = $feature)]
             pub(crate) fn md4_rows(rows: &[[u32; $lanes]; 16]) -> [[u32; $lanes]; 4] {
                 cores::md4_rows::<$vec, $lanes>(rows)
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(crate) fn md4_forward30(rows: &[[u32; $lanes]; 16]) -> [u32; $lanes] {
+                cores::md4_forward30::<$vec, $lanes>(rows)
             }
 
             #[target_feature(enable = $feature)]

@@ -1,8 +1,8 @@
 //! Seeded property tests for every [`LaneHasher`]: on the portable
 //! `AutoVec` cores at both widths and on every ISA the running CPU
 //! supports, every lane of every batched algorithm — forward MD5/MD4,
-//! the 49-step reversed-MD5 forward half, the 76-round SHA-1 `a75`
-//! partial — must be bit-for-bit equal to its scalar reference on random
+//! the 49-step reversed-MD5 and 30-step reversed-MD4 forward halves, the
+//! 76-round SHA-1 `a75` partial — must be bit-for-bit equal to its scalar reference on random
 //! single-block messages. The kernels take the batch word-major (`rows[w]`
 //! = word `w` of every lane); the messages here are random per lane, so
 //! every row's lanes all differ.
@@ -17,7 +17,7 @@
 use eks_core::prop::{forall, Rng};
 use eks_hashes::md5_reverse::FORWARD_STEPS;
 use eks_hashes::padding::{pad_md5_block, pad_sha_block, MAX_SINGLE_BLOCK_MSG};
-use eks_hashes::{md4, md5, sha1, LaneHasher, Md5PrefixSearch, Sha1PartialSearch};
+use eks_hashes::{md4, md4_reverse, md5, sha1, LaneHasher, Md4PrefixSearch, Md5PrefixSearch, Sha1PartialSearch};
 
 /// A random message of random length (0..=55 bytes, arbitrary bytes).
 fn random_msg(rng: &mut Rng) -> Vec<u8> {
@@ -185,6 +185,40 @@ fn check_hasher<const L: usize, H: LaneHasher<L>>(name: &'static str, hasher: H)
             let hit = *state == search.reference();
             assert_eq!(hit, search.matches_w0(w0), "{name} reversed filter lane {l}");
             assert!(hit || l != plant, "{name}: the planted key's lane must pass the filter");
+        }
+
+        // Reversed-MD4 forward half: the register step 29 writes, on
+        // blocks whose lanes all differ, equals 30 scalar steps.
+        let lanes = random_blocks::<L>(rng, pad_md5_block);
+        let blocks = blocks_of(&lanes);
+        for (l, (got, b)) in hasher.md4_forward30_rows(&rows_of(&blocks)).iter().zip(&blocks).enumerate() {
+            let mut s = md4::IV;
+            for i in 0..md4_reverse::FORWARD_STEPS {
+                s = md4::step(i, s, b);
+            }
+            assert_eq!(*got, s[1], "{name} md4 forward30 lane {l}");
+        }
+
+        // And the NTLM search shape: lanes share words 1..16 of a random
+        // password and differ in its first two UTF-16 units; a planted
+        // lane passes, every lane agrees with the scalar `matches_w0`.
+        let len = rng.range(2, 20) as usize;
+        let password = rng.vec(len, |r| r.range(0x21, 0x7e) as u8);
+        let utf16: Vec<u8> = password.iter().flat_map(|&c| [c, 0]).collect();
+        let template = pad_md5_block(&utf16);
+        let search = Md4PrefixSearch::new(&md4::ntlm(&password), template);
+        let mut blocks = [template; L];
+        for b in blocks.iter_mut() {
+            b[0] = rng.u32();
+        }
+        let plant = rng.index(L);
+        if let (Some(block), Some(first)) = (blocks.get_mut(plant), utf16.first_chunk::<4>()) {
+            block[0] = u32::from_le_bytes(*first);
+        }
+        for (l, (&got, b)) in hasher.md4_forward30_rows(&rows_of(&blocks)).iter().zip(&blocks).enumerate() {
+            let hit = got == search.reference();
+            assert_eq!(hit, search.matches_w0(b[0]), "{name} reversed md4 filter lane {l}");
+            assert!(hit || l != plant, "{name}: the planted NTLM key's lane must pass the filter");
         }
     });
 }

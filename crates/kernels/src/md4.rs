@@ -5,7 +5,8 @@
 //! steps, so the target can be reverted through steps 47..=33 once and
 //! each candidate pays only 33 forward steps — or 30 with the early exit
 //! (the state component produced at step 29 is the first to stabilize in
-//! the step-32 comparison state).
+//! the step-32 comparison state). The host's NTLM searches run the same
+//! 30-step trace (`eks_hashes::md4_reverse`).
 
 // Indexing/slicing below is over fixed-size state arrays or lengths
 // established by construction; the workspace `clippy::indexing_slicing`
@@ -302,6 +303,23 @@ mod tests {
             s32 = step(i, s32, &block);
         }
         assert_eq!(s[1], s32[0], "early-exit identity");
+    }
+
+    #[test]
+    fn host_reversal_counts_and_compares_what_the_optimized_kernel_does() {
+        // The host's 30-step search and this §V model run the same trace:
+        // the same step count, and the kernel's one output — the register
+        // step 29 writes — equals the host's reversed reference for the
+        // password that hashes to the target.
+        use eks_hashes::md4_reverse::{FORWARD_STEPS, REVERSED_STEPS};
+        use eks_hashes::Md4PrefixSearch;
+        assert_eq!(Md4Variant::Optimized.steps(), FORWARD_STEPS);
+        assert_eq!(Md4Variant::Naive.steps() - Md4Variant::Reversed.steps(), REVERSED_STEPS);
+        for pw in [&b"pass"[..], b"Cat4", b"hunter2"] {
+            let built = build_md4(Md4Variant::Optimized, &ntlm_words_for_key_len(pw.len()));
+            let search = Md4PrefixSearch::new(&eks_hashes::ntlm(pw), ntlm_block(pw));
+            assert_eq!(eval(&built, pw), vec![search.reference()], "password {pw:?}");
+        }
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! The writer also tracks a *suffix epoch*, a version of block words
 //! 1..16: it never decreases, and two batches that report the same one
 //! start from the same suffix. A batch whose lanes all share that suffix
-//! (`uniform_suffix`) satisfies the precondition of the reversed-MD5
-//! search, so the consumer can run the 49-step path and only rebuild the
-//! reversed reference when the epoch moves.
+//! (`uniform_suffix`) satisfies the precondition of the reversed MD5 and
+//! MD4 searches, so the consumer can run the 49-step (or 30-step) path
+//! and only rebuild the reversed reference when the epoch moves.
 
 // Indexing/slicing below is over fixed-size state arrays or lengths
 // established by construction; the workspace `clippy::indexing_slicing`
@@ -128,7 +128,7 @@ pub struct BatchInfo {
     /// The suffix epoch the batch was generated under.
     pub epoch: u64,
     /// True when every candidate in the batch shares all block words
-    /// except `w[0]` — the precondition of the reversed-MD5 lane path.
+    /// except `w[0]` — the precondition of the reversed MD5/MD4 lane paths.
     pub uniform_suffix: bool,
 }
 

@@ -101,9 +101,15 @@ impl std::error::Error for MaskError {}
 
 /// A fixed-length candidate space with an independent choice per position.
 ///
-/// Enumeration is last-position-fastest (mixed radix, most significant
-/// position first), so same-mask candidates are ordered lexicographically
-/// by digit index.
+/// Enumeration is first-position-fastest (mixed radix, position 0 the
+/// least significant digit) — the paper's mapping (4), as
+/// [`Order::FirstCharFastest`](crate::Order) is for a
+/// [`KeySpace`](crate::KeySpace): consecutive candidates differ in the
+/// leading key bytes, which every layout packs into block word `w[0]`,
+/// the word MD5 and MD4 do not read in their last 15 steps — so a
+/// single-target search can reverse those steps once instead of hashing
+/// them per candidate. A literal prefix has no choice and is skipped:
+/// the first position *with* one steps fastest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaskSpace {
     slots: Vec<MaskSlot>,
@@ -172,7 +178,7 @@ impl MaskSpace {
         self.slots.is_empty()
     }
 
-    /// The candidate at `id` (mixed-radix decode, last position fastest).
+    /// The candidate at `id` (mixed-radix decode, first position fastest).
     ///
     /// # Panics
     /// Panics when `id >= size()`.
@@ -181,7 +187,7 @@ impl MaskSpace {
         let mut key = Key::empty();
         key.set_len(self.slots.len());
         let mut rest = id;
-        for (pos, slot) in self.slots.iter().enumerate().rev() {
+        for (pos, slot) in self.slots.iter().enumerate() {
             let card = slot.cardinality();
             key.set_byte(pos, slot.byte_at(rest % card));
             rest /= card;
@@ -195,19 +201,19 @@ impl MaskSpace {
             return None;
         }
         let mut id: u128 = 0;
-        for (slot, &byte) in self.slots.iter().zip(key.as_bytes()) {
+        for (slot, &byte) in self.slots.iter().zip(key.as_bytes()).rev() {
             id = id * slot.cardinality() + slot.digit_of(byte)?;
         }
         Some(id)
     }
 
     /// In-place successor (the mask space's `next` operator): increments
-    /// the last position, carrying leftward.
+    /// the first position, carrying rightward.
     ///
     /// # Panics
     /// Panics when the key is not a member of the space.
     pub fn advance_key(&self, key: &mut Key) {
-        for (pos, slot) in self.slots.iter().enumerate().rev() {
+        for (pos, slot) in self.slots.iter().enumerate() {
             let byte = key.as_bytes()[pos];
             let d = slot
                 .digit_of(byte)
@@ -256,16 +262,17 @@ impl BlockSpace for MaskSpace {
 ///
 /// A mask is a fixed-length mixed-radix counter, so the writer keeps one
 /// digit per position next to the current candidate's padded block and
-/// never goes back to bytes. The last positions with a choice — as many
+/// never goes back to bytes. The first positions with a choice — as many
 /// as share the fastest one's block word and fit a `StepTable` — step
 /// between two carries of the slower ones, and the table holds that
-/// word's value at every combination of them (`w[1]` = `?l?d` for
-/// `?u?l?l?d` under NTLM's UTF-16 layout, 260 entries): a batch copies
-/// the row out of it segment by segment and settles the slower digits
-/// once per period. Every other row holds one value in all lanes unless a
-/// carry inside the batch moved it, and is then rewritten from that lane
-/// on. No reverse charset look-up, no `key_at` after the first candidate,
-/// no heap.
+/// word's value at every combination of them (`w[0]` = `?u?l` for
+/// `?u?l?l?d` under NTLM's UTF-16 layout, 676 entries; `?u?l` in `w[0]`
+/// under MD5 and SHA-1 too, where `?u?l?l` would pass the cap): a batch
+/// copies the row out of it segment by segment and settles the slower
+/// digits once per period. Every other row holds one value in all lanes
+/// unless a carry inside the batch moved it, and is then rewritten from
+/// that lane on. No reverse charset look-up, no `key_at` after the first
+/// candidate, no heap.
 #[derive(Debug, Clone)]
 pub struct MaskBlocks<'a> {
     slots: &'a [MaskSlot],
@@ -275,11 +282,11 @@ pub struct MaskBlocks<'a> {
     digits: [u8; MAX_KEY_LEN],
     /// That candidate's padded block, but for the table positions' bytes.
     template: [u32; 16],
-    /// The stepping word over the last positions with a choice (the last
-    /// position when the mask is all literals); literals after them never
-    /// move.
+    /// The stepping word over the first positions with a choice (the
+    /// first position when the mask is all literals); literals before
+    /// them never move.
     table: StepTable,
-    /// The positions slower than the table's: `0..slow`.
+    /// The positions slower than the table's: `slow..`.
     slow: usize,
     next_id: u128,
     remaining: u128,
@@ -296,7 +303,7 @@ impl<'a> MaskBlocks<'a> {
         let mut digits = [0u8; MAX_KEY_LEN];
         let mut key = [0u8; MAX_KEY_LEN];
         let mut rest = if clamped.is_empty() { 0 } else { clamped.start };
-        for (pos, slot) in slots.iter().enumerate().rev() {
+        for (pos, slot) in slots.iter().enumerate() {
             let card = slot.cardinality();
             let digit = (rest % card) as usize;
             digits[pos] = digit as u8;
@@ -304,11 +311,11 @@ impl<'a> MaskBlocks<'a> {
             rest /= card;
         }
         let template = layout.pad(&key[..slots.len()]);
-        let fast = slots.iter().rposition(|s| s.cardinality() > 1).unwrap_or(slots.len() - 1);
+        let fast = slots.iter().position(|s| s.cardinality() > 1).unwrap_or(0);
         let mut table = StepTable::new();
         table.build(
             &template,
-            (0..=fast).rev().map(|pos| {
+            (fast..slots.len()).map(|pos| {
                 let (word, shift) = layout.key_byte_slot(pos);
                 (word, shift, slots[pos].symbols(), usize::from(digits[pos]))
             }),
@@ -318,7 +325,7 @@ impl<'a> MaskBlocks<'a> {
             layout,
             digits,
             template,
-            slow: fast + 1 - table.positions(),
+            slow: fast + table.positions(),
             table,
             next_id: clamped.start,
             remaining: clamped.len,
@@ -343,12 +350,12 @@ impl<'a> MaskBlocks<'a> {
     }
 
     /// The carry out of the table: its positions wrap to digit 0 and the
-    /// slower ones step, carrying leftward (wrapping past the last
+    /// slower ones step, carrying rightward (wrapping past the last
     /// candidate, which callers bound). Returns the template words
     /// written, one bit each.
     fn carry(&mut self) -> u16 {
         let mut written = 0;
-        for pos in (0..self.slow).rev() {
+        for pos in self.slow..self.slots.len() {
             let digit = usize::from(self.digits[pos]) + 1;
             if digit < self.slots[pos].symbols().len() {
                 written |= 1 << self.set_digit(pos, digit);
@@ -451,9 +458,23 @@ mod tests {
         let m = MaskSpace::parse("?u?d").unwrap();
         assert_eq!(m.key_at(0).as_bytes(), b"A0");
         assert_eq!(m.key_at(m.size() - 1).as_bytes(), b"Z9");
-        // Last position fastest.
-        assert_eq!(m.key_at(1).as_bytes(), b"A1");
-        assert_eq!(m.key_at(10).as_bytes(), b"B0");
+        // First position fastest.
+        assert_eq!(m.key_at(1).as_bytes(), b"B0");
+        assert_eq!(m.key_at(26).as_bytes(), b"A1");
+    }
+
+    #[test]
+    fn first_position_is_fastest() {
+        // A literal prefix has no choice: the first position with one
+        // steps, the next carries.
+        let m = MaskSpace::parse("ab?d?l").unwrap();
+        assert_eq!(m.key_at(0).as_bytes(), b"ab0a");
+        assert_eq!(m.key_at(1).as_bytes(), b"ab1a");
+        assert_eq!(m.key_at(10).as_bytes(), b"ab0b");
+        assert_eq!(m.id_of(&Key::from_bytes(b"ab0b")), Some(10));
+        let mut k = m.key_at(9);
+        m.advance_key(&mut k);
+        assert_eq!(k.as_bytes(), b"ab0b");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! hand out, lane by lane, the block padded from scratch from
 //! `generate(start_id + l)`. The table's edges — a period of exactly its
 //! 1 024-entry cap and one cardinality past it, periods shorter than a
-//! batch, literals after the stepping position — are drawn by the
-//! properties and pinned by `table_edges_equal_the_per_key_reference`.
+//! batch, literals before and after the stepping position — are drawn by
+//! the properties and pinned by `table_edges_equal_the_per_key_reference`.
 //!
 //! The batch is word-major ([`Rows`]) and the buffer remembers which of
 //! its rows hold one value in every lane, so every sweep here reuses one
@@ -382,10 +382,10 @@ fn check_both_writers<const L: usize, S: BlockSpace>(
 
 /// A mask of `len` positions: literals, one-symbol sets and sets of 2, 3,
 /// 10, 26, 32, 33 or 95 scrambled symbols, so the stepping position — the
-/// last one with a choice — lands in every block word a 20-byte key
-/// reaches, with literals after it or not, and its table stops short of,
-/// at, or one cardinality past the cap. Also returns where the mask
-/// carries: the products of its last cardinalities.
+/// first one with a choice — lands in every block word a 20-byte key
+/// reaches, with literals before it or not, and its table stops short
+/// of, at, or one cardinality past the cap. Also returns where the mask
+/// carries: the products of its first cardinalities.
 fn random_mask(rng: &mut Rng, len: usize) -> (MaskSpace, Vec<u128>) {
     loop {
         let slots: Vec<MaskSlot> = (0..len)
@@ -402,11 +402,12 @@ fn random_mask(rng: &mut Rng, len: usize) -> (MaskSpace, Vec<u128>) {
     }
 }
 
-/// The products of the last 1, 2, … cardinalities of a mask: the
-/// identifiers at whose multiples it carries, short of its size.
+/// The products of the first 1, 2, … cardinalities of a mask (position
+/// 0 is its fastest digit): the identifiers at whose multiples it
+/// carries, short of its size.
 fn carry_periods(slots: &[MaskSlot]) -> Vec<u128> {
     let mut periods = vec![1];
-    for slot in slots.iter().rev() {
+    for slot in slots {
         match periods.last().and_then(|p: &u128| p.checked_mul(slot.cardinality())) {
             Some(p) => periods.push(p),
             None => break,
@@ -432,26 +433,29 @@ fn mask_writer_equals_the_per_key_reference() {
 
 /// The table's edges on fixed spaces, under every layout and lane width:
 /// a period of exactly the 1 024-entry cap (two 32-symbol positions), one
-/// cardinality past it (33 × 32: the slower position shares the word but
+/// cardinality past it (32 × 33: the slower position shares the word but
 /// not the table, so `base` must move on a carry), a period shorter than
-/// a batch (`?l?l?l?l?d` under MD5: `?d` alone in `w[1]`, several carries
-/// per batch), literals after the stepping position inside and outside
-/// its word, and sets of 1, 2, 3 and 95 symbols; then key spaces of 32
-/// and 33 symbols, both orders, across growth and the first carries that
-/// move `base`.
+/// a batch (`xyz?d?l?l?l?l`: `?d` alone at the last byte of its word,
+/// several carries per batch), literals before and after the stepping
+/// position inside and outside its word, and sets of 1, 2, 3 and 95
+/// symbols; then key spaces of 32 and 33 symbols, both orders, across
+/// growth and the first carries that move `base`.
 #[test]
 fn table_edges_equal_the_per_key_reference() {
     let set = |n| MaskSlot::Set(charset(n));
     let lit = MaskSlot::Literal;
-    let masks: [Vec<MaskSlot>; 8] = [
-        vec![set(3), set(32), set(32)],
-        vec![set(2), set(33), set(32)],
-        vec![set(33), set(32)],
-        vec![set(26), set(26), set(26), set(26), set(10)],
+    let masks: [Vec<MaskSlot>; 11] = [
+        vec![set(32), set(32), set(3)],
+        vec![set(32), set(33), set(2)],
+        vec![set(32), set(33)],
+        vec![lit(b'x'), lit(b'y'), lit(b'z'), set(10), set(26), set(26), set(26), set(26)],
         vec![set(3), set(2), lit(b'x'), lit(b'y')],
+        vec![lit(b'y'), lit(b'x'), set(2), set(3)],
         vec![set(2), set(3), set(2), lit(b'x'), lit(b'y'), lit(b'z')],
-        vec![set(95), set(95), set(2)],
+        vec![lit(b'z'), lit(b'y'), lit(b'x'), set(2), set(3), set(2)],
+        vec![set(2), set(95), set(95)],
         vec![set(1), set(2), set(1), set(3), set(1)],
+        vec![set(1), set(3), set(1), set(2), set(1)],
     ];
     for layout in LAYOUTS {
         for slots in &masks {

@@ -95,6 +95,43 @@ fn parallel_steal_metrics_reconcile_exactly() {
     });
 }
 
+/// `eks_prefilter_{hits,misses}_total` of one run, summed.
+fn prefiltered_lanes(telemetry: &Telemetry) -> u128 {
+    let samples = parse_prometheus(&telemetry.render_prometheus()).expect("valid exposition");
+    samples
+        .iter()
+        .filter(|s| s.name == names::PREFILTER_HITS || s.name == names::PREFILTER_MISSES)
+        .map(|s| s.value as u128)
+        .sum()
+}
+
+/// The prefilter counters see every lane a batch tests, whichever branch
+/// tested it: a single target takes the reversed kernels (MD5's 49 steps,
+/// NTLM's 30) and several the forward hash and `prefilter_row`, so two
+/// one-thread exhaustive searches of the same space in the same chunks
+/// must report the same `hits + misses` — the lanes tested in batches.
+#[test]
+fn prefilter_counts_the_same_lanes_on_the_reversed_and_forward_paths() {
+    let space = KeySpace::new(Charset::lowercase(), 1, 3, Order::FirstCharFastest).unwrap();
+    let mask = MaskSpace::parse("?u?l?d").unwrap();
+    let config = ParallelConfig { chunk: 1_000, first_hit_only: false, ..ParallelConfig::for_threads(1) };
+    for algo in [HashAlgo::Md5, HashAlgo::Ntlm] {
+        let one = TargetSet::new(algo, &[algo.hash(b"cat")]);
+        let several = TargetSet::new(algo, &[algo.hash(b"cat"), algo.hash(b"Ab7"), algo.hash(b"zz")]);
+        let lanes = |run: &dyn Fn(&TargetSet, &Telemetry) -> ParallelReport, targets: &TargetSet| {
+            let telemetry = Telemetry::with_clock(Arc::new(ManualClock::new()));
+            let report = run(targets, &telemetry);
+            let lanes = prefiltered_lanes(&telemetry);
+            assert!(lanes > 0 && lanes <= report.tested, "{algo:?}: {lanes} of {}", report.tested);
+            lanes
+        };
+        let on_space = |t: &TargetSet, tel: &Telemetry| observed(&space, t, config, tel);
+        let on_mask = |t: &TargetSet, tel: &Telemetry| observed(&mask, t, config, tel);
+        assert_eq!(lanes(&on_space, &one), lanes(&on_space, &several), "{algo:?} key space");
+        assert_eq!(lanes(&on_mask, &one), lanes(&on_mask, &several), "{algo:?} mask");
+    }
+}
+
 /// The observability satellite: window deltas telescope. A flusher
 /// thread races the steal-mode workers, snapshotting the registry at
 /// arbitrary instants — mid-chunk, mid-steal, whenever the scheduler
