@@ -23,6 +23,23 @@ RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native cargo test -q --
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+# The step above lints only the root package; this one holds every member
+# crate's library and binaries to the workspace lint policy
+# (`indexing_slicing`, `undocumented_unsafe_blocks`, ...). Member test
+# targets are not linted yet.
+echo "==> cargo clippy --workspace --lib --bins -- -D warnings"
+cargo clippy --workspace --lib --bins -- -D warnings
+
+# `benchmark/` is its own workspace and names ~50 product items; every
+# product change must keep it compiling unedited.
+echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
+# Every `pub` item in crates/*/src has a caller outside its own file, or
+# a reason in the allowlist (and in DESIGN.md §3).
+echo "==> scripts/pub_surface.sh --check scripts/pub_surface.allow"
+scripts/pub_surface.sh --check scripts/pub_surface.allow
+
 echo "==> eks analyze --deny warnings"
 ./target/release/eks analyze --deny warnings
 

@@ -27,7 +27,7 @@ pub const DEFAULT_TOLERANCE: f64 = 0.12;
 /// table it comes from. `None` when the paper prints no column for the
 /// combination (the reversed-only variant has no exact table — Table V
 /// includes the early exit — and cc 3.5 postdates the measurements).
-pub fn md5_paper_budget(
+fn md5_paper_budget(
     variant: Md5Variant,
     cc: ComputeCapability,
 ) -> Option<(&'static str, PaperInstrCounts)> {
@@ -50,7 +50,7 @@ pub fn md5_paper_budget(
 /// Compare one compiled count column against its published budget,
 /// producing a deny-level diagnostic per class whose relative delta
 /// exceeds `tolerance`.
-pub fn budget_diagnostics(
+fn budget_diagnostics(
     table: &str,
     paper: &PaperInstrCounts,
     ours: &InstrCounts,
@@ -82,7 +82,7 @@ pub fn budget_diagnostics(
 
 /// Check one MD5 variant's compiled counts on one architecture.
 /// Returns an empty list when the paper has no budget for the pair.
-pub fn check_md5_budget(
+fn check_md5_budget(
     variant: Md5Variant,
     cc: ComputeCapability,
     tolerance: f64,
@@ -100,7 +100,7 @@ pub fn check_md5_budget(
 /// excluded: the paper counts 160 macro-expanded complements where the
 /// canonical RFC 1321 source has 48 (47 after the step-0 fold) — a
 /// documented presentation difference, not a kernel defect.
-pub fn check_md5_source_budget(tolerance: f64) -> Vec<Diagnostic> {
+fn check_md5_source_budget(tolerance: f64) -> Vec<Diagnostic> {
     let ours = our_md5_source_counts();
     let paper = PAPER_TABLE3_MD5_SOURCE;
     let mut out = Vec::new();

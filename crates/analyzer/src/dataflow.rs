@@ -39,16 +39,11 @@ impl DefUse {
         }
         du
     }
-
-    /// The operations reading `r` (empty slice if never read).
-    pub fn uses_of(&self, r: Reg) -> &[usize] {
-        self.uses.get(&r).map(Vec::as_slice).unwrap_or(&[])
-    }
 }
 
 /// Registers read before any operation defines them — in abstract IR
 /// every input arrives through `LoadParam`, so any such read is a bug.
-pub fn use_before_def(ir: &KernelIr) -> Vec<(Reg, usize)> {
+fn use_before_def(ir: &KernelIr) -> Vec<(Reg, usize)> {
     let mut defined: HashSet<Reg> = HashSet::new();
     let mut bad = Vec::new();
     for (i, op) in ir.ops.iter().enumerate() {
@@ -68,7 +63,7 @@ pub fn use_before_def(ir: &KernelIr) -> Vec<(Reg, usize)> {
 /// `roots` are the registers the kernel's comparison reads (the
 /// `BuiltKernel::outputs`); everything feeding them stays, the rest is a
 /// dead store.
-pub fn dead_stores(ir: &KernelIr, roots: &[Reg]) -> Vec<usize> {
+fn dead_stores(ir: &KernelIr, roots: &[Reg]) -> Vec<usize> {
     let mut live: HashSet<Reg> = roots.iter().copied().collect();
     let mut dead = Vec::new();
     for (i, op) in ir.ops.iter().enumerate().rev() {
@@ -105,7 +100,7 @@ pub fn eliminate_dead_stores(ir: &KernelIr, roots: &[Reg]) -> KernelIr {
 /// Indices of non-load operations whose inputs are all compile-time
 /// constants: a compiler folds them, so their presence means the builder
 /// emitted avoidable runtime work.
-pub fn const_foldable(ir: &KernelIr) -> Vec<usize> {
+fn const_foldable(ir: &KernelIr) -> Vec<usize> {
     let mut konst: HashSet<Reg> = HashSet::new();
     let mut foldable = Vec::new();
     for (i, op) in ir.ops.iter().enumerate() {
@@ -177,8 +172,8 @@ mod tests {
         let ir = b.build();
         let du = DefUse::of(&ir);
         assert_eq!(du.defs[&x], 0);
-        assert_eq!(du.uses_of(x), &[1, 2]);
-        assert_eq!(du.uses_of(y), &[2]);
+        assert_eq!(du.uses[&x], [1, 2]);
+        assert_eq!(du.uses[&y], [2]);
     }
 
     #[test]

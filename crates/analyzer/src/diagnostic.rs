@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use eks_telemetry::json_string;
+
 /// Version of the JSON report schema emitted by [`Report::to_json`].
 ///
 /// Bump this whenever the field layout changes shape (adding,
@@ -231,8 +233,8 @@ impl Report {
             out,
             "{{\"schema\":{},\"kernel\":{},\"cc\":{},\"warnings\":{},\"errors\":{},\"diagnostics\":[",
             SCHEMA_VERSION,
-            json_str(&self.kernel),
-            json_str(&self.cc),
+            json_string(&self.kernel),
+            json_string(&self.cc),
             self.warnings(),
             self.denials()
         )
@@ -244,39 +246,17 @@ impl Report {
             write!(
                 out,
                 "{{\"lint\":{},\"severity\":{},\"span\":{{\"start\":{},\"len\":{}}},\"message\":{}}}",
-                json_str(d.lint.name()),
-                json_str(d.severity.name()),
+                json_string(d.lint.name()),
+                json_string(d.severity.name()),
                 d.span.start,
                 d.span.len,
-                json_str(&d.message)
+                json_string(&d.message)
             )
             .expect("write to string");
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Escape a string as a JSON string literal (shared by every hand-rolled
-/// JSON emitter in the workspace — there is no serde).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

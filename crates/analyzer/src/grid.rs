@@ -336,7 +336,7 @@ impl BoundsPass<'_> {
 
 /// Value-range bounds pass: prove every load/store in bounds for all
 /// grid shapes.
-pub fn check_bounds(kernel: &GridKernel) -> Vec<Diagnostic> {
+fn check_bounds(kernel: &GridKernel) -> Vec<Diagnostic> {
     let mut pass = BoundsPass { kernel, report: Vec::new() };
     let mut env = vec![None; kernel.regs as usize];
     pass.walk(&kernel.body, &mut env, &[], &mut 0);
@@ -412,7 +412,7 @@ fn must_defined_walk(
 
 /// Must-defined dataflow pass: reject reads of registers that some path
 /// reaches without a definition.
-pub fn check_must_defined(kernel: &GridKernel) -> Vec<Diagnostic> {
+fn check_must_defined(kernel: &GridKernel) -> Vec<Diagnostic> {
     let mut report = Vec::new();
     let mut defined = vec![false; kernel.regs as usize];
     must_defined_walk(&kernel.body, &mut defined, &mut 0, &mut report);
@@ -482,7 +482,7 @@ fn divergence_walk(
 
 /// Barrier-divergence lint: reject block barriers under thread-varying
 /// guards.
-pub fn check_divergence(kernel: &GridKernel) -> Vec<Diagnostic> {
+fn check_divergence(kernel: &GridKernel) -> Vec<Diagnostic> {
     let mut report = Vec::new();
     let mut varying = vec![false; kernel.regs as usize];
     divergence_walk(&kernel.body, &mut varying, 0, &mut 0, &mut report);

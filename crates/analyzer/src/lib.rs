@@ -34,10 +34,10 @@ pub mod grid;
 pub mod peephole;
 pub mod pressure;
 
-pub use budget::{check_md5_budget, md5_budget_report, DEFAULT_TOLERANCE};
+pub use budget::{md5_budget_report, DEFAULT_TOLERANCE};
 pub use dataflow::{check_ir, eliminate_dead_stores, DefUse};
 pub use diagnostic::{Diagnostic, Lint, Report, Severity, Span, SCHEMA_VERSION};
-pub use grid::{analyze_grid, check_bounds, check_divergence, check_must_defined};
+pub use grid::analyze_grid;
 pub use peephole::check_compiled;
 pub use pressure::check_pressure;
 

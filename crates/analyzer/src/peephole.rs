@@ -32,7 +32,7 @@ pub struct RotateSeq {
 
 /// Recognize rotate-emulation sequences: `SHL t,r,n ; IMAD.HI d,r,t`
 /// (cc ≥ 2.0) and `SHL t1,r,n ; SHR t2,r,32-n ; IADD d,t1,t2` (cc 1.x).
-pub fn rotate_sequences(instrs: &[MachineInstr]) -> Vec<RotateSeq> {
+fn rotate_sequences(instrs: &[MachineInstr]) -> Vec<RotateSeq> {
     // Def index per register (streams are single-assignment after
     // lowering, where every temporary is fresh).
     let def = |reg, before: usize| -> Option<usize> {

@@ -10,7 +10,7 @@ use eks_gpusim::arch::ComputeCapability;
 use eks_gpusim::codegen::{lower, LoweringOptions};
 use eks_gpusim::isa::{KernelIr, Reg};
 use eks_kernels::baseline::{Tool, ToolKernel};
-use eks_kernels::host::HashAlgo;
+use eks_kernels::HashAlgo;
 use eks_kernels::md4::{build_md4, ntlm_words_for_key_len, Md4Variant};
 use eks_kernels::md5::{build_md5, Md5Variant};
 use eks_kernels::sha1::{build_sha1, sha1_words_for_key_len, Sha1Variant};

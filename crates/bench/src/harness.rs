@@ -132,9 +132,10 @@ fn time_routine_with_setup<S, T>(
     median(samples)
 }
 
+/// The middle sample (the upper one of an even count); zero for none.
 fn median(mut samples: Vec<Duration>) -> Duration {
     samples.sort();
-    samples[samples.len() / 2]
+    samples.get(samples.len() / 2).copied().unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -61,11 +61,10 @@ pub const TABLE9: [Table9Row; 2] = [
 ];
 
 pub mod harness;
-pub mod workload;
 
 /// Virtual cost of one steal (lock the largest victim, halve it,
 /// install the half) — a generous bound for an uncontended mutex pair.
-pub const STEAL_NS: u64 = 2_000;
+const STEAL_NS: u64 = 2_000;
 
 /// One turn of a worker in a virtual-core schedule (the drivers that
 /// advance per-worker virtual clocks over real-timed chunk scans): pop

@@ -71,18 +71,6 @@ impl Args {
     pub fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
-
-    /// Flags that were provided but are not in the allowed set.
-    /// (Available for stricter front-ends; the built-in commands accept
-    /// and ignore extras.)
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn unknown_flags(&self, allowed: &[&str]) -> Vec<String> {
-        self.flags
-            .keys()
-            .filter(|k| !allowed.contains(&k.as_str()))
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -114,12 +102,6 @@ mod tests {
     fn invalid_numbers_error() {
         let a = parse(&["--threads", "lots"]);
         assert!(a.get_parse_or::<usize>("threads", 1).is_err());
-    }
-
-    #[test]
-    fn unknown_flags_detected() {
-        let a = parse(&["--algo", "md5", "--tpyo", "x"]);
-        assert_eq!(a.unknown_flags(&["algo"]), vec!["tpyo".to_string()]);
     }
 
     #[test]

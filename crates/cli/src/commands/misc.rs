@@ -26,7 +26,7 @@ pub(super) fn cmd_mine(args: &Args) -> Result<(), String> {
     let job = MiningJob { header, difficulty_bits: difficulty };
     println!("mining: {difficulty} leading zero bits, {threads} threads");
     let start = std::time::Instant::now();
-    match mine(&job, 0..u32::MAX as u64, threads) {
+    match mine(&job, 0..1 << 32, threads) {
         Some(r) => {
             println!(
                 "nonce {} after {} tests in {:.3} s",

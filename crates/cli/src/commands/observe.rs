@@ -68,8 +68,8 @@ fn render_frame(addr: &str, metrics: &str, jobs: &str) -> Result<String, String>
     if !rows.is_empty() {
         let _ = writeln!(
             out,
-            "  {:<28}{:>12}{:>12}{:>14}  {}",
-            "worker", "est MK/s", "tuned MK/s", "tested", "status"
+            "  {:<28}{:>12}{:>12}{:>14}  status",
+            "worker", "est MK/s", "tuned MK/s", "tested"
         );
         for (worker, row) in &rows {
             let fmt_rate = |r: Option<f64>| match r {

@@ -24,7 +24,7 @@ fn sched_check_json(
     intervals: u128,
     out: &eks_verify::CheckOutcome,
 ) -> String {
-    use eks_analyzer::diagnostic::json_str;
+    use eks_telemetry::json_string;
     use std::fmt::Write as _;
     let mut s = String::new();
     write!(
@@ -32,7 +32,7 @@ fn sched_check_json(
         "{{\"schema\":{},\"check\":{},\"workers\":{workers},\"intervals\":{intervals},\
          \"states\":{},\"transitions\":{},\"deepest\":{},\"truncated\":{},\"violations\":{}",
         eks_analyzer::SCHEMA_VERSION,
-        json_str(name),
+        json_string(name),
         out.states,
         out.transitions,
         out.deepest,
@@ -46,15 +46,15 @@ fn sched_check_json(
             write!(
                 s,
                 ",\"violation\":{{\"property\":{},\"message\":{},\"trace\":[",
-                json_str(v.property.name()),
-                json_str(&v.message)
+                json_string(v.property.name()),
+                json_string(&v.message)
             )
             .expect("write to string");
             for (i, step) in v.trace.iter().enumerate() {
                 if i > 0 {
                     s.push(',');
                 }
-                s.push_str(&json_str(&format!("{} {}", step.action, step.state)));
+                s.push_str(&json_string(&format!("{} {}", step.action, step.state)));
             }
             s.push_str("]}}");
         }

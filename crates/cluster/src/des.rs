@@ -200,31 +200,6 @@ pub fn simulate_search(
     }
 }
 
-/// Time until the master *stops* a search whose key sits at
-/// `hit_fraction` of the interval — why dispatch happens in rounds at all.
-///
-/// Workers only report at gather points, so the master cannot cancel
-/// in-flight work: with `R` rounds, a hit inside round `k` still costs the
-/// full round, plus one gather hop. More rounds mean earlier cancellation
-/// but more per-round overhead — the trade-off the paper's "collect
-/// periodically ... to eventually terminate the search" implies.
-pub fn time_to_first_hit(
-    root: &ClusterNode,
-    tool: Tool,
-    algo: HashAlgo,
-    total_keys: f64,
-    params: SimParams,
-    hit_fraction: f64,
-) -> f64 {
-    assert!((0.0..=1.0).contains(&hit_fraction));
-    let full = simulate_search(root, tool, algo, total_keys, params);
-    let per_round = full.makespan_s / params.rounds as f64;
-    // The hit is found inside round ceil(hit_fraction x R); the master
-    // learns about it at that round's gather.
-    let hit_round = (hit_fraction * params.rounds as f64).ceil().max(1.0);
-    hit_round * per_round + params.link_latency_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,40 +278,6 @@ mod tests {
     fn device_count_matches_network() {
         let r = run(1e9, SimParams::default());
         assert_eq!(r.device_busy.len(), 5);
-    }
-
-    #[test]
-    fn more_rounds_find_early_keys_sooner() {
-        let net = paper_network(2e-3);
-        let few = SimParams { rounds: 2, ..SimParams::default() };
-        let many = SimParams { rounds: 50, ..SimParams::default() };
-        let t_few = time_to_first_hit(&net, Tool::OurApproach, HashAlgo::Md5, 1e12, few, 0.1);
-        let t_many = time_to_first_hit(&net, Tool::OurApproach, HashAlgo::Md5, 1e12, many, 0.1);
-        assert!(
-            t_many < t_few * 0.5,
-            "50 rounds should stop much earlier: {t_many} vs {t_few}"
-        );
-    }
-
-    #[test]
-    fn late_hits_cost_the_whole_search() {
-        let net = paper_network(2e-3);
-        let p = SimParams::default();
-        let full = simulate_search(&net, Tool::OurApproach, HashAlgo::Md5, 1e12, p).makespan_s;
-        let t = time_to_first_hit(&net, Tool::OurApproach, HashAlgo::Md5, 1e12, p, 1.0);
-        assert!((t - full).abs() / full < 0.01, "hit at the end = full sweep");
-    }
-
-    #[test]
-    fn hit_time_monotone_in_position() {
-        let net = paper_network(2e-3);
-        let p = SimParams::default();
-        let mut prev = 0.0;
-        for f in [0.05, 0.25, 0.5, 0.75, 1.0] {
-            let t = time_to_first_hit(&net, Tool::OurApproach, HashAlgo::Md5, 1e12, p, f);
-            assert!(t >= prev, "fraction {f}");
-            prev = t;
-        }
     }
 
     #[test]

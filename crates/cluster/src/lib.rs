@@ -17,11 +17,6 @@
 //!   [`run_cluster`] cracks keys over it in one round loop — static
 //!   scatter is one round, bounded rounds and join/leave events
 //!   ([`FleetEvent`]) are the same loop run longer;
-//! * [`dynamic`] — the virtual-time membership model ([`run_dynamic`]):
-//!   declared rates, no keys scanned;
-//! * [`multijob`] — the same planned fleet serving a whole *spool* of
-//!   jobs, with the driver's join/leave events applied between
-//!   fair-share rounds;
 //! * [`fault`] — the minimum fault-tolerance model the paper sketches:
 //!   detect a dead subtree, requeue its outstanding interval, repartition
 //!   over the survivors.
@@ -38,10 +33,8 @@
 //! ```
 
 pub mod des;
-pub mod dynamic;
 pub mod fault;
 pub mod model;
-pub mod multijob;
 pub mod runtime;
 pub mod simgpu;
 pub mod spec;
@@ -49,11 +42,9 @@ pub mod strength;
 pub mod topology;
 pub mod tuning;
 
-pub use des::{simulate_search, time_to_first_hit, NetworkReport, SimParams};
-pub use dynamic::{run_dynamic, DynamicConfig, DynamicReport, MembershipEvent, ScheduledEvent};
+pub use des::{simulate_search, NetworkReport, SimParams};
 pub use fault::{simulate_search_with_failure, FailureEvent, FailureReport};
-pub use model::{calibrate, fit_model, FittedModel};
-pub use multijob::{run_dynamic_jobs, MultiJobReport};
+pub use model::{calibrate, FittedModel};
 pub use runtime::{
     plan_fleet, run_cluster, run_cluster_search, ClusterOptions, ClusterSearchResult, FleetEvent,
     ScheduledFleetEvent,

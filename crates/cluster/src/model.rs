@@ -56,7 +56,7 @@ impl FittedModel {
 ///
 /// Returns `None` with fewer than two distinct sizes or a non-positive
 /// fitted slope (which would mean a meaningless negative rate).
-pub fn fit_model(samples: &[(f64, f64)]) -> Option<FittedModel> {
+fn fit_model(samples: &[(f64, f64)]) -> Option<FittedModel> {
     if samples.len() < 2 {
         return None;
     }

@@ -206,7 +206,7 @@ fn push_members(
 /// Apply (and remove) the events scheduled before `round`, tracing each
 /// join and leave. A leave of an absent label, or one that would empty
 /// the fleet, is refused. Returns whether the membership changed.
-pub(crate) fn apply_events(
+fn apply_events(
     fleet: &mut Fleet,
     events: &mut Vec<ScheduledFleetEvent>,
     round: u64,
@@ -458,6 +458,23 @@ mod tests {
         assert_eq!(r.tested, s.size());
         assert_eq!(r.per_device[1], ("b".to_string(), 60_000), "two 30k half-rounds");
         assert_eq!(r.rebalances, 1);
+    }
+
+    #[test]
+    fn a_leave_that_would_empty_the_fleet_is_refused() {
+        let telemetry = Telemetry::disabled();
+        let net = ClusterNode::device_node("A", vec![Device::geforce_gtx_660()], 1e-3);
+        let mut fleet = plan_fleet(&net, HashAlgo::Md5, &telemetry);
+        assert_eq!(fleet.len(), 1);
+        let label = fleet.labels()[0].to_string();
+        assert!(!fleet.leave(&label), "last member must stay");
+        assert_eq!(fleet.len(), 1);
+        // Nor may the threads of the only worker all leave at once.
+        let net = ClusterNode::device_node("A", vec![], 1e-3).with_cpu("cpu0", 2);
+        let mut fleet = plan_fleet(&net, HashAlgo::Md5, &telemetry);
+        let label = fleet.labels()[0].to_string();
+        assert!(!fleet.leave(&label), "the only worker must stay");
+        assert_eq!(fleet.len(), 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl ClusterNode {
     }
 
     /// Attach a child subtree.
-    pub fn with_child(mut self, child: ClusterNode) -> Self {
+    fn with_child(mut self, child: ClusterNode) -> Self {
         self.children.push(child);
         self
     }

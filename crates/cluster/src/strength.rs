@@ -88,7 +88,7 @@ pub fn estimate_against_cluster(
 }
 
 /// Estimate at an explicit throughput (MKey/s).
-pub fn estimate_at_rate(
+fn estimate_at_rate(
     password: &Key,
     space: &KeySpace,
     mkeys: f64,

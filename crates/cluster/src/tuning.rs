@@ -52,10 +52,10 @@ impl Tuning {
 
 /// Per-launch fixed overhead used to derive `n_j` (driver + grid ramp-up,
 /// a fraction of a millisecond on the paper's LAN-attached boxes).
-pub const LAUNCH_OVERHEAD_MS: f64 = 0.2;
+const LAUNCH_OVERHEAD_MS: f64 = 0.2;
 
 /// Target efficiency the tuning step aims for when sizing `n_j`.
-pub const TARGET_EFFICIENCY: f64 = 0.99;
+const TARGET_EFFICIENCY: f64 = 0.99;
 
 /// Tune a device for a tool and hash algorithm.
 pub fn tune_device(device: &Device, tool: Tool, algo: HashAlgo, model: AchievedModel) -> Tuning {
@@ -162,16 +162,6 @@ pub fn tune_cpu(worker: &crate::spec::CpuWorker, algo: HashAlgo) -> Tuning {
     let mkeys = measure_cpu_mkeys(worker.threads, algo);
     let min_batch = min_keys_for_efficiency(TARGET_EFFICIENCY, mkeys, LAUNCH_OVERHEAD_MS / 10.0);
     Tuning { theoretical_mkeys: mkeys, achieved_mkeys: mkeys, min_batch }
-}
-
-/// Convenience: tune every device of a list (used by benches and the DES).
-pub fn tune_devices(
-    devices: &[Device],
-    tool: Tool,
-    algo: HashAlgo,
-    model: AchievedModel,
-) -> Vec<Tuning> {
-    devices.iter().map(|d| tune_device(d, tool, algo, model)).collect()
 }
 
 #[cfg(test)]

@@ -76,11 +76,6 @@ impl CostModel {
         Efficiency::from_ratio(self.k_c, self.k_next + self.k_c)
     }
 
-    /// Whether incremental enumeration beats regeneration for `n`
-    /// candidates, i.e. `K_next < K_f` pays off.
-    pub fn incremental_wins(&self, n: u64) -> bool {
-        self.k_search_incremental(n) < self.k_search_regenerating(n)
-    }
 }
 
 /// Fraction in `[0, 1]` with a few convenience accessors.
@@ -90,7 +85,7 @@ pub struct Efficiency(f64);
 impl Efficiency {
     /// Build from a ratio, clamping to `[0, 1]`; `0/0` maps to 1 (an empty
     /// search wastes nothing).
-    pub fn from_ratio(useful: f64, total: f64) -> Self {
+    fn from_ratio(useful: f64, total: f64) -> Self {
         if total <= 0.0 {
             return Self(1.0);
         }
@@ -240,14 +235,6 @@ mod tests {
         let asymptote = m.asymptotic_efficiency().fraction();
         assert!((e_large - asymptote).abs() < 1e-3);
         assert!((asymptote - 5.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn incremental_wins_iff_next_cheaper_over_horizon() {
-        let cheap_next = CostModel::new(10.0, 1.0, 5.0);
-        assert!(cheap_next.incremental_wins(100));
-        let expensive_next = CostModel::new(1.0, 50.0, 5.0);
-        assert!(!expensive_next.incremental_wins(100));
     }
 
     #[test]

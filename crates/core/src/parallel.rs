@@ -44,6 +44,12 @@ pub struct ParallelOutcome<E> {
 
 /// Search `[start, start + len)` of `space` with `driver.threads` workers.
 ///
+/// Under `first_hit_only` the first of the returned hits is the lowest
+/// accepted identifier of the interval, whatever the thread count: chunks
+/// are handed out in identifier order, a stop only keeps threads from
+/// taking new chunks, and every chunk handed out is scanned in order to
+/// its end or its own first hit.
+///
 /// Generic over the space and the test; the only requirements are the
 /// pattern's own (`Sync` access to both, identifiers that fit the chunked
 /// cursor).

@@ -85,23 +85,6 @@ pub fn balance_workloads(rates: &[NodeRate]) -> WorkAssignment {
     WorkAssignment { sizes, n_max }
 }
 
-/// Scale a balanced assignment so that one dispatch round covers at least
-/// `min_round` candidates; the paper notes `N_node` may be "arbitrarily
-/// increased to minimize the overhead caused by the dispatch and merge
-/// steps". Ratios between nodes are preserved.
-pub fn scale_to_round_total(assignment: &WorkAssignment, min_round: u128) -> WorkAssignment {
-    let total = assignment.round_total();
-    if total == 0 || total >= min_round {
-        return assignment.clone();
-    }
-    // Integer ceiling multiplier keeps proportions exact.
-    let k = min_round.div_ceil(total);
-    WorkAssignment {
-        sizes: assignment.sizes.iter().map(|s| s * k).collect(),
-        n_max: assignment.n_max * k,
-    }
-}
-
 /// A contiguous split of the identifier range `[start, start + total)` into
 /// per-node intervals with the given sizes, truncated to the available
 /// candidates. Used by dispatchers to turn an assignment into concrete
@@ -146,20 +129,6 @@ impl Partition {
         self.intervals.iter().map(|&(_, len)| len).sum()
     }
 
-    /// True if intervals are consecutive, non-overlapping and gap-free.
-    pub fn is_contiguous(&self) -> bool {
-        let mut cursor = match self.intervals.first() {
-            Some(&(s, _)) => s,
-            None => return true,
-        };
-        for &(start, len) in &self.intervals {
-            if start != cursor {
-                return false;
-            }
-            cursor += len;
-        }
-        true
-    }
 }
 
 /// Predicted makespan (time for the slowest node to finish) of an
@@ -234,28 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn scaling_preserves_ratios() {
-        let a = balance_workloads(&rates());
-        let scaled = scale_to_round_total(&a, 10_000);
-        assert!(scaled.round_total() >= 10_000);
-        assert_eq!(
-            scaled.sizes[0] * a.sizes[1],
-            scaled.sizes[1] * a.sizes[0],
-            "ratios preserved"
-        );
-    }
-
-    #[test]
-    fn scaling_noop_when_already_large() {
-        let a = balance_workloads(&rates());
-        let scaled = scale_to_round_total(&a, 10);
-        assert_eq!(scaled, a);
-    }
-
-    #[test]
     fn carve_is_contiguous_and_covers_total() {
         let p = Partition::carve(1000, 950, &[500, 300, 400]);
-        assert!(p.is_contiguous());
         assert_eq!(p.covered(), 950);
         assert_eq!(p.intervals, vec![(1000, 500), (1500, 300), (1800, 150)]);
     }
@@ -264,7 +213,6 @@ mod tests {
     fn carve_extends_last_interval_for_remainder() {
         let p = Partition::carve(0, 100, &[10, 10]);
         assert_eq!(p.intervals, vec![(0, 10), (10, 90)]);
-        assert!(p.is_contiguous());
         assert_eq!(p.covered(), 100);
     }
 

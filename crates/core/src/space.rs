@@ -61,49 +61,6 @@ where
     }
 }
 
-/// The optional merge step run by the master after gathering results.
-///
-/// It is mandatory for problems where `C` returning 1 is necessary but not
-/// sufficient (the paper's example: each node returns its local minimum and
-/// the master keeps the global one).
-pub trait Merge<R> {
-    /// Combined result type.
-    type Merged;
-
-    /// Fold the per-node results into the final answer.
-    fn merge(&self, partials: Vec<R>) -> Self::Merged;
-}
-
-/// Merge policy that keeps the first (lowest identifier) hit, matching the
-/// semantics of "find any preimage".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FirstHit;
-
-impl<R> Merge<Option<(u128, R)>> for FirstHit {
-    type Merged = Option<(u128, R)>;
-
-    fn merge(&self, partials: Vec<Option<(u128, R)>>) -> Self::Merged {
-        partials
-            .into_iter()
-            .flatten()
-            .min_by_key(|(id, _)| *id)
-    }
-}
-
-/// Merge policy that collects every hit, for multi-target audits.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllHits;
-
-impl<R> Merge<Vec<(u128, R)>> for AllHits {
-    type Merged = Vec<(u128, R)>;
-
-    fn merge(&self, partials: Vec<Vec<(u128, R)>>) -> Self::Merged {
-        let mut all: Vec<(u128, R)> = partials.into_iter().flatten().collect();
-        all.sort_by_key(|(id, _)| *id);
-        all
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,26 +102,5 @@ mod tests {
         let test = |_id: u128, c: &u128| (*c == target).then_some("found");
         assert_eq!(test.test(7, &7), Some("found"));
         assert_eq!(test.test(3, &3), None);
-    }
-
-    #[test]
-    fn first_hit_keeps_lowest_id() {
-        let merge = FirstHit;
-        let merged = merge.merge(vec![None, Some((9u128, 'b')), Some((4, 'a'))]);
-        assert_eq!(merged, Some((4, 'a')));
-    }
-
-    #[test]
-    fn first_hit_empty_is_none() {
-        let merge = FirstHit;
-        let merged: Option<(u128, char)> = merge.merge(vec![None, None]);
-        assert_eq!(merged, None);
-    }
-
-    #[test]
-    fn all_hits_sorts_by_id() {
-        let merge = AllHits;
-        let merged = merge.merge(vec![vec![(5u128, 'x')], vec![(2, 'y'), (8, 'z')]]);
-        assert_eq!(merged, vec![(2, 'y'), (5, 'x'), (8, 'z')]);
     }
 }

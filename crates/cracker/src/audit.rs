@@ -11,10 +11,10 @@
 use std::time::Instant;
 
 use eks_engine::Checkpoint;
-use eks_hashes::{to_hex, HashAlgo};
+use eks_hashes::HashAlgo;
 use eks_keyspace::{Key, KeySpace};
 
-use crate::engine::crack_interval;
+use crate::search::crack_interval;
 use crate::target::TargetSet;
 
 /// One entry of the audited table.
@@ -53,7 +53,7 @@ pub struct AuditReport {
 
 impl AuditReport {
     /// Fraction of accounts cracked.
-    pub fn crack_rate(&self) -> f64 {
+    fn crack_rate(&self) -> f64 {
         let total = self.findings.len() + self.survivors.len();
         if total == 0 {
             return 0.0;
@@ -127,16 +127,6 @@ impl AuditSession {
         })
     }
 
-    /// Set the candidates scanned between checkpoint persists.
-    ///
-    /// # Panics
-    /// Panics when `chunk == 0`.
-    pub fn with_chunk(mut self, chunk: u128) -> Self {
-        assert!(chunk > 0);
-        self.chunk = chunk;
-        self
-    }
-
     /// Current checkpoint, serializable between chunks.
     pub fn checkpoint(&self) -> &Checkpoint {
         &self.checkpoint
@@ -208,15 +198,6 @@ impl AuditSession {
         self.entries.iter().map(|e| e.account.as_str())
     }
 
-    /// Pretty-print an entry table (account, digest hex).
-    pub fn render_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for e in &self.entries {
-            writeln!(out, "{:<16} {}", e.account, to_hex(&e.digest)).expect("write to string");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +253,8 @@ mod tests {
         let s = space();
         // Both targets are very early keys.
         let table = entries(&[("a", b"a"), ("b", b"b")]);
-        let mut session = AuditSession::new(HashAlgo::Md5, table, &s).with_chunk(512);
+        let mut session = AuditSession::new(HashAlgo::Md5, table, &s);
+        session.chunk = 512;
         let report = session.run(&s, |_| {});
         assert_eq!(report.survivors.len(), 0);
         assert!(report.tested < s.size(), "tested {} of {}", report.tested, s.size());
@@ -283,7 +265,8 @@ mod tests {
         let s = space();
         let table = entries(&[("alice", b"cab"), ("bob", b"zzz")]);
         // Full run as the reference.
-        let mut full = AuditSession::new(HashAlgo::Md5, table.clone(), &s).with_chunk(2000);
+        let mut full = AuditSession::new(HashAlgo::Md5, table.clone(), &s);
+        full.chunk = 2000;
         let reference = full.run(&s, |_| {});
         // Interrupted run: scan one 2000-key chunk manually, persist, drop.
         let mut first = AuditSession::new(HashAlgo::Md5, table.clone(), &s);
@@ -306,9 +289,8 @@ mod tests {
         first.checkpoint.complete(work);
         let saved = first.checkpoint.serialize();
         // Resume from the save and finish.
-        let mut resumed = AuditSession::resume(HashAlgo::Md5, table, &saved)
-            .unwrap()
-            .with_chunk(2000);
+        let mut resumed = AuditSession::resume(HashAlgo::Md5, table, &saved).unwrap();
+        resumed.chunk = 2000;
         let rest = resumed.run(&s, |_| {});
         accounts.extend(rest.findings.iter().map(|f| f.account.clone()));
         accounts.sort();
@@ -323,7 +305,6 @@ mod tests {
         let s = space();
         let table = entries(&[("alice", b"me")]);
         let mut session = AuditSession::new(HashAlgo::Md5, table, &s);
-        assert!(session.render_table().contains("alice"));
         let report = session.run(&s, |_| {});
         let text = report.render();
         assert!(text.contains("CRACKED"));

@@ -3,7 +3,7 @@
 //! searched by the same backend value as a brute-force range.
 //!
 //! * [`ScalarBackend`] — the one-candidate-at-a-time reference path
-//!   ([`crate::engine::crack_interval`]), over any space of keys;
+//!   ([`crate::search::crack_interval`]), over any space of keys;
 //! * [`CpuBackend`] — the lane-batched path
 //!   ([`crate::batch::crack_interval_batched`]), the CPU stand-in for a
 //!   warp of GPU threads and what every CPU worker runs, over any
@@ -32,7 +32,7 @@ use eks_keyspace::{BlockSpace, Charset, Interval, Key, KeySpace, Order, Solution
 use eks_telemetry::Telemetry;
 
 use crate::batch::{crack_interval_batched, needs_scalar_fallback, Kernel, Lanes};
-use crate::engine::crack_interval;
+use crate::search::crack_interval;
 use crate::target::TargetSet;
 
 /// The scalar reference backend.

@@ -1,7 +1,7 @@
 //! Lane-batched interval scanning: the CPU mirror of the paper's
 //! one-thread-per-candidate GPU kernels.
 //!
-//! Where the scalar engine ([`crate::engine::crack_interval`]) tests one
+//! Where the scalar engine ([`crate::search::crack_interval`]) tests one
 //! candidate at a time (generate, hash, compare — with a heap-allocated
 //! digest per test), this module tests `L` candidates in lockstep, exactly as `L` threads of a
 //! warp would: the space's block writer puts `L` consecutive candidates'
@@ -70,8 +70,8 @@ use eks_keyspace::{BlockLayout, BlockSource, BlockSpace, Interval, Key, Rows};
 use eks_telemetry::{names, Counter, Histogram, Telemetry};
 
 #[cfg(test)]
-use crate::engine::POLL_CHUNK;
-use crate::engine::{crack_interval, CrackOutcome};
+use eks_engine::POLL_CHUNK;
+use crate::search::{crack_interval, CrackOutcome};
 use crate::target::TargetSet;
 
 /// Lane width of the *portable* batched test path — how many candidates
@@ -127,7 +127,7 @@ impl std::fmt::Display for Lanes {
 }
 
 /// The block layout a hash algorithm expects its candidates in.
-pub fn layout_for(algo: HashAlgo) -> BlockLayout {
+fn layout_for(algo: HashAlgo) -> BlockLayout {
     match algo {
         HashAlgo::Md5 | HashAlgo::Md5Iter { .. } => BlockLayout::Md5Le,
         HashAlgo::Ntlm => BlockLayout::NtlmUtf16Le,

@@ -7,6 +7,15 @@
 //! enumeration, periodic stop-condition polling — mapped onto CPU threads
 //! instead of CUDA warps.
 //!
+//! * [`search`] — the one scalar scan ([`crack_interval`], the oracle every
+//!   equivalence test compares against) and the one threaded search
+//!   ([`crack_parallel_backend_observed`], the engine's `Dispatcher` over
+//!   any space of keys);
+//! * [`backend`] / [`batch`] — the CPU backends and the lane loop
+//!   ([`CpuBackend`] runs the widest explicit-SIMD kernel the CPU has);
+//! * [`audit`] — checkpointed multi-account audits;
+//! * [`stats`] — the per-worker accounting table.
+//!
 //! Also hosts the Bitcoin-style mining search the paper's introduction
 //! motivates: a SHA-256d nonce scan against a leading-zero-bits target
 //! ([`mining`]).
@@ -14,22 +23,18 @@
 pub mod audit;
 pub mod backend;
 pub mod batch;
-pub mod engine;
 pub mod mining;
-pub mod parallel;
-pub mod progress;
+pub mod search;
 pub mod stats;
 pub mod target;
 
 pub use audit::{AuditEntry, AuditFinding, AuditReport, AuditSession};
 pub use backend::{cpu_backend, AutoBackend, CpuBackend, ScalarBackend, SimdBackend};
-pub use batch::{crack_interval_batched, layout_for, Kernel, Lanes};
-pub use engine::{crack_interval, crack_space_interval, CrackOutcome};
+pub use batch::{crack_interval_batched, Kernel, Lanes};
 pub use mining::{mine, MiningJob, MiningResult};
-pub use parallel::{
-    crack_parallel, crack_parallel_backend, crack_parallel_backend_observed,
-    crack_space_parallel, ParallelConfig, ParallelReport,
+pub use search::{
+    crack_interval, crack_parallel, crack_parallel_backend, crack_parallel_backend_observed,
+    crack_space_interval, crack_space_parallel, CrackOutcome, ParallelConfig, ParallelReport,
 };
-pub use progress::ThroughputMeter;
-pub use stats::{render_worker_stats, ClassUsage, PasswordStats};
+pub use stats::render_worker_stats;
 pub use target::{HashTarget, TargetSet};

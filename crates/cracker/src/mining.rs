@@ -67,21 +67,26 @@ impl SolutionSpace for Nonces {
     }
 }
 
-/// Scan `nonce_range` with `threads` workers; returns the first (lowest
-/// found) winning nonce, or `None` when the range is exhausted. The
-/// search is [`parallel_search`], the pattern's generic driver for a test
-/// function that is not a hash-target set: the space is the nonce range,
-/// the test is [`MiningJob::test`].
+/// Scan `nonce_range` with `threads` workers; returns the lowest winning
+/// nonce, or `None` when the range is exhausted. The range is clamped to
+/// the 2³² nonces (`0..1 << 32` is the whole space), so identifiers past
+/// `u32::MAX` are never tested as a wrapped nonce. The search is
+/// [`parallel_search`], the pattern's generic driver for a test function
+/// that is not a hash-target set: the space is the nonce range, the test
+/// is [`MiningJob::test`].
 pub fn mine(
     job: &MiningJob,
     nonce_range: std::ops::Range<u64>,
     threads: usize,
 ) -> Option<MiningResult> {
+    const NONCES: u64 = 1 << 32;
+    let start = nonce_range.start.min(NONCES);
+    let end = nonce_range.end.min(NONCES);
     let out = parallel_search(
         &Nonces,
         &|_id: u128, nonce: &u32| job.test(*nonce),
-        u128::from(nonce_range.start),
-        u128::from(nonce_range.end.saturating_sub(nonce_range.start)),
+        u128::from(start),
+        u128::from(end.saturating_sub(start)),
         ParallelDriver { threads, chunk: 4096, first_hit_only: true },
     );
     let (id, digest) = out.hits.first()?;
@@ -123,13 +128,22 @@ mod tests {
         let j = job(10);
         let a = mine(&j, 0..1 << 18, 1).map(|r| r.nonce);
         let b = mine(&j, 0..1 << 18, 4).map(|r| r.nonce);
-        // Multi-threaded search may find a later nonce first but both must
-        // find *some* valid nonce; single-threaded finds the lowest.
-        assert!(a.is_some() && b.is_some());
-        let ja = j.test(a.unwrap());
-        let jb = j.test(b.unwrap());
-        assert!(ja.is_some() && jb.is_some());
-        assert!(a.unwrap() <= b.unwrap());
+        // `parallel_search` returns the lowest accepted id whatever the
+        // thread count, so both runs name the same nonce.
+        assert!(a.is_some_and(|n| j.test(n).is_some()));
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn ranges_past_the_nonce_space_test_nothing() {
+        // Every nonce matches at difficulty 0, so a wrapped id would show.
+        assert_eq!(mine(&job(0), 1 << 32..(1 << 32) + 3, 1), None);
+    }
+
+    #[test]
+    fn the_last_nonce_is_tested() {
+        let r = mine(&job(0), u32::MAX as u64..1 << 32, 1).expect("anything matches");
+        assert_eq!(r.nonce, u32::MAX);
     }
 
     #[test]

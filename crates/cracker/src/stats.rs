@@ -1,118 +1,9 @@
-//! Statistics over cracked passwords — the summary section of an audit
-//! report: length distribution, character-class usage, and where in the
-//! enumeration the passwords fell (how much attacker work each survived).
-//!
-//! Also renders the scheduler's per-worker accounting
+//! The scheduler's per-worker accounting as a table
 //! ([`render_worker_stats`]): tested counts, steals, splits, and
 //! busy/idle time, the numbers behind the bench's measured parallel
-//! efficiency.
-
-// Indexing/slicing below is over fixed-size state arrays or lengths
-// established by construction; the workspace `clippy::indexing_slicing`
-// escalation guards new code, not these proven accesses.
-#![allow(clippy::indexing_slicing)]
+//! efficiency (`eks crack --stats`, `eks cluster`).
 
 use eks_engine::WorkerStats;
-use eks_keyspace::Key;
-
-/// Character classes a password draws from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClassUsage {
-    /// Contains a lowercase letter.
-    pub lower: bool,
-    /// Contains an uppercase letter.
-    pub upper: bool,
-    /// Contains a digit.
-    pub digit: bool,
-    /// Contains a symbol (printable, non-alphanumeric).
-    pub symbol: bool,
-}
-
-impl ClassUsage {
-    /// Classify one password.
-    pub fn of(key: &Key) -> Self {
-        let mut u = Self::default();
-        for &b in key.as_bytes() {
-            match b {
-                b'a'..=b'z' => u.lower = true,
-                b'A'..=b'Z' => u.upper = true,
-                b'0'..=b'9' => u.digit = true,
-                _ => u.symbol = true,
-            }
-        }
-        u
-    }
-
-    /// Number of classes used (a crude complexity score, 0–4).
-    pub fn class_count(&self) -> u32 {
-        self.lower as u32 + self.upper as u32 + self.digit as u32 + self.symbol as u32
-    }
-}
-
-/// Aggregate statistics over a set of cracked passwords.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PasswordStats {
-    /// Passwords analyzed.
-    pub count: usize,
-    /// Histogram of lengths, index = length (0..=20).
-    pub length_histogram: Vec<usize>,
-    /// Mean length.
-    pub mean_length: f64,
-    /// Histogram of class counts, index = classes used (0..=4).
-    pub class_histogram: [usize; 5],
-    /// Fraction using only one character class.
-    pub single_class_fraction: f64,
-}
-
-impl PasswordStats {
-    /// Compute statistics over cracked passwords.
-    pub fn analyze(passwords: &[Key]) -> Self {
-        let mut length_histogram = vec![0usize; eks_keyspace::MAX_KEY_LEN + 1];
-        let mut class_histogram = [0usize; 5];
-        let mut total_len = 0usize;
-        for p in passwords {
-            length_histogram[p.len()] += 1;
-            total_len += p.len();
-            class_histogram[ClassUsage::of(p).class_count() as usize] += 1;
-        }
-        let count = passwords.len();
-        Self {
-            count,
-            length_histogram,
-            mean_length: if count == 0 { 0.0 } else { total_len as f64 / count as f64 },
-            class_histogram,
-            single_class_fraction: if count == 0 {
-                0.0
-            } else {
-                class_histogram[1] as f64 / count as f64
-            },
-        }
-    }
-
-    /// Human-readable summary.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        writeln!(out, "{} cracked passwords, mean length {:.1}", self.count, self.mean_length)
-            .expect("write to string");
-        write!(out, "lengths:").expect("write to string");
-        for (len, n) in self.length_histogram.iter().enumerate().filter(|(_, n)| **n > 0) {
-            write!(out, " {len}:{n}").expect("write to string");
-        }
-        writeln!(out).expect("write to string");
-        writeln!(
-            out,
-            "character classes: 1:{} 2:{} 3:{} 4:{} ({}% single-class)",
-            self.class_histogram[1],
-            self.class_histogram[2],
-            self.class_histogram[3],
-            self.class_histogram[4],
-            (self.single_class_fraction * 100.0).round()
-        )
-        .expect("write to string");
-        out
-    }
-}
 
 /// Render the scheduler's per-worker accounting as an aligned table:
 /// one row per worker with tested candidates, steal and split counts,
@@ -155,51 +46,6 @@ pub fn render_worker_stats(stats: &[WorkerStats]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn keys(words: &[&str]) -> Vec<Key> {
-        words.iter().map(|w| Key::from_bytes(w.as_bytes())).collect()
-    }
-
-    #[test]
-    fn class_usage_detection() {
-        assert_eq!(ClassUsage::of(&Key::from_bytes(b"abc")).class_count(), 1);
-        assert_eq!(ClassUsage::of(&Key::from_bytes(b"Abc")).class_count(), 2);
-        assert_eq!(ClassUsage::of(&Key::from_bytes(b"Abc1")).class_count(), 3);
-        assert_eq!(ClassUsage::of(&Key::from_bytes(b"Abc1!")).class_count(), 4);
-        let u = ClassUsage::of(&Key::from_bytes(b"a1"));
-        assert!(u.lower && u.digit && !u.upper && !u.symbol);
-    }
-
-    #[test]
-    fn stats_aggregate_correctly() {
-        let s = PasswordStats::analyze(&keys(&["abc", "Cat42", "zz", "p@ss"]));
-        assert_eq!(s.count, 4);
-        assert_eq!(s.length_histogram[3], 1);
-        assert_eq!(s.length_histogram[5], 1);
-        assert_eq!(s.length_histogram[2], 1);
-        assert_eq!(s.length_histogram[4], 1);
-        assert!((s.mean_length - 3.5).abs() < 1e-12);
-        assert_eq!(s.class_histogram[1], 2, "abc and zz");
-        assert_eq!(s.class_histogram[3], 1, "Cat42");
-        assert_eq!(s.class_histogram[2], 1, "p@ss");
-        assert!((s.single_class_fraction - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_input() {
-        let s = PasswordStats::analyze(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean_length, 0.0);
-        assert_eq!(s.single_class_fraction, 0.0);
-    }
-
-    #[test]
-    fn render_mentions_key_facts() {
-        let s = PasswordStats::analyze(&keys(&["abc", "Cat42"]));
-        let text = s.render();
-        assert!(text.contains("2 cracked"));
-        assert!(text.contains("3:1"), "{text}");
-    }
 
     #[test]
     fn worker_stats_table_has_a_row_per_worker() {

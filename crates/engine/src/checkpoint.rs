@@ -254,9 +254,9 @@ impl Checkpoint {
 /// `frontier.pending` and `slots` answer different questions: the
 /// frontier says what the *search* still owes, the slots say how the
 /// *current round* had scattered part of that debt when the snapshot was
-/// taken. Restoring re-assigns the saved slots verbatim
-/// ([`SearchCheckpoint::restore_deques`]), so a resumed round continues
-/// with the same partition the stealing had converged to.
+/// taken. Re-assigning the saved slots verbatim
+/// (`IntervalDeques::assign(slots)`) resumes a round with the same
+/// partition the stealing had converged to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchCheckpoint {
     /// Completed-vs-pending coverage of the whole search.
@@ -278,20 +278,6 @@ impl SearchCheckpoint {
     /// contents and the workers' accounting so far.
     pub fn snapshot(frontier: Checkpoint, deques: &IntervalDeques, workers: Vec<WorkerStats>) -> Self {
         Self { frontier, slots: deques.snapshot(), workers }
-    }
-
-    /// Rebuild the deques exactly as they were at snapshot time.
-    ///
-    /// # Panics
-    /// Panics when the snapshot holds no slots (a fresh checkpoint never
-    /// entered a round; scatter the frontier's pending work instead).
-    pub fn restore_deques(&self) -> IntervalDeques {
-        IntervalDeques::assign(self.slots.clone())
-    }
-
-    /// Keys outstanding in the snapshot's scattered slots.
-    pub fn scattered(&self) -> u128 {
-        self.slots.iter().map(|iv| iv.len).sum()
     }
 
     /// Render the schema-stamped JSON document.
@@ -431,7 +417,7 @@ pub fn u128_field(obj: &Json, key: &str) -> Result<u128, CheckpointError> {
 
 /// Parse one `{"start":...,"len":...}` interval object, with overflow
 /// checked instead of panicking.
-pub fn interval_from_json(value: &Json) -> Result<Interval, CheckpointError> {
+fn interval_from_json(value: &Json) -> Result<Interval, CheckpointError> {
     let start = u128_field(value, "start")?;
     let len = u128_field(value, "len")?;
     start
@@ -613,10 +599,10 @@ mod tests {
     fn restored_deques_resume_the_same_partition() {
         let snap = sample_snapshot();
         let back = SearchCheckpoint::from_json(&snap.to_json()).unwrap();
-        let deques = back.restore_deques();
+        let deques = IntervalDeques::assign(back.slots.clone());
         assert_eq!(deques.len(), 2);
         assert_eq!(deques.snapshot(), snap.slots);
-        assert_eq!(snap.scattered(), 4096);
+        assert_eq!(snap.slots.iter().map(|iv| iv.len).sum::<u128>(), 4096);
     }
 
     #[test]

@@ -378,11 +378,6 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
         self.mode
     }
 
-    /// The shared stop flag (for backends driven outside `scan_as`).
-    pub fn stop_flag(&self) -> &AtomicBool {
-        &self.stop
-    }
-
     /// Raise the stop condition: in-flight scans cancel at their next
     /// poll boundary.
     pub fn cancel(&self) {
@@ -972,7 +967,7 @@ mod tests {
         let w = d.register("solo");
         let out = d.scan_as(w, &TestBackend, s.interval());
         assert_eq!(out.hits.len(), 1);
-        assert!(d.stop_flag().load(Ordering::Relaxed), "stop raised on hit");
+        assert!(d.stop.load(Ordering::Relaxed), "stop raised on hit");
         assert!(d.any_hits());
     }
 
@@ -987,7 +982,7 @@ mod tests {
         // The higher hit first: it must not end the search...
         let high = d.scan_as(w, &TestBackend, parts[2]);
         assert_eq!((high.hits.len(), high.tested), (1, 6));
-        assert!(!d.stop_flag().load(Ordering::Relaxed), "a lower identifier may still match");
+        assert!(!d.stop.load(Ordering::Relaxed), "a lower identifier may still match");
         // ...chunks above it are dropped untested, chunks below it are not.
         assert_eq!(d.scan_as(w, &TestBackend, parts[3]), ScanReport::empty());
         let low = d.scan_as(w, &TestBackend, parts[0]);

@@ -55,9 +55,9 @@ pub use dispatch::{
     DequeLeaf, DispatchReport, Dispatcher, ProgressEvent, Retune, SchedOptions, WorkerId,
 };
 pub use poll::{poll_quantum, PollCursor, POLL_CHUNK};
-pub use rate::{eta_drift_pct, RateBook, RateEstimator, RetuneControl, WARMUP_SAMPLES};
+pub use rate::{eta_drift_pct, RateBook, RateEstimator, RetuneControl};
 pub use steal::{
     rescatter_plan, steal_split, ChunkPolicy, IntervalDeques, ScatterError, SchedPolicy,
-    StealOutcome, WorkerStats, GUIDED_DIVISOR,
+    StealOutcome, WorkerStats,
 };
 pub use target::{HashTarget, TargetSet};

@@ -24,11 +24,11 @@ use std::sync::Mutex;
 /// history — reactive enough to track a KDF's cost drift within a few
 /// chunks, damped enough that one cache-cold chunk does not flip the
 /// scatter.
-pub const EWMA_ALPHA: f64 = 1.0 / 3.0;
+const EWMA_ALPHA: f64 = 1.0 / 3.0;
 
 /// Scans a worker must complete before its live estimate is trusted
 /// over the tuned rate.
-pub const WARMUP_SAMPLES: u64 = 3;
+const WARMUP_SAMPLES: u64 = 3;
 
 /// Exponentially-weighted moving average of one worker's observed scan
 /// throughput, gated by a warm-up count.
@@ -73,7 +73,7 @@ impl RateEstimator {
     }
 
     /// Whether the estimate has cleared the warm-up gate.
-    pub fn is_warm(&self) -> bool {
+    fn is_warm(&self) -> bool {
         self.samples >= WARMUP_SAMPLES
     }
 
@@ -137,11 +137,6 @@ impl RateBook {
     /// The gated rate of `slot` in MKey/s.
     pub fn mkeys(&self, slot: usize) -> f64 {
         self.slots.get(slot).map_or(0.0, |c| c.lock().expect("rate cell").mkeys())
-    }
-
-    /// Whether `slot` has cleared its warm-up gate.
-    pub fn is_warm(&self, slot: usize) -> bool {
-        self.slots.get(slot).is_some_and(|c| c.lock().expect("rate cell").is_warm())
     }
 
     /// The tuned fallback `slot` was seeded with, MKey/s.
@@ -294,8 +289,8 @@ mod tests {
         for _ in 0..WARMUP_SAMPLES {
             book.observe(0, 4_000_000, 1_000_000_000);
         }
-        assert!(book.is_warm(0));
-        assert!(!book.is_warm(1));
+        assert!(book.slots[0].lock().unwrap().is_warm());
+        assert!(!book.slots[1].lock().unwrap().is_warm());
         let w = book.weights();
         assert!((w[0] - 4.0).abs() < 1e-9, "slot 0 is live");
         assert_eq!(w[1], 8.0, "slot 1 still tuned");

@@ -41,7 +41,7 @@ use eks_keyspace::Interval;
 /// Denominator of the guided self-scheduling rule: each pop takes
 /// `remaining / GUIDED_DIVISOR` keys (clamped below by the policy's
 /// floor), the classic "start large, shrink toward the tail" schedule.
-pub const GUIDED_DIVISOR: u128 = 8;
+const GUIDED_DIVISOR: u128 = 8;
 
 /// How an owner sizes the chunk it pops from its own deque.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +89,7 @@ impl ChunkPolicy {
     /// per second. [`ChunkPolicy::Timed`] converts the rate into a
     /// time-budgeted size; the other policies ignore the rate. A
     /// non-finite or non-positive rate falls back to [`Self::next_len`].
-    pub fn next_len_rated(&self, remaining: u128, keys_per_sec: f64) -> u128 {
+    fn next_len_rated(&self, remaining: u128, keys_per_sec: f64) -> u128 {
         match *self {
             ChunkPolicy::Timed { target_ms, min } if keys_per_sec.is_finite() && keys_per_sec > 0.0 => {
                 if remaining == 0 {
@@ -415,7 +415,7 @@ impl IntervalDeques {
     /// Scatter `interval` proportionally to `weights`, reporting
     /// degenerate weights ([`ScatterError`]) instead of panicking or
     /// silently splitting evenly.
-    pub fn try_scatter(interval: Interval, weights: &[f64]) -> Result<Self, ScatterError> {
+    fn try_scatter(interval: Interval, weights: &[f64]) -> Result<Self, ScatterError> {
         check_weights(weights)?;
         Ok(Self::assign(interval.split_weighted(weights)))
     }
@@ -481,11 +481,6 @@ impl IntervalDeques {
         }
         self.retired[slot].store(true, Ordering::Relaxed);
         true
-    }
-
-    /// Whether `slot` has been retired by its owner.
-    pub fn is_retired(&self, slot: usize) -> bool {
-        self.retired[slot].load(Ordering::Relaxed)
     }
 
     /// Pick the remote slot with the most work left, skipping `thief`'s

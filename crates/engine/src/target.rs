@@ -46,11 +46,6 @@ impl HashTarget {
         t
     }
 
-    /// Build a target from a plaintext (for tests and examples).
-    pub fn from_plaintext(algo: HashAlgo, plaintext: &[u8]) -> Self {
-        Self::new(algo, &algo.hash_long(plaintext))
-    }
-
     /// The algorithm.
     pub fn algo(&self) -> HashAlgo {
         self.algo
@@ -62,7 +57,7 @@ impl HashTarget {
     }
 
     /// Whether a salt is attached.
-    pub fn is_salted(&self) -> bool {
+    fn is_salted(&self) -> bool {
         !self.salt_prefix.is_empty() || !self.salt_suffix.is_empty()
     }
 
@@ -189,15 +184,6 @@ impl TargetSet {
         mask
     }
 
-    /// Match an already-computed digest without rehashing; returns the
-    /// index of the matched digest (same indices as [`TargetSet::matches`]).
-    #[inline]
-    pub fn match_digest(&self, digest: &[u8]) -> Option<usize> {
-        self.digests
-            .binary_search_by(|d| d.as_slice().cmp(digest))
-            .ok()
-    }
-
     /// The digest at `index` (as returned by [`TargetSet::matches`]).
     pub fn digest(&self, index: usize) -> &[u8] {
         &self.digests[index]
@@ -215,7 +201,7 @@ mod tests {
 
     #[test]
     fn unsalted_match() {
-        let t = HashTarget::from_plaintext(HashAlgo::Md5, b"abc");
+        let t = HashTarget::new(HashAlgo::Md5, &HashAlgo::Md5.hash_long(b"abc"));
         assert!(t.matches(&Key::from_bytes(b"abc")));
         assert!(!t.matches(&Key::from_bytes(b"abd")));
         assert!(!t.is_salted());
@@ -233,7 +219,7 @@ mod tests {
 
     #[test]
     fn salting_changes_the_digest() {
-        let plain = HashTarget::from_plaintext(HashAlgo::Md5, b"pw");
+        let plain = HashTarget::new(HashAlgo::Md5, &HashAlgo::Md5.hash_long(b"pw"));
         let salted_digest = HashAlgo::Md5.hash_long(b"saltpw");
         assert_ne!(plain.digest(), &salted_digest[..]);
     }

@@ -12,7 +12,7 @@ use crate::codegen::CompiledKernel;
 use crate::isa::{MachineClass, MachineInstr};
 
 /// Render one instruction in SASS-ish syntax.
-pub fn disasm_instr(i: &MachineInstr) -> String {
+fn disasm_instr(i: &MachineInstr) -> String {
     let mnemonic = match i.class {
         MachineClass::IAdd => "IADD",
         MachineClass::Lop => "LOP",

@@ -291,7 +291,7 @@ impl GridBuilder {
 
     /// A fresh register the body will define — lets mutants declare a
     /// register without any defining statement.
-    pub fn undef(&mut self) -> GReg {
+    fn undef(&mut self) -> GReg {
         self.fresh()
     }
 

@@ -124,11 +124,6 @@ impl AbstractOp {
         self.operands().into_iter().flatten().filter_map(Operand::reg)
     }
 
-    /// Whether the operation has an input-independent result (constant
-    /// and parameter loads; everything else computes from its sources).
-    pub fn is_load(&self) -> bool {
-        matches!(self, AbstractOp::Const { .. } | AbstractOp::LoadParam { .. })
-    }
 }
 
 /// Machine instruction classes, matching the paper's Tables IV–VI rows

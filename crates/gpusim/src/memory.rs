@@ -46,7 +46,7 @@ impl ConstantFootprint {
     }
 
     /// Total bytes.
-    pub fn total_bytes(&self) -> usize {
+    fn total_bytes(&self) -> usize {
         self.digest_len
             + self.charset_len
             + self.template_words * 4

@@ -14,7 +14,7 @@ use crate::codegen::CompiledKernel;
 use crate::liveness;
 
 /// Register file size (32-bit registers per multiprocessor).
-pub fn register_file_size(cc: ComputeCapability) -> u32 {
+fn register_file_size(cc: ComputeCapability) -> u32 {
     match cc {
         ComputeCapability::Sm1x => 8 * 1024,
         ComputeCapability::Sm20 | ComputeCapability::Sm21 => 32 * 1024,
@@ -116,7 +116,7 @@ mod tests {
     mod eks_hashes_free {
         use super::*;
 
-        pub fn build_md5_like() -> CompiledKernel {
+        pub(super) fn build_md5_like() -> CompiledKernel {
             let mut b = KernelBuilder::new("md5-like");
             let w0 = b.param(0);
             let mut state = [b.constant(1), b.constant(2), b.constant(3), b.constant(4)];

@@ -6,7 +6,6 @@
 
 use crate::arch::ComputeCapability;
 use crate::codegen::CompiledKernel;
-use crate::isa::MachineClass;
 use crate::sched::SimResult;
 use crate::throughput::mp_hashes_per_cycle;
 
@@ -92,22 +91,6 @@ impl ProfilerReport {
         }
     }
 
-    /// Publish the profile's headline numbers as gauges labelled with
-    /// the device name: instructions per cycle, achieved fraction of the
-    /// theoretical throughput bound, and the dual-issue rate the paper's
-    /// Section V-B singles out ("less than 10%"). A disabled registry
-    /// makes this a no-op.
-    pub fn record_into(&self, telemetry: &eks_telemetry::Telemetry, device: &str) {
-        if !telemetry.is_enabled() {
-            return;
-        }
-        use eks_telemetry::names;
-        let labels = [("device", device)];
-        telemetry.gauge(names::SIM_IPC, &labels).set(self.ipc);
-        telemetry.gauge(names::SIM_EFFICIENCY, &labels).set(self.efficiency);
-        telemetry.gauge(names::SIM_DUAL_ISSUE, &labels).set(self.dual_issue_rate);
-    }
-
     /// Render as a human-readable profile (one line per metric).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -159,11 +142,6 @@ fn unit_label(cc: ComputeCapability, index: usize) -> String {
     }
 }
 
-/// Classes contending for the scarce port (exposed for report consumers).
-pub fn shift_port_classes() -> [MachineClass; 4] {
-    [MachineClass::Shift, MachineClass::Imad, MachineClass::Prmt, MachineClass::Funnel]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,19 +186,6 @@ mod tests {
         let r = profile(ComputeCapability::Sm21, false, 2);
         assert_eq!(r.bottleneck, Bottleneck::Latency, "{}", r.render());
         assert!(r.idle_no_ready > 0.4);
-    }
-
-    #[test]
-    fn record_into_publishes_labelled_gauges() {
-        let r = profile(ComputeCapability::Sm30, true, 64);
-        let telemetry = eks_telemetry::Telemetry::enabled();
-        r.record_into(&telemetry, "GeForce GTX 660");
-        let text = telemetry.render_prometheus();
-        assert!(text.contains("eks_sim_ipc{device=\"GeForce GTX 660\"}"), "{text}");
-        assert!(text.contains("eks_sim_efficiency"), "{text}");
-        assert!(text.contains("eks_sim_dual_issue_rate"), "{text}");
-        // Disabled registries ignore the call.
-        r.record_into(&eks_telemetry::Telemetry::disabled(), "x");
     }
 
     #[test]

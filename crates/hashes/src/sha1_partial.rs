@@ -47,7 +47,7 @@ impl Sha1PartialSearch {
     }
 
     /// Test a pre-padded block.
-    pub fn matches_block(&self, block: &[u32; 16]) -> bool {
+    fn matches_block(&self, block: &[u32; 16]) -> bool {
         // Rolling schedule: only the first 76 expansions are computed.
         let mut w = [0u32; PARTIAL_ROUNDS];
         w[..16].copy_from_slice(block);

@@ -40,7 +40,7 @@ pub const K: [u32; 64] = [
 ];
 
 /// The SHA-256 compression function over one 16-word big-endian block.
-pub fn sha256_compress(state: [u32; 8], block: &[u32; 16]) -> [u32; 8] {
+fn sha256_compress(state: [u32; 8], block: &[u32; 16]) -> [u32; 8] {
     let mut w = [0u32; 64];
     w[..16].copy_from_slice(block);
     for i in 16..64 {

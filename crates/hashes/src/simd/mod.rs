@@ -80,7 +80,7 @@ impl SimdIsa {
     }
 
     /// `u32` lanes per vector register.
-    pub fn register_lanes(self) -> usize {
+    fn register_lanes(self) -> usize {
         match self {
             SimdIsa::Avx2 => 8,
             SimdIsa::Avx512 => 16,

@@ -21,7 +21,7 @@ use eks_gpusim::arch::ComputeCapability;
 use eks_gpusim::codegen::LoweringOptions;
 use eks_gpusim::isa::{KernelBuilder, KernelIr};
 
-use crate::host::HashAlgo;
+use crate::HashAlgo;
 use crate::md4::{build_md4, ntlm_words_for_key_len, Md4Variant};
 use crate::md5::{build_md5, Md5Variant};
 use crate::sha1::{build_sha1, sha1_words_for_key_len, Sha1Variant};

@@ -69,7 +69,7 @@ pub fn build_next_operator() -> KernelIr {
 ///
 /// Returns (instructions per key) given the instruction totals of the
 /// conversion, the `next` operator and the hash body.
-pub fn instructions_per_key(
+fn instructions_per_key(
     conversion_instrs: u32,
     next_instrs: u32,
     hash_instrs: u32,

@@ -20,6 +20,10 @@
 //! * **interleaved ×2** — two independent candidates interleaved
 //!   instruction-by-instruction to feed dual-issue on Fermi ("a better ILP
 //!   factor ... is nevertheless a good choice on Fermi").
+//!
+//! The crate runs no search of its own: a simulated GPU's answers come
+//! from the host kernels every CPU search runs (`eks-cluster::simgpu`),
+//! checked against this IR on sampled candidates.
 
 // Indexing/slicing below is over fixed-size state arrays or lengths
 // established by construction; the workspace `clippy::indexing_slicing`
@@ -29,14 +33,13 @@
 pub mod baseline;
 pub mod counts;
 pub mod generation;
-pub mod host;
 pub mod interleave;
 pub mod md4;
 pub mod md5;
 pub mod sha1;
 
 pub use baseline::{Tool, ToolKernel};
-pub use host::{HashAlgo, HostSearch};
+pub use eks_hashes::HashAlgo;
 pub use interleave::interleave;
 pub use md4::{build_md4, Md4Variant};
 pub use md5::{build_md5, Md5Variant};

@@ -61,7 +61,7 @@ pub enum BlockLayout {
 impl BlockLayout {
     /// Message length in block bytes for a key of `key_len` bytes.
     #[inline]
-    pub fn msg_len(self, key_len: usize) -> usize {
+    fn msg_len(self, key_len: usize) -> usize {
         match self {
             BlockLayout::Md5Le | BlockLayout::ShaBe => key_len,
             BlockLayout::NtlmUtf16Le => key_len * 2,

@@ -185,28 +185,6 @@ pub fn advance_tracked(key: &mut Key, charset: &Charset, order: Order) -> Advanc
     }
 }
 
-/// Number of trailing (or leading, depending on order) positions that
-/// changed going from `f(id)` to `f(id+1)`; 1 for most steps. Exposed for
-/// the GPU-kernel cost model, which charges the `next` operator by carries.
-pub fn carries_for(id: u128, charset: &Charset) -> u32 {
-    // The number of digits that change from id to id+1 equals one plus the
-    // number of trailing maximal digits in the bijective representation.
-    let n = charset.len() as u128;
-    let mut id = id;
-    let mut carries = 1u32;
-    loop {
-        if id == 0 {
-            return carries; // growth step: ε -> a, etc.
-        }
-        id -= 1;
-        if id % n != n - 1 {
-            return carries;
-        }
-        id /= n;
-        carries += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,32 +267,6 @@ mod tests {
     #[test]
     fn decode_rejects_foreign_bytes() {
         assert_eq!(decode(&Key::from_bytes(b"ad"), &abc(), Order::LastCharFastest), None);
-    }
-
-    #[test]
-    fn carries_counter_matches_digit_changes() {
-        let cs = abc();
-        for id in 0..500u128 {
-            let a = encode(id, &cs, Order::LastCharFastest);
-            let b = encode(id + 1, &cs, Order::LastCharFastest);
-            let changed = if a.len() != b.len() {
-                b.len() as u32
-            } else {
-                let (ab, bb) = (a.as_bytes(), b.as_bytes());
-                (0..a.len()).filter(|&i| ab[i] != bb[i]).count() as u32
-            };
-            assert_eq!(carries_for(id, &cs), changed, "id={id}");
-        }
-    }
-
-    #[test]
-    fn most_steps_are_single_carry() {
-        let cs = Charset::alphanumeric();
-        let single = (0..10_000u128)
-            .filter(|&id| carries_for(id, &cs) == 1)
-            .count();
-        // (N-1)/N of steps change one character; with N=62 that is > 98 %.
-        assert!(single > 9_800, "single-carry steps: {single}");
     }
 
     #[test]

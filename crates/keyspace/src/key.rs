@@ -52,12 +52,6 @@ impl Key {
         &self.bytes[..self.len as usize]
     }
 
-    /// Mutable access to the key's bytes (length unchanged).
-    #[inline]
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes[..self.len as usize]
-    }
-
     /// Current length in bytes.
     #[inline]
     pub fn len(&self) -> usize {

@@ -106,7 +106,7 @@ impl<const L: usize> Rows<L> {
 
     /// Overwrite lane `l` with `block` (a column write).
     #[inline]
-    pub fn set_block(&mut self, l: usize, block: &[u32; 16]) {
+    fn set_block(&mut self, l: usize, block: &[u32; 16]) {
         for (w, &word) in block.iter().enumerate() {
             self.row_mut(w)[l] = word;
         }

@@ -78,12 +78,6 @@ impl KeySpace {
         Ok(Self { charset, min_len, max_len, order, offset, size })
     }
 
-    /// The paper's evaluation space: "passwords containing up to 8
-    /// alphanumeric characters, both lower and upper cases" (Section VI-B).
-    pub fn paper_evaluation_space(order: Order) -> Self {
-        Self::new(Charset::alphanumeric(), 1, 8, order).expect("static space fits")
-    }
-
     /// Number of keys in the space.
     pub fn size(&self) -> u128 {
         self.size
@@ -253,14 +247,6 @@ mod tests {
             KeySpace::new(big, 0, 20, Order::LastCharFastest),
             Err(KeySpaceError::TooLarge)
         );
-    }
-
-    #[test]
-    fn paper_evaluation_space_size() {
-        let s = KeySpace::paper_evaluation_space(Order::LastCharFastest);
-        // Σ_{i=1}^{8} 62^i = 221_919_451_578_090
-        assert_eq!(s.size(), 221_919_451_578_090);
-        assert_eq!(s.charset().len(), 62);
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl AnomalyDetector {
 
     /// Classify one window. Returns every anomaly it exhibits and
     /// updates the flagged set (workers not re-flagged recover).
-    pub fn assess(&mut self, window: &Window) -> Vec<Anomaly> {
+    fn assess(&mut self, window: &Window) -> Vec<Anomaly> {
         let mut out = Vec::new();
         let fleet_delta = window.counter_total(names::KEYS_TESTED);
 
@@ -250,9 +250,9 @@ impl AnomalyDetector {
 }
 
 /// How many windows the plane's ring and the flight recorder retain.
-pub const DEFAULT_WINDOW_CAPACITY: usize = 64;
+const DEFAULT_WINDOW_CAPACITY: usize = 64;
 /// Default window width: one second of the run's clock.
-pub const DEFAULT_WINDOW_NS: u64 = 1_000_000_000;
+const DEFAULT_WINDOW_NS: u64 = 1_000_000_000;
 /// How many recent anomaly verdicts the plane keeps for dumps.
 const RECENT_ANOMALIES: usize = 256;
 

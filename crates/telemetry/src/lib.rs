@@ -124,12 +124,6 @@ pub mod names {
     pub const WORKER_RATE_TUNED: &str = "eks_worker_rate_tuned_mkeys";
     /// Counter: live re-scatters performed by the retune controller.
     pub const RESCATTERS: &str = "eks_rescatter_total";
-    /// Gauge `{device}`: simulated-GPU profiler IPC.
-    pub const SIM_IPC: &str = "eks_sim_ipc";
-    /// Gauge `{device}`: simulated-GPU profiler efficiency (0..1).
-    pub const SIM_EFFICIENCY: &str = "eks_sim_efficiency";
-    /// Gauge `{device}`: simulated-GPU dual-issue rate (0..1).
-    pub const SIM_DUAL_ISSUE: &str = "eks_sim_dual_issue_rate";
 
     /// Span: one chunk scan on one worker (`K_search`).
     pub const SPAN_SCAN: &str = "scan";
@@ -143,14 +137,10 @@ pub mod names {
     pub const SPAN_RUN: &str = "run";
     /// Event: a worker stole an interval.
     pub const EVENT_STEAL: &str = "steal";
-    /// Event: a guided chunk was split.
-    pub const EVENT_SPLIT: &str = "split";
     /// Event: a device joined mid-search.
     pub const EVENT_JOIN: &str = "join";
     /// Event: a device left mid-search.
     pub const EVENT_LEAVE: &str = "leave";
-    /// Event: a key matched a target digest.
-    pub const EVENT_HIT: &str = "hit";
     /// Event: the job service dispatched one keyspace lease.
     pub const EVENT_LEASE: &str = "lease";
     /// Event: a leveled log line routed through the sink.
@@ -308,11 +298,6 @@ impl Telemetry {
     /// Copy out the trace buffer in timestamp order.
     pub fn trace_snapshot(&self) -> Vec<TraceRecord> {
         self.inner.as_ref().map_or_else(Vec::new, |i| i.trace.snapshot())
-    }
-
-    /// Trace records evicted by ring overflow.
-    pub fn trace_dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.trace.dropped())
     }
 }
 

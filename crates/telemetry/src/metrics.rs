@@ -28,7 +28,7 @@ const SHARDS: usize = 8;
 /// Number of log₂ histogram buckets: bucket `i` counts observations in
 /// `[2^(i-1), 2^i)` (bucket 0 counts zeros), bucket `BUCKETS - 1` is the
 /// overflow. 40 buckets cover 1 ns .. ~9 minutes of latency exactly.
-pub const BUCKETS: usize = 40;
+const BUCKETS: usize = 40;
 
 /// A monotonic counter handle. Disabled handles (from a disabled
 /// registry) compile to a null-check and nothing else.

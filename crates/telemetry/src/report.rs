@@ -99,7 +99,7 @@ pub struct JobRow {
 impl JobRow {
     /// This job's share of all job-credited keys, in percent. 0 when
     /// nothing was credited anywhere — never NaN.
-    pub fn share_pct(&self, all_jobs_tested: f64) -> f64 {
+    fn share_pct(&self, all_jobs_tested: f64) -> f64 {
         if all_jobs_tested <= 0.0 {
             0.0
         } else {

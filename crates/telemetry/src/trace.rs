@@ -25,7 +25,7 @@ use crate::metrics::json_string;
 const STRIPES: usize = 8;
 
 /// Default per-stripe capacity (records) when none is given.
-pub const DEFAULT_STRIPE_CAPACITY: usize = 8192;
+const DEFAULT_STRIPE_CAPACITY: usize = 8192;
 
 /// Whether a record measures a duration or marks an instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

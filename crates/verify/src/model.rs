@@ -136,7 +136,7 @@ impl ModelConfig {
 
     /// True when a hit lowers the floor instead of raising the stop flag:
     /// first-hit with several planted hits (the live `targets.len() > 1`).
-    pub fn floor_rule(&self) -> bool {
+    fn floor_rule(&self) -> bool {
         self.first_hit && self.hits.len() > 1 && self.mutation != Some(Mutation::StopAtAnyHit)
     }
 

@@ -15,7 +15,7 @@ fn main() {
     for difficulty in [8u32, 12, 16, 20] {
         let job = MiningJob { header: header.clone(), difficulty_bits: difficulty };
         let start = std::time::Instant::now();
-        match mine(&job, 0..u32::MAX as u64, 8) {
+        match mine(&job, 0..1 << 32, 8) {
             Some(result) => {
                 let elapsed = start.elapsed().as_secs_f64();
                 println!(

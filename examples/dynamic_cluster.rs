@@ -1,53 +1,52 @@
 //! Operating a dynamic cluster (the paper's §III runtime-reconfiguration
-//! extension): nodes join, leave and get re-tuned while a long search
-//! runs; the master rebalances at every membership change. Offline
-//! model-fitting replaces the online tuning pass for the joining node.
+//! extension): a node joins and another leaves while a real search runs;
+//! the master re-scatters every round over the then-current members.
+//! Offline model-fitting replaces the online tuning pass for the joining
+//! node.
 //!
 //! Run with: `cargo run --release --example dynamic_cluster`
 
+use std::sync::atomic::AtomicBool;
+use std::time::Instant;
+
 use eks::cluster::model::{calibrate, FittedModel};
 use eks::cluster::{
-    run_dynamic, tune_device, AchievedModel, DynamicConfig, MembershipEvent, ScheduledEvent,
+    plan_fleet, run_cluster, ClusterNode, ClusterOptions, FleetEvent, ScheduledFleetEvent,
 };
+use eks::cracker::{CpuBackend, TargetSet};
+use eks::engine::{Backend, ScanMode};
 use eks::gpusim::device::Device;
 use eks::hashes::HashAlgo;
-use eks::kernels::Tool;
-use eks::keyspace::Interval;
+use eks::jobs::FleetMember;
+use eks::keyspace::{Charset, Interval, KeySpace, Order};
+use eks::telemetry::Telemetry;
 
 fn main() {
-    // Start with two of the paper's nodes.
-    let gtx660 = tune_device(
-        &Device::geforce_gtx_660(),
-        Tool::OurApproach,
-        HashAlgo::Md5,
-        AchievedModel::Analytic,
-    );
-    let gt540m = tune_device(
-        &Device::geforce_gt_540m(),
-        Tool::OurApproach,
-        HashAlgo::Md5,
-        AchievedModel::Analytic,
-    );
-    println!(
-        "initial members: GTX660 {:.0} MKey/s, GT540M {:.0} MKey/s",
-        gtx660.achieved_mkeys, gt540m.achieved_mkeys
-    );
+    let space = KeySpace::new(Charset::lowercase(), 1, 5, Order::FirstCharFastest).unwrap();
+    let secret = b"exact";
+    let targets = TargetSet::new(HashAlgo::Md5, &[HashAlgo::Md5.hash(secret)]);
 
-    // A volunteer offers a CPU box; calibrate it offline with the fitted
-    // affine model T(n) = overhead + n / rate instead of a live tuning
-    // pass (paper: "an approximated model could be built offline").
+    // Start with two of the paper's GPUs on one node.
+    let node = ClusterNode::device_node(
+        "A",
+        vec![Device::geforce_gtx_660(), Device::geforce_gt_540m()],
+        2e-3,
+    );
+    let fleet = plan_fleet(&node, HashAlgo::Md5, &Telemetry::disabled());
+    println!("initial members:");
+    for m in fleet.members() {
+        println!("  {:<28} {:>8.1} MKey/s", m.label, m.weight);
+    }
+
+    // A volunteer offers one CPU thread; calibrate it offline with the
+    // fitted affine model T(n) = overhead + n / rate instead of a live
+    // tuning pass (paper: "an approximated model could be built offline").
+    let volunteer = CpuBackend::default();
     let cpu_model: FittedModel = calibrate(&[50_000, 100_000, 200_000], |n| {
-        use eks::cracker::{crack_parallel, ParallelConfig, TargetSet};
-        use eks::keyspace::{Charset, KeySpace, Order};
-        let space = KeySpace::new(Charset::lowercase(), 1, 8, Order::FirstCharFastest).unwrap();
-        let t = TargetSet::new(HashAlgo::Md5, &[vec![0u8; 16]]);
-        crack_parallel(
-            &space,
-            &t,
-            Interval::new(0, n as u128),
-            ParallelConfig { threads: 4, chunk: 1 << 12, first_hit_only: false, ..ParallelConfig::default() },
-        )
-        .elapsed_s
+        let started = Instant::now();
+        let stop = AtomicBool::new(false);
+        volunteer.scan(&space, &targets, Interval::new(0, n as u128), &stop, ScanMode::Exhaustive);
+        started.elapsed().as_secs_f64()
     })
     .expect("calibration fits");
     println!(
@@ -57,42 +56,40 @@ fn main() {
         cpu_model.r_squared
     );
 
-    // A day in the life: the CPU joins, the 540M laptop leaves (lid
-    // closed), the 660 gets thermally throttled and re-tunes lower.
+    // The CPU joins before round 3; the 540M laptop leaves (lid closed)
+    // before round 6.
+    let joiner = "volunteer/cpu [auto]";
     let events = vec![
-        ScheduledEvent {
-            before_round: 5,
-            event: MembershipEvent::Join { name: "volunteer-cpu".into(), mkeys: cpu_model.mkeys() },
-        },
-        ScheduledEvent {
-            before_round: 12,
-            event: MembershipEvent::Leave { name: "GT540M".into() },
-        },
-        ScheduledEvent {
-            before_round: 20,
-            event: MembershipEvent::Retune {
-                name: "GTX660".into(),
-                mkeys: gtx660.achieved_mkeys * 0.8,
+        ScheduledFleetEvent {
+            before_round: 3,
+            event: FleetEvent::Join {
+                member: FleetMember {
+                    label: joiner.into(),
+                    weight: cpu_model.mkeys(),
+                    backend: Box::new(volunteer),
+                },
             },
         },
+        ScheduledFleetEvent {
+            before_round: 6,
+            event: FleetEvent::Leave { label: "A/GeForce GT 540M [simgpu]".into() },
+        },
     ];
-    let report = run_dynamic(
-        &[
-            ("GTX660", gtx660.achieved_mkeys),
-            ("GT540M", gt540m.achieved_mkeys),
-        ],
-        Interval::new(0, 60_000_000_000),
-        DynamicConfig { round_keys: 2_000_000_000, round_overhead_s: 5e-3 },
-        &events,
-    );
+    let options =
+        ClusterOptions { round_keys: Some(1_000_000), events, ..ClusterOptions::default() };
+    let result = run_cluster(fleet, &space, &targets, space.interval(), options);
 
-    println!("\nsearch of 6e10 keys over {} rounds ({} rebalances):", report.rounds, report.rebalances);
-    for (name, keys) in &report.per_member {
-        println!("  {name:<16} {keys:>16} keys");
-    }
     println!(
-        "covered {} keys in {:.1} s of virtual time",
-        report.covered, report.makespan_s
+        "\nsearch of {} keys over {} rounds ({} rebalances):",
+        space.size(),
+        result.rounds,
+        result.rebalances
     );
-    assert_eq!(report.covered, 60_000_000_000);
+    for (name, keys) in &result.per_device {
+        println!("  {name:<28} {keys:>10} keys");
+    }
+    let (id, key, _) = result.hits.first().expect("planted key is in the space");
+    println!("cracked \"{key}\" (id {id}); covered {} keys exactly once", result.tested);
+    assert_eq!(result.tested, space.size());
+    assert_eq!(result.rebalances, 2);
 }

@@ -1,15 +1,15 @@
 //! An NTLM audit session end-to-end: the workflow a security team runs
 //! against a dumped SAM table, with every layer of this repository in the
-//! loop — checkpointed sweep, per-account findings, password statistics,
-//! and time-to-crack estimates on the paper's GPUs.
+//! loop — checkpointed sweep, per-account findings, and time-to-crack
+//! estimates on the paper's GPUs.
 //!
 //! Run with: `cargo run --release --example ntlm_audit`
 
 use eks::cluster::{estimate_against_device, StrengthEstimate};
-use eks::cracker::{AuditEntry, AuditSession, PasswordStats};
+use eks::cracker::{AuditEntry, AuditSession};
 use eks::gpusim::device::Device;
 use eks::hashes::{to_hex, HashAlgo};
-use eks::keyspace::{Charset, Key, KeySpace, Order};
+use eks::keyspace::{Charset, KeySpace, Order};
 
 fn main() {
     // The "dumped table": NTLM hashes (how they'd arrive, we only see
@@ -42,11 +42,6 @@ fn main() {
     let report = session.run(&space, |_serialized| checkpoints += 1);
     print!("\n{}", report.render());
     println!("({checkpoints} checkpoints persisted along the way)");
-
-    // Statistics over what fell.
-    let cracked: Vec<Key> = report.findings.iter().map(|f| f.password.clone()).collect();
-    println!("\npassword statistics:");
-    print!("{}", PasswordStats::analyze(&cracked).render());
 
     // How long each cracked password would survive a GTX 660 sweeping the
     // full alphanumeric space — the remediation priority column.

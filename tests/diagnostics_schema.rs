@@ -9,7 +9,8 @@
 //! same commit. Adding new lint *names* is explicitly not a schema
 //! change and must not disturb these tests.
 
-use eks::analyzer::diagnostic::{json_str, Diagnostic, Lint, Report, Span, SCHEMA_VERSION};
+use eks::analyzer::diagnostic::{Diagnostic, Lint, Report, Span, SCHEMA_VERSION};
+use eks::telemetry::json_string;
 use eks::analyzer::analyze_grid;
 use eks::gpusim::gridir::{mutant_unguarded_store, search_wrapper};
 
@@ -71,13 +72,13 @@ fn grid_lint_names_are_pinned() {
     assert_eq!(Lint::BarrierDivergence.name(), "barrier-divergence");
 }
 
-/// `json_str` is the single escaping routine every hand-rolled emitter
+/// `json_string` is the single escaping routine every hand-rolled emitter
 /// in the workspace shares; its behavior is contract too.
 #[test]
 fn json_string_escaping_golden() {
-    assert_eq!(json_str("plain"), "\"plain\"");
-    assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-    assert_eq!(json_str("line\nfeed\ttab\rret"), "\"line\\nfeed\\ttab\\rret\"");
-    assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    assert_eq!(json_str("Δ unicode passes through"), "\"Δ unicode passes through\"");
+    assert_eq!(json_string("plain"), "\"plain\"");
+    assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+    assert_eq!(json_string("line\nfeed\ttab\rret"), "\"line\\nfeed\\ttab\\rret\"");
+    assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    assert_eq!(json_string("Δ unicode passes through"), "\"Δ unicode passes through\"");
 }

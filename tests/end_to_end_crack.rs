@@ -1,8 +1,7 @@
 //! End-to-end integration: the full pipeline from digest to recovered
 //! password, exercised through every engine the workspace provides —
-//! the sequential driver, the parallel CPU cracker, the kernel host
-//! semantics, and the hierarchical cluster runtime — which must all
-//! agree.
+//! the scalar oracle, the parallel CPU cracker and the hierarchical
+//! cluster runtime — which must all agree.
 
 // Indexing/slicing below is over fixed-size state arrays or lengths
 // established by construction; the workspace `clippy::indexing_slicing`
@@ -10,11 +9,10 @@
 #![allow(clippy::indexing_slicing)]
 
 use eks::cluster::{paper_network, run_cluster_search};
-use eks::core::driver::{search_interval, SearchOutcome};
-use eks::cracker::{crack_parallel, ParallelConfig, TargetSet};
+use eks::cracker::{crack_interval, crack_parallel, ParallelConfig, TargetSet};
 use eks::hashes::HashAlgo;
-use eks::kernels::host::HostSearch;
 use eks::keyspace::{Charset, Interval, Key, KeySpace, Order};
+use std::sync::atomic::AtomicBool;
 
 fn space() -> KeySpace {
     KeySpace::new(Charset::lowercase(), 1, 4, Order::FirstCharFastest).unwrap()
@@ -28,24 +26,17 @@ fn all_engines_agree_on_the_same_hit() {
     let id = s.id_of(&secret).unwrap();
     let digest = HashAlgo::Md5.hash(secret.as_bytes());
 
-    // 1. Generic sequential driver from eks-core.
-    let test = |_id: u128, k: &Key| (HashAlgo::Md5.hash(k.as_bytes()) == digest).then_some(());
-    let out = search_interval(&s, &test, 0, s.size());
-    assert_eq!(out.found_id(), Some(id), "core driver");
-    assert!(matches!(out, SearchOutcome::Found { .. }));
-
-    // 2. Parallel CPU cracker.
+    // 1. The scalar oracle: one key at a time, `f` once, `next` after.
     let targets = TargetSet::new(HashAlgo::Md5, std::slice::from_ref(&digest));
+    let out = crack_interval(&s, &targets, s.interval(), &AtomicBool::new(false), true);
+    assert_eq!(out.hits, vec![(id, secret.clone(), 0)], "scalar oracle");
+
+    // 2. Parallel CPU cracker (the reversed-MD5 fast path).
     let r = crack_parallel(&s, &targets, s.interval(), ParallelConfig::default());
     assert_eq!(r.hits[0].0, id, "parallel cracker");
     assert_eq!(r.hits[0].1, secret);
 
-    // 3. Kernel host semantics (the reversed-MD5 fast path).
-    let hs = HostSearch::new(HashAlgo::Md5, &digest);
-    let hit = hs.search(&s, s.interval()).expect("host search");
-    assert_eq!(hit, (id, secret.clone()), "kernel host path");
-
-    // 4. Hierarchical cluster runtime over the paper's network.
+    // 3. Hierarchical cluster runtime over the paper's network.
     let net = paper_network(1e-3);
     let cr = run_cluster_search(&net, &s, &targets, s.interval(), true);
     assert_eq!(cr.hits[0].0, id, "cluster runtime");
@@ -61,8 +52,9 @@ fn sha1_end_to_end() {
     let targets = TargetSet::new(HashAlgo::Sha1, std::slice::from_ref(&digest));
     let r = crack_parallel(&s, &targets, s.interval(), ParallelConfig::default());
     assert_eq!(r.hits[0].1, secret);
-    let hs = HostSearch::new(HashAlgo::Sha1, &digest);
-    assert_eq!(hs.search(&s, s.interval()).unwrap().1, secret);
+    let out = crack_interval(&s, &targets, s.interval(), &AtomicBool::new(false), true);
+    let id = s.id_of(&secret).unwrap();
+    assert_eq!(out.hits, vec![(id, secret, 0)], "scalar oracle");
 }
 
 /// A multi-target audit through the cluster runtime: every planted key is

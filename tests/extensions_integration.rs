@@ -1,21 +1,18 @@
 //! Integration tests for the extension layers: NTLM end-to-end, mask and
 //! hybrid attacks through the generic engine, checkpoint-driven resumes,
-//! dynamic membership, topology parsing, and occupancy of the real
-//! kernels.
+//! topology parsing, and occupancy of the real kernels. Dynamic
+//! membership is `tests/cluster_driver.rs`'s join/leave/rejoin churn.
 
 // Indexing/slicing below is over fixed-size state arrays or lengths
 // established by construction; the workspace `clippy::indexing_slicing`
 // escalation guards new code, not these proven accesses.
 #![allow(clippy::indexing_slicing)]
 
-use eks::cluster::{
-    parse_topology, run_cluster_search, run_dynamic, DynamicConfig, MembershipEvent,
-    ScheduledEvent,
-};
+use eks::cluster::{parse_topology, run_cluster_search};
 use eks::cracker::{crack_interval, crack_space_parallel, ParallelConfig, TargetSet};
 use eks::engine::Checkpoint;
 use eks::hashes::HashAlgo;
-use eks::keyspace::{Charset, HybridSpace, Interval, KeySpace, MaskSpace, Order};
+use eks::keyspace::{Charset, HybridSpace, KeySpace, MaskSpace, Order};
 use std::sync::atomic::AtomicBool;
 
 /// NTLM cracks through the whole stack: engine, cluster, and the MD4
@@ -117,23 +114,10 @@ fn hybrid_space_end_to_end() {
     assert_eq!(r.hits[0].1.as_bytes(), planted);
 }
 
-/// Dynamic membership with a failure mid-search still covers the space,
-/// and the parsed topology drives the same DES as the hand-built one.
+/// The parsed topology drives the same DES as the hand-built paper
+/// network.
 #[test]
-fn dynamic_and_topology_consistency() {
-    let report = run_dynamic(
-        &[("fast", 1000.0), ("slow", 100.0)],
-        Interval::new(0, 20_000_000),
-        DynamicConfig { round_keys: 1_000_000, round_overhead_s: 1e-3 },
-        &[ScheduledEvent {
-            before_round: 10,
-            event: MembershipEvent::Leave { name: "slow".into() },
-        }],
-    );
-    assert_eq!(report.covered, 20_000_000);
-    assert_eq!(report.rebalances, 1);
-
-    // Topology text == hand-built tree for the paper network.
+fn parsed_topology_drives_the_same_simulation() {
     use eks::cluster::{paper_network, simulate_search, SimParams};
     let text = parse_topology("A(540M) -> B(660, 550Ti); C(8600M) -> D(8800); A -> C", 2e-3)
         .unwrap();

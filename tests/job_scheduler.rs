@@ -14,9 +14,11 @@
 
 use std::path::PathBuf;
 
+use eks::cluster::{plan_fleet, ClusterNode};
 use eks::core::prop::forall;
 use eks::cracker::{cpu_backend, Lanes};
 use eks::engine::checkpoint::SearchCheckpoint;
+use eks::gpusim::device::Device;
 use eks::hashes::HashAlgo;
 use eks::jobs::{Fleet, FleetMember, JobService, JobSpec, JobState, JobStore, ServiceConfig};
 use eks::keyspace::{Interval, Order};
@@ -115,6 +117,36 @@ fn two_worker_fleet() -> Fleet {
             })
             .collect(),
     )
+}
+
+/// `eks job run --topology`: two jobs drain over a `plan_fleet`ed cluster
+/// (a simulated GPU and a two-thread CPU worker) with exactly-once
+/// coverage and both planted keys found, with and without retune (live
+/// per-worker weights for every lease).
+#[test]
+fn jobs_drain_over_a_planned_cluster_fleet() {
+    let net = ClusterNode::device_node("A", vec![Device::geforce_gtx_660()], 1e-3)
+        .with_cpu("cpu0", 2);
+    for retune in [false, true] {
+        let dir = tmp_spool(&format!("cluster-{retune}"));
+        let store = JobStore::open(&dir).unwrap();
+        let a = store.submit(lowercase_spec("a", b"cat", 1)).unwrap();
+        let b = store.submit(lowercase_spec("b", b"zzz", 2)).unwrap();
+        let service = JobService::new(
+            store,
+            ServiceConfig { round_keys: 8192, retune, ..ServiceConfig::default() },
+        );
+        let fleet = plan_fleet(&net, HashAlgo::Md5, service.telemetry());
+        let rounds = service.run_until_idle(&fleet).unwrap();
+        assert!(rounds >= 2, "two jobs over {SPACE} keys need several rounds, got {rounds}");
+        for (id, word) in [(a.id, &b"cat"[..]), (b.id, b"zzz")] {
+            let rec = service.store().load(id).unwrap();
+            assert_eq!(rec.state, JobState::Completed);
+            assert_eq!(rec.tested, SPACE, "exactly-once coverage for {id} (retune {retune})");
+            assert!(rec.hits.iter().any(|h| h.key == word), "{id} found its key");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Two equal-priority jobs each receive 50% ± 10% of the scanned keys

@@ -12,12 +12,14 @@
 use eks::cluster::{paper_network, simulate_search, SimParams};
 use eks::core::partition::{balance_workloads, parallel_efficiency, NodeRate};
 use eks::core::prop::forall;
+use eks::cracker::{CpuBackend, TargetSet};
+use eks::engine::{Backend, ScanMode};
 use eks::hashes::HashAlgo;
-use eks::kernels::host::HostSearch;
 use eks::kernels::md5::{build_md5, Md5Variant};
 use eks::kernels::words_for_key_len;
 use eks::kernels::Tool;
 use eks::keyspace::{Charset, Interval, KeySpace, Order};
+use std::sync::atomic::AtomicBool;
 
 /// Balanced workloads always yield ≥ 99 % predicted efficiency and
 /// respect every node's minimum batch, for arbitrary heterogeneous
@@ -53,18 +55,20 @@ fn kernel_ir_computes_md5_for_any_word() {
     });
 }
 
-/// The reversed host search and a plain forward scan find the same
-/// keys for arbitrary planted secrets.
+/// The host CPU backend's single-digest first-hit search (the
+/// reversed-MD5 kernel path) returns exactly the planted key at its
+/// identifier, for arbitrary planted secrets.
 #[test]
 fn host_search_matches_forward_scan() {
     let s = KeySpace::new(Charset::lowercase(), 1, 4, Order::FirstCharFastest).unwrap();
+    let backend = CpuBackend::default();
     forall("host search finds planted keys", 48, |rng| {
         let id = rng.range_u128(0, 99_999) % s.size();
         let secret = s.key_at(id);
-        let digest = HashAlgo::Md5.hash(secret.as_bytes());
-        let hs = HostSearch::new(HashAlgo::Md5, &digest);
-        let hit = hs.search(&s, s.interval());
-        assert_eq!(hit, Some((id, secret)));
+        let targets = TargetSet::new(HashAlgo::Md5, &[HashAlgo::Md5.hash(secret.as_bytes())]);
+        let stop = AtomicBool::new(false);
+        let out = backend.scan(&s, &targets, s.interval(), &stop, ScanMode::FirstHit);
+        assert_eq!(out.hits, vec![(id, secret, 0)]);
     });
 }
 
