@@ -11,10 +11,10 @@ use eks_gpusim::codegen::{lower, LoweringOptions};
 use eks_gpusim::isa::{KernelIr, Reg};
 use eks_kernels::baseline::{Tool, ToolKernel};
 use eks_kernels::HashAlgo;
-use eks_kernels::md4::{build_md4, ntlm_words_for_key_len, Md4Variant};
+use eks_kernels::md4::{build_md4, Md4Variant};
 use eks_kernels::md5::{build_md5, Md5Variant};
-use eks_kernels::sha1::{build_sha1, sha1_words_for_key_len, Sha1Variant};
-use eks_kernels::words_for_key_len;
+use eks_kernels::sha1::{build_sha1, Sha1Variant};
+use eks_kernels::words_for;
 
 /// Dead-store roots: comparison outputs plus loop-carried registers.
 fn roots(outputs: &[Reg], carried: &[Reg]) -> Vec<Reg> {
@@ -36,23 +36,13 @@ fn lint_counts(ir: &KernelIr, opts: LoweringOptions) -> std::collections::BTreeM
 fn every_builtin_ir_is_dataflow_clean() {
     let mut built = Vec::new();
     for v in [Md5Variant::Naive, Md5Variant::Reversed, Md5Variant::Optimized] {
-        built.push(build_md5(v, &words_for_key_len(4)));
+        built.push(build_md5(v, &words_for(HashAlgo::Md5, 4)));
     }
     for v in [Sha1Variant::Naive, Sha1Variant::Optimized] {
-        let b = build_sha1(v, &sha1_words_for_key_len(4));
-        built.push(eks_kernels::md5::BuiltKernel {
-            ir: b.ir,
-            outputs: b.outputs,
-            carried: b.carried,
-        });
+        built.push(build_sha1(v, &words_for(HashAlgo::Sha1, 4)));
     }
     for v in [Md4Variant::Naive, Md4Variant::Reversed, Md4Variant::Optimized] {
-        let b = build_md4(v, &ntlm_words_for_key_len(4));
-        built.push(eks_kernels::md5::BuiltKernel {
-            ir: b.ir,
-            outputs: b.outputs,
-            carried: b.carried,
-        });
+        built.push(build_md4(v, &words_for(HashAlgo::Ntlm, 4)));
     }
     for b in &built {
         let report = analyze_ir(&b.ir, Some(&roots(&b.outputs, &b.carried)));
@@ -67,7 +57,7 @@ fn every_builtin_ir_is_dataflow_clean() {
 
 #[test]
 fn optimized_md5_is_lint_clean_on_every_architecture() {
-    let b = build_md5(Md5Variant::Optimized, &words_for_key_len(4));
+    let b = build_md5(Md5Variant::Optimized, &words_for(HashAlgo::Md5, 4));
     for cc in ComputeCapability::ALL {
         let report = analyze_compiled(&lower(&b.ir, LoweringOptions::for_cc(cc)));
         assert!(
@@ -81,7 +71,7 @@ fn optimized_md5_is_lint_clean_on_every_architecture() {
 
 #[test]
 fn naive_md5_shows_the_papers_missed_lowerings() {
-    let b = build_md5(Md5Variant::Naive, &words_for_key_len(4));
+    let b = build_md5(Md5Variant::Naive, &words_for(HashAlgo::Md5, 4));
 
     // cc 3.0: round 3's four rotate-by-16s should have been `PRMT`
     // (`__byte_perm`) — the Table VI optimization.
@@ -102,8 +92,8 @@ fn naive_md5_shows_the_papers_missed_lowerings() {
 fn reversed_md5_flags_fewer_rotates_than_naive() {
     // The 15-step reversal removes rotates along with everything else, so
     // the funnel lint count drops with it (64 -> 49 rotates).
-    let naive = build_md5(Md5Variant::Naive, &words_for_key_len(4));
-    let reversed = build_md5(Md5Variant::Reversed, &words_for_key_len(4));
+    let naive = build_md5(Md5Variant::Naive, &words_for(HashAlgo::Md5, 4));
+    let reversed = build_md5(Md5Variant::Reversed, &words_for(HashAlgo::Md5, 4));
     let opts = LoweringOptions::plain(ComputeCapability::Sm35);
     let n = lint_counts(&naive.ir, opts)[&Lint::FunnelMissed];
     let r = lint_counts(&reversed.ir, opts)[&Lint::FunnelMissed];
@@ -114,13 +104,13 @@ fn reversed_md5_flags_fewer_rotates_than_naive() {
 fn sha1_and_ntlm_variants_behave_like_md5() {
     // SHA-1 rotates by 1, 5 and 30 — never 16 — so the PRMT lint stays
     // silent even on the naive variant; the funnel lint does not.
-    let naive = build_sha1(Sha1Variant::Naive, &sha1_words_for_key_len(4));
+    let naive = build_sha1(Sha1Variant::Naive, &words_for(HashAlgo::Sha1, 4));
     let by = lint_counts(&naive.ir, LoweringOptions::plain(ComputeCapability::Sm30));
     assert_eq!(by.get(&Lint::PrmtMissed), None, "{by:?}");
     let by = lint_counts(&naive.ir, LoweringOptions::plain(ComputeCapability::Sm35));
     assert!(by[&Lint::FunnelMissed] > 0);
 
-    let opt = build_sha1(Sha1Variant::Optimized, &sha1_words_for_key_len(4));
+    let opt = build_sha1(Sha1Variant::Optimized, &words_for(HashAlgo::Sha1, 4));
     for cc in ComputeCapability::ALL {
         let report = analyze_compiled(&lower(&opt.ir, LoweringOptions::for_cc(cc)));
         for d in &report.diagnostics {
@@ -132,12 +122,12 @@ fn sha1_and_ntlm_variants_behave_like_md5() {
     }
 
     // NTLM (MD4): optimized lowering is clean everywhere.
-    let opt = build_md4(Md4Variant::Optimized, &ntlm_words_for_key_len(4));
+    let opt = build_md4(Md4Variant::Optimized, &words_for(HashAlgo::Ntlm, 4));
     for cc in ComputeCapability::ALL {
         let report = analyze_compiled(&lower(&opt.ir, LoweringOptions::for_cc(cc)));
         assert!(report.diagnostics.is_empty(), "{}", report.render_text());
     }
-    let naive = build_md4(Md4Variant::Naive, &ntlm_words_for_key_len(4));
+    let naive = build_md4(Md4Variant::Naive, &words_for(HashAlgo::Ntlm, 4));
     let by = lint_counts(&naive.ir, LoweringOptions::plain(ComputeCapability::Sm35));
     assert!(by[&Lint::FunnelMissed] > 0);
 }

@@ -15,8 +15,8 @@ use eks_gpusim::isa::{KernelBuilder, KernelIr, MachineInstr, Reg};
 use eks_gpusim::liveness;
 use eks_hashes::md5::{md5_compress, IV};
 use eks_hashes::padding::pad_md5_block;
-use eks_kernels::md5::{build_md5, BuiltKernel, Md5Variant};
-use eks_kernels::{words_for_key_len, WordSource};
+use eks_kernels::md5::{build_md5, Md5Variant};
+use eks_kernels::{words_for, BuiltKernel, HashAlgo, WordSource};
 
 /// A random straight-line program over `n_params` parameters. Returns
 /// the IR and every register in definition order.
@@ -78,7 +78,7 @@ fn dse_preserves_md5_digests() {
     forall("dse_preserves_md5_digests", 64, |rng| {
         let key_len = rng.range(1, 12) as usize;
         let key: Vec<u8> = rng.vec(key_len, |r| r.range(0x21, 0x7e) as u8);
-        let words = words_for_key_len(key.len());
+        let words = words_for(HashAlgo::Md5, key.len());
         let block = pad_md5_block(&key);
         let n_params = words.iter().filter(|s| matches!(s, WordSource::Param(_))).count();
         let params: Vec<u32> = block[..n_params].to_vec();

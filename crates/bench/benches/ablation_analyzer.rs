@@ -15,11 +15,11 @@ use eks_gpusim::codegen::{lower, LoweringOptions};
 use eks_gpusim::device::{Device, DeviceCatalog};
 use eks_gpusim::sched::{simulate, SimConfig};
 use eks_kernels::md5::{build_md5, Md5Variant};
-use eks_kernels::words_for_key_len;
+use eks_kernels::{words_for, HashAlgo};
 
 fn main() {
     header("Ablation — analyzer findings vs the throughput of fixing them");
-    let words = words_for_key_len(4);
+    let words = words_for(HashAlgo::Md5, 4);
     let built = build_md5(Md5Variant::Optimized, &words);
 
     println!(

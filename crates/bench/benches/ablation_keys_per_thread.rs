@@ -11,7 +11,7 @@ use eks_gpusim::arch::ComputeCapability;
 use eks_gpusim::codegen::{lower, LoweringOptions};
 use eks_kernels::generation::{build_conversion, build_next_operator, thread_efficiency};
 use eks_kernels::md5::{build_md5, Md5Variant};
-use eks_kernels::words_for_key_len;
+use eks_kernels::{words_for, HashAlgo};
 
 fn main() {
     header("Ablation — conversion amortization (keys per thread)");
@@ -26,7 +26,7 @@ fn main() {
         let opts = LoweringOptions::plain(cc);
         let conv = lower(&build_conversion(8, b'a' as u32), opts).counts.total();
         let next = lower(&build_next_operator(), opts).counts.total();
-        let hash = lower(&build_md5(Md5Variant::Optimized, &words_for_key_len(8)).ir, opts)
+        let hash = lower(&build_md5(Md5Variant::Optimized, &words_for(HashAlgo::Md5, 8)).ir, opts)
             .counts
             .total();
         print!("{:<8}{conv:>10}{next:>10}{hash:>10}   ", cc.label());

@@ -15,7 +15,7 @@ use eks_gpusim::device::{Device, DeviceCatalog};
 use eks_gpusim::sched::{simulate, SimConfig};
 use eks_kernels::interleave::interleave_self;
 use eks_kernels::md5::{build_md5, Md5Variant};
-use eks_kernels::words_for_key_len;
+use eks_kernels::{words_for, HashAlgo};
 
 fn mkeys(ir: &eks_gpusim::isa::KernelIr, opts: LoweringOptions, dev: &Device) -> f64 {
     let k = lower(ir, opts);
@@ -24,7 +24,7 @@ fn mkeys(ir: &eks_gpusim::isa::KernelIr, opts: LoweringOptions, dev: &Device) ->
 
 fn main() {
     header("Ablation — MD5 kernel optimizations per architecture");
-    let words = words_for_key_len(4);
+    let words = words_for(HashAlgo::Md5, 4);
     let naive = build_md5(Md5Variant::Naive, &words).ir;
     let reversed = build_md5(Md5Variant::Reversed, &words).ir;
     let optimized = build_md5(Md5Variant::Optimized, &words).ir;

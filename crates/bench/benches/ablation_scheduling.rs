@@ -13,7 +13,7 @@ use eks_gpusim::schedule::{adjacent_independence, schedule_for_pairing};
 use eks_gpusim::sched::{simulate, SimConfig};
 use eks_kernels::interleave::interleave_self;
 use eks_kernels::md5::{build_md5, Md5Variant};
-use eks_kernels::words_for_key_len;
+use eks_kernels::{words_for, HashAlgo};
 
 fn scheduled(k: &CompiledKernel) -> CompiledKernel {
     let mut out = k.clone();
@@ -23,7 +23,7 @@ fn scheduled(k: &CompiledKernel) -> CompiledKernel {
 
 fn main() {
     header("Ablation — instruction scheduling and dual-issue");
-    let words = words_for_key_len(4);
+    let words = words_for(HashAlgo::Md5, 4);
     let single = build_md5(Md5Variant::Optimized, &words).ir;
     let x2 = interleave_self(&single);
 

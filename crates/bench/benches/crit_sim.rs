@@ -8,11 +8,11 @@ use eks_gpusim::codegen::{lower, LoweringOptions};
 use eks_gpusim::sched::{simulate, SimConfig};
 use eks_gpusim::schedule::schedule_for_pairing;
 use eks_kernels::md5::{build_md5, Md5Variant};
-use eks_kernels::words_for_key_len;
+use eks_kernels::{words_for, HashAlgo};
 use std::hint::black_box;
 
 fn bench_build_and_lower() {
-    let words = words_for_key_len(4);
+    let words = words_for(HashAlgo::Md5, 4);
     let mut g = Group::new("build_and_lower");
     g.bench("build_md5_optimized_ir", || {
         build_md5(Md5Variant::Optimized, black_box(&words))
@@ -24,14 +24,14 @@ fn bench_build_and_lower() {
 }
 
 fn bench_schedule_pass() {
-    let ir = build_md5(Md5Variant::Optimized, &words_for_key_len(4)).ir;
+    let ir = build_md5(Md5Variant::Optimized, &words_for(HashAlgo::Md5, 4)).ir;
     let k = lower(&ir, LoweringOptions::for_cc(ComputeCapability::Sm30));
     let mut g = Group::new("schedule");
     g.bench("schedule_for_pairing", || schedule_for_pairing(black_box(&k.instrs)));
 }
 
 fn bench_cycle_sim() {
-    let ir = build_md5(Md5Variant::Optimized, &words_for_key_len(4)).ir;
+    let ir = build_md5(Md5Variant::Optimized, &words_for(HashAlgo::Md5, 4)).ir;
     let mut g = Group::new("cycle_sim");
     for cc in [ComputeCapability::Sm1x, ComputeCapability::Sm21, ComputeCapability::Sm30] {
         let k = lower(&ir, LoweringOptions::for_cc(cc));

@@ -14,10 +14,10 @@ pub(super) fn cmd_analyze(args: &Args) -> Result<(), String> {
     use eks_analyzer::{analyze_compiled, analyze_ir, md5_budget_report, DEFAULT_TOLERANCE};
     use eks_gpusim::arch::ComputeCapability;
     use eks_gpusim::codegen::LoweringOptions;
-    use eks_kernels::md4::{build_md4, ntlm_words_for_key_len, Md4Variant};
+    use eks_kernels::md4::{build_md4, Md4Variant};
     use eks_kernels::md5::{build_md5, Md5Variant};
-    use eks_kernels::sha1::{build_sha1, sha1_words_for_key_len, Sha1Variant};
-    use eks_kernels::words_for_key_len;
+    use eks_kernels::sha1::{build_sha1, Sha1Variant};
+    use eks_kernels::words_for;
 
     let algo = parse_algo(args)?;
     let variant = args.get_or("variant", "optimized");
@@ -36,6 +36,7 @@ pub(super) fn cmd_analyze(args: &Args) -> Result<(), String> {
     // outputs plus loop-carried registers) and whether it should lower
     // with the per-architecture optimizations. An iterated KDF analyzes
     // its base kernel — the round loop is driver code, not device IR.
+    let words = words_for(algo, 4);
     let (ir, roots, optimized) = match algo.base() {
         HashAlgo::Md5 => {
             let v = match variant {
@@ -44,7 +45,7 @@ pub(super) fn cmd_analyze(args: &Args) -> Result<(), String> {
                 "optimized" => Md5Variant::Optimized,
                 other => return Err(format!("unknown --variant {other:?}")),
             };
-            let b = build_md5(v, &words_for_key_len(4));
+            let b = build_md5(v, &words);
             (b.ir, [b.outputs, b.carried].concat(), v == Md5Variant::Optimized)
         }
         HashAlgo::Sha1 => {
@@ -53,7 +54,7 @@ pub(super) fn cmd_analyze(args: &Args) -> Result<(), String> {
                 "optimized" => Sha1Variant::Optimized,
                 other => return Err(format!("unknown sha1 --variant {other:?} (naive, optimized)")),
             };
-            let b = build_sha1(v, &sha1_words_for_key_len(4));
+            let b = build_sha1(v, &words);
             (b.ir, [b.outputs, b.carried].concat(), v == Sha1Variant::Optimized)
         }
         HashAlgo::Ntlm => {
@@ -63,7 +64,7 @@ pub(super) fn cmd_analyze(args: &Args) -> Result<(), String> {
                 "optimized" => Md4Variant::Optimized,
                 other => return Err(format!("unknown --variant {other:?}")),
             };
-            let b = build_md4(v, &ntlm_words_for_key_len(4));
+            let b = build_md4(v, &words);
             (b.ir, [b.outputs, b.carried].concat(), v == Md4Variant::Optimized)
         }
         HashAlgo::Md5Iter { .. } => unreachable!("base() strips iteration"),

@@ -32,15 +32,11 @@ use std::sync::{Mutex, OnceLock};
 use eks_cracker::CpuBackend;
 use eks_engine::{Backend, ScanMode, ScanReport, TargetSet};
 use eks_gpusim::device::Device;
-use eks_hashes::padding::{pad_md5_block, pad_sha_block};
 use eks_hashes::HashAlgo;
 use eks_keyspace::{Interval, Key, KeySpace};
-use eks_gpusim::isa::{KernelIr, Reg};
-use eks_kernels::md4::ntlm_words_for_key_len;
-use eks_kernels::sha1::sha1_words_for_key_len;
 use eks_kernels::{
-    build_md4, build_md5, build_sha1, words_for_key_len, Md4Variant, Md5Variant, Sha1Variant,
-    Tool, WordSource,
+    block_for, build_md4, build_md5, build_sha1, words_for, Md4Variant, Md5Variant, Sha1Variant,
+    Tool,
 };
 
 use crate::tuning::{tune_device, AchievedModel};
@@ -102,14 +98,6 @@ impl Backend for SimKernelBackend {
     }
 }
 
-/// Execute a kernel's IR with a candidate's runtime words and return the
-/// output-register values.
-fn eval_ir(ir: &KernelIr, outputs: &[Reg], words: &[WordSource; 16], block: &[u32; 16]) -> Vec<u32> {
-    let n_params = words.iter().filter(|s| matches!(s, WordSource::Param(_))).count();
-    let regs = ir.evaluate(&block[..n_params]);
-    outputs.iter().map(|r| regs[r.0 as usize]).collect()
-}
-
 /// Check the naive kernel IR digest for `key` against `eks-hashes`,
 /// memoizing per `(algo, key length)` — the kernel is built per length,
 /// so one verified candidate pins every candidate of that length.
@@ -124,50 +112,31 @@ fn verify_kernel_ir(algo: HashAlgo, key: &Key) {
     if verified.lock().expect("fidelity cache").contains(&(algo, len)) {
         return;
     }
+    let words = words_for(algo, len);
+    let block = block_for(algo, key.as_bytes());
     let got: Vec<u8> = match algo {
-        HashAlgo::Md5 => {
-            let words = words_for_key_len(len);
-            let built = build_md5(Md5Variant::Naive, &words);
-            let block = pad_md5_block(key.as_bytes());
-            let state: [u32; 4] = eval_ir(&built.ir, &built.outputs, &words, &block)
-                .try_into()
-                .expect("MD5 outputs 4 words");
-            eks_hashes::md5::state_to_digest(state).to_vec()
-        }
         HashAlgo::Ntlm => {
-            let words = ntlm_words_for_key_len(len);
-            let built = build_md4(Md4Variant::Naive, &words);
-            // NTLM hashes the UTF-16LE expansion of the password.
-            let mut utf16 = Vec::with_capacity(len * 2);
-            for &b in key.as_bytes() {
-                utf16.push(b);
-                utf16.push(0);
-            }
-            let block = pad_md5_block(&utf16);
-            let state: [u32; 4] = eval_ir(&built.ir, &built.outputs, &words, &block)
+            let state: [u32; 4] = build_md4(Md4Variant::Naive, &words)
+                .eval(&block)
                 .try_into()
                 .expect("MD4 outputs 4 words");
             // MD4 shares MD5's little-endian serialization.
             eks_hashes::md5::state_to_digest(state).to_vec()
         }
         HashAlgo::Sha1 => {
-            let words = sha1_words_for_key_len(len);
-            let built = build_sha1(Sha1Variant::Naive, &words);
-            let block = pad_sha_block(key.as_bytes());
-            let state: [u32; 5] = eval_ir(&built.ir, &built.outputs, &words, &block)
+            let state: [u32; 5] = build_sha1(Sha1Variant::Naive, &words)
+                .eval(&block)
                 .try_into()
                 .expect("SHA-1 outputs 5 words");
             eks_hashes::sha1::state_to_digest(state).to_vec()
         }
-        HashAlgo::Md5Iter { .. } => {
-            // The device kernel is the base MD5 compression; the round
-            // loop is driver code. Pin the first compression to the IR,
-            // then chain the host-side rounds exactly as the driver
-            // would.
-            let words = words_for_key_len(len);
-            let built = build_md5(Md5Variant::Naive, &words);
-            let block = pad_md5_block(key.as_bytes());
-            let state: [u32; 4] = eval_ir(&built.ir, &built.outputs, &words, &block)
+        HashAlgo::Md5 | HashAlgo::Md5Iter { .. } => {
+            // An iterated KDF's device kernel is the base MD5
+            // compression; the round loop is driver code. Pin the first
+            // compression to the IR, then chain the host-side rounds
+            // exactly as the driver would (none for plain MD5).
+            let state: [u32; 4] = build_md5(Md5Variant::Naive, &words)
+                .eval(&block)
                 .try_into()
                 .expect("MD5 outputs 4 words");
             let mut digest = eks_hashes::md5::state_to_digest(state);

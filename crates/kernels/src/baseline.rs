@@ -22,10 +22,10 @@ use eks_gpusim::codegen::LoweringOptions;
 use eks_gpusim::isa::{KernelBuilder, KernelIr};
 
 use crate::HashAlgo;
-use crate::md4::{build_md4, ntlm_words_for_key_len, Md4Variant};
+use crate::md4::{build_md4, Md4Variant};
 use crate::md5::{build_md5, Md5Variant};
-use crate::sha1::{build_sha1, sha1_words_for_key_len, Sha1Variant};
-use crate::words_for_key_len;
+use crate::sha1::{build_sha1, Sha1Variant};
+use crate::words_for;
 
 /// The competing implementations of Table VIII.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,17 +69,18 @@ impl ToolKernel {
         // lives in the driver, so the device kernel is the base hash's
         // (throughput modeling divides by `HashAlgo::cost_factor`).
         let algo = algo.base();
+        let words = words_for(algo, key_len);
         match (tool, algo) {
             (Tool::OurApproach, HashAlgo::Md5) => ToolKernel {
-                ir: build_md5(Md5Variant::Optimized, &words_for_key_len(key_len)).ir,
+                ir: build_md5(Md5Variant::Optimized, &words).ir,
                 options: LoweringOptions::for_cc(cc),
             },
             (Tool::OurApproach, HashAlgo::Sha1) => ToolKernel {
-                ir: build_sha1(Sha1Variant::Optimized, &sha1_words_for_key_len(key_len)).ir,
+                ir: build_sha1(Sha1Variant::Optimized, &words).ir,
                 options: LoweringOptions::for_cc(cc),
             },
             (Tool::BarsWf, HashAlgo::Md5) => {
-                let mut built = build_md5(Md5Variant::Reversed, &words_for_key_len(key_len));
+                let mut built = build_md5(Md5Variant::Reversed, &words);
                 append_base_n_generation(&mut built.ir, key_len);
                 ToolKernel { ir: built.ir, options: LoweringOptions::plain(cc) }
             }
@@ -87,31 +88,31 @@ impl ToolKernel {
                 // BarsWF never shipped SHA-1 CUDA kernels of note; the
                 // paper's Table VIII accordingly has no BarsWF SHA-1 row.
                 // Model it as naive + generation for completeness.
-                let mut built = build_sha1(Sha1Variant::Naive, &sha1_words_for_key_len(key_len));
+                let mut built = build_sha1(Sha1Variant::Naive, &words);
                 append_base_n_generation(&mut built.ir, key_len);
                 ToolKernel { ir: built.ir, options: LoweringOptions::plain(cc) }
             }
             (Tool::Cryptohaze, HashAlgo::Md5) => ToolKernel {
-                ir: build_md5(Md5Variant::Naive, &words_for_key_len(key_len)).ir,
+                ir: build_md5(Md5Variant::Naive, &words).ir,
                 options: LoweringOptions::plain(cc),
             },
             (Tool::Cryptohaze, HashAlgo::Sha1) => ToolKernel {
-                ir: build_sha1(Sha1Variant::Naive, &sha1_words_for_key_len(key_len)).ir,
+                ir: build_sha1(Sha1Variant::Naive, &words).ir,
                 options: LoweringOptions::plain(cc),
             },
             // NTLM (extension): MD4 inherits MD5's reversal property, so
             // the same tool models apply.
             (Tool::OurApproach, HashAlgo::Ntlm) => ToolKernel {
-                ir: build_md4(Md4Variant::Optimized, &ntlm_words_for_key_len(key_len)).ir,
+                ir: build_md4(Md4Variant::Optimized, &words).ir,
                 options: LoweringOptions::for_cc(cc),
             },
             (Tool::BarsWf, HashAlgo::Ntlm) => {
-                let mut built = build_md4(Md4Variant::Reversed, &ntlm_words_for_key_len(key_len));
+                let mut built = build_md4(Md4Variant::Reversed, &words);
                 append_base_n_generation(&mut built.ir, key_len);
                 ToolKernel { ir: built.ir, options: LoweringOptions::plain(cc) }
             }
             (Tool::Cryptohaze, HashAlgo::Ntlm) => ToolKernel {
-                ir: build_md4(Md4Variant::Naive, &ntlm_words_for_key_len(key_len)).ir,
+                ir: build_md4(Md4Variant::Naive, &words).ir,
                 options: LoweringOptions::plain(cc),
             },
             (_, HashAlgo::Md5Iter { .. }) => {
@@ -211,7 +212,7 @@ mod tests {
     fn generation_overhead_is_shift_heavy() {
         let dev = Device::geforce_gtx_660();
         let plain = ToolKernel {
-            ir: crate::md5::build_md5(Md5Variant::Reversed, &words_for_key_len(4)).ir,
+            ir: crate::md5::build_md5(Md5Variant::Reversed, &words_for(HashAlgo::Md5, 4)).ir,
             options: eks_gpusim::codegen::LoweringOptions::plain(dev.cc),
         };
         let bars = ToolKernel::build(Tool::BarsWf, HashAlgo::Md5, dev.cc);

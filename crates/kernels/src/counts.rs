@@ -8,7 +8,7 @@ use eks_gpusim::codegen::{lower, InstrCounts, LoweringOptions};
 use eks_gpusim::isa::SourceCounts;
 
 use crate::md5::{build_md5, Md5Variant};
-use crate::{words_for_key_len, WordSource};
+use crate::{words_for, HashAlgo, WordSource};
 
 /// Table III — source-level MD5 operation counts as published.
 pub const PAPER_TABLE3_MD5_SOURCE: PaperSourceCounts =
@@ -90,7 +90,7 @@ pub fn our_md5_source_counts() -> SourceCounts {
 
 /// Our compiled counts for an MD5 variant on an architecture.
 pub fn our_md5_counts(variant: Md5Variant, cc: ComputeCapability) -> InstrCounts {
-    let built = build_md5(variant, &words_for_key_len(4));
+    let built = build_md5(variant, &words_for(HashAlgo::Md5, 4));
     let options = match variant {
         // Tables IV and V predate the __byte_perm optimization.
         Md5Variant::Naive | Md5Variant::Reversed => LoweringOptions::plain(cc),
@@ -104,7 +104,7 @@ pub fn our_sha1_counts(
     variant: crate::sha1::Sha1Variant,
     cc: ComputeCapability,
 ) -> InstrCounts {
-    let built = crate::sha1::build_sha1(variant, &crate::sha1::sha1_words_for_key_len(4));
+    let built = crate::sha1::build_sha1(variant, &crate::words_for(HashAlgo::Sha1, 4));
     lower(&built.ir, LoweringOptions::for_cc(cc)).counts
 }
 
@@ -113,7 +113,7 @@ pub fn our_md4_counts(
     variant: crate::md4::Md4Variant,
     cc: ComputeCapability,
 ) -> InstrCounts {
-    let built = crate::md4::build_md4(variant, &crate::md4::ntlm_words_for_key_len(4));
+    let built = crate::md4::build_md4(variant, &crate::words_for(HashAlgo::Ntlm, 4));
     lower(&built.ir, LoweringOptions::for_cc(cc)).counts
 }
 

@@ -87,7 +87,7 @@ fn remap(op: AbstractOp, dr: u32, dp: u32) -> AbstractOp {
 mod tests {
     use super::*;
     use crate::md5::{build_md5, Md5Variant};
-    use crate::words_for_key_len;
+    use crate::{words_for, HashAlgo};
     use eks_gpusim::arch::ComputeCapability;
     use eks_gpusim::codegen::{lower, LoweringOptions};
     use eks_gpusim::isa::KernelBuilder;
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn interleaving_preserves_semantics() {
-        let words = words_for_key_len(4);
+        let words = words_for(HashAlgo::Md5, 4);
         let built = build_md5(Md5Variant::Optimized, &words);
         let x2 = interleave_self(&built.ir);
         // Evaluate with two different candidate words; the two streams
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn interleaving_raises_dual_issue_on_fermi() {
-        let words = words_for_key_len(4);
+        let words = words_for(HashAlgo::Md5, 4);
         let built = build_md5(Md5Variant::Optimized, &words);
         let single = lower(&built.ir, LoweringOptions::plain(ComputeCapability::Sm21));
         let doubled = lower(

@@ -15,7 +15,7 @@ use eks::gpusim::sched::{simulate, SimConfig};
 use eks::gpusim::throughput::theoretical_mkeys;
 use eks::kernels::counts::our_md5_source_counts;
 use eks::kernels::md5::{build_md5, Md5Variant};
-use eks::kernels::words_for_key_len;
+use eks::kernels::{words_for, HashAlgo};
 
 fn main() {
     // Table III: source-level operation counts.
@@ -24,7 +24,7 @@ fn main() {
     println!("  ADD {}  AND/OR/XOR {}  NOT {}  shift {}\n", src.add, src.logic, src.not, src.shift);
 
     // Tables IV-VI: compiled counts per variant and architecture.
-    let words = words_for_key_len(4);
+    let words = words_for(HashAlgo::Md5, 4);
     for (label, variant) in [
         ("naive (Table IV)", Md5Variant::Naive),
         ("reversed+early-exit (Table V)", Md5Variant::Optimized),

@@ -33,8 +33,9 @@ fn ntlm_end_to_end() {
     assert_eq!(cr.hits[0].1.as_bytes(), secret);
 
     // The MD4 kernel IR computes the same digest the cracker matched.
-    use eks::kernels::md4::{build_md4, ntlm_words_for_key_len, Md4Variant};
-    let built = build_md4(Md4Variant::Naive, &ntlm_words_for_key_len(secret.len()));
+    use eks::kernels::md4::{build_md4, Md4Variant};
+    use eks::kernels::words_for;
+    let built = build_md4(Md4Variant::Naive, &words_for(HashAlgo::Ntlm, secret.len()));
     let mut utf16 = Vec::new();
     for &b in secret {
         utf16.extend_from_slice(&[b, 0]);

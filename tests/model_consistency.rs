@@ -102,8 +102,8 @@ fn table8_tool_ordering_holds_everywhere() {
 #[test]
 fn lowering_preserves_semantics_across_architectures() {
     use eks::kernels::md5::{build_md5, Md5Variant};
-    use eks::kernels::words_for_key_len;
-    let words = words_for_key_len(4);
+    use eks::kernels::words_for;
+    let words = words_for(HashAlgo::Md5, 4);
     let built = build_md5(Md5Variant::Naive, &words);
     // The abstract IR evaluates to the real digest state; the per-arch
     // lowering only reorganizes instructions, it cannot change counts of
@@ -136,8 +136,8 @@ fn lowering_preserves_semantics_across_architectures() {
 fn interleave_bookkeeping() {
     use eks::kernels::interleave::interleave_self;
     use eks::kernels::md5::{build_md5, Md5Variant};
-    use eks::kernels::words_for_key_len;
-    let built = build_md5(Md5Variant::Optimized, &words_for_key_len(4));
+    use eks::kernels::words_for;
+    let built = build_md5(Md5Variant::Optimized, &words_for(HashAlgo::Md5, 4));
     let single = lower(&built.ir, LoweringOptions::plain(ComputeCapability::Sm21));
     let doubled = lower(&interleave_self(&built.ir), LoweringOptions::plain(ComputeCapability::Sm21));
     assert_eq!(doubled.keys_per_iteration, 2);

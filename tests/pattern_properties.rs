@@ -16,7 +16,7 @@ use eks::cracker::{CpuBackend, TargetSet};
 use eks::engine::{Backend, ScanMode};
 use eks::hashes::HashAlgo;
 use eks::kernels::md5::{build_md5, Md5Variant};
-use eks::kernels::words_for_key_len;
+use eks::kernels::words_for;
 use eks::kernels::Tool;
 use eks::keyspace::{Charset, Interval, KeySpace, Order};
 use std::sync::atomic::AtomicBool;
@@ -43,7 +43,7 @@ fn balancing_is_efficient_for_any_cluster() {
 /// 4-byte candidates (kernels ↔ hashes cross-validation).
 #[test]
 fn kernel_ir_computes_md5_for_any_word() {
-    let built = build_md5(Md5Variant::Naive, &words_for_key_len(4));
+    let built = build_md5(Md5Variant::Naive, &words_for(HashAlgo::Md5, 4));
     forall("kernel IR vs real MD5", 128, |rng| {
         let w0 = rng.u32();
         let regs = built.ir.evaluate(&[w0]);
