@@ -106,8 +106,8 @@ mod tests {
             let block = pad_sha_block(key);
             let sched = expand_schedule(&block);
             let mut s = IV;
-            for i in 0..76 {
-                s = round(i, s, sched[i]);
+            for (i, &w) in sched.iter().enumerate().take(76) {
+                s = round(i, s, w);
             }
             let full = sha1_compress(IV, &block);
             assert_eq!(full[4], s[0].rotate_left(30).wrapping_add(IV[4]), "key {key:?}");

@@ -43,6 +43,9 @@ use std::sync::OnceLock;
 
 use crate::lanes::LaneHasher;
 
+pub use cores::{md4_steps, md5_steps, sha1_rounds};
+pub use vec::Vec32;
+
 /// An instruction-set architecture with an explicit-SIMD kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdIsa {

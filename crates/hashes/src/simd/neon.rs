@@ -20,36 +20,19 @@ use core::arch::aarch64::{
 };
 
 use super::cores;
-use super::vec::{Vec32, X2};
+use super::vec::{LaneVec, Vec32, X2};
 
 /// Four `u32` lanes in one NEON register.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct U32x4(uint32x4_t);
 
 impl Vec32 for U32x4 {
-    const LANES: usize = 4;
-
     #[inline(always)]
     fn splat(x: u32) -> Self {
         // SAFETY: single NEON intrinsic; reachable only through the
         // `#[target_feature(enable = "neon")]` shims below, entered via
         // handles that proved NEON at runtime.
         unsafe { Self(vdupq_n_u32(x)) }
-    }
-
-    #[inline(always)]
-    fn load(words: &[u32]) -> Self {
-        let arr: [u32; 4] = words[..4].try_into().expect("4 lanes");
-        // SAFETY: `[u32; 4]` and `uint32x4_t` are both 16-byte
-        // plain-old-data with no invalid bit patterns.
-        unsafe { Self(core::mem::transmute::<[u32; 4], uint32x4_t>(arr)) }
-    }
-
-    #[inline(always)]
-    fn store(self, out: &mut [u32]) {
-        // SAFETY: same plain-old-data transmute as `load`, in reverse.
-        let arr = unsafe { core::mem::transmute::<uint32x4_t, [u32; 4]>(self.0) };
-        out[..4].copy_from_slice(&arr);
     }
 
     #[inline(always)]
@@ -88,6 +71,25 @@ impl Vec32 for U32x4 {
             let right = vshlq_u32(self.0, vdupq_n_s32(s as i32 - 32));
             Self(vorrq_u32(left, right))
         }
+    }
+}
+
+impl LaneVec for U32x4 {
+    const LANES: usize = 4;
+
+    #[inline(always)]
+    fn load(words: &[u32]) -> Self {
+        let arr: [u32; 4] = words[..4].try_into().expect("4 lanes");
+        // SAFETY: `[u32; 4]` and `uint32x4_t` are both 16-byte
+        // plain-old-data with no invalid bit patterns.
+        unsafe { Self(core::mem::transmute::<[u32; 4], uint32x4_t>(arr)) }
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [u32]) {
+        // SAFETY: same plain-old-data transmute as `load`, in reverse.
+        let arr = unsafe { core::mem::transmute::<uint32x4_t, [u32; 4]>(self.0) };
+        out[..4].copy_from_slice(&arr);
     }
 }
 

@@ -2,13 +2,15 @@
 //! against.
 //!
 //! [`Vec32`] is the small set of `u32`-lane operations every compression
-//! function in this module needs: splat, lane load/store, wrapping add,
-//! the bitwise ring, and a rotate by a uniform (runtime) amount. The
-//! boolean step functions of MD4/MD5/SHA-1 — select, majority,
-//! three-way xor, and MD5's round-4 `I` — are *derived* operations with
-//! default compositions, so an ISA that has a fused form (AVX-512's
-//! `vpternlogd`) overrides them with a single instruction while AVX2 and
-//! NEON inherit the 3-op composition.
+//! function in this module needs: splat, wrapping add, the bitwise ring,
+//! and a rotate by a uniform (runtime) amount. The boolean step functions
+//! of MD4/MD5/SHA-1 — select, majority, three-way xor, and MD5's round-4
+//! `I` — and the step sums are *derived* operations with default
+//! compositions, so an ISA that has a fused form (AVX-512's `vpternlogd`)
+//! overrides them with a single instruction while AVX2 and NEON inherit
+//! the 3-op composition, and the `eks-kernels` IR recorder overrides them
+//! with the paper's CUDA source forms. [`LaneVec`] adds the lane
+//! load/store only the row helpers need.
 //!
 //! Every method is `#[inline(always)]`: the generic cores in
 //! [`super::cores`] instantiate to straight-line vector code *inside* the
@@ -28,28 +30,17 @@
 // proven accesses.
 #![allow(clippy::indexing_slicing)]
 
-/// A vector of `LANES` `u32` values, one candidate key per lane.
+/// The op vocabulary of the compression cores: a value of `u32` lanes
+/// (one candidate key per lane) or, in `eks-kernels`, a symbolic word
+/// that records each op into the §V kernel IR.
 ///
 /// Implementations: `[u32; N]` (portable lanes), the per-ISA register
-/// wrappers in `x86`/`neon`, and the [`X2`] pair combinator.
-pub(crate) trait Vec32: Copy {
-    /// Lanes per vector.
-    const LANES: usize;
-
+/// wrappers in `x86`/`neon`, the `X2` pair combinator, and the IR
+/// recorder. The cores take nothing else, so one algorithm text serves
+/// every ISA and the GPU model alike.
+pub trait Vec32: Copy {
     /// Broadcast one word to every lane.
     fn splat(x: u32) -> Self;
-
-    /// Load the first `LANES` words of `words` (one per lane).
-    ///
-    /// # Panics
-    /// Panics when `words` holds fewer than `LANES` words.
-    fn load(words: &[u32]) -> Self;
-
-    /// Store each lane into the first `LANES` slots of `out`.
-    ///
-    /// # Panics
-    /// Panics when `out` holds fewer than `LANES` slots.
-    fn store(self, out: &mut [u32]);
 
     /// Lane-wise wrapping addition.
     fn add(self, other: Self) -> Self;
@@ -96,6 +87,45 @@ pub(crate) trait Vec32: Copy {
     fn md5i(self, c: Self, d: Self) -> Self {
         c.xor(self.or(d.xor(Self::splat(!0))))
     }
+
+    /// `self + b + c`, added left to right — MD4's round-1 step sum.
+    #[inline(always)]
+    fn sum3(self, b: Self, c: Self) -> Self {
+        self.add(b).add(c)
+    }
+
+    /// `self + b + c + d`, added left to right — the MD5 and MD4 step
+    /// sums.
+    #[inline(always)]
+    fn sum4(self, b: Self, c: Self, d: Self) -> Self {
+        self.add(b).add(c).add(d)
+    }
+
+    /// `self + b + c + d + e`, added left to right — the SHA-1 round
+    /// sum.
+    #[inline(always)]
+    fn sum5(self, b: Self, c: Self, d: Self, e: Self) -> Self {
+        self.add(b).add(c).add(d).add(e)
+    }
+}
+
+/// A [`Vec32`] that holds real lanes: what the row helpers load message
+/// words into and store states out of.
+pub(crate) trait LaneVec: Vec32 {
+    /// Lanes per vector.
+    const LANES: usize;
+
+    /// Load the first `LANES` words of `words` (one per lane).
+    ///
+    /// # Panics
+    /// Panics when `words` holds fewer than `LANES` words.
+    fn load(words: &[u32]) -> Self;
+
+    /// Store each lane into the first `LANES` slots of `out`.
+    ///
+    /// # Panics
+    /// Panics when `out` holds fewer than `LANES` slots.
+    fn store(self, out: &mut [u32]);
 }
 
 /// Portable lanes: `N` keys in a plain array, each op a loop over the
@@ -105,21 +135,9 @@ pub(crate) trait Vec32: Copy {
 /// leaf gives the fallback for CPUs without an explicit ISA, the Miri
 /// path, and — at `N = 1` — the scalar form the core tests start from.
 impl<const N: usize> Vec32 for [u32; N] {
-    const LANES: usize = N;
-
     #[inline(always)]
     fn splat(x: u32) -> Self {
         [x; N]
-    }
-
-    #[inline(always)]
-    fn load(words: &[u32]) -> Self {
-        core::array::from_fn(|l| words[l])
-    }
-
-    #[inline(always)]
-    fn store(self, out: &mut [u32]) {
-        out[..N].copy_from_slice(&self);
     }
 
     #[inline(always)]
@@ -148,6 +166,20 @@ impl<const N: usize> Vec32 for [u32; N] {
     }
 }
 
+impl<const N: usize> LaneVec for [u32; N] {
+    const LANES: usize = N;
+
+    #[inline(always)]
+    fn load(words: &[u32]) -> Self {
+        core::array::from_fn(|l| words[l])
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [u32]) {
+        out[..N].copy_from_slice(&self);
+    }
+}
+
 /// Two independent vectors treated as one batch of `2 × LANES` keys.
 ///
 /// The halves never mix: every operation applies to both pairwise, so
@@ -158,22 +190,9 @@ impl<const N: usize> Vec32 for [u32; N] {
 pub(crate) struct X2<V>(pub V, pub V);
 
 impl<V: Vec32> Vec32 for X2<V> {
-    const LANES: usize = 2 * V::LANES;
-
     #[inline(always)]
     fn splat(x: u32) -> Self {
         X2(V::splat(x), V::splat(x))
-    }
-
-    #[inline(always)]
-    fn load(words: &[u32]) -> Self {
-        X2(V::load(&words[..V::LANES]), V::load(&words[V::LANES..]))
-    }
-
-    #[inline(always)]
-    fn store(self, out: &mut [u32]) {
-        self.0.store(&mut out[..V::LANES]);
-        self.1.store(&mut out[V::LANES..]);
     }
 
     #[inline(always)]
@@ -223,6 +242,21 @@ impl<V: Vec32> Vec32 for X2<V> {
     #[inline(always)]
     fn md5i(self, c: Self, d: Self) -> Self {
         X2(self.0.md5i(c.0, d.0), self.1.md5i(c.1, d.1))
+    }
+}
+
+impl<V: LaneVec> LaneVec for X2<V> {
+    const LANES: usize = 2 * V::LANES;
+
+    #[inline(always)]
+    fn load(words: &[u32]) -> Self {
+        X2(V::load(&words[..V::LANES]), V::load(&words[V::LANES..]))
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [u32]) {
+        self.0.store(&mut out[..V::LANES]);
+        self.1.store(&mut out[V::LANES..]);
     }
 }
 

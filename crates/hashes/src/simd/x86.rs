@@ -29,36 +29,19 @@ use core::arch::x86_64::{
 };
 
 use super::cores;
-use super::vec::{Vec32, X2};
+use super::vec::{LaneVec, Vec32, X2};
 
 /// Eight `u32` lanes in one AVX2 register.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct U32x8(__m256i);
 
 impl Vec32 for U32x8 {
-    const LANES: usize = 8;
-
     #[inline(always)]
     fn splat(x: u32) -> Self {
         // SAFETY: single AVX intrinsic; reachable only through the
         // `#[target_feature(enable = "avx2")]` shims below, entered via
         // handles that proved AVX2 at runtime.
         unsafe { Self(_mm256_set1_epi32(x as i32)) }
-    }
-
-    #[inline(always)]
-    fn load(words: &[u32]) -> Self {
-        let arr: [u32; 8] = words[..8].try_into().expect("8 lanes");
-        // SAFETY: `[u32; 8]` and `__m256i` are both 32-byte
-        // plain-old-data with no invalid bit patterns.
-        unsafe { Self(core::mem::transmute::<[u32; 8], __m256i>(arr)) }
-    }
-
-    #[inline(always)]
-    fn store(self, out: &mut [u32]) {
-        // SAFETY: same plain-old-data transmute as `load`, in reverse.
-        let arr = unsafe { core::mem::transmute::<__m256i, [u32; 8]>(self.0) };
-        out[..8].copy_from_slice(&arr);
     }
 
     #[inline(always)]
@@ -100,6 +83,25 @@ impl Vec32 for U32x8 {
     }
 }
 
+impl LaneVec for U32x8 {
+    const LANES: usize = 8;
+
+    #[inline(always)]
+    fn load(words: &[u32]) -> Self {
+        let arr: [u32; 8] = words[..8].try_into().expect("8 lanes");
+        // SAFETY: `[u32; 8]` and `__m256i` are both 32-byte
+        // plain-old-data with no invalid bit patterns.
+        unsafe { Self(core::mem::transmute::<[u32; 8], __m256i>(arr)) }
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [u32]) {
+        // SAFETY: same plain-old-data transmute as `load`, in reverse.
+        let arr = unsafe { core::mem::transmute::<__m256i, [u32; 8]>(self.0) };
+        out[..8].copy_from_slice(&arr);
+    }
+}
+
 /// Sixteen `u32` lanes in one AVX-512 register. Uses the native rotate
 /// (`vprolvd`) and folds every boolean step function into one
 /// `vpternlogd`.
@@ -107,29 +109,12 @@ impl Vec32 for U32x8 {
 pub(crate) struct U32x16(__m512i);
 
 impl Vec32 for U32x16 {
-    const LANES: usize = 16;
-
     #[inline(always)]
     fn splat(x: u32) -> Self {
         // SAFETY: single AVX-512F intrinsic; reachable only through the
         // `#[target_feature(enable = "avx512f")]` shims below, entered
         // via handles that proved AVX-512F at runtime.
         unsafe { Self(_mm512_set1_epi32(x as i32)) }
-    }
-
-    #[inline(always)]
-    fn load(words: &[u32]) -> Self {
-        let arr: [u32; 16] = words[..16].try_into().expect("16 lanes");
-        // SAFETY: `[u32; 16]` and `__m512i` are both 64-byte
-        // plain-old-data with no invalid bit patterns.
-        unsafe { Self(core::mem::transmute::<[u32; 16], __m512i>(arr)) }
-    }
-
-    #[inline(always)]
-    fn store(self, out: &mut [u32]) {
-        // SAFETY: same plain-old-data transmute as `load`, in reverse.
-        let arr = unsafe { core::mem::transmute::<__m512i, [u32; 16]>(self.0) };
-        out[..16].copy_from_slice(&arr);
     }
 
     #[inline(always)]
@@ -195,6 +180,25 @@ impl Vec32 for U32x16 {
         // truth table of `b ^ (a | !c)` over operands `(a, b, c)` —
         // MD5's `I` with `a = b-register, b = c-register, c = d-register`.
         unsafe { Self(_mm512_ternarylogic_epi32::<0x39>(self.0, c.0, d.0)) }
+    }
+}
+
+impl LaneVec for U32x16 {
+    const LANES: usize = 16;
+
+    #[inline(always)]
+    fn load(words: &[u32]) -> Self {
+        let arr: [u32; 16] = words[..16].try_into().expect("16 lanes");
+        // SAFETY: `[u32; 16]` and `__m512i` are both 64-byte
+        // plain-old-data with no invalid bit patterns.
+        unsafe { Self(core::mem::transmute::<[u32; 16], __m512i>(arr)) }
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [u32]) {
+        // SAFETY: same plain-old-data transmute as `load`, in reverse.
+        let arr = unsafe { core::mem::transmute::<__m512i, [u32; 16]>(self.0) };
+        out[..16].copy_from_slice(&arr);
     }
 }
 

@@ -50,12 +50,21 @@ fn blocks_of<const L: usize>(lanes: &[(Vec<u8>, [u32; 16])]) -> [[u32; 16]; L] {
 
 /// `blocks` in the word-major form the rows kernels take.
 fn rows_of<const L: usize>(blocks: &[[u32; 16]; L]) -> [[u32; L]; 16] {
-    core::array::from_fn(|w| core::array::from_fn(|l| blocks[l][w]))
+    let mut rows = [[0u32; L]; 16];
+    for (l, block) in blocks.iter().enumerate() {
+        for (row, &word) in rows.iter_mut().zip(block) {
+            if let Some(slot) = row.get_mut(l) {
+                *slot = word;
+            }
+        }
+    }
+    rows
 }
 
-/// Lane `l` of a word-major state.
-fn lane<const L: usize>(state: &[[u32; L]; 4], l: usize) -> [u32; 4] {
-    state.map(|row| row[l])
+/// A word-major state as one `[a, b, c, d]` per lane, in lane order.
+fn lane_states<const L: usize>(state: &[[u32; L]; 4]) -> impl Iterator<Item = [u32; 4]> + '_ {
+    let [a, b, c, d] = state;
+    a.iter().zip(b).zip(c).zip(d).map(|(((&a, &b), &c), &d)| [a, b, c, d])
 }
 
 /// 76 scalar SHA-1 rounds, newest register.
@@ -77,23 +86,21 @@ fn check_hasher<const L: usize, H: LaneHasher<L>>(name: &'static str, hasher: H)
         let lanes = random_blocks::<L>(rng, pad_md5_block);
         let blocks = blocks_of(&lanes);
         let states = hasher.md5_rows(&rows_of(&blocks));
-        for (l, (msg, b)) in lanes.iter().enumerate() {
-            let state = lane(&states, l);
+        for (l, (state, (msg, b))) in lane_states(&states).zip(&lanes).enumerate() {
             assert_eq!(state, md5::md5_compress(md5::IV, b), "{name} md5 lane {l}");
             assert_eq!(md5::state_to_digest(state), md5::md5_single_block(msg), "{name} md5 lane {l}");
         }
         // The one-block-per-lane form is the same kernel behind a transpose.
         assert_eq!(
-            hasher.md5_batch(&blocks),
-            core::array::from_fn(|l| lane(&states, l)),
+            hasher.md5_batch(&blocks).to_vec(),
+            lane_states(&states).collect::<Vec<_>>(),
             "{name} md5_batch"
         );
 
         // Forward MD4 (the NTLM core).
         let lanes = random_blocks::<L>(rng, pad_md5_block);
         let states = hasher.md4_rows(&rows_of(&blocks_of(&lanes)));
-        for (l, (msg, b)) in lanes.iter().enumerate() {
-            let state = lane(&states, l);
+        for (l, (state, (msg, b))) in lane_states(&states).zip(&lanes).enumerate() {
             assert_eq!(state, md4::md4_compress(md4::IV, b), "{name} md4 lane {l}");
             assert_eq!(md5::state_to_digest(state), md4::md4_single_block(msg), "{name} md4 lane {l}");
         }
@@ -112,8 +119,8 @@ fn check_hasher<const L: usize, H: LaneHasher<L>>(name: &'static str, hasher: H)
             *b = pad_md5_block(&utf16);
         }
         let states = hasher.md4_rows(&rows_of(&blocks));
-        for (l, p) in passwords.iter().enumerate() {
-            assert_eq!(md5::state_to_digest(lane(&states, l)), md4::ntlm(p), "{name} ntlm lane {l}");
+        for (l, (state, p)) in lane_states(&states).zip(&passwords).enumerate() {
+            assert_eq!(md5::state_to_digest(state), md4::ntlm(p), "{name} ntlm lane {l}");
         }
 
         // SHA-1 `a75` partial: 76 scalar rounds, newest register — which
@@ -143,9 +150,10 @@ fn check_hasher<const L: usize, H: LaneHasher<L>>(name: &'static str, hasher: H)
         let rows = rows_of(&blocks);
         let (md5s, md4s, a75s) =
             (hasher.md5_rows(&rows), hasher.md4_rows(&rows), hasher.sha1_a75_rows(&rows));
-        for (l, (b, &a75)) in blocks.iter().zip(&a75s).enumerate() {
-            assert_eq!(lane(&md5s, l), md5::md5_compress(md5::IV, b), "{name} stepping md5 lane {l}");
-            assert_eq!(lane(&md4s, l), md4::md4_compress(md4::IV, b), "{name} stepping md4 lane {l}");
+        let per_lane = lane_states(&md5s).zip(lane_states(&md4s)).zip(blocks.iter().zip(&a75s));
+        for (l, ((md5_state, md4_state), (b, &a75))) in per_lane.enumerate() {
+            assert_eq!(md5_state, md5::md5_compress(md5::IV, b), "{name} stepping md5 lane {l}");
+            assert_eq!(md4_state, md4::md4_compress(md4::IV, b), "{name} stepping md4 lane {l}");
             assert_eq!(a75, scalar_a75(b), "{name} stepping a75 lane {l}");
         }
 
