@@ -43,15 +43,22 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_if_measuring();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract
+        // (non-zero-size `layout`); it is forwarded unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc`/`realloc` above, which return
+        // `System`'s blocks, and `layout` is the one it was allocated with.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_if_measuring();
+        // SAFETY: `ptr` is a `System` block allocated with `layout`, and
+        // the caller upholds `realloc`'s `new_size` contract; all three
+        // are forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
