@@ -29,11 +29,12 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo clippy --workspace --lib --bins -- -D warnings"
 cargo clippy --workspace --lib --bins -- -D warnings
 
-# The hash cores and the kernel IR recorded from them are linted with
-# their test targets too (unit tests, the seeded properties, the IR
-# golden test); the other members' test targets follow as they are fixed.
-echo "==> cargo clippy -p eks-hashes -p eks-kernels --all-targets -- -D warnings"
-cargo clippy -p eks-hashes -p eks-kernels --all-targets -- -D warnings
+# These members are linted with their test targets too (unit tests, the
+# seeded and exhaustive properties, the IR golden test, the CLI tests);
+# the other members' test targets follow as they are fixed.
+echo "==> cargo clippy -p eks-{core,hashes,kernels,keyspace,engine,cracker,cli} --all-targets -- -D warnings"
+cargo clippy -p eks-core -p eks-hashes -p eks-kernels -p eks-keyspace -p eks-engine -p eks-cracker \
+  -p eks-cli --all-targets -- -D warnings
 
 # `benchmark/` is its own workspace and names ~50 product items; every
 # product change must keep it compiling unedited.

@@ -161,7 +161,7 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
         let list: Vec<&[u8]> = words.split(',').map(|w| w.as_bytes()).collect();
         let digits: u32 = args.get_parse_or("suffix-digits", 2)?;
         let space =
-            HybridSpace::with_digit_suffixes(&list, digits).map_err(|e| format!("{e:?}"))?;
+            HybridSpace::with_digit_suffixes(&list, digits).map_err(|e| format!("--words: {e}"))?;
         let what = format!("hybrid: {} words x digit suffixes 0..={digits}", space.word_count());
         return run.search(&space, what, charset_keys_only);
     }
@@ -580,6 +580,20 @@ mod tests {
         let digest = to_hex(&HashAlgo::Md5.hash(b"cat7"));
         let a = args(&["crack", "--digest", &digest, "--words", "dog,cat", "--suffix-digits", "1"]);
         assert!(run("crack", &a).is_ok());
+    }
+
+    #[test]
+    fn hybrid_errors_name_the_flag_and_the_word_as_text() {
+        let digest = to_hex(&HashAlgo::Md5.hash(b"cat7"));
+        let long = "a".repeat(30);
+        let words = format!("dog,{long}");
+        let a = args(&["crack", "--digest", &digest, "--words", &words]);
+        let err = run("crack", &a).expect_err("a 30-byte word does not fit a key");
+        assert!(err.starts_with("--words: "), "{err}");
+        assert!(err.contains(&format!("\"{long}\"")), "{err}");
+        let a = args(&["crack", "--digest", &digest, "--words", "dog,,cat"]);
+        let err = run("crack", &a).expect_err("an empty word");
+        assert!(err.starts_with("--words: ") && err.contains("empty word"), "{err}");
     }
 
     #[test]

@@ -198,7 +198,7 @@ mod tests {
         );
         // x² ≡ 0 (mod 7) within 0..7: {0, 7? no — just 0}.
         assert_eq!(out.hits.len(), 1);
-        assert_eq!(out.hits[0].0, 0);
+        assert_eq!(out.hits.first().map(|h| h.0), Some(0));
     }
 
     #[test]

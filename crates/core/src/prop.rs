@@ -71,6 +71,15 @@ impl Rng {
         self.below(bound as u64) as usize
     }
 
+    /// One of `items`, uniformly: the draw `index(items.len())` makes.
+    ///
+    /// # Panics
+    /// Panics when `items` is empty.
+    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        let i = self.index(items.len());
+        items.get(i).expect("a non-empty slice")
+    }
+
     /// Uniform `u128` in `[lo, hi]` (uses 64 bits of entropy, plenty for
     /// interval-sized test values).
     pub fn range_u128(&mut self, lo: u128, hi: u128) -> u128 {
@@ -138,7 +147,7 @@ mod tests {
         for _ in 0..200 {
             let v = rng.range(10, 13);
             assert!((10..=13).contains(&v));
-            seen[(v - 10) as usize] = true;
+            *seen.get_mut((v - 10) as usize).expect("asserted in 10..=13") = true;
         }
         assert!(seen.iter().all(|&s| s), "all four values reached");
     }

@@ -355,7 +355,7 @@ mod tests {
         for lanes in [Lanes::Scalar, Lanes::L8, Lanes::L16] {
             let b = cpu_backend(lanes);
             let out = b.scan(&s, &t, s.interval(), &stop, ScanMode::FirstHit);
-            assert_eq!(out.hits[0].1.as_bytes(), b"dog", "{lanes}");
+            assert_eq!(out.hits.first().map(|h| h.1.as_bytes()), Some(&b"dog"[..]), "{lanes}");
         }
     }
 

@@ -302,10 +302,10 @@ mod tests {
         let stop = AtomicBool::new(false);
         let out = crack_interval(&s, &t, s.interval(), &stop, true);
         assert_eq!(out.hits.len(), 1);
-        assert_eq!(out.hits[0].1.as_bytes(), b"dog");
+        assert_eq!(out.hits.first().map(|h| h.1.as_bytes()), Some(&b"dog"[..]));
         assert!(!out.cancelled);
         // First-hit scan stops at the hit.
-        assert_eq!(out.tested, out.hits[0].0 + 1);
+        assert_eq!(Some(out.tested), out.hits.first().map(|h| h.0 + 1));
     }
 
     #[test]
@@ -400,7 +400,7 @@ mod tests {
         };
         let r = crack_parallel(&s, &t, s.interval(), cfg);
         assert_eq!(r.hits.len(), 1);
-        assert_eq!(r.hits[0].1.as_bytes(), b"mule");
+        assert_eq!(r.hits.first().map(|h| h.1.as_bytes()), Some(&b"mule"[..]));
         assert!(r.mkeys_per_s > 0.0);
     }
 
@@ -457,7 +457,7 @@ mod tests {
         };
         let r = crack_parallel(&s, &t, s.interval(), cfg);
         assert_eq!(r.hits.len(), 1);
-        assert_eq!(r.hits[0].1.as_bytes(), b"a");
+        assert_eq!(r.hits.first().map(|h| h.1.as_bytes()), Some(&b"a"[..]));
     }
 
     #[test]
@@ -539,7 +539,7 @@ mod tests {
             ..ParallelConfig::default()
         };
         let r = crack_parallel(&s, &t, s.interval(), cfg);
-        assert_eq!(r.hits[0].1.as_bytes(), b"a");
+        assert_eq!(r.hits.first().map(|h| h.1.as_bytes()), Some(&b"a"[..]));
         assert!(
             r.tested <= u128::from(cfg.chunk),
             "tested {} of {}, more than one chunk of {}",

@@ -20,7 +20,7 @@ fn random_charset(rng: &mut Rng) -> Charset {
     let n = rng.range(2, 6) as usize;
     let mut picked: Vec<u8> = Vec::new();
     while picked.len() < n {
-        let c = pool[rng.index(pool.len())];
+        let c = *rng.pick(pool);
         if !picked.contains(&c) {
             picked.push(c);
         }
@@ -61,8 +61,7 @@ fn reference_block(layout: BlockLayout, key: &[u8]) -> [u32; 16] {
 fn block_batch_blocks_equal_reference_padding() {
     forall("block_batch_blocks_equal_reference_padding", 48, |rng| {
         let space = random_space(rng);
-        let layout = [BlockLayout::Md5Le, BlockLayout::ShaBe, BlockLayout::NtlmUtf16Le]
-            [rng.index(3)];
+        let layout = *rng.pick(&[BlockLayout::Md5Le, BlockLayout::ShaBe, BlockLayout::NtlmUtf16Le]);
         // A random sub-interval, not always the whole space.
         let size = space.size();
         let start = rng.range_u128(0, size - 1);
@@ -89,7 +88,7 @@ fn block_batch_blocks_equal_reference_padding() {
 fn batched_sweep_finds_exactly_the_scalar_hits() {
     forall("batched_sweep_finds_exactly_the_scalar_hits", 32, |rng| {
         let space = random_space(rng);
-        let algo = [HashAlgo::Md5, HashAlgo::Sha1, HashAlgo::Ntlm][rng.index(3)];
+        let algo = *rng.pick(&[HashAlgo::Md5, HashAlgo::Sha1, HashAlgo::Ntlm]);
         // Plant 1..=3 random keys; duplicates collapse in the TargetSet.
         let n_targets = rng.range(1, 3) as usize;
         let digests: Vec<Vec<u8>> = (0..n_targets)
@@ -123,7 +122,7 @@ fn batched_sweep_finds_exactly_the_scalar_hits() {
 fn crack_parallel_batched_finds_the_scalar_hits() {
     forall("crack_parallel_batched_finds_the_scalar_hits", 12, |rng| {
         let space = random_space(rng);
-        let algo = [HashAlgo::Md5, HashAlgo::Sha1, HashAlgo::Ntlm][rng.index(3)];
+        let algo = *rng.pick(&[HashAlgo::Md5, HashAlgo::Sha1, HashAlgo::Ntlm]);
         let id = rng.range_u128(0, space.size() - 1);
         let digests = vec![algo.hash(space.key_at(id).as_bytes())];
         let targets = TargetSet::new(algo, &digests);

@@ -289,11 +289,12 @@ mod tests {
         for _ in 0..WARMUP_SAMPLES {
             book.observe(0, 4_000_000, 1_000_000_000);
         }
-        assert!(book.slots[0].lock().unwrap().is_warm());
-        assert!(!book.slots[1].lock().unwrap().is_warm());
-        let w = book.weights();
-        assert!((w[0] - 4.0).abs() < 1e-9, "slot 0 is live");
-        assert_eq!(w[1], 8.0, "slot 1 still tuned");
+        let [slot0, slot1] = book.slots.as_slice() else { panic!("two slots") };
+        assert!(slot0.lock().unwrap().is_warm());
+        assert!(!slot1.lock().unwrap().is_warm());
+        let [w0, w1] = book.weights()[..] else { panic!("two weights") };
+        assert!((w0 - 4.0).abs() < 1e-9, "slot 0 is live");
+        assert_eq!(w1, 8.0, "slot 1 still tuned");
     }
 
     #[test]

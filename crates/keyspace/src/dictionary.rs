@@ -15,11 +15,14 @@
 // escalation guards new code, not these proven accesses.
 #![allow(clippy::indexing_slicing)]
 
+use std::fmt;
+
 use eks_core::SolutionSpace;
 
 use crate::charset::Charset;
 use crate::encode::Order;
 use crate::key::{Key, MAX_KEY_LEN};
+use crate::source::{BlockSpace, Segment};
 use crate::space::{KeySpace, KeySpaceError};
 
 /// Error building a hybrid space.
@@ -36,6 +39,24 @@ pub enum HybridError {
     /// The suffix space construction failed.
     Suffix(KeySpaceError),
 }
+
+impl fmt::Display for HybridError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HybridError::EmptyDictionary => write!(f, "the dictionary has no words"),
+            HybridError::WordTooLong(word) => write!(
+                f,
+                "word \"{}\" with its longest suffix exceeds {MAX_KEY_LEN} bytes",
+                String::from_utf8_lossy(word)
+            ),
+            HybridError::EmptyWord => write!(f, "the dictionary has an empty word"),
+            HybridError::TooLarge => write!(f, "hybrid space size overflows u128"),
+            HybridError::Suffix(e) => write!(f, "suffix space: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for HybridError {}
 
 /// `word ⊕ suffix` for every (word, suffix) pair; suffix varies fastest.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,6 +185,23 @@ impl SolutionSpace for HybridSpace {
 
     fn identify(&self, solution: &Key) -> Option<u128> {
         self.id_of(solution)
+    }
+}
+
+/// Segment `k` is word `k / lengths` followed by the suffixes of the
+/// suffix space's `k % lengths`-th length: the word is the segment's
+/// literal prefix, the suffix keeps its own order.
+impl BlockSpace for HybridSpace {
+    fn segment(&self, k: usize) -> Segment<'_> {
+        let lengths = (self.suffix.max_len() - self.suffix.min_len()) as usize + 1;
+        self.suffix.segment(k % lengths).after(&self.words[k / lengths])
+    }
+
+    fn locate(&self, id: u128) -> (usize, u128) {
+        let lengths = (self.suffix.max_len() - self.suffix.min_len()) as usize + 1;
+        let per_word = self.suffix.size();
+        let (k, offset) = self.suffix.locate(id % per_word);
+        ((id / per_word) as usize * lengths + k, offset)
     }
 }
 

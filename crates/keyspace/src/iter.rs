@@ -105,9 +105,9 @@ mod tests {
             .map(|(_, k)| k.to_string())
             .collect();
         assert_eq!(keys.len(), 39);
-        assert_eq!(keys[0], "a");
-        assert_eq!(keys[3], "aa");
-        assert_eq!(keys[38], "ccc");
+        assert_eq!(keys.first().map(String::as_str), Some("a"));
+        assert_eq!(keys.get(3).map(String::as_str), Some("aa"));
+        assert_eq!(keys.get(38).map(String::as_str), Some("ccc"));
         // Agreement with direct indexing everywhere.
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(*k, s.key_at(i as u128).to_string());
@@ -144,7 +144,7 @@ mod tests {
             true
         });
         assert_eq!(visited, 6);
-        assert_eq!(seen[4], (4, "ab".to_string()));
+        assert_eq!(seen.get(4), Some(&(4, "ab".to_string())));
     }
 
     #[test]

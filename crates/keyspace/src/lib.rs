@@ -37,15 +37,15 @@ pub mod mask;
 pub mod source;
 pub mod space;
 
-pub use batch::{BatchInfo, BlockBatch, BlockLayout};
+pub use batch::{BatchInfo, BlockBatch, BlockLayout, MaskBlocks};
 pub use charset::Charset;
 pub use dictionary::{HybridError, HybridSpace};
 pub use encode::{advance_tracked, decode, encode, encode_into, AdvanceDelta, Order};
 pub use interval::Interval;
 pub use iter::KeyIter;
 pub use key::{Key, MAX_KEY_LEN};
-pub use mask::{MaskBlocks, MaskError, MaskSlot, MaskSpace};
-pub use source::{BlockSource, BlockSpace, KeyBlocks, Rows};
+pub use mask::{MaskError, MaskSlot, MaskSpace};
+pub use source::{BlockSpace, Rows, Segment};
 pub use space::{KeySpace, KeySpaceError};
 
 /// The trait every space here implements, re-exported so the layers

@@ -20,11 +20,9 @@ use std::fmt;
 
 use eks_core::SolutionSpace;
 
-use crate::batch::{BatchInfo, BlockLayout};
 use crate::charset::Charset;
-use crate::interval::Interval;
 use crate::key::{Key, MAX_KEY_LEN};
-use crate::source::{BlockSource, BlockSpace, Rows, StepTable};
+use crate::source::{BlockSpace, Segment};
 
 /// One position of a mask: a charset or a fixed literal byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +43,7 @@ impl MaskSlot {
     }
 
     /// The choices at this position, in digit order.
-    fn symbols(&self) -> &[u8] {
+    pub(crate) fn symbols(&self) -> &[u8] {
         match self {
             MaskSlot::Set(cs) => cs.symbols(),
             MaskSlot::Literal(b) => std::slice::from_ref(b),
@@ -250,185 +248,12 @@ impl SolutionSpace for MaskSpace {
 }
 
 impl BlockSpace for MaskSpace {
-    type Blocks<'a> = MaskBlocks<'a>;
-
-    fn blocks(&self, layout: BlockLayout, interval: Interval) -> MaskBlocks<'_> {
-        MaskBlocks::new(self, layout, interval)
-    }
-}
-
-/// In-place batch writer over an interval of a [`MaskSpace`]: the mask
-/// counterpart of [`BlockBatch`](crate::BlockBatch).
-///
-/// A mask is a fixed-length mixed-radix counter, so the writer keeps one
-/// digit per position next to the current candidate's padded block and
-/// never goes back to bytes. The first positions with a choice — as many
-/// as share the fastest one's block word and fit a `StepTable` — step
-/// between two carries of the slower ones, and the table holds that
-/// word's value at every combination of them (`w[0]` = `?u?l` for
-/// `?u?l?l?d` under NTLM's UTF-16 layout, 676 entries; `?u?l` in `w[0]`
-/// under MD5 and SHA-1 too, where `?u?l?l` would pass the cap): a batch
-/// copies the row out of it segment by segment and settles the slower
-/// digits once per period. Every other row holds one value in all lanes
-/// unless a carry inside the batch moved it, and is then rewritten from
-/// that lane on. No reverse charset look-up, no `key_at` after the first
-/// candidate, no heap.
-#[derive(Debug, Clone)]
-pub struct MaskBlocks<'a> {
-    slots: &'a [MaskSlot],
-    layout: BlockLayout,
-    /// Digit of every position in the candidate `next_id` maps to; those
-    /// of the table's positions are not kept up to date.
-    digits: [u8; MAX_KEY_LEN],
-    /// That candidate's padded block, but for the table positions' bytes.
-    template: [u32; 16],
-    /// The stepping word over the first positions with a choice (the
-    /// first position when the mask is all literals); literals before
-    /// them never move.
-    table: StepTable,
-    /// The positions slower than the table's: `slow..`.
-    slow: usize,
-    next_id: u128,
-    remaining: u128,
-    epoch: u64,
-}
-
-impl<'a> MaskBlocks<'a> {
-    /// Create a writer over `interval` (clamped to the space bounds).
-    pub fn new(space: &'a MaskSpace, layout: BlockLayout, interval: Interval) -> Self {
-        let clamped = interval.intersect(&Interval::new(0, space.size));
-        let slots = space.slots.as_slice();
-        // Mixed-radix decode of the first identifier, as `key_at` does;
-        // an empty interval keeps candidate 0 and never hands it out.
-        let mut digits = [0u8; MAX_KEY_LEN];
-        let mut key = [0u8; MAX_KEY_LEN];
-        let mut rest = if clamped.is_empty() { 0 } else { clamped.start };
-        for (pos, slot) in slots.iter().enumerate() {
-            let card = slot.cardinality();
-            let digit = (rest % card) as usize;
-            digits[pos] = digit as u8;
-            key[pos] = slot.symbols()[digit];
-            rest /= card;
-        }
-        let template = layout.pad(&key[..slots.len()]);
-        let fast = slots.iter().position(|s| s.cardinality() > 1).unwrap_or(0);
-        let mut table = StepTable::new();
-        table.build(
-            &template,
-            (fast..slots.len()).map(|pos| {
-                let (word, shift) = layout.key_byte_slot(pos);
-                (word, shift, slots[pos].symbols(), usize::from(digits[pos]))
-            }),
-        );
-        Self {
-            slots,
-            layout,
-            digits,
-            template,
-            slow: fast + table.positions(),
-            table,
-            next_id: clamped.start,
-            remaining: clamped.len,
-            epoch: 0,
-        }
+    fn segment(&self, _k: usize) -> Segment<'_> {
+        Segment::slots(&self.slots)
     }
 
-    /// Set position `pos` to `digit`, in the digits and in the template;
-    /// the suffix epoch moves when a word other than `w[0]` changes.
-    /// Returns the template word written.
-    #[inline]
-    fn set_digit(&mut self, pos: usize, digit: usize) -> usize {
-        self.digits[pos] = digit as u8;
-        let (word, shift) = self.layout.key_byte_slot(pos);
-        let symbol = self.slots[pos].symbols()[digit];
-        let updated = (self.template[word] & !(0xff << shift)) | u32::from(symbol) << shift;
-        if word != 0 && updated != self.template[word] {
-            self.epoch += 1;
-        }
-        self.template[word] = updated;
-        word
-    }
-
-    /// The carry out of the table: its positions wrap to digit 0 and the
-    /// slower ones step, carrying rightward (wrapping past the last
-    /// candidate, which callers bound). Returns the template words
-    /// written, one bit each.
-    fn carry(&mut self) -> u16 {
-        let mut written = 0;
-        for pos in self.slow..self.slots.len() {
-            let digit = usize::from(self.digits[pos]) + 1;
-            if digit < self.slots[pos].symbols().len() {
-                written |= 1 << self.set_digit(pos, digit);
-                break;
-            }
-            written |= 1 << self.set_digit(pos, 0);
-        }
-        self.table.restart(&self.template);
-        written
-    }
-}
-
-impl BlockSource for MaskBlocks<'_> {
-    #[inline]
-    fn next_id(&self) -> u128 {
-        self.next_id
-    }
-
-    #[inline]
-    fn remaining(&self) -> u128 {
-        self.remaining
-    }
-
-    #[inline]
-    fn fill_rows<const L: usize>(&mut self, rows: &mut Rows<L>) -> BatchInfo {
-        assert!(
-            self.remaining >= L as u128,
-            "fill of {L} lanes with only {} candidates remaining",
-            self.remaining
-        );
-        let (start_id, epoch) = (self.next_id, self.epoch);
-        let word = self.table.word();
-        for (w, &value) in self.template.iter().enumerate() {
-            if w != word {
-                rows.uniform(w, value);
-            }
-        }
-        let mut l = 0;
-        loop {
-            // The lanes up to the next carry differ in the table
-            // positions alone: copy their stepping words out of it.
-            let (base, run) = self.table.take(L - l);
-            for (slot, &e) in rows.row_mut(word)[l..].iter_mut().zip(run) {
-                *slot = base | e;
-            }
-            l += run.len();
-            if l == L {
-                break;
-            }
-            // A carry out of the table changes another row from this
-            // lane on; the stepping word's own row is rewritten by the
-            // next segment either way.
-            let mut moved = self.carry() & !(1 << word);
-            while moved != 0 {
-                let w = moved.trailing_zeros() as usize;
-                rows.from_lane(w, l, self.template[w]);
-                moved &= moved - 1;
-            }
-        }
-        // As in `BlockBatch`: a stepping word other than `w[0]` moves the
-        // suffix from lane to lane, and the carry that positions the
-        // writer for the next batch may move the epoch without
-        // invalidating this one.
-        let uniform_suffix = self.epoch == epoch && (word == 0 || L == 1);
-        if word != 0 {
-            self.epoch += 1;
-        }
-        self.next_id += L as u128;
-        self.remaining -= L as u128;
-        if self.remaining > 0 && self.table.at_end() {
-            self.carry();
-        }
-        BatchInfo { start_id, epoch, uniform_suffix }
+    fn locate(&self, id: u128) -> (usize, u128) {
+        (0, id)
     }
 }
 

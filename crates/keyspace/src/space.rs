@@ -10,6 +10,7 @@ use crate::encode::{advance, decode, encode_into, Order};
 use crate::interval::Interval;
 use crate::iter::KeyIter;
 use crate::key::{Key, MAX_KEY_LEN};
+use crate::source::{BlockSpace, Segment};
 use crate::strings_with_lengths;
 
 /// Error constructing a [`KeySpace`].
@@ -166,6 +167,25 @@ impl SolutionSpace for KeySpace {
 
     fn identify(&self, solution: &Key) -> Option<u128> {
         self.id_of(solution)
+    }
+}
+
+/// Segment `k` is the keys of length `min_len + k`: `c^ℓ`, numbered as
+/// the base-`|c|` offset past the shorter keys (Fig. 1's bijective
+/// numeral less its leading ones).
+impl BlockSpace for KeySpace {
+    fn segment(&self, k: usize) -> Segment<'_> {
+        Segment::repeat(&[], self.charset.symbols(), self.min_len as usize + k, self.order)
+    }
+
+    fn locate(&self, id: u128) -> (usize, u128) {
+        let n = self.charset.len() as u128;
+        // Every length up to the one holding `id` fits the space's size.
+        let (mut k, mut offset, mut count) = (0, id, n.pow(self.min_len));
+        while offset >= count {
+            (k, offset, count) = (k + 1, offset - count, count * n);
+        }
+        (k, offset)
     }
 }
 

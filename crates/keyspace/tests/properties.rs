@@ -11,8 +11,9 @@ fn arb_charset(rng: &mut Rng) -> Charset {
     let pool: Vec<u8> = (b'a'..=b'z')
         .chain(b'A'..=b'Z')
         .chain(b'0'..=b'9')
+        .take(n)
         .collect();
-    Charset::from_bytes(&pool[..n]).expect("distinct pool")
+    Charset::from_bytes(&pool).expect("distinct pool")
 }
 
 fn arb_order(rng: &mut Rng) -> Order {
@@ -164,7 +165,7 @@ mod mask_and_hybrid {
         // 1-5 positions drawn from the class alphabet plus literals.
         let parts = ["?l", "?u", "?d", "x", "-"];
         let n = rng.range(1, 5) as usize;
-        let mask: String = (0..n).map(|_| parts[rng.index(parts.len())]).collect();
+        let mask: String = (0..n).map(|_| *rng.pick(&parts)).collect();
         MaskSpace::parse(&mask).expect("valid mask")
     }
 

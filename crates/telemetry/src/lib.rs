@@ -77,7 +77,7 @@ pub mod names {
     pub const BUSY_NS: &str = "eks_busy_ns_total";
     /// Counter `{worker}`: ns spent idle (queue empty / steal misses).
     pub const IDLE_NS: &str = "eks_idle_ns_total";
-    /// Histogram: ns filling a candidate `BlockBatch` (sampled).
+    /// Histogram: ns filling one batch of candidate blocks (sampled).
     pub const BATCH_FILL_NS: &str = "eks_batch_fill_ns";
     /// Histogram: ns lane-hashing one filled batch (sampled).
     pub const BATCH_HASH_NS: &str = "eks_batch_hash_ns";
