@@ -133,8 +133,9 @@ fn dispatched_default_backend_does_not_allocate() {
 #[test]
 fn structured_batch_loops_do_not_allocate() {
     // What each worker of `crack_space_parallel` runs per cursor chunk:
-    // the same lane loop, fed by the mask's run-based writer or by the
-    // advance-and-re-pad writer of a hybrid. A hitless NTLM sweep of
+    // the same lane loop and the same writer, over a mask or over a
+    // hybrid, which it rebuilds in place at every word and suffix
+    // length. A hitless NTLM sweep of
     // `?u?l?l?d` (the benchmark's mask; 175 760 = 32 * 5 492 + 16 keys)
     // minus its scalar tail, and a hybrid crossing word boundaries.
     let mask = MaskSpace::parse("?u?l?l?d").expect("mask");
