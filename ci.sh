@@ -182,10 +182,13 @@ JOB_SIZE=111111110
   --digest "$(./target/release/eks hash 27182818)" --charset digits --max 8 --name e > /dev/null
 ./target/release/eks job run --spool "$SPOOL_DIR" --threads 2 > /dev/null 2>&1 &
 RUN_PID=$!
-# Wait for the first durable checkpoint, then kill without warning.
+# Wait for the first durable checkpoint and for at least one line in
+# job-1's lease log, then kill without warning: the kill usually lands
+# on an unfolded log tail, so the restart below replays it.
 for _ in $(seq 1 500); do
   if grep -q '"state":"running"' "$SPOOL_DIR/job-1.json" \
-     && ! grep -q '"tested":"0"' "$SPOOL_DIR/job-1.json"; then
+     && ! grep -q '"tested":"0"' "$SPOOL_DIR/job-1.json" \
+     && [ -f "$SPOOL_DIR/job-1.log" ] && [ "$(wc -l < "$SPOOL_DIR/job-1.log")" -ge 1 ]; then
     break
   fi
   sleep 0.02

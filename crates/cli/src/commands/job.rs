@@ -241,7 +241,7 @@ fn job_run(store: JobStore, args: &Args) -> Result<(), String> {
 
 /// State shared between the accept loop and the scheduler thread. The
 /// gate serializes spool mutations (requests) against scheduler rounds,
-/// so a cancel never races a round's post-lease save.
+/// so a cancel never races a round's post-lease checkpoint.
 struct Shared {
     store: JobStore,
     gate: Mutex<()>,

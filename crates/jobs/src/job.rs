@@ -7,6 +7,10 @@
 //! mutable progress state — lifecycle, the completed-work frontier
 //! ([`Checkpoint`]), the credited key count and any hits — so a killed
 //! process resumes from exactly the coverage it had durably recorded.
+//! Between snapshots a job's progress is a lease log, one line per
+//! scanned lease (`lease_line` / `parse_lease_line`, in the record's
+//! spelling of intervals and hits), which `JobRecord::credit_lease`
+//! replays.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -300,14 +304,9 @@ impl JobRecord {
             }
             push_interval(&mut out, iv);
         }
-        let _ = write!(out, "],\"tested\":\"{}\",\"hits\":[", self.tested);
-        for (i, hit) in self.hits.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"id\":\"{}\",\"key\":\"{}\"}}", hit.id, to_hex(&hit.key));
-        }
-        out.push_str("]}");
+        let _ = write!(out, "],\"tested\":\"{}\",\"hits\":", self.tested);
+        push_hits(&mut out, &self.hits);
+        out.push('}');
         out
     }
 
@@ -394,6 +393,141 @@ impl JobRecord {
     /// or `None` when nothing is pending.
     pub fn take_lease(&mut self, n: u128) -> Option<Interval> {
         self.frontier.take_work(n)
+    }
+
+    /// Credit one scanned lease: its interval leaves the pending set,
+    /// `tested` is re-derived from the frontier, and hits are added
+    /// unless a hit with the same identifier is already recorded.
+    /// Idempotent, so a lease-log line replayed over a snapshot that
+    /// already holds it changes nothing. The state is left alone:
+    /// replaying a log never moves a job through its lifecycle.
+    pub(crate) fn credit_lease(&mut self, lease: Interval, hits: &[JobHit]) {
+        self.frontier.complete(lease);
+        // A first-hit job that stopped at its hit holds the exact scanned
+        // count, which a replayed line must not overwrite.
+        if !(self.spec.first_hit_only && self.state == JobState::Completed) {
+            self.tested = self.frontier.consumed();
+        }
+        for hit in hits {
+            if !self.hits.iter().any(|h| h.id == hit.id) {
+                self.hits.push(hit.clone());
+            }
+        }
+    }
+}
+
+/// Append `[{"id":"<dec>","key":"<hex>"},...]`, the hit spelling shared
+/// by the record and the lease log.
+fn push_hits(out: &mut String, hits: &[JobHit]) {
+    out.push('[');
+    for (i, hit) in hits.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{{\"id\":\"{}\",\"key\":\"{}\"}}", hit.id, to_hex(&hit.key));
+    }
+    out.push(']');
+}
+
+/// One lease-log line (without its `\n`):
+/// `{"lease":{"start":"<dec>","len":"<dec>"},"hits":[...]}`, in the
+/// record's spelling of intervals and hits.
+pub(crate) fn lease_line(lease: &Interval, hits: &[JobHit]) -> String {
+    let mut out = String::with_capacity(64);
+    out.push_str("{\"lease\":");
+    push_interval(&mut out, lease);
+    out.push_str(",\"hits\":");
+    push_hits(&mut out, hits);
+    out.push('}');
+    out
+}
+
+/// Parse one lease-log line, exactly as [`lease_line`] spells it. The
+/// parser is a flat scan over the bytes: no recursion, and it allocates
+/// only for hits it has read in full, so what it holds is bounded by
+/// the line's length.
+pub(crate) fn parse_lease_line(line: &[u8]) -> Result<(Interval, Vec<JobHit>), String> {
+    let mut cur = LineCursor { line, pos: 0 };
+    cur.expect("{\"lease\":{\"start\":\"")?;
+    let start = cur.decimal()?;
+    cur.expect("\",\"len\":\"")?;
+    let len = cur.decimal()?;
+    cur.expect("\"},\"hits\":[")?;
+    start
+        .checked_add(len)
+        .ok_or_else(|| "lease start + len overflows u128".to_string())?;
+    let mut hits = Vec::new();
+    while !cur.eat("]}") {
+        if !hits.is_empty() {
+            cur.expect(",")?;
+        }
+        cur.expect("{\"id\":\"")?;
+        let id = cur.decimal()?;
+        cur.expect("\",\"key\":\"")?;
+        let key = cur.hex()?;
+        cur.expect("\"}")?;
+        hits.push(JobHit { id, key });
+    }
+    if cur.pos != line.len() {
+        return Err(format!("trailing bytes at byte {}", cur.pos));
+    }
+    Ok((Interval::new(start, len), hits))
+}
+
+/// A position in one lease-log line.
+struct LineCursor<'a> {
+    line: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> LineCursor<'a> {
+    fn rest(&self) -> &'a [u8] {
+        self.line.get(self.pos..).unwrap_or_default()
+    }
+
+    /// Consume `lit` when the rest starts with it.
+    fn eat(&mut self, lit: &str) -> bool {
+        let hit = self.rest().starts_with(lit.as_bytes());
+        if hit {
+            self.pos += lit.len();
+        }
+        hit
+    }
+
+    fn expect(&mut self, lit: &str) -> Result<(), String> {
+        if self.eat(lit) {
+            Ok(())
+        } else {
+            Err(format!("expected {lit:?} at byte {}", self.pos))
+        }
+    }
+
+    /// The bytes up to (not including) the next `"`.
+    fn quoted(&mut self) -> Result<&'a str, String> {
+        let rest = self.rest();
+        let n = rest
+            .iter()
+            .position(|&b| b == b'"')
+            .ok_or_else(|| format!("unterminated string at byte {}", self.pos))?;
+        let text = std::str::from_utf8(rest.get(..n).unwrap_or_default())
+            .map_err(|_| format!("non-UTF-8 bytes at byte {}", self.pos))?;
+        self.pos += n;
+        Ok(text)
+    }
+
+    fn decimal(&mut self) -> Result<u128, String> {
+        let at = self.pos;
+        let text = self.quoted()?;
+        if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(format!("not a decimal integer at byte {at}"));
+        }
+        text.parse().map_err(|_| format!("integer out of range at byte {at}"))
+    }
+
+    fn hex(&mut self) -> Result<Vec<u8>, String> {
+        let at = self.pos;
+        let text = self.quoted()?;
+        from_hex(text).ok_or_else(|| format!("key is not hex at byte {at}"))
     }
 }
 
@@ -493,6 +627,55 @@ mod tests {
         assert!(JobState::Paused.can_transition(JobState::Running));
         assert!(!JobState::Completed.can_transition(JobState::Running));
         assert!(!JobState::Cancelled.can_transition(JobState::Paused));
+    }
+
+    #[test]
+    fn lease_lines_round_trip() {
+        let lease = Interval::new(u128::MAX - 7, 7);
+        for hits in [vec![], vec![JobHit { id: 3, key: b"dog".to_vec() }, JobHit { id: 9, key: vec![] }]] {
+            let line = lease_line(&lease, &hits);
+            assert!(!line.contains('\n'));
+            assert_eq!(parse_lease_line(line.as_bytes()), Ok((lease, hits)));
+        }
+        assert_eq!(
+            lease_line(&Interval::new(2, 5), &[JobHit { id: 4, key: b"ab".to_vec() }]),
+            "{\"lease\":{\"start\":\"2\",\"len\":\"5\"},\"hits\":[{\"id\":\"4\",\"key\":\"6162\"}]}"
+        );
+    }
+
+    #[test]
+    fn lease_line_parser_rejects_near_misses() {
+        let good = lease_line(&Interval::new(2, 5), &[JobHit { id: 4, key: b"ab".to_vec() }]);
+        for bad in [
+            String::new(),
+            good.replace("\"len\"", "\"lem\""),
+            good.replace("\"5\"", "\"-5\""),
+            good.replace("\"5\"", "\"\""),
+            good.replace("6162", "616"),
+            good.replace("]}", "]"),
+            format!("{good} "),
+            good.replace("\"2\"", &format!("\"{}\"", u128::MAX)),
+            good.replace("\"2\"", "\"340282366920938463463374607431768211456\""),
+        ] {
+            assert!(parse_lease_line(bad.as_bytes()).is_err(), "{bad}");
+        }
+        let mut cut = good.into_bytes();
+        while cut.pop().is_some() {
+            assert!(parse_lease_line(&cut).is_err());
+        }
+    }
+
+    #[test]
+    fn replay_keeps_a_first_hit_jobs_exact_count() {
+        // Stopped 3 keys into its last lease: a replayed line of that
+        // lease (a crash between the snapshot's rename and the log's
+        // removal) must not re-derive the credit from the frontier.
+        let mut rec = JobRecord::new(JobId(1), sample_spec()).unwrap();
+        let lease = rec.take_lease(10).unwrap();
+        rec.tested = 3;
+        rec.state = JobState::Completed;
+        rec.credit_lease(lease, &[]);
+        assert_eq!(rec.tested, 3);
     }
 
     #[test]

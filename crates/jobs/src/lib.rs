@@ -8,19 +8,23 @@
 //! * [`job`] — job identity, spec, lifecycle
 //!   (`pending → running ⇄ paused → completed/cancelled`), and the
 //!   schema-stamped JSON record;
-//! * [`store`] — the spool directory: one atomically-written file per
-//!   job, self-describing and relocatable;
+//! * [`store`] — the spool directory: per job an atomically-written
+//!   snapshot plus an append-only lease log, self-describing and
+//!   relocatable;
 //! * [`sched`] — inter-job fair share: the paper's §III scatter
 //!   proportions applied one level up, with priorities as weights;
 //! * [`service`] — the round loop: carve a key budget across runnable
 //!   jobs, dispatch each job's lease over the shared [`Fleet`]
 //!   (second-level scatter by tuned rate, stealing on), checkpoint
-//!   after every lease.
+//!   after every lease, holding the job records in memory between
+//!   rounds.
 //!
-//! The crash-safety contract, end to end: a record on disk is always a
-//! complete document (temp-file + rename); the frontier of completed
-//! intervals only advances in the same write that carries the credit
-//! derived from it; so a SIGKILL at any instant costs at most one
+//! The crash-safety contract, end to end: a snapshot on disk is always a
+//! complete document (temp-file + rename); between snapshots each lease
+//! is one appended log line carrying its interval and hits, replayed
+//! idempotently on load, with a torn final line ignored; the frontier of
+//! completed intervals only advances in the same write that carries the
+//! credit derived from it; so a SIGKILL at any instant costs at most one
 //! in-flight lease of *rescanning*, never a double-credit and never a
 //! skipped key.
 

@@ -5,12 +5,23 @@
 //! jobs by priority ([`crate::sched::carve_budget`] — the paper's
 //! scatter proportions at the inter-job level), then dispatches each
 //! job's **lease** over the whole fleet with the usual per-worker
-//! scatter + steal machinery. After every lease the job's record is
-//! persisted atomically, *then* the next lease starts — so a SIGKILL at
-//! any instant loses at most the in-flight lease's scan time and never
-//! its coverage accounting: the frontier only ever advances together
-//! with the credit derived from it (exactly-once crediting; at-most-one
-//! lease of rescan).
+//! scatter + steal machinery. After every lease the job's progress is
+//! made durable, *then* the next lease starts — so a SIGKILL at any
+//! instant loses at most the in-flight lease's scan time and never its
+//! coverage accounting: the frontier only ever advances together with
+//! the credit derived from it (exactly-once crediting; at-most-one lease
+//! of rescan).
+//!
+//! The durability barrier is usually one append of the lease's line to
+//! the job's lease log (see [`crate::store`]). A lease that changes the
+//! job's lifecycle state (its first, `pending → running`, or its last,
+//! `→ completed`) writes the snapshot instead, and so does the lease
+//! after [`FOLD_LINES`] appends, which bounds the log a restart replays.
+//!
+//! The service keeps its job records in memory between rounds. A round
+//! re-reads only jobs it has not seen and jobs whose snapshot another
+//! writer replaced (a new inode or mtime, as `eks job pause` leaves), so
+//! it neither parses every record nor replays every log.
 //!
 //! Telemetry gains the `job` label dimension here: per-lease the service
 //! flushes `eks_job_keys_tested_total{job=...}` from the same
@@ -18,6 +29,7 @@
 //! the per-job carve-out always reconciles exactly against the shared
 //! worker counters.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use eks_engine::{
@@ -29,7 +41,11 @@ use eks_telemetry::{names, Telemetry};
 
 use crate::job::{JobError, JobHit, JobId, JobRecord, JobState};
 use crate::sched::carve_budget;
-use crate::store::JobStore;
+use crate::store::{JobStore, Stamp};
+
+/// Lease-log lines a job may hold; the next lease writes the snapshot,
+/// which folds the log.
+pub const FOLD_LINES: usize = 64;
 
 /// One worker of the shared fleet: a label (stable across leases and
 /// jobs, so worker counters accumulate coherently), a scatter weight
@@ -160,12 +176,29 @@ pub struct JobService {
     /// Persists across rounds (it outlives each lease's dispatcher);
     /// only consulted when [`ServiceConfig::retune`] is on.
     rates: Mutex<Vec<(String, RateEstimator)>>,
+    /// Every job in the spool as of the last round, by id.
+    jobs: Mutex<BTreeMap<JobId, Tracked>>,
+}
+
+/// One job as the service holds it between rounds: the record (snapshot
+/// plus every lease logged since), the snapshot it was read from or last
+/// wrote, and the number of lines in its lease log.
+struct Tracked {
+    record: JobRecord,
+    stamp: Option<Stamp>,
+    log_lines: usize,
 }
 
 impl JobService {
     /// A service over an open store.
     pub fn new(store: JobStore, config: ServiceConfig) -> Self {
-        Self { store, config, telemetry: Telemetry::disabled(), rates: Mutex::new(Vec::new()) }
+        Self {
+            store,
+            config,
+            telemetry: Telemetry::disabled(),
+            rates: Mutex::new(Vec::new()),
+            jobs: Mutex::new(BTreeMap::new()),
+        }
     }
 
     /// Attach telemetry (per-job counters + lease events).
@@ -188,29 +221,67 @@ impl JobService {
     /// dispatch one lease per job, checkpoint after each.
     pub fn round(&self, fleet: &Fleet) -> Result<RoundReport, JobError> {
         let mut report = RoundReport::default();
-        let mut jobs: Vec<JobRecord> = self
-            .store
-            .list()?
-            .into_iter()
+        let mut jobs = self.jobs.lock().expect("job table");
+        self.refresh(&mut jobs)?;
+        let (runnable, owed): (Vec<JobId>, Vec<(u32, u128)>) = jobs
+            .values()
+            .map(|t| &t.record)
             .filter(|r| r.state.is_runnable() && !r.frontier.is_complete())
-            .collect();
-        if jobs.is_empty() {
+            .map(|r| (r.id, (r.spec.priority, r.remaining())))
+            .unzip();
+        if runnable.is_empty() {
             return Ok(report);
         }
-        let shares = carve_budget(
-            self.round_budget(fleet),
-            &jobs.iter().map(|j| (j.spec.priority, j.remaining())).collect::<Vec<_>>(),
-        );
-        for (job, share) in jobs.iter_mut().zip(shares) {
-            if share == 0 {
-                continue;
+        let shares = carve_budget(self.round_budget(fleet), &owed);
+        for (id, share) in runnable.into_iter().zip(shares) {
+            let Some(job) = jobs.get_mut(&id).filter(|_| share > 0) else { continue };
+            if let Err(e) = self.run_leases(job, share, fleet, &mut report) {
+                // The held record may be ahead of the spool: read it
+                // again next round.
+                jobs.remove(&id);
+                return Err(e);
             }
-            self.run_leases(job, share, fleet, &mut report)?;
-            if job.state == JobState::Completed {
-                report.completed.push(job.id);
+            if job.record.state == JobState::Completed {
+                report.completed.push(id);
             }
         }
         Ok(report)
+    }
+
+    /// Bring the held job table up to date with the spool: drop jobs
+    /// whose snapshot is gone, read jobs that are new or whose snapshot
+    /// another writer replaced. A job read with a torn lease-log tail is
+    /// folded at once, so the next append starts on a clean line.
+    fn refresh(&self, jobs: &mut BTreeMap<JobId, Tracked>) -> Result<(), JobError> {
+        let ids = self.store.ids()?;
+        jobs.retain(|id, _| ids.binary_search(id).is_ok());
+        for id in ids {
+            let stamp = self.store.stamp(id)?;
+            if stamp.is_some() && jobs.get(&id).is_some_and(|t| t.stamp == stamp) {
+                continue;
+            }
+            jobs.remove(&id);
+            // Stamp first, then read: a snapshot replaced in between
+            // only makes the next round read it again.
+            let (record, tail) = match self.store.read(id) {
+                Err(JobError::NotFound(_)) => continue,
+                read => read?,
+            };
+            let mut tracked = Tracked { record, stamp, log_lines: tail.lines };
+            if tail.torn {
+                tracked.stamp = self.fold(&tracked.record)?;
+                tracked.log_lines = 0;
+            }
+            jobs.insert(id, tracked);
+        }
+        Ok(())
+    }
+
+    /// Write a held job's snapshot, folding its lease log; returns the
+    /// new snapshot's stamp.
+    fn fold(&self, record: &JobRecord) -> Result<Option<Stamp>, JobError> {
+        self.store.save(record)?;
+        self.store.stamp(record.id)
     }
 
     /// Drive rounds until no runnable job has work left. Returns the
@@ -227,14 +298,16 @@ impl JobService {
     }
 
     /// Dispatch up to `share` keys of one job as leases over the fleet,
-    /// persisting the record after every lease (the checkpoint barrier).
+    /// making each lease durable before the next (the checkpoint
+    /// barrier).
     fn run_leases(
         &self,
-        job: &mut JobRecord,
+        tracked: &mut Tracked,
         share: u128,
         fleet: &Fleet,
         report: &mut RoundReport,
     ) -> Result<(), JobError> {
+        let Tracked { record: job, stamp, log_lines } = tracked;
         let space = job.spec.space()?;
         let targets = job.spec.targets();
         let mode = job.spec.mode();
@@ -277,22 +350,25 @@ impl JobService {
             }
 
             let new_hits = out.hits.len() as u64;
-            for (id, key, _target) in &out.hits {
-                job.hits.push(JobHit { id: *id, key: key.as_bytes().to_vec() });
-            }
-            if mode.first_hit_only() && !out.hits.is_empty() {
+            let hits: Vec<JobHit> = out
+                .hits
+                .iter()
+                .map(|(id, key, _target)| JobHit { id: *id, key: key.as_bytes().to_vec() })
+                .collect();
+            let before = job.state;
+            if mode.first_hit_only() && !hits.is_empty() {
                 // The job ends at its lowest-identifier hit: leases are
                 // taken front-to-back, so this lease's merged hit is the
                 // global first. Credit the exact scanned count; the
                 // uncovered tail of the lease is moot.
+                job.hits.extend_from_slice(&hits);
                 job.tested = job.tested.saturating_add(out.tested);
                 job.state = JobState::Completed;
             } else {
                 // Exhaustive (or hitless) lease: the whole interval was
                 // scanned. Coverage advances first; the credit is
                 // *derived* from it, so a crash can never double-count.
-                job.frontier.complete(lease);
-                job.tested = job.frontier.consumed();
+                job.credit_lease(lease, &hits);
                 job.state = if job.frontier.is_complete() {
                     JobState::Completed
                 } else {
@@ -318,8 +394,15 @@ impl JobService {
             }
 
             // The durability barrier: coverage + credit + hits land
-            // atomically before the next lease is taken.
-            self.store.save(job)?;
+            // before the next lease is taken — one log line, or a
+            // snapshot when the state moved or the log is full.
+            if job.state != before || *log_lines >= FOLD_LINES {
+                *stamp = self.fold(job)?;
+                *log_lines = 0;
+            } else {
+                self.store.append_lease(job.id, &lease, &hits)?;
+                *log_lines += 1;
+            }
             // Lease boundary: let an attached live plane close a window
             // and run its anomaly pass over this lease's deltas.
             self.telemetry.observe_plane();

@@ -1,5 +1,7 @@
 //! Seeded property tests of the multi-tenant job service: exactly-once
-//! coverage across checkpoint/restore at arbitrary interleaving points,
+//! coverage across checkpoint/restore at arbitrary interleaving points
+//! and across a lease log cut at any byte, lifecycle transitions over an
+//! unfolded log,
 //! fair-share division between equal-priority tenants, and exact
 //! reconciliation of the per-job telemetry dimension against the shared
 //! per-worker counters.
@@ -20,7 +22,10 @@ use eks::cracker::{cpu_backend, Lanes};
 use eks::engine::checkpoint::SearchCheckpoint;
 use eks::gpusim::device::Device;
 use eks::hashes::HashAlgo;
-use eks::jobs::{Fleet, FleetMember, JobService, JobSpec, JobState, JobStore, ServiceConfig};
+use eks::jobs::service::FOLD_LINES;
+use eks::jobs::{
+    Fleet, FleetMember, JobError, JobId, JobService, JobSpec, JobState, JobStore, ServiceConfig,
+};
 use eks::keyspace::{Interval, Order};
 use eks::telemetry::{names, parse_prometheus, Telemetry};
 
@@ -306,5 +311,234 @@ fn reopened_spool_resumes_without_rescans_or_skips() {
         assert_eq!(rec.tested, SPACE, "{id}: exactly-once across the restart");
         assert!(rec.hits.iter().any(|h| h.key == word), "{id} found its key");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job over `abcdefgh`, lengths 1..=3, planted at `word`.
+fn octal_spec(word: &[u8]) -> JobSpec {
+    JobSpec {
+        charset: b"abcdefgh".to_vec(),
+        ..lowercase_spec("octal", word, 1)
+    }
+}
+
+/// 8 + 8² + 8³.
+const OCTAL: u128 = 8 + 64 + 512;
+
+/// Keys per lease while a log is being built.
+const LEASE: u128 = 32;
+
+fn lease_service(dir: &std::path::Path, round_keys: u128) -> JobService {
+    JobService::new(
+        JobStore::open(dir).unwrap(),
+        ServiceConfig { round_keys, ..ServiceConfig::default() },
+    )
+}
+
+/// Drive one octal job through `1 + lines` rounds of one lease each and
+/// drop the service: the first lease writes the `running` snapshot, the
+/// rest leave `lines` unfolded lines in the job's lease log. Returns the
+/// snapshot and log bytes.
+fn job_with_unfolded_log(dir: &std::path::Path, lines: usize, fleet: &Fleet) -> (Vec<u8>, Vec<u8>) {
+    let store = JobStore::open(dir).unwrap();
+    store.submit(octal_spec(b"aab")).unwrap();
+    let service = lease_service(dir, LEASE);
+    for _ in 0..=lines {
+        assert_eq!(service.round(fleet).unwrap().scanned, LEASE);
+    }
+    let snapshot = std::fs::read(dir.join("job-1.json")).unwrap();
+    let log = std::fs::read(dir.join("job-1.log")).unwrap();
+    assert_eq!(log.iter().filter(|&&b| b == b'\n').count(), lines);
+    (snapshot, log)
+}
+
+/// hex("aab"), the planted key as the spool spells it.
+const AAB_HEX: &str = "616162";
+
+/// A SIGKILL can cut the lease log at any byte. Cut it at every offset:
+/// loading never panics and credits exactly the complete lines (a torn
+/// final line is ignored, its lease rescanned), and a resumed drain
+/// covers the space exactly once with the planted hit recorded once.
+#[test]
+fn a_torn_lease_log_credits_exactly_its_complete_lines() {
+    let dir = tmp_spool("torn");
+    let fleet = two_worker_fleet();
+    let (snapshot, log) = job_with_unfolded_log(&dir, 8, &fleet);
+    let text = String::from_utf8(log.clone()).unwrap();
+    let hit_line = text.lines().position(|l| l.contains(AAB_HEX)).expect("a logged hit");
+    assert!(hit_line > 0 && hit_line < 7, "the hit sits mid-log");
+    let id = JobId(1);
+    for cut in 0..=log.len() {
+        std::fs::write(dir.join("job-1.json"), &snapshot).unwrap();
+        std::fs::write(dir.join("job-1.log"), &log[..cut]).unwrap();
+        let kept = &text[..cut];
+        let complete = kept.matches('\n').count() as u128;
+        let hit_kept = kept.lines().take(complete as usize).any(|l| l.contains(AAB_HEX));
+        let rec = JobStore::open(&dir).unwrap().load(id).unwrap();
+        assert_eq!(rec.state, JobState::Running, "cut {cut}");
+        assert_eq!(rec.tested, LEASE * (1 + complete), "cut {cut}: credit = complete lines");
+        assert_eq!(rec.hits.len(), usize::from(hit_kept), "cut {cut}");
+
+        // The resumed service appends after the cut: what it leaves must
+        // read back at any moment, as after a second crash.
+        let service = lease_service(&dir, 2 * LEASE);
+        service.round(&fleet).unwrap();
+        let rec = service.store().load(id).unwrap();
+        assert_eq!(rec.tested, LEASE * (3 + complete), "cut {cut}: one more lease credited");
+        service.run_until_idle(&fleet).unwrap();
+        let rec = service.store().load(id).unwrap();
+        assert_eq!(rec.state, JobState::Completed, "cut {cut}");
+        assert_eq!(rec.tested, OCTAL, "cut {cut}: exactly-once coverage");
+        assert_eq!(rec.hits.len(), 1, "cut {cut}: the hit is recorded exactly once");
+        assert_eq!(rec.hits[0].key, b"aab");
+    }
+
+    // A crash between a snapshot's rename and the log's removal leaves
+    // lines the snapshot already holds: replaying them changes nothing.
+    std::fs::write(dir.join("job-1.json"), &snapshot).unwrap();
+    std::fs::write(dir.join("job-1.log"), &log).unwrap();
+    let store = JobStore::open(&dir).unwrap();
+    let folded = store.load(id).unwrap();
+    std::fs::write(dir.join("job-1.json"), folded.to_json() + "\n").unwrap();
+    assert_eq!(store.load(id).unwrap(), folded);
+    assert_eq!((folded.tested, folded.hits.len()), (9 * LEASE, 1));
+
+    // A bad line that is not the last is corruption, named by the log.
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines[2] = "{\"lease\":{\"start\":\"x\"}}";
+    std::fs::write(dir.join("job-1.json"), &snapshot).unwrap();
+    std::fs::write(dir.join("job-1.log"), lines.join("\n") + "\n").unwrap();
+    match JobStore::open(&dir).unwrap().load(id) {
+        Err(JobError::Corrupt { path, reason }) => {
+            assert!(path.ends_with("job-1.log"), "{path}");
+            assert!(reason.starts_with("line 3:"), "{reason}");
+        }
+        other => panic!("expected a corrupt log, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Seeded fuzz of the lease-log line parser through `JobStore::load`:
+/// flipped, inserted, deleted and random bytes never panic, and what a
+/// garbled log credits stays inside the job's space with hits bounded by
+/// the log's length and the state untouched.
+#[test]
+fn garbled_lease_logs_never_panic() {
+    let dir = tmp_spool("fuzz");
+    let (snapshot, log) = job_with_unfolded_log(&dir, 6, &two_worker_fleet());
+    let store = JobStore::open(&dir).unwrap();
+    forall("lease log fuzz", 512, |rng| {
+        let mut bytes = log.clone();
+        for _ in 0..rng.range(1, 4) {
+            let at = rng.index(bytes.len() + 1);
+            match rng.below(5) {
+                0 if at < bytes.len() => bytes[at] = rng.u32() as u8,
+                1 => {
+                    let n = rng.index(64);
+                    let junk = rng.vec(n, |r| *r.pick(&b"{}[]\",:0123456789abcdefhilnrstk\n\xff"[..]));
+                    bytes.splice(at..at, junk);
+                }
+                2 => {
+                    let end = (at + rng.index(80)).min(bytes.len());
+                    bytes.drain(at..end);
+                }
+                3 => {
+                    let n = rng.index(512);
+                    bytes = rng.vec(n, |r| r.u32() as u8);
+                }
+                _ => bytes.truncate(at),
+            }
+        }
+        std::fs::write(dir.join("job-1.json"), &snapshot).unwrap();
+        std::fs::write(dir.join("job-1.log"), &bytes).unwrap();
+        if let Ok(rec) = store.load(JobId(1)) {
+            assert_eq!(rec.state, JobState::Running);
+            assert!(rec.tested >= LEASE && rec.tested <= OCTAL);
+            assert!(rec.hits.len() <= bytes.len() / 16);
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pausing folds an unfolded lease log into a `paused` snapshot, with
+/// the service stopped and between two rounds of a live service; the
+/// service's held job list notices the pause (and a job submitted by
+/// another handle) at its next round; a log line that lands after the
+/// pause credits progress but never resurrects the job.
+#[test]
+fn pause_folds_the_lease_log_and_the_held_list_notices() {
+    let fleet = two_worker_fleet();
+    let id = JobId(1);
+
+    // Service stopped.
+    let dir = tmp_spool("pause-stopped");
+    let (_, log) = job_with_unfolded_log(&dir, 5, &fleet);
+    let hit = String::from_utf8(log).unwrap().contains(AAB_HEX);
+    let paused = JobStore::open(&dir).unwrap().pause(id).unwrap();
+    assert!(!dir.join("job-1.log").exists(), "the pause folded the log");
+    let rec = JobStore::open(&dir).unwrap().load(id).unwrap();
+    assert_eq!(rec, paused);
+    assert_eq!((rec.state, rec.tested, rec.hits.len()), (JobState::Paused, 6 * LEASE, usize::from(hit)));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Between two rounds of a live service.
+    let dir = tmp_spool("pause-live");
+    let cli = JobStore::open(&dir).unwrap();
+    cli.submit(octal_spec(b"hhh")).unwrap();
+    let service = lease_service(&dir, LEASE);
+    for _ in 0..3 {
+        service.round(&fleet).unwrap();
+    }
+    assert!(dir.join("job-1.log").exists());
+    cli.pause(id).unwrap();
+    assert!(service.round(&fleet).unwrap().is_idle(), "the held list saw the pause");
+    let rec = cli.load(id).unwrap();
+    assert_eq!((rec.state, rec.tested), (JobState::Paused, 3 * LEASE));
+    assert!(!dir.join("job-1.log").exists());
+
+    // A lease line appended after the pause credits, never resumes.
+    std::fs::write(
+        dir.join("job-1.log"),
+        "{\"lease\":{\"start\":\"96\",\"len\":\"32\"},\"hits\":[]}\n",
+    )
+    .unwrap();
+    let rec = cli.load(id).unwrap();
+    assert_eq!((rec.state, rec.tested), (JobState::Paused, 4 * LEASE));
+
+    // A job submitted mid-run is picked up at the next round.
+    let late = cli.submit(octal_spec(b"hhh")).unwrap();
+    let report = service.round(&fleet).unwrap();
+    assert_eq!(report.leases.iter().map(|(j, _)| *j).collect::<Vec<_>>(), vec![late.id]);
+
+    // Resumed, the paused job drains from its folded progress.
+    cli.resume(id).unwrap();
+    service.run_until_idle(&fleet).unwrap();
+    for job in [id, late.id] {
+        let rec = cli.load(job).unwrap();
+        assert_eq!((rec.state, rec.tested, rec.hits.len()), (JobState::Completed, OCTAL, 1));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A long-running job's log never holds more than `FOLD_LINES` lines:
+/// the next lease writes the snapshot, which folds it.
+#[test]
+fn lease_logs_fold_every_fold_lines_leases() {
+    let dir = tmp_spool("fold");
+    JobStore::open(&dir).unwrap().submit(octal_spec(b"hhh")).unwrap();
+    let service = lease_service(&dir, 4);
+    let fleet = two_worker_fleet();
+    let mut longest = 0;
+    while !service.round(&fleet).unwrap().is_idle() {
+        let lines = std::fs::read(dir.join("job-1.log"))
+            .map(|log| log.iter().filter(|&&b| b == b'\n').count())
+            .unwrap_or(0);
+        assert!(lines <= FOLD_LINES, "{lines} unfolded lines");
+        longest = longest.max(lines);
+    }
+    assert_eq!(longest, FOLD_LINES, "{OCTAL} keys in 4-key leases fill the log once");
+    let rec = service.store().load(JobId(1)).unwrap();
+    assert_eq!((rec.state, rec.tested), (JobState::Completed, OCTAL));
+    assert!(!dir.join("job-1.log").exists(), "completion folds the log");
     let _ = std::fs::remove_dir_all(&dir);
 }
