@@ -32,9 +32,9 @@ cargo clippy --workspace --lib --bins -- -D warnings
 # These members are linted with their test targets too (unit tests, the
 # seeded and exhaustive properties, the IR golden test, the CLI tests);
 # the other members' test targets follow as they are fixed.
-echo "==> cargo clippy -p eks-{core,hashes,kernels,keyspace,engine,cracker,cli} --all-targets -- -D warnings"
+echo "==> cargo clippy -p eks-{core,hashes,kernels,keyspace,engine,cracker,cli,jobs,telemetry} --all-targets -- -D warnings"
 cargo clippy -p eks-core -p eks-hashes -p eks-kernels -p eks-keyspace -p eks-engine -p eks-cracker \
-  -p eks-cli --all-targets -- -D warnings
+  -p eks-cli -p eks-jobs -p eks-telemetry --all-targets -- -D warnings
 
 # `benchmark/` is its own workspace and names ~50 product items; every
 # product change must keep it compiling unedited.
@@ -96,6 +96,28 @@ if [ -z "$EFFICIENCY" ] || ! awk -v e="$EFFICIENCY" 'BEGIN { exit !(e < 100) }';
   exit 1
 fi
 rm -rf "$CLUSTER_DIR"
+
+echo "==> audit smoke: two accounts sharing a password and a survivor, then a malformed digest"
+SHARED="$(./target/release/eks hash --algo ntlm dog)"
+STRONG="$(./target/release/eks hash --algo ntlm Xk9qWz77)"
+AUDIT_OUT="$(./target/release/eks audit --algo ntlm --digests "$SHARED,$SHARED,$STRONG" \
+  --accounts alice,bob,carol --max 3)"
+for want in '2/3 accounts cracked' 'CRACKED alice  *-> "dog"' 'CRACKED bob  *-> "dog"' 'ok      carol'; do
+  if ! grep -q "$want" <<< "$AUDIT_OUT"; then
+    echo "FAIL: eks audit output lacks /$want/" >&2
+    echo "$AUDIT_OUT" >&2
+    exit 1
+  fi
+done
+# A digest of the wrong length is a usage error, not a panic.
+if AUDIT_ERR="$(./target/release/eks audit --digests aabb 2>&1)"; then
+  echo "FAIL: eks audit --digests aabb exited zero" >&2
+  exit 1
+fi
+if grep -q "panicked" <<< "$AUDIT_ERR"; then
+  echo "FAIL: eks audit --digests aabb panicked: $AUDIT_ERR" >&2
+  exit 1
+fi
 
 echo "==> eks bench --json (schema-3 host-tuning report: cpu_features + per-backend tuned rates + the detected kernel per algorithm)"
 BENCH_DIR="$(mktemp -d)"

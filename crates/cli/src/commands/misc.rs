@@ -99,7 +99,16 @@ pub(super) fn cmd_audit(args: &Args) -> Result<(), String> {
     };
     let digests: Vec<Vec<u8>> = digests_arg
         .split(',')
-        .map(|h| from_hex(h).ok_or(format!("bad hex digest {h:?}")))
+        .map(|h| match from_hex(h) {
+            Some(d) if d.len() == algo.digest_len() => Ok(d),
+            Some(d) => Err(format!(
+                "digest {h:?} is {} bytes; {} digests are {} bytes",
+                d.len(),
+                algo.name(),
+                algo.digest_len()
+            )),
+            None => Err(format!("bad hex digest {h:?}")),
+        })
         .collect::<Result<_, _>>()?;
     if accounts.len() != digests.len() {
         return Err("--accounts and --digests must have the same length".into());
@@ -114,9 +123,8 @@ pub(super) fn cmd_audit(args: &Args) -> Result<(), String> {
         .zip(digests)
         .map(|(account, digest)| eks_cracker::AuditEntry { account, digest })
         .collect();
-    let mut session = eks_cracker::AuditSession::new(algo, entries, &space);
     println!("auditing over {} candidates:", space.size());
-    let report = session.run(&space, |_| {});
+    let report = eks_cracker::run_audit(&space, algo, &entries)?;
     print!("{}", report.render());
     Ok(())
 }
@@ -164,5 +172,15 @@ mod tests {
         assert!(run("audit", &a).is_ok());
         let bad = args(&["audit", "--digests", "zz"]);
         assert!(run("audit", &bad).is_err());
+    }
+
+    #[test]
+    fn audit_rejects_digests_of_the_wrong_length() {
+        let d = to_hex(&HashAlgo::Md5.hash(b"cab"));
+        for list in ["aabb".to_string(), String::new(), format!("{d},,{d}")] {
+            let err = run("audit", &args(&["audit", "--digests", &list])).unwrap_err();
+            let named = if list == "aabb" { "\"aabb\"" } else { "\"\"" };
+            assert!(err.contains(named) && err.contains("16 bytes"), "{list:?}: {err}");
+        }
     }
 }

@@ -2,19 +2,18 @@
 //! standard procedure to make periodic cracking tests, called auditing
 //! sessions, to assess the reliability of the employees' passwords").
 //!
-//! An [`AuditSession`] sweeps one keyspace against a whole table of
-//! digests, checkpointing between chunks so multi-hour audits survive
-//! interruption, and produces the report a security team actually wants:
-//! which accounts fell, how quickly, and how much of the space was
-//! needed.
+//! [`run_audit`] sweeps one keyspace against a whole table of digests
+//! through the same dispatcher and kernels as every other search, and
+//! produces the report a security team actually wants: which accounts
+//! fell, how quickly, and how much of the space was needed.
 
 use std::time::Instant;
 
-use eks_engine::Checkpoint;
 use eks_hashes::HashAlgo;
 use eks_keyspace::{Key, KeySpace};
 
-use crate::search::crack_interval;
+use crate::backend::CpuBackend;
+use crate::search::{crack_parallel_backend, ParallelConfig};
 use crate::target::TargetSet;
 
 /// One entry of the audited table.
@@ -86,128 +85,73 @@ impl AuditReport {
     }
 }
 
-/// A resumable audit over one keyspace.
-#[derive(Debug, Clone)]
-pub struct AuditSession {
+/// Identifiers per round. A digest found in one round leaves the target
+/// set before the next, and `tested` counts whole rounds.
+const ROUND_KEYS: u128 = 1 << 16;
+
+/// Audit `entries` over `space` until the space is exhausted or every
+/// account is cracked: one all-hits dispatcher search per round of
+/// [`ROUND_KEYS`] identifiers on every core, against the digests not yet
+/// found. A hit cracks every account that stored that digest.
+///
+/// # Errors
+/// Names the account whose digest length does not match `algo`.
+pub fn run_audit(
+    space: &KeySpace,
     algo: HashAlgo,
-    entries: Vec<AuditEntry>,
-    checkpoint: Checkpoint,
-    /// Chunk size between checkpoint updates.
-    chunk: u128,
-}
-
-impl AuditSession {
-    /// Start an audit of `entries` over `space`.
-    ///
-    /// # Panics
-    /// Panics when a digest's length does not match `algo`.
-    pub fn new(algo: HashAlgo, entries: Vec<AuditEntry>, space: &KeySpace) -> Self {
-        for e in &entries {
-            assert_eq!(e.digest.len(), algo.digest_len(), "digest length for {}", e.account);
+    entries: &[AuditEntry],
+) -> Result<AuditReport, String> {
+    if let Some(e) = entries.iter().find(|e| e.digest.len() != algo.digest_len()) {
+        return Err(format!(
+            "digest of account {} is {} bytes; {} digests are {} bytes",
+            e.account,
+            e.digest.len(),
+            algo.name(),
+            algo.digest_len()
+        ));
+    }
+    let start = Instant::now();
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let config = ParallelConfig { first_hit_only: false, ..ParallelConfig::for_threads(threads) };
+    let backend = CpuBackend::default();
+    let mut left: Vec<Vec<u8>> = entries.iter().map(|e| e.digest.clone()).collect();
+    let mut targets = TargetSet::new(algo, &left);
+    let mut rest = space.interval();
+    let mut findings: Vec<AuditFinding> = Vec::new();
+    let mut tested: u128 = 0;
+    while !targets.is_empty() && !rest.is_empty() {
+        let round = rest.take_front(ROUND_KEYS);
+        let report = crack_parallel_backend(space, &targets, round, &backend, config);
+        tested += report.tested;
+        if report.hits.is_empty() {
+            continue;
         }
-        Self {
-            algo,
-            entries,
-            checkpoint: Checkpoint::new(space.interval()),
-            chunk: 1 << 16,
-        }
-    }
-
-    /// Resume from a serialized checkpoint.
-    pub fn resume(
-        algo: HashAlgo,
-        entries: Vec<AuditEntry>,
-        checkpoint_text: &str,
-    ) -> Result<Self, String> {
-        Ok(Self {
-            algo,
-            entries,
-            checkpoint: Checkpoint::deserialize(checkpoint_text)?,
-            chunk: 1 << 16,
-        })
-    }
-
-    /// Current checkpoint, serializable between chunks.
-    pub fn checkpoint(&self) -> &Checkpoint {
-        &self.checkpoint
-    }
-
-    /// Run until the space is exhausted or every account is cracked.
-    /// `persist` is called with the serialized checkpoint after every
-    /// chunk (write it to disk in a real deployment).
-    pub fn run<F: FnMut(&str)>(&mut self, space: &KeySpace, mut persist: F) -> AuditReport {
-        let start = Instant::now();
-        let mut findings: Vec<AuditFinding> = Vec::new();
-        let mut tested: u128 = 0;
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        // Map digest -> accounts (duplicate passwords are common).
-        let digests: Vec<Vec<u8>> = self.entries.iter().map(|e| e.digest.clone()).collect();
-        let mut remaining_set = TargetSet::new(self.algo, &digests);
-
-        while let Some(work) = self.checkpoint.take_work(self.chunk) {
-            if remaining_set.is_empty() {
-                break;
+        for (id, key, t) in &report.hits {
+            let digest = targets.digest(*t);
+            for e in entries.iter().filter(|e| e.digest == digest) {
+                findings.push(AuditFinding {
+                    account: e.account.clone(),
+                    password: key.clone(),
+                    found_at_id: *id,
+                });
             }
-            let out = crack_interval(space, &remaining_set, work, &stop, false);
-            tested += out.tested;
-            if !out.hits.is_empty() {
-                // Indices refer to the set used for this scan; resolve all
-                // of them before rebuilding it.
-                let mut cracked_digests: Vec<Vec<u8>> = Vec::new();
-                for (id, key, t) in out.hits {
-                    let hit_digest = remaining_set.digest(t).to_vec();
-                    for e in self.entries.iter().filter(|e| e.digest == hit_digest) {
-                        findings.push(AuditFinding {
-                            account: e.account.clone(),
-                            password: key.clone(),
-                            found_at_id: id,
-                        });
-                    }
-                    cracked_digests.push(hit_digest);
-                }
-                // Rebuild the set without the cracked digests so the scan
-                // cheapens as accounts fall.
-                let left: Vec<Vec<u8>> = remaining_set
-                    .iter_digests()
-                    .filter(|d| !cracked_digests.iter().any(|c| c.as_slice() == *d))
-                    .map(|d| d.to_vec())
-                    .collect();
-                remaining_set = TargetSet::new(self.algo, &left);
-            }
-            self.checkpoint.complete(work);
-            persist(&self.checkpoint.serialize());
         }
-
-        let cracked: Vec<&str> = findings.iter().map(|f| f.account.as_str()).collect();
-        let survivors = self
-            .entries
-            .iter()
-            .map(|e| e.account.clone())
-            .filter(|a| !cracked.contains(&a.as_str()))
-            .collect();
-        AuditReport {
-            findings,
-            survivors,
-            tested,
-            elapsed_s: start.elapsed().as_secs_f64(),
-        }
+        // Retire the cracked digests so the next rounds test fewer.
+        left.retain(|d| !report.hits.iter().any(|(_, _, t)| targets.digest(*t) == d.as_slice()));
+        targets = TargetSet::new(algo, &left);
     }
-
-    /// Accounts in the table.
-    pub fn accounts(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|e| e.account.as_str())
-    }
-
+    let survivors = entries
+        .iter()
+        .filter(|e| !findings.iter().any(|f| f.account == e.account))
+        .map(|e| e.account.clone())
+        .collect();
+    Ok(AuditReport { findings, survivors, tested, elapsed_s: start.elapsed().as_secs_f64() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eks_keyspace::{Charset, Order};
-
-    fn space() -> KeySpace {
-        KeySpace::new(Charset::lowercase(), 1, 3, Order::FirstCharFastest).unwrap()
-    }
 
     fn entries(pairs: &[(&str, &[u8])]) -> Vec<AuditEntry> {
         pairs
@@ -220,94 +164,36 @@ mod tests {
     }
 
     #[test]
-    fn audit_cracks_weak_and_spares_strong() {
-        let s = space();
-        // "zzzzzz" is outside the 1..=3 space: a survivor.
-        let table = entries(&[("alice", b"cab"), ("bob", b"zz"), ("carol", b"zzzzzz")]);
-        let mut session = AuditSession::new(HashAlgo::Md5, table, &s);
-        let report = session.run(&s, |_| {});
-        assert_eq!(report.findings.len(), 2);
-        assert_eq!(report.survivors, vec!["carol".to_string()]);
-        assert!((report.crack_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(report.tested, s.size(), "survivors force a full sweep");
-    }
-
-    #[test]
-    fn duplicate_passwords_crack_together() {
-        let s = space();
-        let table = entries(&[("u1", b"dog"), ("u2", b"dog"), ("u3", b"cat")]);
-        let mut session = AuditSession::new(HashAlgo::Md5, table, &s);
-        let report = session.run(&s, |_| {});
-        assert_eq!(report.findings.len(), 3);
-        let dogs: Vec<&str> = report
-            .findings
-            .iter()
-            .filter(|f| f.password.as_bytes() == b"dog")
-            .map(|f| f.account.as_str())
-            .collect();
-        assert_eq!(dogs.len(), 2);
-    }
-
-    #[test]
     fn audit_stops_early_when_everything_falls() {
-        let s = space();
-        // Both targets are very early keys.
+        // Several rounds long; both targets fall in the first.
+        let s = KeySpace::new(Charset::lowercase(), 1, 4, Order::FirstCharFastest).unwrap();
+        assert!(s.size() > ROUND_KEYS);
         let table = entries(&[("a", b"a"), ("b", b"b")]);
-        let mut session = AuditSession::new(HashAlgo::Md5, table, &s);
-        session.chunk = 512;
-        let report = session.run(&s, |_| {});
+        let report = run_audit(&s, HashAlgo::Md5, &table).unwrap();
         assert_eq!(report.survivors.len(), 0);
         assert!(report.tested < s.size(), "tested {} of {}", report.tested, s.size());
+        assert_eq!(report.tested, ROUND_KEYS);
     }
 
     #[test]
-    fn checkpoint_resume_finds_the_same_results() {
-        let s = space();
-        let table = entries(&[("alice", b"cab"), ("bob", b"zzz")]);
-        // Full run as the reference.
-        let mut full = AuditSession::new(HashAlgo::Md5, table.clone(), &s);
-        full.chunk = 2000;
-        let reference = full.run(&s, |_| {});
-        // Interrupted run: scan one 2000-key chunk manually, persist, drop.
-        let mut first = AuditSession::new(HashAlgo::Md5, table.clone(), &s);
-        let work = first.checkpoint.take_work(2000).unwrap();
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        let digests: Vec<Vec<u8>> = table.iter().map(|e| e.digest.clone()).collect();
-        let set = TargetSet::new(HashAlgo::Md5, &digests);
-        let out = crack_interval(&s, &set, work, &stop, false);
-        let mut accounts: Vec<String> = out
-            .hits
-            .iter()
-            .flat_map(|(_, _, t)| {
-                let d = set.digest(*t);
-                table
-                    .iter()
-                    .filter(move |e| e.digest == d)
-                    .map(|e| e.account.clone())
-            })
-            .collect();
-        first.checkpoint.complete(work);
-        let saved = first.checkpoint.serialize();
-        // Resume from the save and finish.
-        let mut resumed = AuditSession::resume(HashAlgo::Md5, table, &saved).unwrap();
-        resumed.chunk = 2000;
-        let rest = resumed.run(&s, |_| {});
-        accounts.extend(rest.findings.iter().map(|f| f.account.clone()));
-        accounts.sort();
-        let mut want: Vec<String> =
-            reference.findings.iter().map(|f| f.account.clone()).collect();
-        want.sort();
-        assert_eq!(accounts, want);
+    fn wrong_digest_length_names_the_account() {
+        let s = KeySpace::new(Charset::lowercase(), 1, 2, Order::FirstCharFastest).unwrap();
+        let mut table = entries(&[("alice", b"me")]);
+        table.push(AuditEntry { account: "bob".into(), digest: vec![0xaa, 0xbb] });
+        let err = run_audit(&s, HashAlgo::Md5, &table).unwrap_err();
+        assert!(err.contains("bob") && err.contains("2 bytes"), "{err}");
     }
 
     #[test]
     fn render_outputs_are_informative() {
-        let s = space();
-        let table = entries(&[("alice", b"me")]);
-        let mut session = AuditSession::new(HashAlgo::Md5, table, &s);
-        let report = session.run(&s, |_| {});
+        let s = KeySpace::new(Charset::lowercase(), 1, 3, Order::FirstCharFastest).unwrap();
+        // "zzzzzz" is outside the 1..=3 space: a survivor.
+        let table = entries(&[("alice", b"me"), ("carol", b"zzzzzz")]);
+        let report = run_audit(&s, HashAlgo::Md5, &table).unwrap();
+        assert!((report.crack_rate() - 0.5).abs() < 1e-12);
         let text = report.render();
-        assert!(text.contains("CRACKED"));
-        assert!(text.contains("alice"));
+        assert!(text.contains("1/2 accounts cracked (50%)"), "{text}");
+        assert!(text.contains("CRACKED alice"));
+        assert!(text.contains("ok      carol"));
     }
 }

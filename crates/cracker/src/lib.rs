@@ -13,7 +13,7 @@
 //!   any space of keys);
 //! * [`backend`] / [`batch`] — the CPU backends and the lane loop
 //!   ([`CpuBackend`] runs the widest explicit-SIMD kernel the CPU has);
-//! * [`audit`] — checkpointed multi-account audits;
+//! * [`audit`] — multi-account audits through the same search;
 //! * [`stats`] — the per-worker accounting table.
 //!
 //! Also hosts the Bitcoin-style mining search the paper's introduction
@@ -28,7 +28,7 @@ pub mod search;
 pub mod stats;
 pub mod target;
 
-pub use audit::{AuditEntry, AuditFinding, AuditReport, AuditSession};
+pub use audit::{run_audit, AuditEntry, AuditFinding, AuditReport};
 pub use backend::{cpu_backend, AutoBackend, CpuBackend, ScalarBackend, SimdBackend};
 pub use batch::{crack_interval_batched, Kernel, Lanes};
 pub use mining::{mine, MiningJob, MiningResult};

@@ -8,25 +8,19 @@
 //! module owns that bookkeeping for every layer above:
 //!
 //! * [`Checkpoint`] — the **frontier**: the full interval a search covers
-//!   and the sorted, non-overlapping sub-intervals not yet completed.
-//!   (This type began life in `eks-cracker`'s resume module and moved
-//!   down here so the job service, the cluster rounds driver, and the
-//!   audit session all share one implementation.)
+//!   and the sorted, non-overlapping sub-intervals not yet completed: a
+//!   job's lease bookkeeping in the job service.
 //! * [`SearchCheckpoint`] — a **mid-search snapshot**: the frontier plus
 //!   the per-slot contents of an [`IntervalDeques`] and the per-worker
 //!   [`WorkerStats`], i.e. everything needed to reconstruct
 //!   consumed-vs-outstanding intervals after a restart.
 //!
-//! Two serialized forms exist:
-//!
-//! * the legacy line-oriented text format (`eks-checkpoint v1`), kept for
-//!   the audit-session files already in the wild;
-//! * a schema-stamped JSON document ([`SearchCheckpoint::to_json`]),
-//!   std-only like the telemetry expositions. All `u128`/`u64` fields are
-//!   serialized as **decimal strings** — JSON numbers round-trip through
-//!   `f64` and silently lose precision past 2^53, which a 62^8 keyspace
-//!   identifier exceeds. Readers reject unknown future `schema` values
-//!   instead of guessing.
+//! One serialized form exists: a schema-stamped JSON document
+//! ([`SearchCheckpoint::to_json`]), std-only like the telemetry
+//! expositions. All `u128`/`u64` fields are serialized as **decimal
+//! strings** — JSON numbers round-trip through `f64` and silently lose
+//! precision past 2^53, which a 62^8 keyspace identifier exceeds. Readers
+//! reject unknown future `schema` values instead of guessing.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -180,70 +174,6 @@ impl Checkpoint {
             }
         }
         self.pending = merged;
-    }
-
-    /// Serialize to the legacy checkpoint text format.
-    pub fn serialize(&self) -> String {
-        let mut out = String::new();
-        writeln!(out, "eks-checkpoint v1 {} {}", self.full.start, self.full.len)
-            .expect("write to string");
-        for iv in &self.pending {
-            writeln!(out, "{} {}", iv.start, iv.len).expect("write to string");
-        }
-        out
-    }
-
-    /// Parse the legacy checkpoint text format.
-    pub fn deserialize(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty checkpoint")?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("eks-checkpoint") || parts.next() != Some("v1") {
-            return Err("bad checkpoint header".into());
-        }
-        let start: u128 = parts
-            .next()
-            .ok_or("missing start")?
-            .parse()
-            .map_err(|_| "bad start")?;
-        let len: u128 = parts
-            .next()
-            .ok_or("missing len")?
-            .parse()
-            .map_err(|_| "bad len")?;
-        let full = Interval::new(start, len);
-        let mut pending = Vec::new();
-        for (i, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut p = line.split_whitespace();
-            let s: u128 = p
-                .next()
-                .ok_or(format!("line {i}: missing start"))?
-                .parse()
-                .map_err(|_| format!("line {i}: bad start"))?;
-            let l: u128 = p
-                .next()
-                .ok_or(format!("line {i}: missing len"))?
-                .parse()
-                .map_err(|_| format!("line {i}: bad len"))?;
-            let iv = Interval::new(s, l);
-            if iv.intersect(&full) != iv {
-                return Err(format!("line {i}: pending interval escapes the full range"));
-            }
-            pending.push(iv);
-        }
-        pending.sort_by_key(|iv| iv.start);
-        // Reject overlaps: they would double-count work.
-        for w in pending.windows(2) {
-            if let [a, b] = w {
-                if a.end() > b.start {
-                    return Err("overlapping pending intervals".into());
-                }
-            }
-        }
-        Ok(Self { full, pending })
     }
 }
 
@@ -509,31 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn text_serialization_round_trip() {
-        let mut c = Checkpoint::new(Interval::new(5, 1_000_000));
-        c.complete(Interval::new(100, 500));
-        c.complete(Interval::new(999_000, 100));
-        let text = c.serialize();
-        let back = Checkpoint::deserialize(&text).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn text_deserialize_rejects_garbage() {
-        assert!(Checkpoint::deserialize("").is_err());
-        assert!(Checkpoint::deserialize("nope v1 0 10").is_err());
-        assert!(Checkpoint::deserialize("eks-checkpoint v1 0").is_err());
-        assert!(
-            Checkpoint::deserialize("eks-checkpoint v1 0 10\n5 20").is_err(),
-            "pending escapes range"
-        );
-        assert!(
-            Checkpoint::deserialize("eks-checkpoint v1 0 100\n0 20\n10 20").is_err(),
-            "overlap"
-        );
-    }
-
-    #[test]
     fn requeue_restores_and_merges() {
         let mut c = Checkpoint::new(Interval::new(0, 100));
         let a = c.take_work(30).unwrap();
@@ -560,10 +465,8 @@ mod tests {
         let full = Interval::new(0, 10_000);
         let mut c = Checkpoint::new(full);
         c.complete(Interval::new(0, 4_321));
-        let restored = Checkpoint::deserialize(&c.serialize()).unwrap();
-        let mut resumed = restored;
         let mut covered = 0u128;
-        while let Some(iv) = resumed.take_work(1_000) {
+        while let Some(iv) = c.take_work(1_000) {
             covered += iv.len;
         }
         assert_eq!(covered, 10_000 - 4_321);

@@ -188,11 +188,6 @@ impl TargetSet {
     pub fn digest(&self, index: usize) -> &[u8] {
         &self.digests[index]
     }
-
-    /// Iterate over the stored digests (sorted order).
-    pub fn iter_digests(&self) -> impl Iterator<Item = &[u8]> {
-        self.digests.iter().map(Vec::as_slice)
-    }
 }
 
 #[cfg(test)]

@@ -403,8 +403,9 @@ mod tests {
         clock.advance(100);
         let anomalies = plane.observe_now(&t);
         assert_eq!(anomalies.len(), 1);
-        assert_eq!(anomalies[0].kind, AnomalyKind::Straggler);
-        assert_eq!(anomalies[0].worker, "slow");
+        let first = anomalies.first().expect("one anomaly");
+        assert_eq!(first.kind, AnomalyKind::Straggler);
+        assert_eq!(first.worker, "slow");
         assert!(plane.is_flagged("slow"));
         assert_eq!(t.gauge(names::WORKER_FLAGGED, &[("worker", "slow")]).get(), 1.0);
         // Counter + event surfaced.
@@ -438,8 +439,9 @@ mod tests {
         clock.advance(100);
         let anomalies = plane.observe_now(&t);
         assert_eq!(anomalies.len(), 1);
-        assert_eq!(anomalies[0].kind, AnomalyKind::Stall);
-        assert_eq!(anomalies[0].worker, "lazy");
+        let first = anomalies.first().expect("one anomaly");
+        assert_eq!(first.kind, AnomalyKind::Stall);
+        assert_eq!(first.worker, "lazy");
     }
 
     #[test]

@@ -380,8 +380,9 @@ mod tests {
         assert_eq!(dump.reason, "boom");
         assert_eq!(dump.location, "dispatch.rs:1");
         assert_eq!(dump.anomalies.len(), 1);
-        assert_eq!(dump.anomalies[0].kind, AnomalyKind::Straggler);
-        assert_eq!(dump.anomalies[0].worker, "slow#1");
+        let anomaly = dump.anomalies.first().expect("one anomaly");
+        assert_eq!(anomaly.kind, AnomalyKind::Straggler);
+        assert_eq!(anomaly.worker, "slow#1");
         assert!(dump.trace.iter().any(|r| r.name == names::SPAN_SCAN));
         assert!(dump
             .metrics
@@ -409,7 +410,7 @@ mod tests {
         clock.advance(10);
         let dump = parse_flight(&render_flight(&t, None, 500, "r", "l")).unwrap();
         assert_eq!(dump.trace.len(), 1);
-        assert_eq!(dump.trace[0].name, "recent");
+        assert_eq!(dump.trace.first().map(|r| r.name.as_str()), Some("recent"));
     }
 
     #[test]

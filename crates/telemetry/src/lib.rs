@@ -420,12 +420,13 @@ mod tests {
         }
         let trace = t.trace_snapshot();
         assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].ts_ns, 100);
-        assert_eq!(trace[0].dur_ns, 250);
-        assert_eq!(trace[0].kind, TraceKind::Span);
-        assert_eq!(trace[0].worker, Some(2));
-        assert_eq!(trace[0].device.as_deref(), Some("cpu"));
-        assert_eq!(trace[0].fields, vec![("chunk".to_string(), "4096".to_string())]);
+        let span = trace.first().expect("one span");
+        assert_eq!(span.ts_ns, 100);
+        assert_eq!(span.dur_ns, 250);
+        assert_eq!(span.kind, TraceKind::Span);
+        assert_eq!(span.worker, Some(2));
+        assert_eq!(span.device.as_deref(), Some("cpu"));
+        assert_eq!(span.fields, vec![("chunk".to_string(), "4096".to_string())]);
     }
 
     #[test]
@@ -436,8 +437,9 @@ mod tests {
         clock.advance(999);
         ev.finish();
         let trace = t.trace_snapshot();
-        assert_eq!(trace[0].ts_ns, 40);
-        assert_eq!(trace[0].dur_ns, 0);
+        let event = trace.first().expect("one event");
+        assert_eq!(event.ts_ns, 40);
+        assert_eq!(event.dur_ns, 0);
     }
 
     #[test]
@@ -452,7 +454,8 @@ mod tests {
         t.observe_plane();
         let plane = t.plane().unwrap();
         assert_eq!(plane.windows().flushed(), 1);
-        assert_eq!(plane.windows().windows()[0].counter_total(names::KEYS_TESTED), 5);
+        let window = plane.windows().windows().first().map(|w| w.counter_total(names::KEYS_TESTED));
+        assert_eq!(window, Some(5));
         // First attach wins; a disabled handle ignores planes.
         t.attach_plane(Arc::new(LivePlane::with_defaults()));
         assert_eq!(t.plane().unwrap().windows().flushed(), 1);

@@ -204,11 +204,16 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. The
+/// parser recurses once per level, so hostile input must not choose the
+/// depth; the documents this workspace writes nest about four deep.
+const MAX_DEPTH: usize = 64;
+
 /// Parse one JSON document. Errors carry a byte offset.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = json_value(bytes, &mut pos)?;
+    let value = json_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -222,8 +227,12 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn json_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// One value enclosed by `depth` arrays and objects.
+fn json_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"));
+    }
     match bytes.get(*pos) {
         Some(b'{') => {
             *pos += 1;
@@ -235,7 +244,7 @@ fn json_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match json_value(bytes, pos)? {
+                let key = match json_value(bytes, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key is not a string at byte {pos}")),
                 };
@@ -244,7 +253,7 @@ fn json_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                members.push((key, json_value(bytes, pos)?));
+                members.push((key, json_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -265,7 +274,7 @@ fn json_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(json_value(bytes, pos)?);
+                items.push(json_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -503,5 +512,19 @@ mod tests {
             Some(Json::Arr(items)) => assert_eq!(items.len(), 4),
             other => panic!("expected array, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn json_nesting_is_capped_with_the_offset() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        assert!(parse_json(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&objects(MAX_DEPTH)).is_ok());
+        let err = parse_json(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        let err = parse_json(&objects(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {}", 5 * MAX_DEPTH));
+        // The cap holds far past any stack.
+        assert!(parse_json(&"[".repeat(200_000)).unwrap_err().contains("nesting deeper"));
     }
 }

@@ -583,7 +583,7 @@ mod tests {
         assert_eq!(data.keys_tested, 1000.0);
         assert_eq!(data.hits, 1.0);
         assert_eq!(data.workers.len(), 2);
-        let w0 = &data.workers[0];
+        let w0 = data.workers.first().expect("two workers");
         assert_eq!(w0.worker, "w0");
         assert!((w0.utilization_pct() - 75.0).abs() < 1e-9);
         assert_eq!(data.device_rates, vec![("GTX 660".to_string(), 215.0)]);
@@ -621,9 +621,13 @@ mod tests {
 
     #[test]
     fn quantiles_of_raw_buckets_match_the_bucket_bounds() {
-        let mut buckets = vec![0u64; 40];
-        buckets[0] = 10; // zeros
-        buckets[5] = 90; // [16, 32)
+        let buckets: Vec<u64> = (0..40)
+            .map(|i| match i {
+                0 => 10, // zeros
+                5 => 90, // [16, 32)
+                _ => 0,
+            })
+            .collect();
         assert_eq!(quantile_from_log2_buckets(&buckets, 0.05), 0.0);
         assert_eq!(quantile_from_log2_buckets(&buckets, 0.50), 31.0);
         assert_eq!(quantile_from_log2_buckets(&buckets, 0.99), 31.0);
@@ -651,9 +655,9 @@ mod tests {
         let samples = parse_prometheus(&t.render_prometheus()).unwrap();
         let trace = parse_trace_jsonl(&t.trace_jsonl()).unwrap();
         let data = analyze(&samples, &trace);
-        assert_eq!(data.jobs.len(), 2);
-        let j1 = &data.jobs[0];
-        let j2 = &data.jobs[1];
+        let [j1, j2] = data.jobs.as_slice() else {
+            panic!("expected two jobs, got {}", data.jobs.len())
+        };
         assert_eq!((j1.job.as_str(), j1.tested, j1.hits, j1.leases), ("job-1", 600.0, 1.0, 3.0));
         // Per-job totals reconcile exactly against the worker counters.
         let job_sum: f64 = data.jobs.iter().map(|j| j.tested).sum();
@@ -681,11 +685,11 @@ mod tests {
         t.counter(names::RESCATTERS, &[]).add(3);
         let samples = parse_prometheus(&t.render_prometheus()).unwrap();
         let data = analyze(&samples, &[]);
-        assert_eq!(data.rates.len(), 2);
-        let cpu = &data.rates[0];
+        let [cpu, gpu] = data.rates.as_slice() else {
+            panic!("expected two rate rows, got {}", data.rates.len())
+        };
         assert_eq!(cpu.worker, "cpu#0");
         assert!((cpu.drift_pct() + 25.0).abs() < 1e-9, "{}", cpu.drift_pct());
-        let gpu = &data.rates[1];
         assert!((gpu.drift_pct() - 10.0).abs() < 1e-9, "{}", gpu.drift_pct());
         assert_eq!(data.rescatters, 3.0);
         let report = render_report(&samples, &[]);

@@ -1,12 +1,12 @@
 //! An NTLM audit session end-to-end: the workflow a security team runs
 //! against a dumped SAM table, with every layer of this repository in the
-//! loop — checkpointed sweep, per-account findings, and time-to-crack
-//! estimates on the paper's GPUs.
+//! loop — a dispatched all-hits sweep, per-account findings, and
+//! time-to-crack estimates on the paper's GPUs.
 //!
 //! Run with: `cargo run --release --example ntlm_audit`
 
 use eks::cluster::{estimate_against_device, StrengthEstimate};
-use eks::cracker::{AuditEntry, AuditSession};
+use eks::cracker::{run_audit, AuditEntry};
 use eks::gpusim::device::Device;
 use eks::hashes::{to_hex, HashAlgo};
 use eks::keyspace::{Charset, KeySpace, Order};
@@ -37,11 +37,8 @@ fn main() {
     // Sweep lowercase 1..=4 — the "weak password" band.
     let space = KeySpace::new(Charset::lowercase(), 1, 4, Order::FirstCharFastest).unwrap();
     println!("\nsweeping {} candidates (lowercase, 1..=4 chars)...", space.size());
-    let mut session = AuditSession::new(HashAlgo::Ntlm, entries, &space);
-    let mut checkpoints = 0u32;
-    let report = session.run(&space, |_serialized| checkpoints += 1);
+    let report = run_audit(&space, HashAlgo::Ntlm, &entries).expect("NTLM-length digests");
     print!("\n{}", report.render());
-    println!("({checkpoints} checkpoints persisted along the way)");
 
     // How long each cracked password would survive a GTX 660 sweeping the
     // full alphanumeric space — the remediation priority column.

@@ -10,7 +10,7 @@
 
 use eks::cluster::{parse_topology, run_cluster_search};
 use eks::cracker::{crack_interval, crack_space_parallel, ParallelConfig, TargetSet};
-use eks::engine::Checkpoint;
+use eks::engine::{Checkpoint, SearchCheckpoint};
 use eks::hashes::HashAlgo;
 use eks::keyspace::{Charset, HybridSpace, KeySpace, MaskSpace, Order};
 use std::sync::atomic::AtomicBool;
@@ -70,8 +70,8 @@ fn checkpointed_sweep_equals_continuous_sweep() {
         hits.extend(out.hits);
         cp.complete(work);
     }
-    let restored = Checkpoint::deserialize(&cp.serialize()).unwrap();
-    let mut cp = restored;
+    let saved = SearchCheckpoint { frontier: cp, slots: Vec::new(), workers: Vec::new() }.to_json();
+    let mut cp = SearchCheckpoint::from_json(&saved).unwrap().frontier;
     while let Some(work) = cp.take_work(5_000) {
         let out = crack_interval(&s, &targets, work, &stop, false);
         hits.extend(out.hits);

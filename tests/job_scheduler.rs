@@ -1,7 +1,7 @@
 //! Seeded property tests of the multi-tenant job service: exactly-once
 //! coverage across checkpoint/restore at arbitrary interleaving points
 //! and across a lease log cut at any byte, lifecycle transitions over an
-//! unfolded log,
+//! unfolded log, hostile nesting depth in a record,
 //! fair-share division between equal-priority tenants, and exact
 //! reconciliation of the per-job telemetry dimension against the shared
 //! per-worker counters.
@@ -414,6 +414,24 @@ fn a_torn_lease_log_credits_exactly_its_complete_lines() {
             assert!(reason.starts_with("line 3:"), "{reason}");
         }
         other => panic!("expected a corrupt log, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record nested far deeper than any the store writes (here 200 000
+/// `[`, past any thread's stack under a recursive parser) is `Corrupt`
+/// naming the file, never a crash.
+#[test]
+fn deeply_nested_record_is_corrupt_not_a_crash() {
+    let dir = tmp_spool("deep");
+    let store = JobStore::open(&dir).unwrap();
+    std::fs::write(dir.join("job-1.json"), "[".repeat(200_000)).unwrap();
+    match store.load(JobId(1)) {
+        Err(JobError::Corrupt { path, reason }) => {
+            assert!(path.ends_with("job-1.json"), "{path}");
+            assert!(reason.contains("nesting deeper than"), "{reason}");
+        }
+        other => panic!("expected a corrupt record, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -107,7 +107,7 @@ fn des_efficiency_monotone_in_search_size() {
 
 mod checkpoint_properties {
     use eks::core::prop::forall;
-    use eks::engine::Checkpoint;
+    use eks::engine::{Checkpoint, SearchCheckpoint};
     use eks::keyspace::Interval;
 
     /// Arbitrary take/complete/requeue sequences never lose or
@@ -148,8 +148,9 @@ mod checkpoint_properties {
                 assert_eq!(cp.remaining() + in_flight_len + completed, len, "conservation");
             }
             // Serialization round-trips whatever state we ended in.
-            let back = Checkpoint::deserialize(&cp.serialize()).unwrap();
-            assert_eq!(back, cp);
+            let snap = SearchCheckpoint { frontier: cp.clone(), slots: Vec::new(), workers: Vec::new() };
+            let back = SearchCheckpoint::from_json(&snap.to_json()).unwrap();
+            assert_eq!(back.frontier, cp);
         });
     }
 }
