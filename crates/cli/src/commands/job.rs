@@ -10,10 +10,11 @@
 //! response per line — with a scheduler thread draining the spool in
 //! the background.
 
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use crate::args::Args;
 use eks_cracker::CpuBackend;
@@ -23,7 +24,7 @@ use eks_jobs::{
 };
 use eks_keyspace::Order;
 use eks_telemetry::parse::{parse_json, Json};
-use eks_telemetry::{json_string, names, Telemetry};
+use eks_telemetry::{json_string, names, DeadlineStream, Telemetry};
 
 use super::{
     parse_algo, parse_charset, parse_telemetry, parse_threads, spawn_metrics_server,
@@ -194,10 +195,15 @@ fn parse_round_keys(args: &Args) -> Result<u128, String> {
     Ok(round_keys)
 }
 
+/// `job run`'s scheduler knobs: `--round-keys` and `--retune`
+/// (`--retune-interval N` sets the chunks between drift checks).
+fn service_config(args: &Args) -> Result<ServiceConfig, String> {
+    Ok(ServiceConfig { round_keys: parse_round_keys(args)?, retune: super::parse_retune(args)? })
+}
+
 fn job_run(store: JobStore, args: &Args) -> Result<(), String> {
     let threads = parse_threads(args, 4)?;
-    let round_keys = parse_round_keys(args)?;
-    let retune = super::parse_retune(args)?.is_some();
+    let config = service_config(args)?;
     let (telemetry, log) = parse_telemetry(args)?;
     let _metrics_server = spawn_metrics_server(args, &telemetry, Some(jobs_fn(&store)))?;
     let fleet = match args.get("topology") {
@@ -208,11 +214,7 @@ fn job_run(store: JobStore, args: &Args) -> Result<(), String> {
         ),
         None => host_fleet(threads),
     };
-    let service = JobService::new(
-        store,
-        ServiceConfig { round_keys, retune, ..ServiceConfig::default() },
-    )
-    .with_telemetry(telemetry.clone());
+    let service = JobService::new(store, config).with_telemetry(telemetry.clone());
     let run_span = telemetry.span(names::SPAN_RUN);
     let rounds = service.run_until_idle(&fleet).map_err(|e| e.to_string())?;
     run_span.finish();
@@ -297,8 +299,8 @@ fn serve(
         })
     });
     for conn in listener.incoming() {
-        let Ok(mut conn) = conn else { continue };
-        handle_conn(&mut conn, &shared);
+        let Ok(conn) = conn else { continue };
+        handle_conn(conn, &shared);
         if shared.stop.load(Ordering::Relaxed) {
             break;
         }
@@ -309,15 +311,41 @@ fn serve(
     Ok(())
 }
 
-fn handle_conn(conn: &mut TcpStream, shared: &Shared) {
+/// Longest request line `eks serve` reads, newline included. A submit
+/// request is a few hundred bytes; a longer line is answered with an
+/// error and the connection closed, so a peer that never sends `\n`
+/// cannot grow a buffer without bound.
+const MAX_LINE_BYTES: u64 = 64 * 1024;
+
+/// How long `eks serve` spends on one connection before it drops it: the
+/// accept loop serves one connection at a time, so this bounds how long
+/// any peer, however it paces its bytes, keeps the next client waiting.
+/// A client opens a connection per request or per short batch.
+const CONN_DEADLINE: Duration = Duration::from_secs(5);
+
+fn handle_conn(conn: TcpStream, shared: &Shared) {
+    let mut conn = DeadlineStream::new(conn, CONN_DEADLINE);
     let Ok(peer) = conn.try_clone() else { return };
-    let reader = BufReader::new(peer);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(peer);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match (&mut reader).take(MAX_LINE_BYTES).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) if n as u64 == MAX_LINE_BYTES && buf.last() != Some(&b'\n') => {
+                let _ = writeln!(
+                    conn,
+                    "{{\"error\":\"request line exceeds {MAX_LINE_BYTES} bytes\"}}"
+                );
+                break;
+            }
+            Ok(_) => {}
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let response = match respond(shared, &line) {
+        let response = match respond(shared, line) {
             Ok(body) => body,
             Err(e) => format!("{{\"error\":{}}}", json_string(&e)),
         };
@@ -428,6 +456,7 @@ fn respond(shared: &Shared, line: &str) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::commands::run;
+    use eks_engine::Retune;
     use eks_hashes::to_hex;
     use eks_telemetry::parse_prometheus;
     use std::path::PathBuf;
@@ -538,6 +567,79 @@ mod tests {
         let a = args(&["job", "run", "--spool", spool, "--round-keys", "0"]);
         let err = run("job", &a).expect_err("zero budget");
         assert!(err.contains("--round-keys"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn job_run_passes_the_retune_interval_through() {
+        let a = args(&["job", "run", "--spool", "unused", "--retune-interval", "3"]);
+        let retune = service_config(&a).unwrap().retune;
+        assert_eq!(retune, Some(Retune { every_chunks: 3, ..Retune::default() }));
+        let a = args(&["job", "run", "--spool", "unused"]);
+        assert_eq!(service_config(&a).unwrap().retune, None);
+    }
+
+    #[test]
+    fn serve_refuses_an_over_long_line_and_serves_the_next_client() {
+        use std::io::Read;
+        let dir = tmp_spool("long-line");
+        let store = JobStore::open(&dir).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server =
+            std::thread::spawn(move || serve(listener, store, 1, 4096, false, Telemetry::disabled()));
+
+        let mut hog = TcpStream::connect(addr).unwrap();
+        hog.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // Exactly the cap and no newline: the server reads all of it, so
+        // its close after the error line is clean.
+        hog.write_all(&vec![b'x'; MAX_LINE_BYTES as usize]).unwrap();
+        let mut reply = String::new();
+        hog.read_to_string(&mut reply).expect("an error line, then the close");
+        assert!(reply.contains("exceeds"), "{reply}");
+
+        let mut next = TcpStream::connect(addr).unwrap();
+        next.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        writeln!(next, "{{\"cmd\":\"shutdown\"}}").unwrap();
+        let mut line = String::new();
+        BufReader::new(next).read_line(&mut line).expect("the next client is served");
+        assert!(line.contains("\"shutdown\":true"), "{line}");
+        server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serve_drops_a_slow_drip_at_the_deadline_and_serves_the_next_client() {
+        use std::time::Instant;
+        let dir = tmp_spool("drip");
+        let store = JobStore::open(&dir).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server =
+            std::thread::spawn(move || serve(listener, store, 1, 4096, false, Telemetry::disabled()));
+
+        let hog = TcpStream::connect(addr).unwrap();
+        let started = Instant::now();
+        let mut drip = hog.try_clone().unwrap();
+        // One byte per 250 ms and no newline: every read is quick and the
+        // line stays far under its cap.
+        let dripper = std::thread::spawn(move || {
+            while started.elapsed() < Duration::from_secs(20) && drip.write_all(b"x").is_ok() {
+                std::thread::sleep(Duration::from_millis(250));
+            }
+        });
+
+        let mut next = TcpStream::connect(addr).unwrap();
+        next.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        writeln!(next, "{{\"cmd\":\"shutdown\"}}").unwrap();
+        let mut line = String::new();
+        BufReader::new(next).read_line(&mut line).expect("the next client is served");
+        let waited = started.elapsed();
+        let _ = hog.shutdown(std::net::Shutdown::Both);
+        dripper.join().unwrap();
+        assert!(line.contains("\"shutdown\":true"), "{line}");
+        assert!(waited < CONN_DEADLINE + Duration::from_secs(5), "waited {waited:?}");
+        server.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -134,10 +134,12 @@ fn print_help() {
     println!("           list                                    one line per spooled job");
     println!("           status <id>                             full record of one job");
     println!("           cancel|pause|resume <id>                lifecycle transitions");
-    println!("           run [--threads N] [--topology ...] [--round-keys N] [--retune]");
+    println!("           run [--threads N] [--topology ...] [--round-keys N]");
+    println!("           [--retune [--retune-interval N]]");
     println!("           drive the fair-share scheduler until every runnable job completes;");
-    println!("           --retune tracks live fleet throughput, re-splitting leases and");
-    println!("           scaling the round budget to real rates; safe to");
+    println!("           --retune tracks live fleet throughput, re-splitting leases (a drift");
+    println!("           check every N chunks, default 8) and scaling the round budget to");
+    println!("           real rates; safe to");
     println!("           kill at any instant — completed leases are checkpointed and a");
     println!("           restart resumes with no rescanned and no skipped keys");
     println!("           [--metrics-out F.prom] [--trace-out F.jsonl]   per-job telemetry");

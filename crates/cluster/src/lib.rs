@@ -14,9 +14,10 @@
 //!   Table IX;
 //! * [`runtime`] — the real driver: [`plan_fleet`] flattens the tree into
 //!   one [`eks_jobs::Fleet`] of backend leaves weighted by tuned rate, and
-//!   [`run_cluster`] cracks keys over it in one round loop — static
-//!   scatter is one round, bounded rounds and join/leave events
-//!   ([`FleetEvent`]) are the same loop run longer;
+//!   [`run_cluster`] cracks keys over it in a loop of the engine's rounds
+//!   (`eks_engine::Fleet::run_round`) — static scatter is one round,
+//!   bounded rounds and join/leave events ([`FleetEvent`], re-exported
+//!   from the engine) are the same loop run longer;
 //! * [`fault`] — the minimum fault-tolerance model the paper sketches:
 //!   detect a dead subtree, requeue its outstanding interval, repartition
 //!   over the survivors.
@@ -45,10 +46,8 @@ pub mod tuning;
 pub use des::{simulate_search, NetworkReport, SimParams};
 pub use fault::{simulate_search_with_failure, FailureEvent, FailureReport};
 pub use model::{calibrate, FittedModel};
-pub use runtime::{
-    plan_fleet, run_cluster, run_cluster_search, ClusterOptions, ClusterSearchResult, FleetEvent,
-    ScheduledFleetEvent,
-};
+pub use eks_engine::{FleetEvent, ScheduledFleetEvent};
+pub use runtime::{plan_fleet, run_cluster, run_cluster_search, ClusterOptions, ClusterSearchResult};
 pub use simgpu::SimKernelBackend;
 pub use spec::{paper_network, ClusterNode, CpuWorker, GpuSlot};
 pub use strength::{estimate_against_cluster, estimate_against_device, StrengthEstimate};

@@ -14,15 +14,10 @@
 //!   same proportion `X_j / ΣX` a walk down the tree would.
 //! * [`run_cluster`] runs rounds over that fleet: take the next
 //!   `round_keys` identifiers (the whole interval when unset — the
-//!   static scatter), apply the membership events due, split the slice
-//!   by the members' weights, and run it through one [`Dispatcher`],
-//!   which owns the shared stop flag, the hit merge and the per-device
-//!   accounting; stop after a round with a hit under first-hit.
-
-// Indexing/slicing below is over fixed-size state arrays or lengths
-// established by construction; the workspace `clippy::indexing_slicing`
-// escalation guards new code, not these proven accesses.
-#![allow(clippy::indexing_slicing)]
+//!   static scatter), apply the membership events due, and run the slice
+//!   as one [`Fleet::run_round`] on one [`Dispatcher`], which owns the
+//!   shared stop flag, the hit merge and the per-device accounting; stop
+//!   after a round with a hit under first-hit.
 
 use std::time::Instant;
 
@@ -33,8 +28,8 @@ use eks_keyspace::{Interval, Key, KeySpace};
 use eks_cracker::target::TargetSet;
 use eks_cracker::CpuBackend;
 use eks_engine::{
-    Backend, DequeLeaf, Dispatcher, IntervalDeques, RateEstimator, Retune, ScanMode, SchedOptions,
-    SchedPolicy, WorkerId, WorkerStats,
+    Backend, Dispatcher, Retune, ScanMode, ScheduledFleetEvent, SchedOptions, SchedPolicy,
+    WorkerStats,
 };
 use eks_telemetry::{names, Telemetry};
 
@@ -83,28 +78,6 @@ impl ClusterSearchResult {
         let busy: u64 = self.stats.iter().map(|w| w.busy_ns).sum();
         100.0 * busy as f64 / self.capacity_ns as f64
     }
-}
-
-/// A fleet membership change, applied between rounds.
-pub enum FleetEvent {
-    /// A device (or remote node's executor) joins the fleet.
-    Join {
-        /// The joining member.
-        member: FleetMember,
-    },
-    /// Every member carrying this label leaves the fleet.
-    Leave {
-        /// Label of the leaver.
-        label: String,
-    },
-}
-
-/// A [`FleetEvent`] scheduled before a given round.
-pub struct ScheduledFleetEvent {
-    /// The event fires before this round index (0-based).
-    pub before_round: u64,
-    /// What happens.
-    pub event: FleetEvent,
 }
 
 /// How [`run_cluster`] drives its rounds.
@@ -203,72 +176,13 @@ fn push_members(
     }
 }
 
-/// Apply (and remove) the events scheduled before `round`, tracing each
-/// join and leave. A leave of an absent label, or one that would empty
-/// the fleet, is refused. Returns whether the membership changed.
-fn apply_events(
-    fleet: &mut Fleet,
-    events: &mut Vec<ScheduledFleetEvent>,
-    round: u64,
-    telemetry: &Telemetry,
-) -> bool {
-    let (due, rest): (Vec<_>, Vec<_>) =
-        std::mem::take(events).into_iter().partition(|e| e.before_round == round);
-    *events = rest;
-    let mut changed = false;
-    for scheduled in due {
-        match scheduled.event {
-            FleetEvent::Join { member } => {
-                telemetry.event(names::EVENT_JOIN).field("member", &member.label).finish();
-                fleet.join(member);
-                changed = true;
-            }
-            FleetEvent::Leave { label } => {
-                if fleet.leave(&label) {
-                    telemetry.event(names::EVENT_LEAVE).field("member", &label).finish();
-                    changed = true;
-                }
-            }
-        }
-    }
-    changed
-}
-
-/// One dispatcher worker: a distinct member label.
-struct Worker {
-    label: String,
-    id: WorkerId,
-    /// Between-round rate estimate, seeded with the member's weight;
-    /// consulted only under retune.
-    rate: RateEstimator,
-    /// Cumulative `(tested, busy_ns)` at the previous round's end.
-    seen: (u128, u64),
-}
-
-/// Register a worker for every fleet label not seen before. A label that
-/// left and re-joins keeps its worker, so its accounting resumes.
-fn register_new(fleet: &Fleet, dispatcher: &Dispatcher<'_>, workers: &mut Vec<Worker>) {
-    for m in fleet.members() {
-        if !workers.iter().any(|w| w.label == m.label) {
-            workers.push(Worker {
-                label: m.label.clone(),
-                id: dispatcher.register(m.label.clone()),
-                rate: RateEstimator::new(m.weight),
-                seen: (0, 0),
-            });
-        }
-    }
-}
-
 /// Search `interval` of `space` over `fleet`, round by round (see the
-/// module docs). Worker busy time is summed over a CPU worker's threads,
-/// so under retune a round's Δtested ÷ Δbusy is a per-thread rate, in
-/// the units of the per-thread member weights it replaces.
+/// module docs).
 ///
 /// # Panics
 /// Panics when `opts.round_keys` is `Some(0)`.
 pub fn run_cluster(
-    mut fleet: Fleet,
+    fleet: Fleet,
     space: &KeySpace,
     targets: &TargetSet,
     interval: Interval,
@@ -277,24 +191,21 @@ pub fn run_cluster(
     let ClusterOptions { first_hit_only, sched, retune, round_keys, mut events, telemetry } = opts;
     let round_keys = round_keys.unwrap_or(u128::MAX);
     assert!(round_keys > 0, "round_keys must be positive");
+    let mut fleet = fleet.with_scatter_spans();
     let dispatcher = Dispatcher::new(space, targets, ScanMode::from_first_hit(first_hit_only))
         .with_telemetry(telemetry.clone());
-    let mut sched_opts = SchedOptions::for_policy(sched, CLUSTER_CHUNK);
-    if let Some(r) = retune {
-        sched_opts = sched_opts.with_retune(r);
-    }
+    let sched_opts = SchedOptions { retune, ..SchedOptions::for_policy(sched, CLUSTER_CHUNK) };
     let rounds_counter = telemetry.counter(names::ROUNDS, &[]);
     let rebalance_counter = telemetry.counter(names::REBALANCES, &[]);
-    let mut workers = Vec::new();
-    register_new(&fleet, &dispatcher, &mut workers);
+    // Every label has its row, even when no round runs.
+    fleet.workers(&dispatcher);
 
     let mut remaining = interval.intersect(&space.interval());
     let (mut rounds, mut rebalances, mut capacity_ns) = (0u64, 0u64, 0u64);
     while !remaining.is_empty() {
-        if apply_events(&mut fleet, &mut events, rounds, &telemetry) {
+        if fleet.apply_events(&mut events, rounds, &telemetry) {
             rebalances += 1;
             rebalance_counter.inc();
-            register_new(&fleet, &dispatcher, &mut workers);
         }
         let slice = remaining.take_front(round_keys);
         let started = Instant::now();
@@ -306,37 +217,9 @@ pub fn run_cluster(
             .field("round", rounds)
             .field("members", fleet.len())
             .field("keys", slice.len);
-        let members = fleet.members();
-        let slots: Vec<&Worker> = members
-            .iter()
-            .map(|m| workers.iter().find(|w| w.label == m.label).expect("registered"))
-            .collect();
-        let scatter = telemetry.span(names::SPAN_SCATTER);
-        let weights: Vec<f64> = if retune.is_some() {
-            slots.iter().map(|w| w.rate.mkeys()).collect()
-        } else {
-            members.iter().map(|m| m.weight).collect()
-        };
-        let deques = IntervalDeques::assign(slice.split_weighted(&weights));
-        scatter.field("leaves", members.len()).finish();
-        let leaves: Vec<DequeLeaf<'_>> = members
-            .iter()
-            .zip(&slots)
-            .map(|(m, w)| DequeLeaf { worker: w.id, backend: m.backend.as_ref() })
-            .collect();
-        dispatcher.run_deques(&leaves, &deques, sched_opts);
+        fleet.run_round(&dispatcher, slice, sched_opts);
         let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        capacity_ns = capacity_ns.saturating_add(wall_ns.saturating_mul(members.len() as u64));
-        if retune.is_some() {
-            // Workers register in order, so stats row `i` is worker `i`.
-            for (w, st) in workers.iter_mut().zip(dispatcher.worker_stats()) {
-                w.rate.observe(
-                    st.tested.saturating_sub(w.seen.0),
-                    st.busy_ns.saturating_sub(w.seen.1),
-                );
-                w.seen = (st.tested, st.busy_ns);
-            }
-        }
+        capacity_ns = capacity_ns.saturating_add(wall_ns.saturating_mul(fleet.len() as u64));
         // Round boundary: let an attached live plane close a window and
         // run its anomaly pass over this round's deltas.
         telemetry.observe_plane();
@@ -386,6 +269,7 @@ pub fn run_cluster_search(
 mod tests {
     use super::*;
     use crate::spec::paper_network;
+    use eks_engine::FleetEvent;
     use eks_gpusim::device::Device;
     use eks_keyspace::{Charset, Order};
 
@@ -403,17 +287,19 @@ mod tests {
             .with_cpu("host-cpu", 2);
         let fleet = plan_fleet(&net, HashAlgo::Md5, &Telemetry::disabled());
         let labels = fleet.labels();
-        assert_eq!(labels.len(), 3, "one GPU member + one member per CPU thread");
-        assert_eq!(labels[0], "box/GeForce GTX 660 [simgpu]");
-        assert!(labels[1].starts_with("box/host-cpu [auto:"), "{labels:?}");
-        assert_eq!(labels[1], labels[2], "a CPU worker's threads share its label");
+        let [gpu, cpu, cpu_again] = labels.as_slice() else {
+            panic!("one GPU member + one member per CPU thread: {labels:?}");
+        };
+        assert_eq!(*gpu, "box/GeForce GTX 660 [simgpu]");
+        assert!(cpu.starts_with("box/host-cpu [auto:"), "{labels:?}");
+        assert_eq!(cpu, cpu_again, "a CPU worker's threads share its label");
         let weights = fleet.weights();
-        assert_eq!(weights[1], weights[2], "the worker's rate splits evenly");
+        assert!(matches!(weights.as_slice(), [_, a, b] if a == b), "the worker's rate splits evenly");
 
         let s = space();
         let r = run_cluster_search(&net, &s, &miss(), s.interval(), false);
         let rows: Vec<&str> = r.per_device.iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(rows, [labels[0], labels[1]], "one accounting row per distinct label");
+        assert_eq!(rows, [*gpu, *cpu], "one accounting row per distinct label");
         assert!(r.per_device.iter().all(|(_, n)| *n > 0), "{:?}", r.per_device);
     }
 
@@ -456,7 +342,7 @@ mod tests {
         let fleet = Fleet::new(vec![member("a"), member("b")]);
         let r = run_cluster(fleet, &s, &miss(), s.interval(), options);
         assert_eq!(r.tested, s.size());
-        assert_eq!(r.per_device[1], ("b".to_string(), 60_000), "two 30k half-rounds");
+        assert_eq!(r.per_device.get(1), Some(&("b".to_string(), 60_000)), "two 30k half-rounds");
         assert_eq!(r.rebalances, 1);
     }
 
@@ -466,13 +352,13 @@ mod tests {
         let net = ClusterNode::device_node("A", vec![Device::geforce_gtx_660()], 1e-3);
         let mut fleet = plan_fleet(&net, HashAlgo::Md5, &telemetry);
         assert_eq!(fleet.len(), 1);
-        let label = fleet.labels()[0].to_string();
+        let label = fleet.labels().first().expect("a member").to_string();
         assert!(!fleet.leave(&label), "last member must stay");
         assert_eq!(fleet.len(), 1);
         // Nor may the threads of the only worker all leave at once.
         let net = ClusterNode::device_node("A", vec![], 1e-3).with_cpu("cpu0", 2);
         let mut fleet = plan_fleet(&net, HashAlgo::Md5, &telemetry);
-        let label = fleet.labels()[0].to_string();
+        let label = fleet.labels().first().expect("a member").to_string();
         assert!(!fleet.leave(&label), "the only worker must stay");
         assert_eq!(fleet.len(), 2);
     }

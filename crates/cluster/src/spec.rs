@@ -156,13 +156,16 @@ mod tests {
     #[test]
     fn device_placement_matches_section_vi() {
         let net = paper_network(1e-3);
-        assert_eq!(net.devices[0].device.name, "GeForce GT 540M");
+        let names = |node: &ClusterNode| -> Vec<String> {
+            node.devices.iter().map(|slot| slot.device.name.to_string()).collect()
+        };
+        assert_eq!(names(&net), ["GeForce GT 540M"]);
         let b = net.find("B").unwrap();
-        assert_eq!(b.devices[0].device.name, "GeForce GTX 660");
-        assert_eq!(b.devices[1].device.name, "GeForce GTX 550 Ti");
+        assert_eq!(names(b), ["GeForce GTX 660", "GeForce GTX 550 Ti"]);
         let c = net.find("C").unwrap();
-        assert_eq!(c.devices[0].device.name, "GeForce 8600M GT");
-        assert_eq!(c.children[0].devices[0].device.name, "GeForce 8800 GTS 512");
+        assert_eq!(names(c), ["GeForce 8600M GT"]);
+        let below_c: Vec<Vec<String>> = c.children.iter().map(names).collect();
+        assert_eq!(below_c, [["GeForce 8800 GTS 512"]]);
     }
 
     #[test]

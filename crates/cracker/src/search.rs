@@ -13,11 +13,11 @@
 //!
 //! [`crack_parallel_backend_observed`] is the fine-grain parallelization
 //! of Section III mapped onto CPU threads, and the one search entry point:
-//! the engine layer's [`Dispatcher`] over the space — a brute-force
-//! [`KeySpace`], a mask, a hybrid dictionary — running `config.threads`
-//! workers of one [`Backend`]. Scatter, stealing ([`ParallelConfig::sched`]),
-//! retune, stop condition, merge, stats, telemetry and progress are the
-//! dispatcher's for every space; only `f` and `next` differ, behind the
+//! one [`Fleet::run_round`] of `config.threads` equal members of one
+//! [`Backend`] on the engine layer's [`Dispatcher`] over the space — a
+//! brute-force [`KeySpace`], a mask, a hybrid dictionary. Scatter,
+//! stealing ([`ParallelConfig::sched`]), retune, stop condition, merge,
+//! stats, telemetry and progress are the round driver's for every space; only `f` and `next` differ, behind the
 //! backend's `scan`. First-hit returns the lowest matching identifier
 //! whenever more than one digest is searched, any occurrence of the one
 //! key otherwise. [`crack_parallel`], [`crack_parallel_backend`] and
@@ -27,8 +27,8 @@ use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use eks_engine::{
-    Backend, Dispatcher, PollCursor, ProgressEvent, Retune, ScanMode, SchedOptions, SchedPolicy,
-    WorkerStats,
+    Backend, Dispatcher, Fleet, PollCursor, ProgressEvent, Retune, ScanMode, SchedOptions,
+    SchedPolicy, WorkerStats,
 };
 use eks_keyspace::{BlockSpace, Interval, Key, KeySpace, SolutionSpace};
 use eks_telemetry::{names, Telemetry};
@@ -228,11 +228,12 @@ where
     )
 }
 
-/// The search: `config.threads` workers of `backend` over `interval` of
-/// `space` (clamped to it), scheduled by the [`Dispatcher`] the cluster
-/// runtimes share. An enabled `telemetry` gets chunk spans and per-worker
-/// accounting (attach the same handle to the backend for fill/hash timing
-/// and prefilter counters); `progress` fires after every merged chunk.
+/// The search: one round of `interval` of `space` (clamped to it) over
+/// `config.threads` equal members `{backend.name()}#i` of `backend`, on
+/// the round driver the cluster and the job service share. An enabled
+/// `telemetry` gets chunk spans and per-worker accounting (attach the
+/// same handle to the backend for fill/hash timing and prefilter
+/// counters); `progress` fires after every merged chunk.
 ///
 /// # Panics
 /// Panics when `config.threads == 0` or `config.chunk == 0`.
@@ -263,11 +264,9 @@ where
     .with_telemetry(telemetry.clone())
     .on_progress(progress);
     assert!(config.chunk >= 1, "chunk must be positive");
-    let mut opts = SchedOptions::for_policy(config.sched, config.chunk as u128);
-    if let Some(retune) = config.retune {
-        opts = opts.with_retune(retune);
-    }
-    dispatcher.run_workers_opts(backend, interval, config.threads, opts);
+    let opts =
+        SchedOptions { retune: config.retune, ..SchedOptions::for_policy(config.sched, config.chunk.into()) };
+    Fleet::threads(backend, config.threads).run_round(&dispatcher, interval, opts);
     let report = dispatcher.finish();
     run_span.finish();
     let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);

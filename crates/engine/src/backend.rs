@@ -104,6 +104,33 @@ pub trait Backend<S: ?Sized = KeySpace>: Sync {
     }
 }
 
+/// A borrowed backend scans as the backend itself: what lets a
+/// [`crate::Fleet`] lend one caller-owned backend to several members.
+impl<S: ?Sized, B: Backend<S> + ?Sized> Backend<S> for &B {
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    fn scan(
+        &self,
+        space: &S,
+        targets: &TargetSet,
+        interval: Interval,
+        stop: &AtomicBool,
+        mode: ScanMode,
+    ) -> ScanReport {
+        (**self).scan(space, targets, interval, stop, mode)
+    }
+
+    fn tuned_rate(&self, algo: HashAlgo) -> f64 {
+        (**self).tuned_rate(algo)
+    }
+
+    fn isa(&self, algo: HashAlgo) -> Option<String> {
+        (**self).isa(algo)
+    }
+}
+
 /// The backend vocabulary the CLI and benches expose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {

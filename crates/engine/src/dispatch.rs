@@ -3,25 +3,24 @@
 //! A [`Dispatcher`] owns everything the paper's master does between
 //! scatter and merge: the shared stop condition, the gathered hits, the
 //! per-worker tested counts and scheduler stats, and an optional
-//! progress hook. Three frontends drive the same core:
+//! progress hook. Two shapes drive the same core:
 //!
 //! * [`Dispatcher::run_deques`] — the adaptive shape: every worker owns
 //!   a pre-scattered interval deque ([`IntervalDeques`]), pops chunks
 //!   off its own front ([`ChunkPolicy`]), and steals the back half of
-//!   the largest remote deque when drained;
-//! * [`Dispatcher::run_queue`] / [`Dispatcher::run_workers`] — thin
-//!   wrappers that scatter evenly and run `run_deques` in the requested
-//!   [`SchedPolicy`] mode (`run_queue` keeps the old shared-queue
-//!   granularity: fixed chunks, stealing on);
-//! * [`Dispatcher::scan_as`] — the coarse-grain shape: a caller that
-//!   already split the interval by tuned rates (the cluster runtimes)
-//!   runs each pre-assigned slice as a registered worker.
+//!   the largest remote deque when drained. Its one caller is the round
+//!   driver, [`crate::Fleet::run_round`], which registers the workers
+//!   and scatters the deques; [`Dispatcher::run_workers_opts`] and
+//!   [`Dispatcher::run_queue`] are one-line spellings of a round over
+//!   [`crate::Fleet::threads`];
+//! * [`Dispatcher::scan_as`] — one scan credited to a registered worker,
+//!   what every deque worker runs per chunk.
 //!
 //! The space is a type parameter (`Dispatcher<'_, S>`, [`KeySpace`] by
 //! default): the core hands `&S` to [`Backend::scan`] and reads its size
-//! once, to clamp [`Dispatcher::run_workers_opts`]' interval, so a mask
-//! or a hybrid dictionary runs through the same scatter, stop condition,
-//! gather and merge as a brute-force range.
+//! once per round, to clamp the round's slice, so a mask or a hybrid
+//! dictionary runs through the same scatter, stop condition, gather and
+//! merge as a brute-force range.
 //!
 //! ## Merge semantics
 //!
@@ -67,6 +66,7 @@ use eks_keyspace::{Interval, Key, KeySpace, SolutionSpace};
 use eks_telemetry::{names, Counter, Gauge, Histogram, LivePlane, Telemetry};
 
 use crate::backend::{Backend, ScanMode, ScanReport};
+use crate::fleet::Fleet;
 use crate::rate::{eta_drift_pct, RateBook, RetuneControl};
 use crate::steal::{ChunkPolicy, IntervalDeques, SchedPolicy, StealOutcome, WorkerStats};
 use crate::target::TargetSet;
@@ -239,15 +239,9 @@ pub struct SchedOptions {
 impl SchedOptions {
     /// The options a [`SchedPolicy`] names, with `chunk` as the fixed
     /// size (queue mode) or guided floor (static/steal modes). Retune
-    /// is off; see [`SchedOptions::with_retune`].
+    /// is off; set [`SchedOptions::retune`] to turn it on.
     pub fn for_policy(policy: SchedPolicy, chunk: u128) -> Self {
         Self { chunk: policy.chunk_policy(chunk), steal: policy.steals(), retune: None }
-    }
-
-    /// The same options with closed-loop retuning enabled.
-    pub fn with_retune(mut self, retune: Retune) -> Self {
-        self.retune = Some(retune);
-        self
     }
 }
 
@@ -408,15 +402,24 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
         self.gathered.lock().expect("dispatch lock").workers.clone()
     }
 
-    /// Register a worker for accounting; labels appear in
-    /// [`DispatchReport::per_worker`] in registration order.
+    /// The worker accounted under `label`, registered on first use;
+    /// labels appear in [`DispatchReport::per_worker`] in registration
+    /// order, each once.
     pub fn register(&self, label: impl Into<String>) -> WorkerId {
-        let stats = WorkerStats::new(label);
-        let live = self.telemetry.counter(names::KEYS_TESTED, &[("worker", stats.label.as_str())]);
+        let label = label.into();
         let mut g = self.gathered.lock().expect("dispatch lock");
-        g.workers.push(stats);
+        if let Some(i) = g.workers.iter().position(|w| w.label == label) {
+            return WorkerId(i);
+        }
+        let live = self.telemetry.counter(names::KEYS_TESTED, &[("worker", label.as_str())]);
+        g.workers.push(WorkerStats::new(label));
         g.live_tested.push(live);
         WorkerId(g.workers.len() - 1)
+    }
+
+    /// `interval` clamped to the space.
+    pub(crate) fn clamp(&self, interval: Interval) -> Interval {
+        interval.intersect(&Interval::new(0, self.space.size().unwrap_or(u128::MAX)))
     }
 
     /// True when a hit ends the whole search at once: first-hit with a
@@ -700,30 +703,9 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
         self.credit_sched(leaf.worker, steals, 0, idle_ns, busy_ns);
     }
 
-    /// Even-scatter frontend over one backend: `workers` threads, each
-    /// owning a contiguous share of `interval` (clamped to the space),
-    /// scheduled per `sched` with `chunk` as the fixed size (queue mode)
-    /// or guided floor (static/steal). One worker is registered per
-    /// thread, labelled `{backend.name()}#{index}`.
-    ///
-    /// # Panics
-    /// Panics when `workers == 0` or `chunk == 0`.
-    pub fn run_workers(
-        &self,
-        backend: &dyn Backend<S>,
-        interval: Interval,
-        workers: usize,
-        chunk: u64,
-        sched: SchedPolicy,
-    ) {
-        assert!(chunk >= 1, "chunk must be positive");
-        let opts = SchedOptions::for_policy(sched, chunk as u128);
-        self.run_workers_opts(backend, interval, workers, opts);
-    }
-
-    /// [`Dispatcher::run_workers`] with the full [`SchedOptions`] knob
-    /// set, for callers that want closed-loop retuning on top of a
-    /// named policy.
+    /// One round of `interval` over `workers` equal members of
+    /// `backend` (labelled `{backend.name()}#{index}`), scheduled by
+    /// `opts`.
     ///
     /// # Panics
     /// Panics when `workers == 0`.
@@ -734,28 +716,17 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
         workers: usize,
         opts: SchedOptions,
     ) {
-        assert!(workers >= 1, "need at least one worker");
-        let whole = Interval::new(0, self.space.size().unwrap_or(u128::MAX));
-        let clamped = interval.intersect(&whole);
-        let ids: Vec<WorkerId> = (0..workers)
-            .map(|w| self.register(format!("{}#{w}", backend.name())))
-            .collect();
-        let leaves: Vec<DequeLeaf<'_, S>> =
-            ids.iter().map(|&worker| DequeLeaf { worker, backend }).collect();
-        let deques = IntervalDeques::scatter(clamped, &vec![1.0; workers]);
-        self.run_deques(&leaves, &deques, opts);
+        Fleet::threads(backend, workers).run_round(self, interval, opts);
     }
 
-    /// The classic work-queue frontend, kept as a thin wrapper over
-    /// [`Dispatcher::run_workers`] in [`SchedPolicy::Queue`] mode: even
-    /// scatter, fixed `chunk`-sized pops, stealing on. Identifier
-    /// intervals are `u128`-native throughout, so arbitrarily huge (if
-    /// impractical) spaces need no chunk widening.
+    /// [`Dispatcher::run_workers_opts`] under [`SchedPolicy::Queue`]:
+    /// even scatter, fixed `chunk`-sized pops, stealing on.
     ///
     /// # Panics
     /// Panics when `workers == 0` or `chunk == 0`.
     pub fn run_queue(&self, backend: &dyn Backend<S>, interval: Interval, workers: usize, chunk: u64) {
-        self.run_workers(backend, interval, workers, chunk, SchedPolicy::Queue);
+        assert!(chunk >= 1, "chunk must be positive");
+        self.run_workers_opts(backend, interval, workers, SchedOptions::for_policy(SchedPolicy::Queue, chunk.into()));
     }
 
     /// Gather + merge: sort hits by identifier, keep only the
@@ -881,7 +852,7 @@ mod tests {
         let t = targets(&[b"cat", b"a", b"zzz"]);
         for sched in SchedPolicy::ALL {
             let d = Dispatcher::new(&s, &t, ScanMode::Exhaustive);
-            d.run_workers(&TestBackend, s.interval(), 3, 512, sched);
+            d.run_workers_opts(&TestBackend, s.interval(), 3, SchedOptions::for_policy(sched, 512));
             let r = d.finish();
             assert_eq!(r.tested, s.size(), "{sched}");
             assert_eq!(r.hits.len(), 3, "{sched}");

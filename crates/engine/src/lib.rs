@@ -22,12 +22,14 @@
 //! * [`dispatch`] — the [`Dispatcher`]: owns the stop flag, the hit
 //!   merge (under first-hit the lowest matching identifier whenever
 //!   several digests are searched, any occurrence of the one key
-//!   otherwise), per-worker
-//!   accounting and progress hooks, with three frontends over the same
-//!   core — deque-scheduled workers ([`Dispatcher::run_deques`] /
-//!   [`Dispatcher::run_workers`]), the classic work queue
-//!   ([`Dispatcher::run_queue`], now a thin wrapper) and tree dispatch
-//!   ([`Dispatcher::scan_as`]);
+//!   otherwise), per-worker accounting and progress hooks, and runs
+//!   deque-scheduled workers ([`Dispatcher::run_deques`]);
+//! * [`fleet`] — the one round driver: a [`Fleet`] of labelled, weighted
+//!   backends and [`Fleet::run_round`], which registers one worker per
+//!   label, scatters a slice by tuned (or, under retune, live) weights
+//!   and runs it on a dispatcher. `eks crack` is one round over
+//!   [`Fleet::threads`], `eks cluster` a rounds loop with
+//!   [`FleetEvent`]s between rounds, `eks job` one round per lease;
 //! * [`checkpoint`] — serializable search state: the completed-work
 //!   frontier ([`Checkpoint`]) and the schema-stamped JSON snapshot of a
 //!   mid-search dispatcher ([`SearchCheckpoint`]), the substrate the
@@ -42,6 +44,7 @@
 pub mod backend;
 pub mod checkpoint;
 pub mod dispatch;
+pub mod fleet;
 pub mod poll;
 pub mod rate;
 pub mod steal;
@@ -54,6 +57,7 @@ pub use checkpoint::{
 pub use dispatch::{
     DequeLeaf, DispatchReport, Dispatcher, ProgressEvent, Retune, SchedOptions, WorkerId,
 };
+pub use fleet::{Fleet, FleetEvent, FleetMember, ScheduledFleetEvent};
 pub use poll::{poll_quantum, PollCursor, POLL_CHUNK};
 pub use rate::{eta_drift_pct, RateBook, RateEstimator, RetuneControl};
 pub use steal::{

@@ -14,10 +14,11 @@
 //! * [`sched`] — inter-job fair share: the paper's §III scatter
 //!   proportions applied one level up, with priorities as weights;
 //! * [`service`] — the round loop: carve a key budget across runnable
-//!   jobs, dispatch each job's lease over the shared [`Fleet`]
-//!   (second-level scatter by tuned rate, stealing on), checkpoint
-//!   after every lease, holding the job records in memory between
-//!   rounds.
+//!   jobs, run each job's lease as one round of the engine's round
+//!   driver over the shared [`Fleet`] (second-level scatter by tuned
+//!   rate, stealing on), checkpoint after every lease, holding the job
+//!   records in memory between rounds. `Fleet` and `FleetMember` are
+//!   the engine's, over owned backends.
 //!
 //! The crash-safety contract, end to end: a snapshot on disk is always a
 //! complete document (temp-file + rename); between snapshots each lease

@@ -3,9 +3,10 @@
 //!
 //! Each scheduling **round** carves a key budget across the runnable
 //! jobs by priority ([`crate::sched::carve_budget`] — the paper's
-//! scatter proportions at the inter-job level), then dispatches each
-//! job's **lease** over the whole fleet with the usual per-worker
-//! scatter + steal machinery. After every lease the job's progress is
+//! scatter proportions at the inter-job level), then runs each job's
+//! **lease** as one [`Fleet::run_round`] on a fresh dispatcher, stealing
+//! on (`retune` adds the round driver's live weights). After every lease
+//! the job's progress is
 //! made durable, *then* the next lease starts — so a SIGKILL at any
 //! instant loses at most the in-flight lease's scan time and never its
 //! coverage accounting: the frontier only ever advances together with
@@ -32,10 +33,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use eks_engine::{
-    Backend, DequeLeaf, Dispatcher, IntervalDeques, RateEstimator, Retune, SchedOptions,
-    SchedPolicy, WorkerStats,
-};
+use eks_engine::{Dispatcher, Retune, SchedOptions, SchedPolicy};
 use eks_keyspace::Interval;
 use eks_telemetry::{names, Telemetry};
 
@@ -47,80 +45,18 @@ use crate::store::{JobStore, Stamp};
 /// which folds the log.
 pub const FOLD_LINES: usize = 64;
 
-/// One worker of the shared fleet: a label (stable across leases and
-/// jobs, so worker counters accumulate coherently), a scatter weight
-/// (tuned throughput, as in the paper's §VI tuning step), and the
-/// backend that scans.
-pub struct FleetMember {
-    /// Telemetry/worker label.
-    pub label: String,
-    /// Relative tuned rate for the per-worker scatter.
-    pub weight: f64,
-    /// The leaf executor.
-    pub backend: Box<dyn Backend>,
-}
+/// Intra-lease scheduling: drained members steal.
+const LEASE_SCHED: SchedPolicy = SchedPolicy::Steal;
 
-/// The device fleet every job's leases are dispatched onto.
-pub struct Fleet {
-    members: Vec<FleetMember>,
-}
+/// Guided chunk floor inside a lease.
+const LEASE_CHUNK: u128 = 4096;
 
-impl Fleet {
-    /// A fleet over the given members.
-    ///
-    /// # Panics
-    /// Panics when `members` is empty — a fleet must be able to scan.
-    pub fn new(members: Vec<FleetMember>) -> Self {
-        assert!(!members.is_empty(), "a fleet needs at least one member");
-        Self { members }
-    }
+/// The device fleet every job's leases are dispatched onto (the engine's
+/// [`eks_engine::Fleet`] over owned backends).
+pub type Fleet = eks_engine::Fleet<'static>;
 
-    /// Member count.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Never true: construction rejects empty fleets.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The members, in slot order.
-    pub fn members(&self) -> &[FleetMember] {
-        &self.members
-    }
-
-    /// Member labels, in slot order.
-    pub fn labels(&self) -> Vec<&str> {
-        self.members.iter().map(|m| m.label.as_str()).collect()
-    }
-
-    /// Scatter weights, in slot order.
-    pub fn weights(&self) -> Vec<f64> {
-        self.members.iter().map(|m| m.weight).collect()
-    }
-
-    /// A device joins the fleet (cluster dynamic membership). Takes
-    /// effect at the next lease — in-flight leases keep their partition.
-    pub fn join(&mut self, member: FleetMember) {
-        self.members.push(member);
-    }
-
-    /// A device leaves the fleet: every member carrying the label (all
-    /// threads of a CPU worker) goes. Returns false when no member
-    /// carries the label. Leases already dispatched are unaffected; the
-    /// members simply receive no further work.
-    pub fn leave(&mut self, label: &str) -> bool {
-        let before = self.members.len();
-        if self.members.iter().all(|m| m.label == label) {
-            // Refuse to shrink to an empty fleet; the caller decides
-            // whether to stop the service instead.
-            return false;
-        }
-        self.members.retain(|m| m.label != label);
-        self.members.len() != before
-    }
-}
+/// One member of a [`Fleet`].
+pub type FleetMember = eks_engine::FleetMember<'static>;
 
 /// Scheduler knobs.
 #[derive(Debug, Clone, Copy)]
@@ -128,22 +64,18 @@ pub struct ServiceConfig {
     /// Keys leased per round across all jobs (the checkpoint
     /// granularity: smaller rounds persist more often).
     pub round_keys: u128,
-    /// Intra-lease scheduling policy.
-    pub sched: SchedPolicy,
-    /// Chunk size for the policy (fixed size or guided floor).
-    pub chunk: u128,
     /// Closed-loop adaptation: scatter every lease by the fleet's live
     /// (warm-up-gated) rate estimates instead of the frozen tuned
-    /// weights, enable chunk-level re-scatter inside each lease, and
-    /// scale the round budget by the fleet's live-to-tuned throughput
-    /// ratio. Off, scheduling is byte-identical to the static
-    /// accounting.
-    pub retune: bool,
+    /// weights, run the engine's chunk-level re-scatter inside each
+    /// lease with these knobs, and scale the round budget by the fleet's
+    /// live-to-tuned throughput ratio. `None` keeps scheduling
+    /// byte-identical to the static accounting.
+    pub retune: Option<Retune>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self { round_keys: 1 << 16, sched: SchedPolicy::Steal, chunk: 4096, retune: false }
+        Self { round_keys: 1 << 16, retune: None }
     }
 }
 
@@ -170,12 +102,6 @@ pub struct JobService {
     store: JobStore,
     config: ServiceConfig,
     telemetry: Telemetry,
-    /// The live rate ledger: one estimator per fleet slot, positionally
-    /// aligned with the member list and keyed by label so membership
-    /// churn restarts the affected slot cold on its tuned weight.
-    /// Persists across rounds (it outlives each lease's dispatcher);
-    /// only consulted when [`ServiceConfig::retune`] is on.
-    rates: Mutex<Vec<(String, RateEstimator)>>,
     /// Every job in the spool as of the last round, by id.
     jobs: Mutex<BTreeMap<JobId, Tracked>>,
 }
@@ -196,7 +122,6 @@ impl JobService {
             store,
             config,
             telemetry: Telemetry::disabled(),
-            rates: Mutex::new(Vec::new()),
             jobs: Mutex::new(BTreeMap::new()),
         }
     }
@@ -312,6 +237,8 @@ impl JobService {
         let targets = job.spec.targets();
         let mode = job.spec.mode();
         let job_label = job.id.to_string();
+        let opts =
+            SchedOptions { retune: self.config.retune, ..SchedOptions::for_policy(LEASE_SCHED, LEASE_CHUNK) };
         let mut left = share;
         while left > 0 {
             // One lease per contiguous pending run: a fragmented
@@ -321,33 +248,8 @@ impl JobService {
 
             let dispatcher = Dispatcher::new(&space, &targets, mode)
                 .with_telemetry(self.telemetry.clone());
-            let leaves: Vec<DequeLeaf<'_>> = fleet
-                .members
-                .iter()
-                .map(|m| DequeLeaf {
-                    worker: dispatcher.register(m.label.clone()),
-                    backend: m.backend.as_ref(),
-                })
-                .collect();
-            // Each lease scatters by the freshest available weights:
-            // the live ledger under retune, the frozen tuned rates
-            // otherwise. Retune also turns on the engine's chunk-level
-            // drift check inside the lease.
-            let weights = if self.config.retune {
-                self.lease_weights(fleet)
-            } else {
-                fleet.weights()
-            };
-            let mut opts = SchedOptions::for_policy(self.config.sched, self.config.chunk);
-            if self.config.retune {
-                opts = opts.with_retune(Retune::default());
-            }
-            let deques = IntervalDeques::scatter(lease, &weights);
-            dispatcher.run_deques(&leaves, &deques, opts);
+            fleet.run_round(&dispatcher, lease, opts);
             let out = dispatcher.finish();
-            if self.config.retune {
-                self.observe_lease(&out.stats);
-            }
 
             let new_hits = out.hits.len() as u64;
             let hits: Vec<JobHit> = out
@@ -423,56 +325,15 @@ impl JobService {
     /// than in keys; a fleet bogged down by an expensive KDF checkpoints
     /// more often, bounding the rescan a crash can cost.
     fn round_budget(&self, fleet: &Fleet) -> u128 {
-        if !self.config.retune {
+        if self.config.retune.is_none() {
             return self.config.round_keys;
         }
         let tuned: f64 = fleet.weights().iter().sum();
-        let live: f64 = self.lease_weights(fleet).iter().sum();
+        let live: f64 = fleet.live_weights().iter().sum();
         if tuned <= 0.0 || !live.is_finite() || live <= 0.0 {
             return self.config.round_keys;
         }
         let ratio = (live / tuned).clamp(0.25, 4.0);
         ((self.config.round_keys as f64 * ratio) as u128).max(1)
-    }
-
-    /// The per-lease scatter weights under retune: each slot's
-    /// warm-up-gated live estimate. Slots whose label changed since the
-    /// last lease (membership churn) restart cold on the member's tuned
-    /// weight — a re-joined label is a new executor, whatever the old
-    /// one measured.
-    fn lease_weights(&self, fleet: &Fleet) -> Vec<f64> {
-        let mut book = self.rates.lock().expect("rate ledger");
-        book.truncate(fleet.members.len());
-        for (slot, m) in fleet.members.iter().enumerate() {
-            let fresh = book.get(slot).is_some_and(|(label, _)| *label == m.label);
-            if !fresh {
-                let entry = (m.label.clone(), RateEstimator::new(m.weight));
-                if let Some(cell) = book.get_mut(slot) {
-                    *cell = entry;
-                } else {
-                    book.push(entry);
-                }
-            }
-        }
-        book.iter().map(|(_, est)| est.mkeys()).collect()
-    }
-
-    /// Feed one finished lease's per-worker stats into the ledger. Each
-    /// lease runs a fresh dispatcher, so the stats *are* the lease's
-    /// deltas — no baseline diffing needed.
-    fn observe_lease(&self, stats: &[WorkerStats]) {
-        let mut book = self.rates.lock().expect("rate ledger");
-        for (slot, st) in stats.iter().enumerate() {
-            if let Some((label, est)) = book.get_mut(slot) {
-                est.observe(st.tested, st.busy_ns);
-                if self.telemetry.is_enabled() {
-                    let labels = [("worker", label.as_str())];
-                    self.telemetry.gauge(names::WORKER_RATE_EST, &labels).set(est.mkeys());
-                    self.telemetry
-                        .gauge(names::WORKER_RATE_TUNED, &labels)
-                        .set(est.tuned_mkeys());
-                }
-            }
-        }
     }
 }

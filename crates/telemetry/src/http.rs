@@ -9,11 +9,11 @@
 //! it answers `GET`, closes, and rejects everything else with the
 //! smallest correct status line.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::Telemetry;
 
@@ -80,27 +80,98 @@ impl MetricsServer {
     }
 }
 
+/// Longest request head (request line plus headers) the endpoint reads.
+/// A scrape's head is a few hundred bytes; a head that reaches the cap
+/// is answered `431` and the connection closed, so a peer that never
+/// ends its head cannot grow a buffer without bound.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
+
+/// How long a handler thread spends on one connection, head and reply
+/// together. It bounds the connection, not each read, so a peer that
+/// drips a byte just inside any per-read timeout still loses the thread.
+const CONN_DEADLINE: Duration = Duration::from_secs(5);
+
+/// A socket whose every read and write ends by one fixed instant: each
+/// call's timeout is the time left, and a call after the deadline fails
+/// with [`io::ErrorKind::TimedOut`]. The servers of this workspace wrap
+/// each accepted connection in one, so no peer holds a connection (or
+/// `eks serve`'s one-at-a-time accept loop) past the deadline however it
+/// paces its bytes.
+#[derive(Debug)]
+pub struct DeadlineStream {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl DeadlineStream {
+    /// `stream`, open for `budget` from now.
+    pub fn new(stream: TcpStream, budget: Duration) -> Self {
+        Self { stream, deadline: Instant::now() + budget }
+    }
+
+    /// A second handle on the same socket and deadline.
+    ///
+    /// # Errors
+    /// When the socket cannot be duplicated.
+    pub fn try_clone(&self) -> io::Result<Self> {
+        Ok(Self { stream: self.stream.try_clone()?, deadline: self.deadline })
+    }
+
+    fn time_left(&self) -> io::Result<Duration> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "connection deadline passed"));
+        }
+        Ok(left)
+    }
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.time_left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for DeadlineStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.time_left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 fn handle_conn(stream: TcpStream, telemetry: &Telemetry, jobs: Option<&JobsFn>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut reader = BufReader::new(stream);
+    let stream = DeadlineStream::new(stream, CONN_DEADLINE);
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES));
     let mut request_line = String::new();
     if reader.read_line(&mut request_line).is_err() {
         return;
     }
     // Drain the headers; the response does not depend on them.
+    let mut ended = false;
     loop {
         let mut line = String::new();
         match reader.read_line(&mut line) {
             Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
+            Ok(_) if line == "\r\n" || line == "\n" => {
+                ended = true;
+                break;
+            }
             Ok(_) => continue,
             Err(_) => return,
         }
     }
-    let mut stream = reader.into_inner();
+    let capped = !ended && reader.get_ref().limit() == 0;
+    let mut stream = reader.into_inner().into_inner();
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let response = if method != "GET" {
+    let response = if capped {
+        respond(431, "text/plain; charset=utf-8", "request head too large\n")
+    } else if method != "GET" {
         respond(405, "text/plain; charset=utf-8", "method not allowed\n")
     } else {
         match path {
@@ -130,6 +201,7 @@ fn respond(status: u16, content_type: &str, body: &str) -> String {
         200 => "OK",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     format!(
@@ -195,6 +267,47 @@ mod tests {
         assert!(jobs_body.contains("\"id\":1"), "{jobs_body}");
 
         assert!(http_get(&addr, "/nope").is_err(), "unknown path is 404");
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_over_long_head_is_refused_and_the_next_client_served() {
+        let server = MetricsServer::spawn("127.0.0.1:0", Telemetry::disabled(), None).expect("bind");
+        let addr = server.local_addr().to_string();
+        let mut hog = TcpStream::connect(&addr).expect("connect");
+        hog.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        // Exactly the cap and no line end: the server reads all of it, so
+        // its close after the reply is clean.
+        hog.write_all(&[b'a'; MAX_HEAD_BYTES as usize]).expect("write");
+        let mut reply = String::new();
+        let _ = hog.read_to_string(&mut reply);
+        assert!(reply.starts_with("HTTP/1.1 431 "), "{reply:?}");
+        assert!(http_get(&addr, "/healthz").is_ok(), "the next client is served");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_slow_drip_loses_the_connection_at_the_deadline() {
+        let server = MetricsServer::spawn("127.0.0.1:0", Telemetry::disabled(), None).expect("bind");
+        let addr = server.local_addr().to_string();
+        let mut hog = TcpStream::connect(&addr).expect("connect");
+        let started = Instant::now();
+        let mut drip = hog.try_clone().expect("clone");
+        // One byte per 250 ms and no line end: every read is quick, the
+        // head never ends and stays far under its cap.
+        let dripper = std::thread::spawn(move || {
+            while started.elapsed() < Duration::from_secs(20) && drip.write_all(b"a").is_ok() {
+                std::thread::sleep(Duration::from_millis(250));
+            }
+        });
+        hog.set_read_timeout(Some(Duration::from_secs(20))).expect("timeout");
+        let mut reply = Vec::new();
+        let _ = hog.read_to_end(&mut reply);
+        let held = started.elapsed();
+        let _ = hog.shutdown(std::net::Shutdown::Both);
+        dripper.join().expect("dripper");
+        assert!(held < CONN_DEADLINE + Duration::from_secs(5), "held for {held:?}");
+        assert!(http_get(&addr, "/healthz").is_ok(), "the next client is served");
         server.shutdown();
     }
 

@@ -45,7 +45,7 @@ pub use flight::{
     install_panic_hook, parse_flight, read_flight, render_flight, render_postmortem, FlightConfig,
     FlightDump,
 };
-pub use http::{http_get, JobsFn, MetricsServer};
+pub use http::{http_get, DeadlineStream, JobsFn, MetricsServer};
 pub use metrics::{json_string, Counter, Gauge, Histogram, MetricSample, Registry, SampleValue};
 pub use parse::{parse_json, parse_prometheus, parse_trace_jsonl, Json, PromSample};
 pub use trace::{TraceKind, TraceRecord, TraceSink};

@@ -34,8 +34,8 @@ fn main() {
     );
     let fleet = plan_fleet(&node, HashAlgo::Md5, &Telemetry::disabled());
     println!("initial members:");
-    for m in fleet.members() {
-        println!("  {:<28} {:>8.1} MKey/s", m.label, m.weight);
+    for (label, weight) in fleet.labels().into_iter().zip(fleet.weights()) {
+        println!("  {label:<28} {weight:>8.1} MKey/s");
     }
 
     // A volunteer offers one CPU thread; calibrate it offline with the

@@ -1,7 +1,8 @@
 //! End-to-end integration: the full pipeline from digest to recovered
 //! password, exercised through every engine the workspace provides —
 //! the scalar oracle, the parallel CPU cracker and the hierarchical
-//! cluster runtime — which must all agree.
+//! cluster runtime — which must all agree. The seeded differential of
+//! every entry point against the oracle is `tests/cluster_driver.rs`.
 
 // Indexing/slicing below is over fixed-size state arrays or lengths
 // established by construction; the workspace `clippy::indexing_slicing`

@@ -20,6 +20,7 @@ use eks::cluster::{plan_fleet, ClusterNode};
 use eks::core::prop::forall;
 use eks::cracker::{cpu_backend, Lanes};
 use eks::engine::checkpoint::SearchCheckpoint;
+use eks::engine::Retune;
 use eks::gpusim::device::Device;
 use eks::hashes::HashAlgo;
 use eks::jobs::service::FOLD_LINES;
@@ -139,7 +140,7 @@ fn jobs_drain_over_a_planned_cluster_fleet() {
         let b = store.submit(lowercase_spec("b", b"zzz", 2)).unwrap();
         let service = JobService::new(
             store,
-            ServiceConfig { round_keys: 8192, retune, ..ServiceConfig::default() },
+            ServiceConfig { round_keys: 8192, retune: retune.then(Retune::default) },
         );
         let fleet = plan_fleet(&net, HashAlgo::Md5, service.telemetry());
         let rounds = service.run_until_idle(&fleet).unwrap();

@@ -196,12 +196,12 @@ fn retuned_dispatch_preserves_coverage_and_merge_determinism() {
         );
         let reference = {
             let d = Dispatcher::new(&s, &t, ScanMode::Exhaustive);
-            d.run_workers(backend.as_ref(), s.interval(), workers, chunk as u64, SchedPolicy::Steal);
+            d.run_workers_opts(backend.as_ref(), s.interval(), workers, SchedOptions::for_policy(SchedPolicy::Steal, chunk));
             d.finish()
         };
         let retuned = {
             let d = Dispatcher::new(&s, &t, ScanMode::Exhaustive);
-            let opts = SchedOptions::for_policy(SchedPolicy::Steal, chunk).with_retune(retune);
+            let opts = SchedOptions { retune: Some(retune), ..SchedOptions::for_policy(SchedPolicy::Steal, chunk) };
             d.run_workers_opts(backend.as_ref(), s.interval(), workers, opts);
             d.finish()
         };
@@ -215,7 +215,7 @@ fn retuned_dispatch_preserves_coverage_and_merge_determinism() {
         let key = s.key_at(id);
         let t1 = TargetSet::new(HashAlgo::Md5, &[HashAlgo::Md5.hash_long(key.as_bytes())]);
         let d = Dispatcher::new(&s, &t1, ScanMode::FirstHit);
-        let opts = SchedOptions::for_policy(SchedPolicy::Steal, chunk).with_retune(retune);
+        let opts = SchedOptions { retune: Some(retune), ..SchedOptions::for_policy(SchedPolicy::Steal, chunk) };
         d.run_workers_opts(backend.as_ref(), s.interval(), workers, opts);
         let r = d.finish();
         assert_eq!(r.hits.len(), 1, "planted key at id {id} under retune");
@@ -234,7 +234,7 @@ fn stealing_matches_static_and_queue_results() {
     let mut reference = None;
     for sched in SchedPolicy::ALL {
         let d = Dispatcher::new(&s, &t, ScanMode::Exhaustive);
-        d.run_workers(backend.as_ref(), s.interval(), 3, 1 << 12, sched);
+        d.run_workers_opts(backend.as_ref(), s.interval(), 3, SchedOptions::for_policy(sched, 1 << 12));
         let r = d.finish();
         assert_eq!(r.tested, s.size(), "{sched}");
         match &reference {
@@ -299,7 +299,8 @@ fn cancellation_overruns_at_most_one_poll_quantum_per_worker() {
         let trigger = 40_000u64;
         let backend = CountingBackend { counted: AtomicU64::new(0), trigger };
         let d = Dispatcher::new(&s, &t, ScanMode::Exhaustive);
-        d.run_workers(&backend, Interval::new(0, 10_000_000), workers, 1 << 12, SchedPolicy::Steal);
+        let opts = SchedOptions::for_policy(SchedPolicy::Steal, 1 << 12);
+        d.run_workers_opts(&backend, Interval::new(0, 10_000_000), workers, opts);
         let r = d.finish();
         let counted = backend.counted.load(Ordering::Relaxed);
         let bound = trigger as u128 + workers as u128 * poll_quantum(1);
@@ -323,7 +324,7 @@ fn first_hit_under_stealing_finds_a_planted_key() {
         let t = TargetSet::new(HashAlgo::Md5, &[HashAlgo::Md5.hash_long(key.as_bytes())]);
         let backend = cpu_backend(Lanes::L16);
         let d = Dispatcher::new(&s, &t, ScanMode::FirstHit);
-        d.run_workers(backend.as_ref(), s.interval(), 3, 256, SchedPolicy::Steal);
+        d.run_workers_opts(backend.as_ref(), s.interval(), 3, SchedOptions::for_policy(SchedPolicy::Steal, 256));
         let r = d.finish();
         assert_eq!(r.hits.len(), 1, "planted key at id {id}");
         assert_eq!(r.hits[0].1.as_bytes(), key.as_bytes());
