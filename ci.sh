@@ -32,9 +32,14 @@ cargo clippy --workspace --lib --bins -- -D warnings
 # These members are linted with their test targets too (unit tests, the
 # seeded and exhaustive properties, the IR golden test, the CLI tests);
 # the other members' test targets follow as they are fixed.
-echo "==> cargo clippy -p eks-{core,hashes,kernels,keyspace,engine,cracker,cli,jobs,telemetry,cluster} --all-targets -- -D warnings"
+echo "==> cargo clippy -p eks-{core,hashes,kernels,keyspace,engine,cracker,cli,jobs,telemetry,cluster,gpusim,verify} --all-targets -- -D warnings"
 cargo clippy -p eks-core -p eks-hashes -p eks-kernels -p eks-keyspace -p eks-engine -p eks-cracker \
-  -p eks-cli -p eks-jobs -p eks-telemetry -p eks-cluster --all-targets -- -D warnings
+  -p eks-cli -p eks-jobs -p eks-telemetry -p eks-cluster -p eks-gpusim -p eks-verify --all-targets -- -D warnings
+
+# Every intra-doc link resolves to a public item, and no two targets
+# write the same doc page.
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # `benchmark/` is its own workspace and names ~50 product items; every
 # product change must keep it compiling unedited.

@@ -69,7 +69,7 @@ const STEAL_NS: u64 = 2_000;
 /// One turn of a worker in a virtual-core schedule (the drivers that
 /// advance per-worker virtual clocks over real-timed chunk scans): pop
 /// the next chunk of `worker`'s deque, or — drained — charge
-/// [`STEAL_NS`] to its clock, steal, and pop what was stolen in the same
+/// `STEAL_NS` to its clock, steal, and pop what was stolen in the same
 /// turn, as the real worker loop does. Were the victim to move between
 /// the steal and the pop, two workers with near-equal clocks could hand
 /// the last key back and forth forever. `None` means the queue is

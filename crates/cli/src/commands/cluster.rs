@@ -18,7 +18,7 @@ use super::{
 };
 
 /// Really crack a digest across a heterogeneous cluster: every simulated
-/// GPU becomes a [`SimKernelBackend`], every `cpu:N` worker a lane
+/// GPU becomes a [`eks_cluster::SimKernelBackend`], every `cpu:N` worker a lane
 /// backend, and the whole tree runs through the one dispatch core.
 pub(super) fn cmd_cluster(args: &Args) -> Result<(), String> {
     let algo = parse_algo(args)?;

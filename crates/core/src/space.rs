@@ -2,7 +2,8 @@
 //!
 //! An exhaustive search requires a bijection `f` from natural numbers into
 //! the (finite or countable) solution set `S`, and a test function
-//! `C : S -> {0, 1}`. The `next` operator maps `(i, f(i))` to `f(i + 1)`
+//! `C : S -> {0, 1}` (`eks-engine`'s `CandidateTest`, the bound of the one
+//! dispatcher). The `next` operator maps `(i, f(i))` to `f(i + 1)`
 //! in place; it is usually much cheaper than recomputing `f(i + 1)` from
 //! scratch, which is the whole point of enumerating with it.
 
@@ -35,29 +36,6 @@ pub trait SolutionSpace {
     /// round-trip properties can be tested.
     fn identify(&self, _solution: &Self::Solution) -> Option<u128> {
         None
-    }
-}
-
-/// The test function `C : S -> {0, 1}` applied to each candidate.
-///
-/// `C` may be arbitrarily complex; for password cracking it hashes the
-/// candidate and compares the digest with the target.
-pub trait CandidateTest<S> {
-    /// Evidence returned for an accepted candidate (e.g. the matched hash).
-    type Evidence;
-
-    /// Evaluate the candidate; `Some(evidence)` means `C(s) = 1`.
-    fn test(&self, id: u128, candidate: &S) -> Option<Self::Evidence>;
-}
-
-impl<S, E, F> CandidateTest<S> for F
-where
-    F: Fn(u128, &S) -> Option<E>,
-{
-    type Evidence = E;
-
-    fn test(&self, id: u128, candidate: &S) -> Option<E> {
-        self(id, candidate)
     }
 }
 
@@ -94,13 +72,5 @@ mod tests {
         let mut s = space.generate(41);
         space.advance(41, &mut s);
         assert_eq!(s, space.generate(42));
-    }
-
-    #[test]
-    fn closure_is_a_candidate_test() {
-        let target = 7u128;
-        let test = |_id: u128, c: &u128| (*c == target).then_some("found");
-        assert_eq!(test.test(7, &7), Some("found"));
-        assert_eq!(test.test(3, &3), None);
     }
 }

@@ -91,7 +91,7 @@ const ROUND_KEYS: u128 = 1 << 16;
 
 /// Audit `entries` over `space` until the space is exhausted or every
 /// account is cracked: one all-hits dispatcher search per round of
-/// [`ROUND_KEYS`] identifiers on every core, against the digests not yet
+/// `ROUND_KEYS` (2¹⁶) identifiers on every core, against the digests not yet
 /// found. A hit cracks every account that stored that digest.
 ///
 /// # Errors

@@ -3,7 +3,8 @@
 //! searched by the same backend value as a brute-force range.
 //!
 //! * [`ScalarBackend`] — the one-candidate-at-a-time reference path
-//!   ([`crate::search::crack_interval`]), over any space of keys;
+//!   ([`crate::search::crack_interval`]), over any space and any test
+//!   `C` (keys against digests, or mining's nonces);
 //! * [`CpuBackend`] — the lane-batched path
 //!   ([`crate::batch::crack_interval_batched`]), the CPU stand-in for a
 //!   warp of GPU threads and what every CPU worker runs, over any
@@ -26,20 +27,26 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use eks_engine::{Backend, ScanMode, ScanReport};
+use eks_engine::{Backend, CandidateTest, ScanMode, ScanReport};
 use eks_hashes::{HashAlgo, SimdHasher, SimdIsa};
-use eks_keyspace::{BlockSpace, Charset, Interval, Key, KeySpace, Order, SolutionSpace};
+use eks_keyspace::{BlockSpace, Charset, Interval, KeySpace, Order, SolutionSpace};
 use eks_telemetry::Telemetry;
 
 use crate::batch::{crack_interval_batched, needs_scalar_fallback, Kernel, Lanes};
 use crate::search::crack_interval;
 use crate::target::TargetSet;
 
-/// The scalar reference backend.
+/// The scalar reference backend: generic over the solution type and the
+/// test, so it is also the leaf of searches no lane kernel computes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScalarBackend;
 
-impl<S: SolutionSpace<Solution = Key> + ?Sized> Backend<S> for ScalarBackend {
+impl<S, C> Backend<S, C> for ScalarBackend
+where
+    S: SolutionSpace + ?Sized,
+    S::Solution: Clone,
+    C: CandidateTest<S::Solution> + ?Sized,
+{
     fn name(&self) -> String {
         "scalar".into()
     }
@@ -47,12 +54,12 @@ impl<S: SolutionSpace<Solution = Key> + ?Sized> Backend<S> for ScalarBackend {
     fn scan(
         &self,
         space: &S,
-        targets: &TargetSet,
+        test: &C,
         interval: Interval,
         stop: &AtomicBool,
         mode: ScanMode,
-    ) -> ScanReport {
-        crack_interval(space, targets, interval, stop, mode.first_hit_only())
+    ) -> ScanReport<S::Solution> {
+        crack_interval(space, test, interval, stop, mode.first_hit_only())
     }
 
     fn tuned_rate(&self, algo: HashAlgo) -> f64 {

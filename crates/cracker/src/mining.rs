@@ -5,12 +5,18 @@
 //! producing a hash with a certain number of leading zero bits." The
 //! solution space is the nonce range, `f` appends the nonce to the header
 //! template, and `C` counts leading zero bits of the double-SHA-256 —
-//! the same pattern, a different test function, run by the pattern's
-//! generic driver (`eks_core::parallel_search`) rather than the hash-target
-//! `Dispatcher`.
+//! the same pattern, a different test function, run by the same round
+//! driver as every key search ([`Fleet::run_round`] over
+//! [`ScalarBackend`]), with [`MiningJob`] as the dispatcher's test `C`.
+//! Many nonces pass a difficulty test, so a first-hit round takes the
+//! dispatcher's floor rule and returns its lowest passing nonce, and the
+//! rounds run in nonce order.
 
-use eks_core::{parallel_search, ParallelDriver, SolutionSpace};
+use eks_engine::{CandidateTest, Dispatcher, Fleet, ScanMode, SchedOptions, SchedPolicy};
 use eks_hashes::sha256::{leading_zero_bits, sha256d};
+use eks_keyspace::{Interval, SolutionSpace};
+
+use crate::backend::ScalarBackend;
 
 /// A mining work item: header template plus difficulty.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,18 +28,19 @@ pub struct MiningJob {
 }
 
 impl MiningJob {
-    /// The test function `C` for one nonce.
-    pub fn test(&self, nonce: u32) -> Option<[u8; 32]> {
-        let digest = self.digest(nonce);
-        (leading_zero_bits(&digest) >= self.difficulty_bits).then_some(digest)
-    }
-
     /// Hash of the header with the given nonce.
     pub fn digest(&self, nonce: u32) -> [u8; 32] {
         let mut msg = Vec::with_capacity(self.header.len() + 4);
         msg.extend_from_slice(&self.header);
         msg.extend_from_slice(&nonce.to_le_bytes());
         sha256d(&msg)
+    }
+}
+
+/// The test function `C` for one nonce: enough leading zero bits.
+impl CandidateTest<u32> for MiningJob {
+    fn test(&self, _id: u128, nonce: &u32) -> Option<usize> {
+        (leading_zero_bits(&self.digest(*nonce)) >= self.difficulty_bits).then_some(0)
     }
 }
 
@@ -48,6 +55,15 @@ pub struct MiningResult {
     pub tested: u64,
 }
 
+/// The 2³² nonces.
+const NONCES: u128 = 1 << 32;
+
+/// Nonces per round. Each round scatters one slice over the threads, so
+/// they all scan the lowest nonces left: a pass near the start of a long
+/// range costs the time the fleet takes to reach it, not the time one
+/// thread takes to reach it in the first of `threads` contiguous shares.
+const ROUND_NONCES: u128 = 1 << 16;
+
 /// The solution space: identifier `i` is the nonce `i` itself.
 struct Nonces;
 
@@ -55,7 +71,7 @@ impl SolutionSpace for Nonces {
     type Solution = u32;
 
     fn size(&self) -> Option<u128> {
-        Some(1 << 32)
+        Some(NONCES)
     }
 
     fn generate(&self, id: u128) -> u32 {
@@ -70,27 +86,28 @@ impl SolutionSpace for Nonces {
 /// Scan `nonce_range` with `threads` workers; returns the lowest winning
 /// nonce, or `None` when the range is exhausted. The range is clamped to
 /// the 2³² nonces (`0..1 << 32` is the whole space), so identifiers past
-/// `u32::MAX` are never tested as a wrapped nonce. The search is
-/// [`parallel_search`], the pattern's generic driver for a test function
-/// that is not a hash-target set: the space is the nonce range, the test
-/// is [`MiningJob::test`].
+/// `u32::MAX` are never tested as a wrapped nonce. The search is rounds
+/// of 2¹⁶ nonces over `threads` scalar members in 4096-nonce chunks, on
+/// one dispatcher, until a round finds a pass.
+///
+/// # Panics
+/// Panics when `threads == 0`.
 pub fn mine(
     job: &MiningJob,
     nonce_range: std::ops::Range<u64>,
     threads: usize,
 ) -> Option<MiningResult> {
-    const NONCES: u64 = 1 << 32;
-    let start = nonce_range.start.min(NONCES);
-    let end = nonce_range.end.min(NONCES);
-    let out = parallel_search(
-        &Nonces,
-        &|_id: u128, nonce: &u32| job.test(*nonce),
-        u128::from(start),
-        u128::from(end.saturating_sub(start)),
-        ParallelDriver { threads, chunk: 4096, first_hit_only: true },
-    );
-    let (id, digest) = out.hits.first()?;
-    Some(MiningResult { nonce: *id as u32, digest: *digest, tested: out.tested as u64 })
+    let len = nonce_range.end.saturating_sub(nonce_range.start);
+    let mut rest = Interval::new(nonce_range.start.into(), len.into()).intersect(&Interval::new(0, NONCES));
+    let dispatcher = Dispatcher::new(&Nonces, job, ScanMode::FirstHit);
+    let fleet = Fleet::threads(&ScalarBackend, threads);
+    let opts = SchedOptions::for_policy(SchedPolicy::Queue, 4096);
+    while !rest.is_empty() && !dispatcher.any_hits() {
+        fleet.run_round(&dispatcher, rest.take_front(ROUND_NONCES), opts);
+    }
+    let report = dispatcher.finish();
+    let &(_, nonce, _) = report.hits.first()?;
+    Some(MiningResult { nonce, digest: job.digest(nonce), tested: report.tested as u64 })
 }
 
 #[cfg(test)]
@@ -128,9 +145,9 @@ mod tests {
         let j = job(10);
         let a = mine(&j, 0..1 << 18, 1).map(|r| r.nonce);
         let b = mine(&j, 0..1 << 18, 4).map(|r| r.nonce);
-        // `parallel_search` returns the lowest accepted id whatever the
+        // The floor rule returns the lowest passing nonce whatever the
         // thread count, so both runs name the same nonce.
-        assert!(a.is_some_and(|n| j.test(n).is_some()));
+        assert!(a.is_some_and(|n| leading_zero_bits(&j.digest(n)) >= 10));
         assert_eq!(a, b);
     }
 
@@ -144,6 +161,40 @@ mod tests {
     fn the_last_nonce_is_tested() {
         let r = mine(&job(0), u32::MAX as u64..1 << 32, 1).expect("anything matches");
         assert_eq!(r.nonce, u32::MAX);
+    }
+
+    #[test]
+    fn a_zero_length_range_tests_nothing() {
+        assert_eq!(mine(&job(0), 10..10, 2), None);
+    }
+
+    #[test]
+    fn one_thread_in_one_chunk_tests_up_to_its_hit() {
+        // The range is shorter than a chunk: one pop, scanned in order
+        // up to its first pass.
+        let j = job(2);
+        let r = mine(&j, 5..105, 1).expect("2 bits within 100 nonces");
+        assert_eq!(Some(r.nonce), (5..105).find(|&n| leading_zero_bits(&j.digest(n)) >= 2));
+        assert_eq!(r.tested, u64::from(r.nonce) - 4);
+    }
+
+    #[test]
+    fn a_pass_past_the_first_round_is_found_in_a_later_one() {
+        // At 16 bits the lowest pass from nonce 23 803 on lies more than
+        // one round past it.
+        let j = job(16);
+        let want = (23_803..u32::MAX).find(|&n| leading_zero_bits(&j.digest(n)) >= 16);
+        let r = mine(&j, 23_803..1 << 20, 2).expect("16 bits within 2^20 nonces");
+        assert_eq!(Some(r.nonce), want);
+        assert!(u128::from(r.nonce - 23_803) >= ROUND_NONCES, "nonce {}", r.nonce);
+        assert!(u64::from(r.nonce) - 23_803 < r.tested, "every nonce below the pass tested");
+    }
+
+    #[test]
+    fn first_hit_stops_before_the_range_ends() {
+        // Every thread's share holds a pass long before its end.
+        let r = mine(&job(4), 0..1 << 12, 4).expect("4 bits within 4096 nonces");
+        assert!(r.tested < 1 << 12, "tested {}", r.tested);
     }
 
     #[test]

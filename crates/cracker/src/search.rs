@@ -3,13 +3,15 @@
 //!
 //! [`crack_interval`] is one node's `K_search` (Section III): generate
 //! `f(start)` once per poll chunk, walk it with `next`, test every
-//! candidate through [`TargetSet::matches`], and poll a stop flag between
-//! chunks — the chunk/poll/cancel loop itself is `eks-engine`'s
+//! candidate through the test `C` ([`CandidateTest::test`], a
+//! [`TargetSet`] lookup for every key search), and poll a stop flag
+//! between chunks — the chunk/poll/cancel loop itself is `eks-engine`'s
 //! [`PollCursor`]. It is the one scalar scan of the workspace and the
 //! reference every equivalence test compares against: what
-//! [`ScalarBackend`](crate::ScalarBackend) runs, and what the lane loop
-//! of [`crate::batch`] hands tails shorter than a batch, `Lanes::Scalar`
-//! and algorithms with no lockstep formulation (`Md5Iter`).
+//! [`ScalarBackend`](crate::ScalarBackend) runs over any space and any
+//! test (mining's nonce range too), and what the lane loop of
+//! [`crate::batch`] hands tails shorter than a batch, `Lanes::Scalar` and
+//! algorithms with no lockstep formulation (`Md5Iter`).
 //!
 //! [`crack_parallel_backend_observed`] is the fine-grain parallelization
 //! of Section III mapped onto CPU threads, and the one search entry point:
@@ -27,8 +29,8 @@ use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use eks_engine::{
-    Backend, Dispatcher, Fleet, PollCursor, ProgressEvent, Retune, ScanMode, SchedOptions,
-    SchedPolicy, WorkerStats,
+    Backend, CandidateTest, Dispatcher, Fleet, PollCursor, ProgressEvent, Retune, ScanMode,
+    SchedOptions, SchedPolicy, WorkerStats,
 };
 use eks_keyspace::{BlockSpace, Interval, Key, KeySpace, SolutionSpace};
 use eks_telemetry::{names, Telemetry};
@@ -43,34 +45,36 @@ use crate::target::TargetSet;
 /// [`ScanReport`]: eks_engine::ScanReport
 pub use eks_engine::ScanReport as CrackOutcome;
 
-/// Scan `interval` (clamped to the space) against a target set, stopping
-/// early when `stop` is raised or — if `first_hit_only` — at the first
-/// match.
-pub fn crack_interval<S>(
+/// Scan `interval` (clamped to the space) against the test `test` (a
+/// target set, for every key search), stopping early when `stop` is
+/// raised or — if `first_hit_only` — at the first match.
+pub fn crack_interval<S, C>(
     space: &S,
-    targets: &TargetSet,
+    test: &C,
     interval: Interval,
     stop: &AtomicBool,
     first_hit_only: bool,
-) -> CrackOutcome
+) -> CrackOutcome<S::Solution>
 where
-    S: SolutionSpace<Solution = Key> + ?Sized,
+    S: SolutionSpace + ?Sized,
+    S::Solution: Clone,
+    C: CandidateTest<S::Solution> + ?Sized,
 {
     let whole = Interval::new(0, space.size().unwrap_or(u128::MAX));
     let mut cursor = PollCursor::new(interval.intersect(&whole), stop);
     let mut out = CrackOutcome::empty();
     'outer: while let Some(chunk) = cursor.next_chunk() {
-        let mut key = space.generate(chunk.start);
+        let mut candidate = space.generate(chunk.start);
         for id in chunk.start..chunk.end() {
             out.tested += 1;
-            if let Some(t) = targets.matches(&key) {
-                out.hits.push((id, key.clone(), t));
+            if let Some(t) = test.test(id, &candidate) {
+                out.hits.push((id, candidate.clone(), t));
                 if first_hit_only {
                     break 'outer;
                 }
             }
             if id + 1 < chunk.end() {
-                space.advance(id, &mut key);
+                space.advance(id, &mut candidate);
             }
         }
     }
@@ -124,7 +128,7 @@ impl Default for ParallelConfig {
 
 impl ParallelConfig {
     /// A configuration whose chunk size is derived from the thread count
-    /// via [`ParallelConfig::default_chunk`], first-hit semantics, default
+    /// via `ParallelConfig::default_chunk`, first-hit semantics, default
     /// lane width.
     pub fn for_threads(threads: usize) -> Self {
         Self {
@@ -215,7 +219,7 @@ pub fn crack_parallel_backend<S>(
     config: ParallelConfig,
 ) -> ParallelReport
 where
-    S: SolutionSpace + Sync + ?Sized,
+    S: SolutionSpace<Solution = Key> + Sync + ?Sized,
 {
     crack_parallel_backend_observed(
         space,
@@ -247,7 +251,7 @@ pub fn crack_parallel_backend_observed<S>(
     progress: impl Fn(&ProgressEvent) + Sync,
 ) -> ParallelReport
 where
-    S: SolutionSpace + Sync + ?Sized,
+    S: SolutionSpace<Solution = Key> + Sync + ?Sized,
 {
     let start = Instant::now();
     let run_span = telemetry

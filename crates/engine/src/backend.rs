@@ -10,7 +10,7 @@
 use std::sync::atomic::AtomicBool;
 
 use eks_hashes::HashAlgo;
-use eks_keyspace::{Interval, Key, KeySpace};
+use eks_keyspace::{Interval, Key, KeySpace, SolutionSpace};
 
 use crate::target::TargetSet;
 
@@ -39,11 +39,13 @@ impl ScanMode {
     }
 }
 
-/// Result of scanning one interval on one backend.
+/// Result of scanning one interval on one backend, over candidates of
+/// type `K`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanReport {
-    /// `(identifier, key, target index)` per hit, in identifier order.
-    pub hits: Vec<(u128, Key, usize)>,
+pub struct ScanReport<K = Key> {
+    /// `(identifier, candidate, evidence)` per hit, in identifier order;
+    /// the evidence is the test's (the target index for a [`TargetSet`]).
+    pub hits: Vec<(u128, K, usize)>,
     /// Candidates actually tested.
     pub tested: u128,
     /// True when the scan stopped on the stop flag rather than exhaustion
@@ -51,7 +53,7 @@ pub struct ScanReport {
     pub cancelled: bool,
 }
 
-impl ScanReport {
+impl<K> ScanReport<K> {
     /// An empty report (nothing scanned, nothing found).
     pub fn empty() -> Self {
         Self {
@@ -66,26 +68,27 @@ impl ScanReport {
 /// kernel. Implementations must poll `stop` (through
 /// [`crate::PollCursor`]) so a dispatcher can cancel in-flight work.
 ///
-/// The space `S` is a type parameter, not a second trait: a search
-/// strategy changes the bijection the leaf enumerates (Section III) and
-/// nothing else, so a mask or a hybrid dictionary is `Backend<MaskSpace>`
-/// / `Backend<HybridSpace>` on the same backend type. Plain `Backend`
-/// (and `dyn Backend`) is `Backend<KeySpace>`.
-pub trait Backend<S: ?Sized = KeySpace>: Sync {
+/// The space `S` and the test `C` are type parameters, not further
+/// traits: a search strategy changes the bijection the leaf enumerates
+/// (Section III) and nothing else, so a mask or a hybrid dictionary is
+/// `Backend<MaskSpace>` / `Backend<HybridSpace>` on the same backend
+/// type, and a test that is not a digest set (mining) is one more `C`.
+/// Plain `Backend` (and `dyn Backend`) is `Backend<KeySpace, TargetSet>`.
+pub trait Backend<S: SolutionSpace + ?Sized = KeySpace, C: ?Sized = TargetSet>: Sync {
     /// Short name for labels and reports (`scalar`, `lanes8`, `simgpu`).
     fn name(&self) -> String;
 
-    /// Scan `interval` of `space` against `targets`. Under
+    /// Scan `interval` of `space` against the test `test`. Under
     /// [`ScanMode::FirstHit`] the backend may return at its first match;
     /// it must stop at the next poll boundary once `stop` is raised.
     fn scan(
         &self,
         space: &S,
-        targets: &TargetSet,
+        test: &C,
         interval: Interval,
         stop: &AtomicBool,
         mode: ScanMode,
-    ) -> ScanReport;
+    ) -> ScanReport<S::Solution>;
 
     /// Tuned throughput `X_j` in MKey/s for the paper's
     /// `N_j = N_max · X_j / X_max` balancing step.
@@ -106,7 +109,7 @@ pub trait Backend<S: ?Sized = KeySpace>: Sync {
 
 /// A borrowed backend scans as the backend itself: what lets a
 /// [`crate::Fleet`] lend one caller-owned backend to several members.
-impl<S: ?Sized, B: Backend<S> + ?Sized> Backend<S> for &B {
+impl<S: SolutionSpace + ?Sized, C: ?Sized, B: Backend<S, C> + ?Sized> Backend<S, C> for &B {
     fn name(&self) -> String {
         (**self).name()
     }
@@ -114,12 +117,12 @@ impl<S: ?Sized, B: Backend<S> + ?Sized> Backend<S> for &B {
     fn scan(
         &self,
         space: &S,
-        targets: &TargetSet,
+        test: &C,
         interval: Interval,
         stop: &AtomicBool,
         mode: ScanMode,
-    ) -> ScanReport {
-        (**self).scan(space, targets, interval, stop, mode)
+    ) -> ScanReport<S::Solution> {
+        (**self).scan(space, test, interval, stop, mode)
     }
 
     fn tuned_rate(&self, algo: HashAlgo) -> f64 {

@@ -16,11 +16,14 @@
 //! * [`Dispatcher::scan_as`] — one scan credited to a registered worker,
 //!   what every deque worker runs per chunk.
 //!
-//! The space is a type parameter (`Dispatcher<'_, S>`, [`KeySpace`] by
-//! default): the core hands `&S` to [`Backend::scan`] and reads its size
-//! once per round, to clamp the round's slice, so a mask or a hybrid
-//! dictionary runs through the same scatter, stop condition, gather and
-//! merge as a brute-force range.
+//! The space and the test are type parameters (`Dispatcher<'_, S, C>`,
+//! [`KeySpace`] and [`TargetSet`] by default): the core hands `&S` and
+//! `&C` to [`Backend::scan`], reads the space's size once per round, to
+//! clamp the round's slice, and asks the test ([`CandidateTest`]) only
+//! whether one hit may end the search and which algorithm seeds a
+//! retune. So a mask, a hybrid dictionary or a nonce range under a
+//! mining test runs through the same scatter, stop condition, gather and
+//! merge as a brute-force range against digests.
 //!
 //! ## Merge semantics
 //!
@@ -28,10 +31,11 @@
 //! [`Dispatcher::finish`]; [`ScanMode::FirstHit`] keeps one, the **lowest
 //! matching identifier** wherever a lower match can exist:
 //!
-//! * *one digest* — any hit raises the shared stop flag. A second match
-//!   could only be the same key under another identifier (a repeated
-//!   dictionary word) or a hash collision;
-//! * *several digests* — a hit must not cancel workers still below it: it
+//! * *one digest* ([`CandidateTest::unique`]) — any hit raises the
+//!   shared stop flag. A second match could only be the same key under
+//!   another identifier (a repeated dictionary word) or a hash collision;
+//! * *several digests*, or any test that several candidates may pass (a
+//!   mining difficulty) — a hit must not cancel workers still below it: it
 //!   lowers a `floor` (lowest hit so far) instead of raising the stop
 //!   flag, [`Dispatcher::scan_as`] drops, untested, any chunk that starts
 //!   above the floor, chunks in flight finish, and the run ends when the
@@ -69,7 +73,7 @@ use crate::backend::{Backend, ScanMode, ScanReport};
 use crate::fleet::Fleet;
 use crate::rate::{eta_drift_pct, RateBook, RetuneControl};
 use crate::steal::{ChunkPolicy, IntervalDeques, SchedPolicy, StealOutcome, WorkerStats};
-use crate::target::TargetSet;
+use crate::target::{CandidateTest, TargetSet};
 
 /// Handle to a registered worker (index into the accounting table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,10 +142,10 @@ impl ProgressEvent {
 
 /// Final state of a dispatch: the paper's gather + merge step.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DispatchReport {
+pub struct DispatchReport<K = Key> {
     /// Hits in identifier order; truncated to the lowest-identifier hit
     /// under [`ScanMode::FirstHit`].
-    pub hits: Vec<(u128, Key, usize)>,
+    pub hits: Vec<(u128, K, usize)>,
     /// Total candidates tested (sum of `per_worker`).
     pub tested: u128,
     /// Per-worker `(label, tested)` in registration order.
@@ -151,10 +155,10 @@ pub struct DispatchReport {
     pub stats: Vec<WorkerStats>,
 }
 
-struct Gathered {
-    hits: Vec<(u128, Key, usize)>,
+struct Gathered<K> {
+    hits: Vec<(u128, K, usize)>,
     /// Lowest hit identifier so far (`u128::MAX` before any); only
-    /// maintained and consulted under the several-digest first-hit rule.
+    /// maintained and consulted under the first-hit floor rule.
     floor: u128,
     workers: Vec<WorkerStats>,
     /// Live per-worker `eks_keys_tested_total{worker}` handles, parallel
@@ -194,11 +198,11 @@ const CANCEL_UNSET: u64 = u64::MAX;
 /// One executor in a [`Dispatcher::run_deques`] run: deque slot `i`
 /// belongs to leaf `i`. Several leaves may share a [`WorkerId`] (a CPU
 /// device fanning out over threads), so accounting stays per-device.
-pub struct DequeLeaf<'b, S: ?Sized = KeySpace> {
+pub struct DequeLeaf<'b, S: SolutionSpace + ?Sized = KeySpace, C: ?Sized = TargetSet> {
     /// The worker this leaf's scans are credited to.
     pub worker: WorkerId,
     /// The backend that scans this leaf's chunks.
-    pub backend: &'b dyn Backend<S>,
+    pub backend: &'b dyn Backend<S, C>,
 }
 
 /// The closed-loop retune knobs: when set on [`SchedOptions`], every
@@ -304,31 +308,36 @@ impl RetuneShared {
 }
 
 /// The one dispatch core every execution path runs through.
-pub struct Dispatcher<'a, S: ?Sized = KeySpace> {
+pub struct Dispatcher<'a, S: SolutionSpace + ?Sized = KeySpace, C: ?Sized = TargetSet> {
     space: &'a S,
-    targets: &'a TargetSet,
+    test: &'a C,
     mode: ScanMode,
-    /// First-hit over several digests: a hit lowers the floor instead of
-    /// raising the stop flag (see the module doc).
+    /// First-hit under a test several candidates may pass: a hit lowers
+    /// the floor instead of raising the stop flag (see the module doc).
     lowest_wins: bool,
     stop: AtomicBool,
-    gathered: Mutex<Gathered>,
+    gathered: Mutex<Gathered<S::Solution>>,
     progress: Option<ProgressFn<'a>>,
     telemetry: Telemetry,
     instruments: DispatchInstruments,
     cancel_ns: AtomicU64,
 }
 
-impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
-    /// A dispatcher for one search over `space` against `targets`.
-    pub fn new(space: &'a S, targets: &'a TargetSet, mode: ScanMode) -> Self {
+impl<'a, S, C> Dispatcher<'a, S, C>
+where
+    S: SolutionSpace + Sync + ?Sized,
+    S::Solution: Clone + Send,
+    C: CandidateTest<S::Solution> + Sync + ?Sized,
+{
+    /// A dispatcher for one search over `space` against `test`.
+    pub fn new(space: &'a S, test: &'a C, mode: ScanMode) -> Self {
         let telemetry = Telemetry::disabled();
         let instruments = DispatchInstruments::new(&telemetry);
         Self {
             space,
-            targets,
+            test,
             mode,
-            lowest_wins: mode.first_hit_only() && targets.len() > 1,
+            lowest_wins: mode.first_hit_only() && !test.unique(),
             stop: AtomicBool::new(false),
             gathered: Mutex::new(Gathered {
                 hits: Vec::new(),
@@ -422,23 +431,24 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
         interval.intersect(&Interval::new(0, self.space.size().unwrap_or(u128::MAX)))
     }
 
-    /// True when a hit ends the whole search at once: first-hit with a
-    /// single digest.
+    /// True when a hit ends the whole search at once: first-hit under a
+    /// test at most one candidate passes (a single digest).
     fn stops_on_hit(&self) -> bool {
         self.mode.first_hit_only() && !self.lowest_wins
     }
 
     /// Scan one interval on `backend`, credited to `worker`, and merge
     /// the scan's hits and tested count. A first-hit match raises the
-    /// stop flag (one digest) or lowers the floor (several); a chunk that
-    /// starts above the floor comes back unscanned, as an empty report.
+    /// stop flag (one digest) or lowers the floor (any other test); a
+    /// chunk that starts above the floor comes back unscanned, as an
+    /// empty report.
     /// Returns the backend's report for the caller's own bookkeeping.
     pub fn scan_as(
         &self,
         worker: WorkerId,
-        backend: &dyn Backend<S>,
+        backend: &dyn Backend<S, C>,
         interval: Interval,
-    ) -> ScanReport {
+    ) -> ScanReport<S::Solution> {
         if self.lowest_wins
             && interval.start > self.gathered.lock().expect("dispatch lock").floor
         {
@@ -446,7 +456,7 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
         }
         let observed = self.telemetry.is_enabled();
         let scan_start = if observed { self.telemetry.now_ns() } else { 0 };
-        let report = backend.scan(self.space, self.targets, interval, &self.stop, self.mode);
+        let report = backend.scan(self.space, self.test, interval, &self.stop, self.mode);
         if self.stops_on_hit() && !report.hits.is_empty() {
             self.cancel();
         }
@@ -528,7 +538,7 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
     /// # Panics
     /// Panics when `leaves` is empty or its length differs from the
     /// number of deque slots.
-    pub fn run_deques(&self, leaves: &[DequeLeaf<'_, S>], deques: &IntervalDeques, opts: SchedOptions) {
+    pub fn run_deques(&self, leaves: &[DequeLeaf<'_, S, C>], deques: &IntervalDeques, opts: SchedOptions) {
         assert!(!leaves.is_empty(), "need at least one leaf");
         assert_eq!(leaves.len(), deques.len(), "one deque slot per leaf");
         let retune = opts.retune.map(|r| {
@@ -550,7 +560,10 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
             };
             RetuneShared {
                 rates: RateBook::new(
-                    leaves.iter().map(|l| l.backend.tuned_rate(self.targets.algo())).collect(),
+                    leaves
+                        .iter()
+                        .map(|l| self.test.tuned_algo().map_or(1.0, |algo| l.backend.tuned_rate(algo)))
+                        .collect(),
                 ),
                 control: RetuneControl::new(r.every_chunks),
                 drift_pct: f64::from(r.drift_pct),
@@ -584,7 +597,7 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
     fn drive_chunk(
         &self,
         slot: usize,
-        leaf: &DequeLeaf<'_, S>,
+        leaf: &DequeLeaf<'_, S, C>,
         deques: &IntervalDeques,
         retune: Option<&RetuneShared>,
         chunk: Interval,
@@ -610,7 +623,7 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
     fn drive_leaf(
         &self,
         slot: usize,
-        leaf: &DequeLeaf<'_, S>,
+        leaf: &DequeLeaf<'_, S, C>,
         deques: &IntervalDeques,
         opts: SchedOptions,
         retune: Option<&RetuneShared>,
@@ -711,7 +724,7 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
     /// Panics when `workers == 0`.
     pub fn run_workers_opts(
         &self,
-        backend: &dyn Backend<S>,
+        backend: &dyn Backend<S, C>,
         interval: Interval,
         workers: usize,
         opts: SchedOptions,
@@ -724,7 +737,7 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
     ///
     /// # Panics
     /// Panics when `workers == 0` or `chunk == 0`.
-    pub fn run_queue(&self, backend: &dyn Backend<S>, interval: Interval, workers: usize, chunk: u64) {
+    pub fn run_queue(&self, backend: &dyn Backend<S, C>, interval: Interval, workers: usize, chunk: u64) {
         assert!(chunk >= 1, "chunk must be positive");
         self.run_workers_opts(backend, interval, workers, SchedOptions::for_policy(SchedPolicy::Queue, chunk.into()));
     }
@@ -736,7 +749,7 @@ impl<'a, S: SolutionSpace + Sync + ?Sized> Dispatcher<'a, S> {
     /// busy/idle time) and the hit count are flushed here — once per
     /// run — so the registry total still equals the sum the report
     /// carries.
-    pub fn finish(self) -> DispatchReport {
+    pub fn finish(self) -> DispatchReport<S::Solution> {
         let g = self.gathered.into_inner().expect("dispatch lock");
         let mut hits = g.hits;
         hits.sort_by_key(|(id, _, _)| *id);

@@ -7,7 +7,7 @@
 //! slice of identifiers into dispatcher workers, deques and threads.
 //! `eks crack` is one round over [`Fleet::threads`], `eks cluster` a
 //! rounds loop with [`FleetEvent`]s in between, `eks job` one round per
-//! lease.
+//! lease, `eks mine` rounds of 2¹⁶ nonces under a mining test `C`.
 //!
 //! Under retune the fleet's ledger holds one [`RateEstimator`] per label,
 //! fed from the label's Δ(tested, busy) over each round and read as the
@@ -25,23 +25,24 @@ use crate::backend::Backend;
 use crate::dispatch::{DequeLeaf, Dispatcher, SchedOptions, WorkerId};
 use crate::rate::RateEstimator;
 use crate::steal::IntervalDeques;
+use crate::target::{CandidateTest, TargetSet};
 
 /// One member of a fleet. Members sharing a label (the threads of one
 /// CPU worker) share one accounting row; `'b` bounds a borrowed backend,
 /// owned fleets are `'static`.
-pub struct FleetMember<'b, S: ?Sized = KeySpace> {
+pub struct FleetMember<'b, S: SolutionSpace + ?Sized = KeySpace, C: ?Sized = TargetSet> {
     /// Telemetry/worker label, stable across rounds, leases and jobs.
     pub label: String,
     /// Relative tuned rate (the §VI tuning step) for the scatter.
     pub weight: f64,
     /// The leaf executor.
-    pub backend: Box<dyn Backend<S> + 'b>,
+    pub backend: Box<dyn Backend<S, C> + 'b>,
 }
 
 /// The members a search scatters over, and their between-round rate
 /// ledger.
-pub struct Fleet<'b, S: ?Sized = KeySpace> {
-    members: Vec<FleetMember<'b, S>>,
+pub struct Fleet<'b, S: SolutionSpace + ?Sized = KeySpace, C: ?Sized = TargetSet> {
+    members: Vec<FleetMember<'b, S, C>>,
     /// Live estimate per label, consulted only under retune.
     ledger: Mutex<BTreeMap<String, RateEstimator>>,
     /// Whether each round traces its partitioning as a `scatter` span.
@@ -70,12 +71,12 @@ pub struct ScheduledFleetEvent {
     pub event: FleetEvent,
 }
 
-impl<'b, S: ?Sized> Fleet<'b, S> {
+impl<'b, S: SolutionSpace + ?Sized, C: ?Sized> Fleet<'b, S, C> {
     /// A fleet over the given members.
     ///
     /// # Panics
     /// Panics when `members` is empty — a fleet must be able to scan.
-    pub fn new(members: Vec<FleetMember<'b, S>>) -> Self {
+    pub fn new(members: Vec<FleetMember<'b, S, C>>) -> Self {
         assert!(!members.is_empty(), "a fleet needs at least one member");
         Self { members, ledger: Mutex::new(BTreeMap::new()), scatter_spans: false }
     }
@@ -95,7 +96,7 @@ impl<'b, S: ?Sized> Fleet<'b, S> {
     ///
     /// # Panics
     /// Panics when `threads == 0`.
-    pub fn threads(backend: &'b dyn Backend<S>, threads: usize) -> Self {
+    pub fn threads(backend: &'b dyn Backend<S, C>, threads: usize) -> Self {
         let name = backend.name();
         let member = |i| FleetMember { label: format!("{name}#{i}"), weight: 1.0, backend: Box::new(backend) };
         Self::new((0..threads).map(member).collect())
@@ -134,7 +135,7 @@ impl<'b, S: ?Sized> Fleet<'b, S> {
 
     /// A member joins the fleet (cluster dynamic membership), taking
     /// effect at the next round. Its label starts a fresh rate estimate.
-    pub fn join(&mut self, member: FleetMember<'b, S>) {
+    pub fn join(&mut self, member: FleetMember<'b, S, C>) {
         self.ledger.lock().expect("rate ledger").remove(&member.label);
         self.members.push(member);
     }
@@ -188,11 +189,16 @@ impl Fleet<'static> {
     }
 }
 
-impl<S: SolutionSpace + Sync + ?Sized> Fleet<'_, S> {
+impl<S, C> Fleet<'_, S, C>
+where
+    S: SolutionSpace + Sync + ?Sized,
+    S::Solution: Clone + Send,
+    C: CandidateTest<S::Solution> + Sync + ?Sized,
+{
     /// The dispatcher worker of every member, in slot order: one per
     /// distinct label, registered on first sight, so a label that left
     /// and re-joins resumes its accounting row.
-    pub fn workers(&self, dispatcher: &Dispatcher<'_, S>) -> Vec<WorkerId> {
+    pub fn workers(&self, dispatcher: &Dispatcher<'_, S, C>) -> Vec<WorkerId> {
         self.members.iter().map(|m| dispatcher.register(m.label.as_str())).collect()
     }
 
@@ -203,7 +209,7 @@ impl<S: SolutionSpace + Sync + ?Sized> Fleet<'_, S> {
     /// then feeds its estimate; busy time sums over a label's members, so
     /// the estimate is per member, in the units of the weights it
     /// replaces.
-    pub fn run_round(&self, dispatcher: &Dispatcher<'_, S>, slice: Interval, opts: SchedOptions) {
+    pub fn run_round(&self, dispatcher: &Dispatcher<'_, S, C>, slice: Interval, opts: SchedOptions) {
         let workers = self.workers(dispatcher);
         let scatter = self.scatter_spans.then(|| dispatcher.telemetry().span(names::SPAN_SCATTER));
         let weights: Vec<f64> = if opts.retune.is_some() {
@@ -224,7 +230,7 @@ impl<S: SolutionSpace + Sync + ?Sized> Fleet<'_, S> {
         if let Some(span) = scatter {
             span.field("leaves", self.members.len()).finish();
         }
-        let leaves: Vec<DequeLeaf<'_, S>> = self
+        let leaves: Vec<DequeLeaf<'_, S, C>> = self
             .members
             .iter()
             .zip(&workers)

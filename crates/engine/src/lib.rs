@@ -10,7 +10,8 @@
 //!   scan in the workspace walks its interval through this cursor, so
 //!   cancellation latency has exactly one source of truth
 //!   ([`POLL_CHUNK`]);
-//! * [`target`] — the test function `C`: hash targets and target sets;
+//! * [`target`] — the test function `C` ([`CandidateTest`]) and its
+//!   hash-target instantiation: hash targets and target sets;
 //! * [`backend`] — the [`Backend`] trait: a leaf executor that scans an
 //!   interval of a space `S` (a type parameter, `KeySpace` by default —
 //!   a mask or a hybrid dictionary is the same pattern with another
@@ -29,7 +30,8 @@
 //!   label, scatters a slice by tuned (or, under retune, live) weights
 //!   and runs it on a dispatcher. `eks crack` is one round over
 //!   [`Fleet::threads`], `eks cluster` a rounds loop with
-//!   [`FleetEvent`]s between rounds, `eks job` one round per lease;
+//!   [`FleetEvent`]s between rounds, `eks job` one round per lease,
+//!   `eks mine` rounds of nonces under a difficulty test;
 //! * [`checkpoint`] — serializable search state: the completed-work
 //!   frontier ([`Checkpoint`]) and the schema-stamped JSON snapshot of a
 //!   mid-search dispatcher ([`SearchCheckpoint`]), the substrate the
@@ -64,4 +66,4 @@ pub use steal::{
     rescatter_plan, steal_split, ChunkPolicy, IntervalDeques, ScatterError, SchedPolicy,
     StealOutcome, WorkerStats,
 };
-pub use target::{HashTarget, TargetSet};
+pub use target::{CandidateTest, HashTarget, TargetSet};

@@ -72,11 +72,6 @@ impl<'a> PollCursor<'a> {
         self.cancelled
     }
 
-    /// Candidates per chunk (poll granularity after stride rounding).
-    pub fn chunk_len(&self) -> u128 {
-        self.chunk
-    }
-
     /// The part of the interval not yet handed out.
     pub fn remaining(&self) -> Interval {
         self.remaining
@@ -149,25 +144,28 @@ mod tests {
         assert_eq!(cursor.remaining().len, 100_000 - POLL_CHUNK);
     }
 
+    /// The length of the first chunk a strided cursor hands out from a
+    /// long interval: its poll granularity.
+    fn chunk_len(stride: u128) -> u128 {
+        let stop = AtomicBool::new(false);
+        let mut cursor = PollCursor::with_stride(Interval::new(0, 1 << 20), &stop, stride);
+        cursor.next_chunk().expect("a long interval has a chunk").len
+    }
+
     #[test]
     fn stride_rounds_the_chunk_up() {
-        let stop = AtomicBool::new(false);
         for stride in [1u128, 8, 16, 100] {
-            let cursor = PollCursor::with_stride(Interval::new(0, 1), &stop, stride);
-            assert_eq!(cursor.chunk_len() % stride, 0, "stride {stride}");
-            assert!(cursor.chunk_len() >= POLL_CHUNK);
+            assert_eq!(chunk_len(stride) % stride, 0, "stride {stride}");
+            assert!(chunk_len(stride) >= POLL_CHUNK);
         }
         // Stride 0 behaves like 1 rather than dividing by zero.
-        let cursor = PollCursor::with_stride(Interval::new(0, 1), &stop, 0);
-        assert_eq!(cursor.chunk_len(), POLL_CHUNK);
+        assert_eq!(chunk_len(0), POLL_CHUNK);
     }
 
     #[test]
     fn poll_quantum_matches_the_cursor_chunk() {
-        let stop = AtomicBool::new(false);
         for stride in [0u128, 1, 8, 16, 100] {
-            let cursor = PollCursor::with_stride(Interval::new(0, 1), &stop, stride);
-            assert_eq!(cursor.chunk_len(), poll_quantum(stride), "stride {stride}");
+            assert_eq!(chunk_len(stride), poll_quantum(stride), "stride {stride}");
         }
     }
 

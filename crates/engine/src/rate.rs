@@ -8,7 +8,7 @@
 //! closes the loop: every chunk scan already gets timed for the
 //! `eks_scan_ns` histogram, and the same `(tested, elapsed)` pair feeds
 //! a per-worker EWMA [`RateEstimator`]. A confidence gate keeps cold
-//! estimates honest — until a worker has [`WARMUP_SAMPLES`] scans on
+//! estimates honest — until a worker has `WARMUP_SAMPLES` scans on
 //! record, its estimate *is* its tuned rate, so consumers can always
 //! read a usable weight.
 //!

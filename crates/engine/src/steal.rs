@@ -401,7 +401,7 @@ impl IntervalDeques {
     /// Panics with a named-weight message when a weight is NaN,
     /// infinite, or negative, or when `weights` is empty. All-zero
     /// weights fall back to an even split (legacy behaviour; use
-    /// [`IntervalDeques::try_scatter`] to surface that case instead).
+    /// `IntervalDeques::try_scatter` to surface that case instead).
     pub fn scatter(interval: Interval, weights: &[f64]) -> Self {
         match Self::try_scatter(interval, weights) {
             Ok(d) => d,
@@ -539,7 +539,7 @@ impl IntervalDeques {
     /// been refilled mid-steal, which [`IntervalDeques::try_steal`]
     /// resolves by handing the stolen half back to the caller.
     ///
-    /// Victim selection ([`Self::largest_remote`]) reads slot lengths
+    /// Victim selection (`largest_remote`) reads slot lengths
     /// without a consistent snapshot; see its docs for why that race is
     /// benign and how the model checker covers it.
     pub fn steal_into(&self, thief: usize) -> Option<usize> {

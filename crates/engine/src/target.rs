@@ -1,4 +1,5 @@
-//! Hash targets: what the test function `C` compares against.
+//! The test function `C` ([`CandidateTest`]) and its hash-target
+//! instantiation: what a search compares each candidate against.
 //!
 //! Supports the paper's auditing scenario: one or many digests, optionally
 //! *salted* (Section I: salting defeats lookup/rainbow tables but "does
@@ -187,6 +188,48 @@ impl TargetSet {
     /// The digest at `index` (as returned by [`TargetSet::matches`]).
     pub fn digest(&self, index: usize) -> &[u8] {
         &self.digests[index]
+    }
+}
+
+/// The test function `C : S -> {0, 1}` of PAPER.md §III over candidates
+/// of type `K`: what a [`crate::Dispatcher`] searches a space for. `C`
+/// may be arbitrarily complex: [`TargetSet`] hashes a key and looks the
+/// digest up, a mining job counts the leading zero bits of a nonce's
+/// double SHA-256.
+pub trait CandidateTest<K: ?Sized> {
+    /// `Some(evidence)` when `C(candidate) = 1`: the index of the matched
+    /// digest for a [`TargetSet`], 0 for a test with one criterion.
+    fn test(&self, id: u128, candidate: &K) -> Option<usize>;
+
+    /// True when at most one candidate can pass, so that under first-hit
+    /// any hit may end the search at once. The default, "several may
+    /// pass", makes a first-hit search return the lowest passing
+    /// identifier (the dispatcher's floor rule).
+    fn unique(&self) -> bool {
+        false
+    }
+
+    /// The algorithm whose [`crate::Backend::tuned_rate`] seeds a
+    /// retuned round's rate estimates; `None` seeds every leaf equally.
+    fn tuned_algo(&self) -> Option<HashAlgo> {
+        None
+    }
+}
+
+impl CandidateTest<Key> for TargetSet {
+    #[inline]
+    fn test(&self, _id: u128, key: &Key) -> Option<usize> {
+        self.matches(key)
+    }
+
+    /// One digest: a second match could only be the same key under
+    /// another identifier (a repeated dictionary word) or a collision.
+    fn unique(&self) -> bool {
+        self.len() <= 1
+    }
+
+    fn tuned_algo(&self) -> Option<HashAlgo> {
+        Some(self.algo)
     }
 }
 

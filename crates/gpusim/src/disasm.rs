@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn instr_rendering() {
         let k = sample();
-        let line = disasm_instr(&k.instrs[0]);
+        let line = disasm_instr(k.instrs.first().expect("the sample kernel has instructions"));
         assert!(line.starts_with("SHL R"), "{line}");
     }
 

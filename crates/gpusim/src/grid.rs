@@ -105,8 +105,8 @@ mod tests {
     #[test]
     fn single_small_launch() {
         let plan = plan_launches(1_000_000, &dev(), 1841.0, 500.0);
-        assert_eq!(plan.len(), 1);
-        assert!(plan[0].keys_per_launch() >= 1_000_000);
+        let [launch] = plan.as_slice() else { panic!("{} launches, want one", plan.len()) };
+        assert!(launch.keys_per_launch() >= 1_000_000);
     }
 
     #[test]
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn occupancy_reaches_architecture_max() {
         let plan = plan_launches(1 << 30, &dev(), 1841.0, 500.0);
-        let l = plan[0];
+        let l = *plan.first().expect("2^30 keys need a launch");
         // Resident warps per multiprocessor with the grid spread evenly.
         let warps = (l.threads_per_block as u64 * l.blocks as u64 / 32) as u32 / dev().mp_count;
         assert!(warps >= dev().cc.mp_spec().max_warps, "{warps} warps per MP");

@@ -4,7 +4,7 @@
 //! no data-dependent branches inside the hash rounds), so liveness is a
 //! single linear scan: a register is live from its definition to its
 //! last use, and a register read before any definition is a kernel
-//! parameter, live from entry. [`occupancy`](crate::occupancy) uses the
+//! parameter, live from entry. [`occupancy`](fn@crate::occupancy) uses the
 //! resulting maximum to size the register file claim, and the analyzer
 //! crate cross-checks its own estimates against these ranges.
 

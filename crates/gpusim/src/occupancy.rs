@@ -79,8 +79,9 @@ mod tests {
         let mut b = KernelBuilder::new("wide");
         let inputs: Vec<_> = (0..16).map(|i| b.param(i)).collect();
         // Keep everything live until the final reduction.
-        let mut acc = inputs[0];
-        for &x in &inputs[1..] {
+        let (&first, rest) = inputs.split_first().expect("16 inputs");
+        let mut acc = first;
+        for &x in rest {
             acc = b.xor(acc, x);
         }
         // Reuse every input once more so they stay live through the tree.
@@ -142,8 +143,9 @@ mod tests {
         // 200 live registers: 64K / (32 × 200) = 10 warps on Kepler.
         let mut b = KernelBuilder::new("hog");
         let inputs: Vec<_> = (0..200).map(|i| b.param(i)).collect();
-        let mut acc = inputs[0];
-        for &x in &inputs[1..] {
+        let (&first, rest) = inputs.split_first().expect("200 inputs");
+        let mut acc = first;
+        for &x in rest {
             acc = b.xor(acc, x);
         }
         for &x in &inputs {

@@ -164,7 +164,8 @@ mod tests {
     fn kepler_shift_heavy_diagnoses_shift_port() {
         let r = profile(ComputeCapability::Sm30, true, 64);
         assert_eq!(r.bottleneck, Bottleneck::ShiftPort, "{}", r.render());
-        let shift_util = r.unit_utilization[0].1;
+        let &(_, shift_util) =
+            r.unit_utilization.iter().find(|(l, _)| l == "group0 (shift)").expect("Kepler's shift-port row");
         assert!(shift_util > 0.9, "shift port busy {shift_util}");
     }
 

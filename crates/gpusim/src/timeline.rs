@@ -109,8 +109,8 @@ mod tests {
     #[test]
     fn launches_are_sequential() {
         let t = execute_plan(5_000_000_000, &dev(), 1841.0, 500.0, 0.001);
-        for w in t.launches.windows(2) {
-            assert!(w[1].start_s >= w[0].start_s + w[0].duration_s);
+        for (prev, next) in t.launches.iter().zip(t.launches.iter().skip(1)) {
+            assert!(next.start_s >= prev.start_s + prev.duration_s);
         }
     }
 

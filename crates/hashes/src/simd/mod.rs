@@ -5,7 +5,7 @@
 //! to that ISA's register width and instruction mix (the BarsWF
 //! lineage). This module is the CPU version of that table: the
 //! compression cores are written once against the [`Vec32`] op
-//! vocabulary ([`cores`]) and instantiated per ISA —
+//! vocabulary (the private `cores` module) and instantiated per ISA —
 //!
 //! | ISA | register | keys/call (2× interleave) | extras |
 //! |---------|----------|---------------------------|-------------------------|

@@ -118,7 +118,7 @@ impl Default for AnomalyConfig {
 }
 
 /// Sliding-window anomaly classifier. Feed it windows in order with
-/// [`AnomalyDetector::assess`]; it keeps the little cross-window state
+/// `AnomalyDetector::assess`; it keeps the little cross-window state
 /// the classifications need (who was active, last fleet delta, last
 /// p99) and the currently-flagged worker set.
 #[derive(Debug)]

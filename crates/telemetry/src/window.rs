@@ -1,5 +1,5 @@
 //! Sliding-window aggregation: a bounded ring of per-window metric
-//! deltas diffed from consecutive [`Registry::samples`] snapshots.
+//! deltas diffed from consecutive [`crate::Registry::samples`] snapshots.
 //!
 //! The registry's counters and histograms are cumulative — perfect for
 //! end-of-run reconciliation, useless for asking "what happened in the

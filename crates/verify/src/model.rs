@@ -926,7 +926,8 @@ mod tests {
     /// step for step: same plan arithmetic, same retirement masking.
     #[test]
     fn rescatter_transition_mirrors_live_interval_deques() {
-        let weights = vec![vec![3.0, 1.0]];
+        let plan = [3.0, 1.0];
+        let weights = vec![plan.to_vec()];
         let m = Model::new(
             ModelConfig::exhaustive(2, 12).with_rescatter(weights.clone()),
         );
@@ -938,7 +939,7 @@ mod tests {
         // transition is disabled — on both sides.
         let a = Action::Rescatter { plan: 0 };
         assert!(!m.enabled(&s).contains(&a), "even fleet has nothing to move");
-        assert!(!live.rescatter(&weights[0]), "live agrees: no-op plan");
+        assert!(!live.rescatter(&plan), "live agrees: no-op plan");
 
         // Drain most of worker 0's share: now worker 0 (the 3x-weighted
         // slot) holds the small remainder and the plan swaps ranges.
@@ -950,7 +951,7 @@ mod tests {
         }
         assert!(m.enabled(&s).contains(&a), "skewed remainders enable the re-scatter");
         s = m.apply(&s, a).unwrap();
-        assert!(live.rescatter(&weights[0]), "live deques rebalance too");
+        assert!(live.rescatter(&plan), "live deques rebalance too");
         for w in 0..2 {
             assert_eq!(s.slot(w).len, live.remaining(w), "slot {w} remainder");
         }

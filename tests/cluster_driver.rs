@@ -15,14 +15,18 @@
 //!   drawn rounds;
 //! * `JobService` over the same planned fleet, an exhaustive job and a
 //!   first-hit job, the service dropped and the spool re-opened at a
-//!   drawn round.
+//!   drawn round;
+//! * `mine`, whose test `C` is a difficulty over nonces rather than a
+//!   digest set, over a drawn header, difficulty and nonce range, against
+//!   a sequential scan of its own.
 //!
 //! Whatever is drawn, an exhaustive run finds exactly the oracle's hits
 //! and tests every identifier exactly once, its per-worker rows summing to
 //! `tested`, one row per label; a first-hit run over several digests
 //! returns the lowest planted identifier, and over one digest a genuine
 //! occurrence of the key; a job is credited exactly what its leases
-//! scanned.
+//! scanned; mining returns the lowest passing nonce, having tested every
+//! nonce below it.
 
 // Indexing below is over vectors sized by the same expression that draws
 // the index; the workspace `clippy::indexing_slicing` escalation guards
@@ -37,11 +41,12 @@ use eks::cluster::{
 };
 use eks::core::prop::{forall, Rng};
 use eks::cracker::{
-    crack_interval, crack_parallel_backend_observed, run_audit, AuditEntry, CpuBackend,
-    ParallelConfig, TargetSet,
+    crack_interval, crack_parallel_backend_observed, mine, run_audit, AuditEntry, CpuBackend,
+    MiningJob, ParallelConfig, TargetSet,
 };
 use eks::engine::{Backend, Retune, SchedPolicy};
 use eks::gpusim::device::Device;
+use eks::hashes::sha256::leading_zero_bits;
 use eks::hashes::HashAlgo;
 use eks::jobs::{FleetMember, JobService, JobSpec, JobState, JobStore, ServiceConfig};
 use eks::keyspace::{
@@ -369,6 +374,28 @@ fn jobs_match(rng: &mut Rng, draw: &Draw, root: &ClusterNode, stop: &AtomicBool)
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `mine` over a drawn header, difficulty (0–6), start and length (at most
+/// 2¹² nonces, often a short range with no pass) on 1–4 threads: the
+/// lowest passing nonce of a sequential scan, with its digest, every nonce
+/// below it tested — or `None` when no nonce of the range passes.
+fn mining_matches(rng: &mut Rng) {
+    let header_len = rng.range(0, 80) as usize;
+    let header = rng.vec(header_len, |r| r.below(256) as u8);
+    let job = MiningJob { header, difficulty_bits: rng.range(0, 6) as u32 };
+    let start = if rng.below(4) == 0 { u64::from(u32::MAX) - rng.below(64) } else { rng.below(1 << 32) };
+    let longest = [64, 1 << 12][rng.index(2)];
+    let len = rng.range(0, longest);
+    let threads = rng.range(1, 4) as usize;
+    let case = format!("mine {} bits, {threads} threads, {start}..+{len}", job.difficulty_bits);
+    let passes = |n: &u32| leading_zero_bits(&job.digest(*n)) >= job.difficulty_bits;
+    let want = (start..(start + len).min(1 << 32)).map(|n| n as u32).find(passes);
+    let got = mine(&job, start..start + len, threads);
+    assert_eq!(got.as_ref().map(|r| (r.nonce, r.digest)), want.map(|n| (n, job.digest(n))), "{case}");
+    if let Some(r) = got {
+        assert!(u64::from(r.nonce) - start < r.tested && r.tested <= len, "tested {}, {case}", r.tested);
+    }
+}
+
 #[test]
 fn every_driver_configuration_matches_the_oracle() {
     let stop = AtomicBool::new(false);
@@ -390,6 +417,7 @@ fn every_driver_configuration_matches_the_oracle() {
         if rng.below(4) == 0 {
             audit_matches(rng, &draw, &space, &stop);
         }
+        mining_matches(rng);
     });
 }
 
